@@ -20,6 +20,12 @@ designated facets and zero elsewhere.
 
 Boundary conditions are keyed by the persistent id of the boundary
 vertex, which survives refinement, coarsening and growth.
+
+Every scheme reads one :class:`FacetTable` per view: plain arrays built
+from a single sweep over the intersection groups, indexed by the view's
+index set.  :func:`two_point_system` assembles the vessel pressure and
+the root pressure (``roots``) from it; transport, the refinement
+indicator and the boundary lookups read the same table.
 """
 
 from __future__ import annotations
@@ -88,103 +94,185 @@ def element_transmissibility(radius, viscosity, gamma):
     return math.pi * radius**4 / (2.0 * viscosity * (2.0 + gamma))
 
 
-def _facet_vertex_id(element, group):
-    return element.sub_entity(1, group.index_in_inside).id
+class FacetTable:
+    """Plain arrays of one view for the finite-volume schemes.
+
+    Built from a single :func:`intersections` sweep over the view's
+    elements; element ``i`` is the element with index ``i`` in the view.
+    Per element: persistent ``ids`` and ``lengths`` (element measures).
+    Per facet record, in sweep order (element, facet, neighbour):
+    ``inside`` and ``outside`` element indices (``outside`` is -1 on a
+    boundary facet), the persistent id of the ``facet`` (the junction
+    vertex on a network) and the ``junction`` number (-1 on a boundary
+    facet).  A junction is the set of elements sharing one facet
+    fragment; ``member_junction`` and ``member_element`` list it one row
+    per element, by ascending element id.
+    """
+
+    def __init__(self, view):
+        ix = view.index_set
+        elements = view.elements()
+        self.ids = np.array([el.id for el in elements], dtype=np.int64)
+        self.lengths = np.array([el.geometry.volume() for el in elements], dtype=float)
+        records = []  # (inside, outside, facet id, junction)
+        junctions = {}  # ascending member ids -> junction number
+        members = []  # (junction, element index)
+        for i, el in enumerate(elements):
+            for grp in intersections(view, el):
+                fid = el.sub_entity(1, grp.index_in_inside).id
+                if grp.boundary:
+                    records.append((i, -1, fid, -1))
+                    continue
+                outsides = [grp.outside(k) for k in range(grp.neighbor_count)]
+                index = [ix.index_of(other) for other in outsides]
+                group = sorted(zip([el.id] + [other.id for other in outsides], [i] + index))
+                key = tuple(eid for eid, _ in group)
+                junction = junctions.get(key)
+                if junction is None:
+                    junction = junctions[key] = len(junctions)
+                    members.extend((junction, m) for _, m in group)
+                records.extend((i, j, fid, junction) for j in index)
+        self.inside, self.outside, self.facet, self.junction = (
+            np.array(records, dtype=np.int64).reshape(-1, 4).T
+        )
+        self.member_junction, self.member_element = (
+            np.array(members, dtype=np.int64).reshape(-1, 2).T
+        )
+        self.junctions = len(junctions)
+
+    @property
+    def size(self):
+        return len(self.ids)
+
+    def pair_transmissibilities(self, t):
+        """Per record t_i t_j / (sum of t_k over the junction); 0 on boundary facets.
+
+        The denominators are summed in ascending element id order.
+        """
+        t = np.asarray(t, dtype=float)
+        denom = np.bincount(
+            self.member_junction, weights=t[self.member_element], minlength=self.junctions
+        )
+        inner = self.outside >= 0
+        i, j = self.inside[inner], self.outside[inner]
+        tij = np.zeros(len(self.inside))
+        tij[inner] = t[i] * t[j] / denom[self.junction[inner]]
+        return tij
+
+    def boundary_values(self, values, default=np.nan):
+        """Per record ``values[facet id]`` on the boundary facets it names, else ``default``."""
+        out = np.full(len(self.inside), default, dtype=float)
+        for r in np.flatnonzero(self.outside < 0).tolist():
+            out[r] = values.get(int(self.facet[r]), default)
+        return out
+
+
+def facet_table(view):
+    """The view's :class:`FacetTable`, built on first use and kept on the view.
+
+    A view refuses use after any grid change, so the table never goes stale.
+    """
+    view._check_fresh()
+    if view._facet_table is None:
+        view._facet_table = FacetTable(view)
+    return view._facet_table
 
 
 def junction_two_point_transmissibilities(view, t):
     """Map (junction vertex id, id_i, id_j) -> t_ij, ids ordered ascending.
 
-    One sweep over the leaf elements suffices: every intersection group
-    carries the full set of junction partners.
+    Where one pair meets in several facet records, the first record in
+    sweep order gives the value.
     """
-    ix = view.index_set
+    table = facet_table(view)
+    tij = table.pair_transmissibilities(t)
     out = {}
-    for el in view.elements():
-        i = ix.index_of(el)
-        for grp in intersections(view, el):
-            if grp.boundary:
-                continue
-            member_ids = [el.id] + [grp.outside(k).id for k in range(grp.neighbor_count)]
-            member_idx = [i] + [ix.index_of(grp.outside(k)) for k in range(grp.neighbor_count)]
-            order = sorted(range(len(member_ids)), key=lambda m: member_ids[m])
-            denom = sum(t[member_idx[m]] for m in order)
-            vid = _facet_vertex_id(el, grp)
-            for k in range(grp.neighbor_count):
-                a, b = el.id, grp.outside(k).id
-                key = (vid, min(a, b), max(a, b))
-                if key not in out:
-                    out[key] = t[i] * t[ix.index_of(grp.outside(k))] / denom
+    for r in np.flatnonzero(table.outside >= 0):
+        a, b = table.ids[table.inside[r]], table.ids[table.outside[r]]
+        out.setdefault((int(table.facet[r]), int(min(a, b)), int(max(a, b))), tij[r])
     return out
 
 
-def _geometry_arrays(view):
-    lengths = np.array([el.geometry.volume() for el in view.elements()])
-    return lengths
+def _triplets(table, head, slots):
+    """COO (rows, cols, vals) in the order an element loop adds them.
+
+    Row i takes one diagonal entry per ``head`` item, a (values, keep)
+    pair over the elements, then, record by record in sweep order, one
+    entry per ``slots`` item, a (columns, values, keep) triple over the
+    facet records.  scipy and ``np.bincount`` sum duplicates in the order
+    a row lists them, so this order fixes the last bits of the system.
+    """
+    keep = np.stack([k for _, _, k in slots], axis=1)
+    diagonal = [np.flatnonzero(k) for _, k in head]
+    rows = diagonal + [np.broadcast_to(table.inside[:, None], keep.shape)[keep]]
+    cols = diagonal + [np.stack([c for c, _, _ in slots], axis=1)[keep]]
+    vals = [v[k] for v, k in head] + [np.stack([v for _, v, _ in slots], axis=1)[keep]]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _system(table, matrix, rhs):
+    """Sparse (A, b) from (head, slots) entry lists as :func:`_triplets` takes them."""
+    n = table.size
+    rows, cols, vals = _triplets(table, *matrix)
+    a = scipy.sparse.csr_matrix(scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    rows, _, vals = _triplets(table, *rhs)
+    return a, np.bincount(rows, weights=vals, minlength=n)
+
+
+def two_point_system(table, t, sink, sink_value, dirichlet, inflow):
+    """Sparse (A, b) of the two-point flux scheme on one facet table.
+
+    ``t`` is the per-element coefficient, split at junctions into
+    t_i t_j / sum t_k; ``sink`` is a per-element diagonal term pulling
+    towards ``sink_value``.  ``dirichlet`` (boundary value) and ``inflow``
+    (flux into the element) are per-record arrays, NaN where they do not
+    apply; a Dirichlet facet couples with the element's own t_i.
+    """
+    t = np.asarray(t, dtype=float)
+    i, j = table.inside, table.outside
+    inner = j >= 0
+    fixed = ~np.isnan(dirichlet)
+    fed = ~fixed & ~np.isnan(inflow)
+    leaks = sink != 0
+    tij = table.pair_transmissibilities(t)
+    return _system(
+        table,
+        ([(sink, leaks)], [(i, np.where(inner, tij, t[i]), inner | fixed), (j, -tij, inner)]),
+        ([(sink * sink_value, leaks)], [(i, t[i] * dirichlet, fixed), (i, inflow, fed)]),
+    )
 
 
 def assemble_pressure(view, problem, radius, t=None):
     """Sparse system (A, b) for the leaf pressures."""
-    elements = view.elements()
-    ix = view.index_set
-    n = len(elements)
+    table = facet_table(view)
+    radius = np.asarray(radius, dtype=float)
     if t is None:
         t = element_transmissibility(radius, problem.viscosity, problem.gamma)
-    pair_t = junction_two_point_transmissibilities(view, t)
-    lengths = _geometry_arrays(view)
+    leak = _TWO_PI * radius * problem.l_p * table.lengths
+    inflow = table.boundary_values(problem.neumann_velocity) * math.pi * radius[table.inside] ** 2
+    dirichlet = table.boundary_values(problem.dirichlet_pressure)
+    return two_point_system(table, t, leak, problem.tissue_pressure, dirichlet, inflow)
 
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
 
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    for el in elements:
-        i = ix.index_of(el)
-        leak = _TWO_PI * radius[i] * problem.l_p * lengths[i]
-        if leak:
-            add(i, i, leak)
-            b[i] += leak * problem.tissue_pressure
-        for grp in intersections(view, el):
-            if grp.boundary:
-                vid = _facet_vertex_id(el, grp)
-                if vid in problem.dirichlet_pressure:
-                    add(i, i, t[i])
-                    b[i] += t[i] * problem.dirichlet_pressure[vid]
-                elif vid in problem.neumann_velocity:
-                    b[i] += problem.neumann_velocity[vid] * math.pi * radius[i] ** 2
-                continue
-            vid = _facet_vertex_id(el, grp)
-            for k in range(grp.neighbor_count):
-                other = grp.outside(k)
-                tij = pair_t[(vid, min(el.id, other.id), max(el.id, other.id))]
-                add(i, i, tij)
-                add(i, ix.index_of(other), -tij)
-
-    a = scipy.sparse.csr_matrix(
-        scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    )
-    return a, b
+def _checked_solve(a, b, what, hint=""):
+    """spsolve, rejecting non-finite solutions and residuals above 1e-8 of the scale."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        x = scipy.sparse.linalg.spsolve(a, b)
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError(f"{what} system is singular{hint}")
+    residual = np.abs(a @ x - b)
+    entries = np.max(np.abs(a.data)) if a.nnz else 0.0
+    scale = max(np.max(np.abs(b)), np.max(np.abs(x)), 1.0) * max(entries, 1.0)
+    if np.max(residual) > 1e-8 * scale:
+        raise SingularSystemError(f"{what} solve did not converge to a solution")
+    return x
 
 
 def solve_pressure(view, problem, radius, t=None):
     """Direct sparse solve; raises SingularSystemError for closed no-leak systems."""
     a, b = assemble_pressure(view, problem, radius, t=t)
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = scipy.sparse.linalg.spsolve(a, b)
-    if not np.all(np.isfinite(p)):
-        raise SingularSystemError(
-            "pressure system is singular (no Dirichlet facet and no wall conductivity?)"
-        )
-    residual = np.abs(a @ p - b)
-    entries = np.max(np.abs(a.data)) if a.nnz else 0.0
-    scale = max(np.max(np.abs(b)), np.max(np.abs(p)), 1.0) * max(entries, 1.0)
-    if np.max(residual) > 1e-8 * scale:
-        raise SingularSystemError("pressure solve did not converge to a solution")
-    return p
+    return _checked_solve(a, b, "pressure", " (no Dirichlet facet and no wall conductivity?)")
 
 
 @dataclass
@@ -201,78 +289,60 @@ def transport_step(view, problem, state, dt):
     """One implicit Euler step; returns the new concentration array."""
     if dt <= 0.0:
         raise ValueError("time step must be positive")
-    elements = view.elements()
-    ix = view.index_set
-    n = len(elements)
+    table = facet_table(view)
+    i, j = table.inside, table.outside
+    lengths = table.lengths
     radius = state.radius
     p = state.pressure
     t = element_transmissibility(radius, problem.viscosity, problem.gamma)
-    pair_t = junction_two_point_transmissibilities(view, t)
-    lengths = _geometry_arrays(view)
     area = math.pi * radius**2
+    storage = area * lengths / dt
+    every = np.ones(table.size, dtype=bool)
 
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    for el in elements:
-        i = ix.index_of(el)
-        vol = area[i] * lengths[i]
-        add(i, i, vol / dt)
-        b[i] += vol / dt * state.concentration[i]
-
-        # transmural exchange (loss when vessel exceeds tissue values)
-        wall = _TWO_PI * radius[i] * lengths[i]
-        add(i, i, wall * (problem.l_c + problem.l_p * (p[i] - problem.tissue_pressure) * (1.0 - problem.sigma_c)))
-        b[i] += wall * problem.l_c * problem.tissue_concentration
-
-        for grp in intersections(view, el):
-            if grp.boundary:
-                vid = _facet_vertex_id(el, grp)
-                if vid in problem.dirichlet_pressure:
-                    q_out = t[i] * (p[i] - problem.dirichlet_pressure[vid])
-                    if q_out >= 0.0:
-                        add(i, i, q_out)  # upwind outflow, no diffusion
-                    # backflow through a pressure facet advects c = 0
-                elif vid in problem.neumann_velocity:
-                    q_out = -problem.neumann_velocity[vid] * math.pi * radius[i] ** 2
-                    if q_out >= 0.0:
-                        add(i, i, q_out)
-                    else:
-                        c_in = problem.dirichlet_concentration.get(vid, 0.0)
-                        b[i] -= q_out * c_in
-                continue
-            vid = _facet_vertex_id(el, grp)
-            for k in range(grp.neighbor_count):
-                other = grp.outside(k)
-                j = ix.index_of(other)
-                tij = pair_t[(vid, min(el.id, other.id), max(el.id, other.id))]
-                q = tij * (p[i] - p[j])
-                if q > 0.0:
-                    add(i, i, q)
-                elif q < 0.0:
-                    add(i, j, q)
-                if problem.d_e:
-                    dist = 0.5 * (lengths[i] + lengths[j])
-                    add(i, i, problem.d_e * area[i] / dist)
-                    add(i, j, -problem.d_e * area[j] / dist)
-
-    a = scipy.sparse.csr_matrix(
-        scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    # transmural exchange (loss when vessel exceeds tissue values)
+    wall = _TWO_PI * radius * lengths
+    exchange = wall * (
+        problem.l_c + problem.l_p * (p - problem.tissue_pressure) * (1.0 - problem.sigma_c)
     )
-    c = scipy.sparse.linalg.spsolve(a, b)
-    if not np.all(np.isfinite(c)):
-        raise SingularSystemError("transport system is singular")
-    return c
+
+    # flux out of the inside element through each facet record
+    inner = j >= 0
+    p_out = table.boundary_values(problem.dirichlet_pressure)
+    v_in = table.boundary_values(problem.neumann_velocity)
+    fixed = ~np.isnan(p_out)
+    fed = ~fixed & ~np.isnan(v_in)
+    q = np.where(
+        inner,
+        table.pair_transmissibilities(t) * (p[i] - p[j]),
+        np.where(fixed, t[i] * (p[i] - p_out), -v_in * math.pi * radius[i] ** 2),
+    )
+    # full upwind; boundary outflow carries no diffusion, backflow through
+    # a pressure facet advects c = 0, inflow facets their prescribed c
+    upwind = np.where(inner, (q > 0.0) | (q < 0.0), (fixed | fed) & (q >= 0.0))
+    c_in = table.boundary_values(problem.dirichlet_concentration, default=0.0)
+    diffuse = inner & bool(problem.d_e)
+    dist = 0.5 * (lengths[i] + lengths[j])
+    a, b = _system(
+        table,
+        (
+            [(storage, every), (exchange, every)],
+            [
+                (np.where(inner & (q < 0.0), j, i), q, upwind),
+                (i, problem.d_e * area[i] / dist, diffuse),
+                (j, -problem.d_e * area[j] / dist, diffuse),
+            ],
+        ),
+        (
+            [(storage * state.concentration + wall * problem.l_c * problem.tissue_concentration, every)],
+            [(i, -(q * c_in), fed & ~(q >= 0.0))],
+        ),
+    )
+    return _checked_solve(a, b, "transport")
 
 
 def total_amount(view, state):
     """Conserved solute amount sum A_i l_i c_i over the leaf elements."""
-    lengths = _geometry_arrays(view)
+    lengths = facet_table(view).lengths
     return float(np.sum(math.pi * state.radius**2 * lengths * state.concentration))
 
 
@@ -289,16 +359,13 @@ def refinement_indicator(view, concentration, eps_refine=0.3, eps_coarsen=0.05):
     """
     if not (0.0 <= eps_coarsen < eps_refine <= 1.0):
         raise ValueError("thresholds must satisfy 0 <= eps_coarsen < eps_refine <= 1")
-    elements = view.elements()
-    ix = view.index_set
-    n = len(elements)
+    table = facet_table(view)
+    n = table.size
+    inner = table.outside >= 0
+    i, j = table.inside[inner], table.outside[inner]
+    c = np.asarray(concentration, dtype=float)
     jump = np.zeros(n)
-    for el in elements:
-        i = ix.index_of(el)
-        for grp in intersections(view, el):
-            for k in range(grp.neighbor_count):
-                j = ix.index_of(grp.outside(k))
-                jump[i] = max(jump[i], abs(concentration[i] - concentration[j]))
+    np.maximum.at(jump, i, np.abs(c[i] - c[j]))
     lo, hi = float(np.min(jump)), float(np.max(jump))
     if hi <= lo:
         return np.full(n, -1, dtype=int)
@@ -360,14 +427,9 @@ def restore_leaf_data(view, store, names):
 def boundary_vertex_ids_by_marker(view, markers):
     """Ids of boundary vertices whose adjacent element carries one of the markers."""
     wanted = set(markers)
-    ids = set()
-    for el in view.elements():
-        if el.marker not in wanted:
-            continue
-        for grp in intersections(view, el):
-            if grp.boundary:
-                ids.add(_facet_vertex_id(el, grp))
-    return ids
+    table = facet_table(view)
+    marked = np.array([el.marker in wanted for el in view.elements()], dtype=bool)
+    return set(table.facet[(table.outside < 0) & marked[table.inside]].tolist())
 
 
 def problem_from_scenario(scenario, view):

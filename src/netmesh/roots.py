@@ -21,12 +21,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ScenarioError, SingularSystemError
-from .flow import junction_two_point_transmissibilities, _facet_vertex_id
-from .intersections import intersections
+from .flow import facet_table, two_point_system
+# not called here: bench/tracing.py patches these two names in this module
+from .flow import junction_two_point_transmissibilities  # noqa: F401
+from .intersections import intersections  # noqa: F401
 from .topology import LINE
 
 log = logging.getLogger(__name__)
@@ -203,52 +204,20 @@ def assemble_solve_root_pressure(problem, view, k_x=None, k_r=None, radius=None)
     no-flow.
     """
     problem.validate()
-    elements = view.elements()
-    ix = view.index_set
-    n = len(elements)
+    table = facet_table(view)
+    n = table.size
     t = np.full(n, problem.axial_conductance) if k_x is None else np.asarray(k_x, float)
     kr = np.full(n, problem.radial_conductivity) if k_r is None else np.asarray(k_r, float)
     r = np.full(n, problem.root_radius) if radius is None else np.asarray(radius, float)
-    pair_t = junction_two_point_transmissibilities(view, t)
-
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    pinned = False
-    for el in elements:
-        i = ix.index_of(el)
-        length = el.geometry.volume()
-        soil = kr[i] * 2.0 * math.pi * r[i] * length
-        if soil:
-            add(i, i, soil)
-            b[i] += soil * problem.soil_pressure
-            pinned = True
-        for grp in intersections(view, el):
-            if grp.boundary:
-                if _facet_vertex_id(el, grp) == problem.collar_vertex_id:
-                    add(i, i, t[i])
-                    b[i] += t[i] * problem.collar_pressure
-                    pinned = True
-                continue
-            vid = _facet_vertex_id(el, grp)
-            for k in range(grp.neighbor_count):
-                other = grp.outside(k)
-                tij = pair_t[(vid, min(el.id, other.id), max(el.id, other.id))]
-                add(i, i, tij)
-                add(i, ix.index_of(other), -tij)
-
+    soil = kr * 2.0 * math.pi * r * table.lengths
+    collar = table.boundary_values({problem.collar_vertex_id: problem.collar_pressure})
+    pinned = np.any(soil != 0) or not np.all(np.isnan(collar))
     if not pinned:
         raise SingularSystemError(
             "root pressure system is singular (collar not on the network, no radial conductivity)"
         )
-    a = scipy.sparse.csr_matrix(
-        scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    )
+    no_inflow = table.boundary_values({})
+    a, b = two_point_system(table, t, soil, problem.soil_pressure, collar, no_inflow)
     p = scipy.sparse.linalg.spsolve(a, b)
     if not np.all(np.isfinite(p)):
         raise SingularSystemError("root pressure system is singular (collar not on the network?)")
@@ -261,17 +230,17 @@ def assemble_solve_root_pressure(problem, view, k_x=None, k_r=None, radius=None)
 
 def total_uptake(problem, view, p, k_r=None, radius=None):
     """Sum of radial source terms K_r A_r (p_S - p_i) over the leaf segments."""
-    elements = view.elements()
-    ix = view.index_set
-    n = len(elements)
+    table = facet_table(view)
+    n = table.size
     kr = np.full(n, problem.radial_conductivity) if k_r is None else np.asarray(k_r, float)
     r = np.full(n, problem.root_radius) if radius is None else np.asarray(radius, float)
-    total = 0.0
-    for el in elements:
-        i = ix.index_of(el)
-        a_r = 2.0 * math.pi * r[i] * el.geometry.volume()
-        total += kr[i] * a_r * (problem.soil_pressure - p[i])
-    return total
+    a_r = 2.0 * math.pi * r * table.lengths
+    return _running_sum(kr * a_r * (problem.soil_pressure - np.asarray(p, float)))
+
+
+def _running_sum(terms):
+    """Left-to-right sum from 0.0, as a loop adds; np.sum adds pairwise."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def grow_grid(grid, indicator, variables, step=0):
@@ -335,17 +304,11 @@ def grow_grid(grid, indicator, variables, step=0):
 
 def collar_flux(problem, view, p, k_x=None):
     """Water flux through the collar facet, positive towards the collar."""
-    elements = view.elements()
-    ix = view.index_set
-    n = len(elements)
-    t = np.full(n, problem.axial_conductance) if k_x is None else np.asarray(k_x, float)
-    total = 0.0
-    for el in elements:
-        for grp in intersections(view, el):
-            if grp.boundary and _facet_vertex_id(el, grp) == problem.collar_vertex_id:
-                i = ix.index_of(el)
-                total += t[i] * (p[i] - problem.collar_pressure)
-    return total
+    table = facet_table(view)
+    t = np.full(table.size, problem.axial_conductance) if k_x is None else np.asarray(k_x, float)
+    collar = table.boundary_values({problem.collar_vertex_id: problem.collar_pressure})
+    i = table.inside[~np.isnan(collar)]
+    return _running_sum(t[i] * (np.asarray(p, float)[i] - problem.collar_pressure))
 
 
 def run_scenario(scenario, out_dir, steps=None, seed=None):

@@ -56,6 +56,7 @@ class GridView:
         self._revision = grid._revision
         self._index = {}
         self._entities = {}
+        self._facet_table = None  # built by flow.facet_table on first use
         for codim in self._codims():
             self._build(codim)
 

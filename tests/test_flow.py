@@ -39,18 +39,6 @@ def chain_order(view):
     return [i for _, i in pairs]
 
 
-def boundary_vids(view):
-    from netmesh.intersections import intersections
-    from netmesh.flow import _facet_vertex_id
-
-    out = set()
-    for el in view.elements():
-        for grp in intersections(view, el):
-            if grp.boundary:
-                out.add(_facet_vertex_id(el, grp))
-    return out
-
-
 class TestTransmissibility:
     def test_reference_value(self):
         # pi R^4 / (2 mu (2 + gamma)) with R=2e-6, mu=3, gamma=2
