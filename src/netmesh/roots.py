@@ -139,9 +139,10 @@ def indicator_evaluate(indicator, grid, element, step):
     A segment with a free tip (leaf degree 1, not anchored) elongates
     straight ahead with the elongation probability; any other segment
     may sprout a lateral branch at a randomly picked end vertex, in a
-    random direction tilted downwards by the gravity bias.  The draw
-    order (elongate, branch, vertex pick, direction) is part of the
-    reproducibility contract.
+    random direction tilted downwards by the gravity bias.  A branch
+    picked at an anchored vertex attaches at the other end instead, so
+    the collar stays a boundary facet.  The draw order (elongate, branch,
+    vertex pick, direction) is part of the reproducibility contract.
     """
     rng = Xoshiro256StarStar(stream_seed(indicator.seed, element.id, step))
     r_elongate = rng.uniform()
@@ -161,7 +162,9 @@ def indicator_evaluate(indicator, grid, element, step):
 
     if r_branch >= indicator.branch_probability:
         return None
-    attach = verts[0] if rng.uniform() < 0.5 else verts[1]
+    attach, other = verts if rng.uniform() < 0.5 else verts[::-1]
+    if attach.id in indicator.anchored_ids:
+        attach = other
     w = grid.world_dim
     down = np.zeros(w)
     down[-1] = -indicator.gravity_bias

@@ -166,6 +166,28 @@ class TestGrowthDecisions:
             assert offset[-1] <= 1e-15  # full gravity bias never points up
         assert branched == 2
 
+    @pytest.mark.parametrize("seed", [21, *range(40)])
+    def test_collar_segment_never_branches_at_the_collar(self, seed):
+        grid, collar = build_vertical_root(4, 0.01)
+        ind = GrowthIndicator(
+            seed=seed, branch_probability=1.0, elongation_probability=1.0,
+            anchored_ids=(collar,),
+        )
+        problem = RootProblem(collar_vertex_id=collar)
+        variables = {"k_x": np.full(4, problem.axial_conductance)}
+        for step in range(3):
+            for el in grid.leaf_view().elements():
+                d = indicator_evaluate(ind, grid, el, step)
+                assert d is None or d.attach.id != collar
+            _, variables = grow_grid(grid, ind, variables, step=step)
+        view = grid.leaf_view()
+        p = assemble_solve_root_pressure(problem, view, k_x=variables["k_x"])
+        # the collar flux t (p_0 - p_collar) subtracts two pressures near
+        # -1.2e6 that differ by about 20, so it loses about five digits
+        assert collar_flux(problem, view, p, k_x=variables["k_x"]) == pytest.approx(
+            total_uptake(problem, view, p), rel=1e-9
+        )
+
     def test_decisions_are_reproducible(self):
         grid, collar = build_vertical_root(4, 0.01)
         ind = GrowthIndicator(seed=21, anchored_ids=(collar,))
