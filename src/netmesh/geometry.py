@@ -58,9 +58,9 @@ class AffineGeometry:
         scale = float(np.max(np.sum((self.corners - self.corners[0]) ** 2, axis=1)))
         if scale == 0.0:
             return True
-        # det(A^T A) carries units length^(2k); compare against an eps-scaled
-        # power of the squared edge scale so small-but-healthy elements pass.
-        return self._det <= (64.0 * _EPS * scale) ** self.dim
+        # det(A^T A) carries units length^(2k) and its round-off is of order
+        # eps * scale^k, so compare against that; small-but-healthy elements pass.
+        return self._det <= 64.0 * _EPS * scale**self.dim
 
     def _require_regular(self):
         if self.is_degenerate():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netmesh import AffineGeometry
@@ -109,6 +109,7 @@ coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(coord, coord, coord), min_size=3, max_size=3))
+@example([(1.1, 0.0, 1.25), (1.1, 1.25, 1.25), (1.1, 1.1, 1.25)])  # collinear corners
 def test_local_global_round_trip_random_triangles(pts):
     corners = np.array(pts)
     geo = AffineGeometry(corners)
