@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -246,6 +247,14 @@ class TestTransport:
             transport_step(view, problem, state, 0.0)
         with pytest.raises(ValueError):
             transport_step(view, problem, state, -0.5)
+
+    @pytest.mark.parametrize("error", [0.5, np.nan])
+    def test_rejects_a_solution_that_misses_the_system(self, chain4, monkeypatch, error):
+        view, problem, state = self._through_flow(chain4)
+        spsolve = scipy.sparse.linalg.spsolve
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda a, b: spsolve(a, b) + error)
+        with pytest.raises(SingularSystemError):
+            transport_step(view, problem, state, 0.25)
 
     def test_single_step_matches_dense_oracle(self, chain4):
         view = chain4.leaf_view()
