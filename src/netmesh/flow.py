@@ -113,7 +113,7 @@ class FacetTable:
         ix = view.index_set
         elements = view.elements()
         self.ids = np.array([el.id for el in elements], dtype=np.int64)
-        self.lengths = np.array([el.geometry.volume() for el in elements], dtype=float)
+        self.lengths = np.array([el.geometry.volume() for el in elements])
         records = []  # (inside, outside, facet id, junction)
         junctions = {}  # ascending member ids -> junction number
         members = []  # (junction, element index)
@@ -135,24 +135,16 @@ class FacetTable:
         self.inside, self.outside, self.facet, self.junction = (
             np.array(records, dtype=np.int64).reshape(-1, 4).T
         )
-        self.member_junction, self.member_element = (
-            np.array(members, dtype=np.int64).reshape(-1, 2).T
-        )
-        self.junctions = len(junctions)
+        self.member_junction, self.member_element = np.array(members, dtype=np.int64).reshape(-1, 2).T
 
     @property
     def size(self):
         return len(self.ids)
 
     def pair_transmissibilities(self, t):
-        """Per record t_i t_j / (sum of t_k over the junction); 0 on boundary facets.
-
-        The denominators are summed in ascending element id order.
-        """
+        """Per record t_i t_j / (sum of t_k over the junction, by ascending id); 0 on the boundary."""
         t = np.asarray(t, dtype=float)
-        denom = np.bincount(
-            self.member_junction, weights=t[self.member_element], minlength=self.junctions
-        )
+        denom = np.bincount(self.member_junction, weights=t[self.member_element])
         inner = self.outside >= 0
         i, j = self.inside[inner], self.outside[inner]
         tij = np.zeros(len(self.inside))
@@ -322,21 +314,17 @@ def transport_step(view, problem, state, dt):
     c_in = table.boundary_values(problem.dirichlet_concentration, default=0.0)
     diffuse = inner & bool(problem.d_e)
     dist = 0.5 * (lengths[i] + lengths[j])
-    a, b = _system(
-        table,
-        (
-            [(storage, every), (exchange, every)],
-            [
-                (np.where(inner & (q < 0.0), j, i), q, upwind),
-                (i, problem.d_e * area[i] / dist, diffuse),
-                (j, -problem.d_e * area[j] / dist, diffuse),
-            ],
-        ),
-        (
-            [(storage * state.concentration + wall * problem.l_c * problem.tissue_concentration, every)],
-            [(i, -(q * c_in), fed & ~(q >= 0.0))],
-        ),
+    matrix = (
+        [(storage, every), (exchange, every)],
+        [
+            (np.where(inner & (q < 0.0), j, i), q, upwind),
+            (i, problem.d_e * area[i] / dist, diffuse),
+            (j, -problem.d_e * area[j] / dist, diffuse),
+        ],
     )
+    source = storage * state.concentration + wall * problem.l_c * problem.tissue_concentration
+    rhs = ([(source, every)], [(i, -(q * c_in), fed & ~(q >= 0.0))])
+    a, b = _system(table, matrix, rhs)
     return _checked_solve(a, b, "transport")
 
 
