@@ -153,7 +153,6 @@ def _build_parser():
     p.add_argument("scenario", help="key = value scenario file")
     p.add_argument("--out", default="flow_out", help="output directory")
     p.add_argument("--steps", type=int, default=None, help="override scenario step count")
-    p.add_argument("--seed", type=int, default=None, help="accepted for symmetry; unused")
 
     p = sub.add_parser("roots", help="root water uptake with random growth demo")
     p.add_argument("scenario", help="key = value scenario file")

@@ -72,7 +72,7 @@ class IntersectionGroup:
             np.stack([ig.to_global(c) for c in self._local.corners])
         )
 
-    def unit_outer_normal(self, local=None):
+    def unit_outer_normal(self):
         """Outward unit normal within the inside element's tangent plane."""
         return _outer_normal(self.inside, self.index_in_inside)
 
@@ -126,8 +126,8 @@ class PairwiseIntersection:
     def geometry(self):
         return self._group.geometry
 
-    def unit_outer_normal(self, local=None):
-        return self._group.unit_outer_normal(local)
+    def unit_outer_normal(self):
+        return self._group.unit_outer_normal()
 
 
 def intersections(view, element):

@@ -193,11 +193,7 @@ class Grid:
             raise DimensionMismatchError("edge entities exist only for dim == 2 grids")
         return Edge(self, level, slot)
 
-    def facet(self, element, i):
-        """Codim-1 subentity i of an element (vertex for dim 1, edge for dim 2)."""
-        return element.sub_entity(1, i)
-
-    # -- views and ids ----------------------------------------------------
+    # -- views ------------------------------------------------------------
 
     def leaf_view(self):
         from .views import GridView
@@ -210,12 +206,6 @@ class Grid:
         if not 0 <= level <= self.max_level:
             raise StaleEntityError(f"no level {level} in grid with max level {self.max_level}")
         return GridView(self, level)
-
-    @property
-    def id_set(self):
-        from .views import IdSet
-
-        return IdSet(self)
 
     # -- adapt lifecycle (implementation in adaptivity module) ------------
 
@@ -313,9 +303,6 @@ class Grid:
         )
         rec.finer = fine
         return fine
-
-    def _element_is_leaf(self, level, slot):
-        return not self._elems[level][slot].children
 
 
 # -- entity wrappers ------------------------------------------------------

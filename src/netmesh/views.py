@@ -1,11 +1,11 @@
-"""Leaf and level views, consecutive index sets, persistent id sets.
+"""Leaf and level views and their consecutive index sets.
 
 Views are snapshots: any adapt or grow commit invalidates previously
 created views and index sets (queries then raise StaleEntityError).
 Index sets number the entities of one view consecutively from zero per
 codimension, in iteration order, and are rebuilt eagerly on view
-creation.  Id sets hand out the persistent per-entity ids, which survive
-every transaction for entities that survive.
+creation.  Persistent ids (``entity.id``) survive every transaction for
+entities that survive.
 """
 
 from __future__ import annotations
@@ -164,13 +164,3 @@ class IndexSet:
                     break
                 level, slot = level + 1, finer
         raise StaleEntityError(f"{entity!r} is not part of this view")
-
-
-class IdSet:
-    """Persistent 64-bit ids, never reused; copies of a vertex share one id."""
-
-    def __init__(self, grid):
-        self.grid = grid
-
-    def id_of(self, entity):
-        return entity.id

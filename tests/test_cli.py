@@ -157,6 +157,20 @@ class TestDemos:
             tmp_path / "b" / "summary.txt"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("flow", "scenarios/vessels.txt"), ("roots", "scenarios/roots.txt", "--seed", 2024)],
+    )
+    def test_demo_output_matches_golden_bytes(self, capsys, tmp_path, argv):
+        command, scenario, *options = argv
+        code, _, _ = run(capsys, command, ROOT / scenario, "--out", tmp_path, *options)
+        assert code == 0
+        golden = DATA / "golden" / command
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
     def test_roots_summary_reports_flux(self, capsys, tmp_path):
         scenario = ROOT / "scenarios" / "roots.txt"
         code, out, _ = run(capsys, "roots", scenario, "--out", tmp_path / "o", "--steps", 2)
