@@ -55,7 +55,7 @@ class AffineGeometry:
         """True when the spanned measure vanishes relative to the corner scale."""
         if self.dim == 0:
             return False
-        scale = float(np.max(np.sum((self.corners - self.corners[0]) ** 2, axis=1)))
+        scale = float(((self.corners - self.corners[0]) ** 2).sum(axis=1).max())
         if scale == 0.0:
             return True
         # det(A^T A) carries units length^(2k) and its round-off is of order

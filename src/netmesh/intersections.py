@@ -11,6 +11,13 @@ Matching is purely topological: shared ancestor facets are found through
 the refinement trees (edge children, vertex copy chains), never through
 coordinate comparison, so curved parametrized grids with geometric holes
 still pair up correctly.
+
+:func:`intersections` computes topology and plain numbers only: each
+fragment's parameter interval on its reference edge (2D) or its facet
+number (1D), plus the inside element's corner coordinates.  A group
+builds ``geometry_in_inside``, ``geometry_in_outside(k)`` and
+``geometry`` on first access and keeps them; building them reads no grid
+state, so a group read after a later adapt returns the same geometries.
 """
 
 from __future__ import annotations
@@ -30,11 +37,15 @@ class IntersectionGroup:
     A boundary group has ``neighbor_count == 0``.
     """
 
-    def __init__(self, inside, index_in_inside, local_geo, outsides):
+    __slots__ = ("inside", "index_in_inside", "_corners", "_fragment", "_outsides", "_built")
+
+    def __init__(self, inside, index_in_inside, corners, fragment, outsides):
         self.inside = inside
         self.index_in_inside = index_in_inside
-        self._local = local_geo
-        self._outsides = outsides  # (element, facet index, local geometry)
+        self._corners = corners  # inside element's corner coordinates
+        self._fragment = fragment  # fragment in the inside reference element
+        self._outsides = outsides  # (element, facet index, fragment in that element)
+        self._built = {}  # geometries read so far: "inside", "global" or k
 
     @property
     def boundary(self):
@@ -51,6 +62,12 @@ class IntersectionGroup:
             )
         return self._outsides[k]
 
+    def _memo(self, key, corners):
+        geo = self._built.get(key)
+        if geo is None:
+            geo = self._built[key] = AffineGeometry(corners())
+        return geo
+
     def outside(self, k=0):
         return self._pick(k)[0]
 
@@ -58,23 +75,26 @@ class IntersectionGroup:
         return self._pick(k)[1]
 
     def geometry_in_outside(self, k=0):
-        return self._pick(k)[2]
+        fragment = self._pick(k)[2]
+        return self._memo(k, lambda: _reference_corners(fragment))
 
     @property
     def geometry_in_inside(self):
-        return self._local
+        return self._memo("inside", lambda: _reference_corners(self._fragment))
 
     @property
     def geometry(self):
         """Global geometry of the fragment (image under the inside element)."""
-        ig = self.inside.geometry
-        return AffineGeometry(
-            np.stack([ig.to_global(c) for c in self._local.corners])
-        )
+
+        def corners():
+            c = np.array(self._corners)
+            return c[0] + _reference_corners(self._fragment) @ (c[1:] - c[0])
+
+        return self._memo("global", corners)
 
     def unit_outer_normal(self):
         """Outward unit normal within the inside element's tangent plane."""
-        return _outer_normal(self.inside, self.index_in_inside)
+        return _outer_normal(np.array(self._corners), self.index_in_inside)
 
     def __repr__(self):
         kind = "boundary" if self.boundary else f"{self.neighbor_count} neighbors"
@@ -167,6 +187,7 @@ def pairwise_intersections(view, element):
 
 def _groups_1d(grid, element, in_view):
     rec = element._rec()
+    corners = [grid._verts[element.level][s].coords for s in rec.v]
     groups = []
     for facet in (0, 1):
         # walk the whole copy chain of the facet vertex
@@ -189,16 +210,9 @@ def _groups_1d(grid, element, in_view):
                     continue
                 nrec = grid._elems[clev][t]
                 nfacet = 0 if grid._verts[clev][nrec.v[0]].id == chain_id else 1
-                neighbors.append(
-                    (
-                        Element(grid, clev, t),
-                        nfacet,
-                        AffineGeometry(np.array([[float(nfacet)]])),
-                    )
-                )
+                neighbors.append((Element(grid, clev, t), nfacet, (nfacet,)))
         neighbors.sort(key=lambda n: n[0].id)
-        local = AffineGeometry(np.array([[float(facet)]]))
-        groups.append(IntersectionGroup(element, facet, local, neighbors))
+        groups.append(IntersectionGroup(element, facet, corners, (facet,), neighbors))
     return groups
 
 
@@ -207,6 +221,7 @@ def _groups_1d(grid, element, in_view):
 
 def _groups_2d(grid, element, in_view):
     rec = element._rec()
+    corners = [grid._verts[element.level][s].coords for s in rec.v]
     groups = []
     for facet in range(3):
         root = (element.level, rec.edges[facet])
@@ -272,13 +287,11 @@ def _groups_2d(grid, element, in_view):
             outsides = []
             for nelem, via, nfacet, full in candidates:
                 if full or via in ancestors:
-                    geo = _local_edge_geometry(grid, nelem, nfacet, via, frag)
-                    outsides.append((Element(grid, nelem[0], nelem[1]), nfacet, geo))
+                    piece = _edge_fragment(grid, nelem, nfacet, via, frag)
+                    outsides.append((Element(grid, nelem[0], nelem[1]), nfacet, piece))
             outsides.sort(key=lambda n: (n[0].id, n[1]))
-            local = _local_edge_geometry(
-                grid, (element.level, element.slot), facet, root, frag
-            )
-            groups.append(IntersectionGroup(element, facet, local, outsides))
+            piece = _edge_fragment(grid, (element.level, element.slot), facet, root, frag)
+            groups.append(IntersectionGroup(element, facet, corners, piece, outsides))
     return groups
 
 
@@ -295,34 +308,40 @@ def _interval_within(grid, ancestor, frag):
     return a, b
 
 
-def _local_edge_geometry(grid, elem_key, facet, via, frag):
-    """Fragment as a 1-simplex in the element's reference coordinates."""
+def _edge_fragment(grid, elem_key, facet, via, frag):
+    """Fragment as (facet, a, b, flip): its parameter interval on ``via``
+    and whether the stored orientation of ``via`` runs against the
+    element's local corner order."""
     a, b = _interval_within(grid, via, frag)
     erec = grid._edges[via[0]][via[1]]
     rec = grid._elems[elem_key[0]][elem_key[1]]
-    ia, ib = TRIANGLE_EDGES[facet]
-    # align the stored edge orientation with the element's local corner order
-    if grid._verts[via[0]][erec.v[0]].id != grid._verts[elem_key[0]][rec.v[ia]].id:
+    ia = TRIANGLE_EDGES[facet][0]
+    flip = grid._verts[via[0]][erec.v[0]].id != grid._verts[elem_key[0]][rec.v[ia]].id
+    return facet, a, b, flip
+
+
+def _reference_corners(fragment):
+    """Corners of a fragment in its element's reference coordinates."""
+    if len(fragment) == 1:  # dim 1: the facet vertex
+        return np.array([[float(fragment[0])]])
+    facet, a, b, flip = fragment
+    if flip:
         a, b = 1.0 - a, 1.0 - b
+    ia, ib = TRIANGLE_EDGES[facet]
     ref = REFERENCE_CORNERS[2]
-    corners = np.stack(
-        [ref[ia] * (1.0 - t) + ref[ib] * t for t in (a, b)]
-    )
-    return AffineGeometry(corners)
+    return np.array([ref[ia] * (1.0 - t) + ref[ib] * t for t in (a, b)])
 
 
-def _outer_normal(element, facet):
+def _outer_normal(corners, facet):
     """Unit vector in the element's tangent plane pointing out of ``facet``."""
-    geo = element.geometry
-    d = element.grid.dim
-    if d == 1:
-        direction = geo.corners[facet] - geo.corners[1 - facet]
+    if len(corners) == 2:
+        direction = corners[facet] - corners[1 - facet]
         return direction / np.linalg.norm(direction)
     ia, ib = TRIANGLE_EDGES[facet]
     opposite = ({0, 1, 2} - {ia, ib}).pop()
-    tangent = geo.corners[ib] - geo.corners[ia]
+    tangent = corners[ib] - corners[ia]
     tangent = tangent / np.linalg.norm(tangent)
-    midpoint = 0.5 * (geo.corners[ia] + geo.corners[ib])
-    w = midpoint - geo.corners[opposite]
+    midpoint = 0.5 * (corners[ia] + corners[ib])
+    w = midpoint - corners[opposite]
     n = w - (w @ tangent) * tangent
     return n / np.linalg.norm(n)

@@ -410,7 +410,7 @@ class Element(_Entity):
 
         rec = self._rec()
         verts = self.grid._verts[self.level]
-        return AffineGeometry(np.stack([verts[s].coords for s in rec.v]))
+        return AffineGeometry(np.array([verts[s].coords for s in rec.v]))
 
     def root_element(self):
         rl, rs = self._rec().root
@@ -466,7 +466,7 @@ class Edge(_Entity):
 
         rec = self._rec()
         verts = self.grid._verts[self.level]
-        return AffineGeometry(np.stack([verts[s].coords for s in rec.v]))
+        return AffineGeometry(np.array([verts[s].coords for s in rec.v]))
 
     def incident_elements(self):
         rec = self._rec()
