@@ -1,17 +1,20 @@
 """Cell-centered finite volumes for flow and transport on vessel networks.
 
 Pressure: one unknown per leaf element.  Element transmissibility
-t_i = pi R_i^4 / (2 mu (2 + gamma)); the two-point transmissibility
-between junction partners i, j is t_i t_j / sum of t_k over *all*
-elements incident to the junction, so junctions of any multiplicity are
-assembled in a single sweep over the intersection groups.  Dirichlet
-boundary facets couple with the element's own t_i (the half-cell
-convention: a mirrored ghost cell at half spacing), which reproduces
-exact linear profiles on uniform chains.  Wall filtration adds
-2 pi R L_p l_i (p_i - p_tissue).
+t_i = pi R_i^4 / (2 mu (2 + gamma)) is a conductance times a length, so
+a cell of length l_i conducts g_i = 2 t_i / l_i between its center and
+each of its facets (the half-cell conductance).  The two-point
+transmissibility between junction partners i, j is g_i g_j / sum of g_k
+over *all* elements incident to the junction, so junctions of any
+multiplicity are assembled in a single sweep over the intersection
+groups; for two partners it is the series conductance of the two half
+cells.  Dirichlet boundary facets couple with the element's own g_i.
+This reproduces exact linear profiles on chains of any cell lengths.
+Wall filtration adds 2 pi R L_p l_i (p_i - p_tissue).
 
 Transport: implicit Euler on solute amounts A_i l_i c_i with full upwind
-advection driven by the pressure fluxes, two-point diffusion D_e on the
+advection driven by the pressure fluxes (the same half-cell
+conductances), two-point diffusion D_e on the
 amounts, and transmural Kedem-Katchalsky exchange
 2 pi R l [L_c (c - c_tissue) + L_p (p - p_tissue)(1 - sigma_c) c]
 acting as a wall loss.  Outflow advects the upwind cell value and
@@ -240,10 +243,11 @@ def assemble_pressure(view, problem, radius, t=None):
     radius = np.asarray(radius, dtype=float)
     if t is None:
         t = element_transmissibility(radius, problem.viscosity, problem.gamma)
+    g = 2.0 * np.asarray(t, dtype=float) / table.lengths
     leak = _TWO_PI * radius * problem.l_p * table.lengths
     inflow = table.boundary_values(problem.neumann_velocity) * math.pi * radius[table.inside] ** 2
     dirichlet = table.boundary_values(problem.dirichlet_pressure)
-    return two_point_system(table, t, leak, problem.tissue_pressure, dirichlet, inflow)
+    return two_point_system(table, g, leak, problem.tissue_pressure, dirichlet, inflow)
 
 
 def _checked_solve(a, b, what, hint=""):
@@ -286,7 +290,7 @@ def transport_step(view, problem, state, dt):
     lengths = table.lengths
     radius = state.radius
     p = state.pressure
-    t = element_transmissibility(radius, problem.viscosity, problem.gamma)
+    g = 2.0 * element_transmissibility(radius, problem.viscosity, problem.gamma) / lengths
     area = math.pi * radius**2
     storage = area * lengths / dt
     every = np.ones(table.size, dtype=bool)
@@ -305,8 +309,8 @@ def transport_step(view, problem, state, dt):
     fed = ~fixed & ~np.isnan(v_in)
     q = np.where(
         inner,
-        table.pair_transmissibilities(t) * (p[i] - p[j]),
-        np.where(fixed, t[i] * (p[i] - p_out), -v_in * math.pi * radius[i] ** 2),
+        table.pair_transmissibilities(g) * (p[i] - p[j]),
+        np.where(fixed, g[i] * (p[i] - p_out), -v_in * math.pi * radius[i] ** 2),
     )
     # full upwind; boundary outflow carries no diffusion, backflow through
     # a pressure facet advects c = 0, inflow facets their prescribed c

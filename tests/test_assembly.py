@@ -108,10 +108,11 @@ def test_vessel_pressure_matches_dense_assembly(case):
     a, b = assemble_pressure(view, problem, radius)
 
     t = math.pi * radius**4 / (2.0 * problem.viscosity * (2.0 + problem.gamma))
+    g = 2.0 * t / lengths_of(view)  # half-cell conductances
     leak = 2.0 * math.pi * radius * problem.l_p * lengths_of(view)
     inflow = {tips[0]: 0.7 * math.pi * radius**2}
     dense_a, dense_b = dense_two_point(
-        view, t, leak, problem.tissue_pressure, problem.dirichlet_pressure, inflow
+        view, g, leak, problem.tissue_pressure, problem.dirichlet_pressure, inflow
     )
     assert_close(a.toarray(), dense_a)
     assert_close(b, dense_b)

@@ -147,22 +147,41 @@ class TestPressureSolve:
 
         p = solve_pressure(view, problem, radius)[order]
 
-        # independent dense assembly: pair transmissibility t/2, end
-        # coefficient t, unknowns at the four element centers
+        # independent dense assembly: half-cell conductance g = 2 t on unit
+        # cells, g / 2 between cells and g at the ends, unknowns at the
+        # four element centers
         t = math.pi * r**4 / (2.0 * mu * (2.0 + gamma))
-        h = t / 2.0
+        g = 2.0 * t
+        h = g / 2.0
         a = np.array(
             [
-                [t + h, -h, 0.0, 0.0],
+                [g + h, -h, 0.0, 0.0],
                 [-h, 2 * h, -h, 0.0],
                 [0.0, -h, 2 * h, -h],
-                [0.0, 0.0, -h, h + t],
+                [0.0, 0.0, -h, h + g],
             ]
         )
-        b = np.array([t * 1.0, 0.0, 0.0, 0.0])
+        b = np.array([g * 1.0, 0.0, 0.0, 0.0])
         expected = np.linalg.solve(a, b)
         np.testing.assert_allclose(p, expected, rtol=1e-12)
         np.testing.assert_allclose(p, [7 / 8, 5 / 8, 3 / 8, 1 / 8], rtol=1e-12)
+
+    def test_linear_profile_on_a_locally_refined_chain(self, chain4):
+        # the half-cell conductances 2 t / l keep p = 1 - x/4 exact on
+        # cells of unequal length
+        view = chain4.leaf_view()
+        chain4.mark(1, view.elements()[chain_order(view)[0]])
+        chain4.pre_adapt()
+        chain4.adapt()
+        chain4.post_adapt()
+        view = chain4.leaf_view()
+        order = chain_order(view)
+        problem = VesselProblem()
+        problem.dirichlet_pressure = {0: 1.0, 4: 0.0}
+        p = solve_pressure(view, problem, np.full(5, 1e-3))[order]
+        x = np.array([0.25, 0.75, 1.5, 2.5, 3.5])
+        np.testing.assert_allclose(p, 1.0 - x / 4.0, rtol=1e-12)
+        assert p[3] == pytest.approx(0.375, rel=1e-12)
 
     def test_neumann_inflow_sets_total_flux(self, chain4):
         view = chain4.leaf_view()
@@ -174,12 +193,13 @@ class TestPressureSolve:
         problem.neumann_velocity = {0: v_in}
         problem.dirichlet_pressure = {4: 0.0}
         p = solve_pressure(view, problem, radius)[order]
-        t = element_transmissibility(r, problem.viscosity, problem.gamma)
+        g = 2.0 * element_transmissibility(r, problem.viscosity, problem.gamma) / 1.0
         q_in = v_in * math.pi * r**2
-        # every interior face and the outflow face carry the full inflow
+        # every interior face (two half cells in series) and the outflow
+        # face (one half cell) carry the full inflow
         for i in range(3):
-            assert (t / 2.0) * (p[i] - p[i + 1]) == pytest.approx(q_in, rel=1e-10)
-        assert t * (p[3] - 0.0) == pytest.approx(q_in, rel=1e-10)
+            assert (g / 2.0) * (p[i] - p[i + 1]) == pytest.approx(q_in, rel=1e-10)
+        assert g * (p[3] - 0.0) == pytest.approx(q_in, rel=1e-10)
 
     def test_boundary_fluxes_balance_on_junction(self, y_junction):
         view = y_junction.leaf_view()
@@ -188,7 +208,8 @@ class TestPressureSolve:
         problem = VesselProblem()
         problem.dirichlet_pressure = {0: 2.0, 2: 0.0, 3: 1.0}
         p = solve_pressure(view, problem, radius)
-        t = element_transmissibility(radius, problem.viscosity, problem.gamma)
+        lengths = np.array([el.geometry.volume() for el in view.elements()])
+        g = 2.0 * element_transmissibility(radius, problem.viscosity, problem.gamma) / lengths
 
         from netmesh.intersections import intersections
 
@@ -200,7 +221,7 @@ class TestPressureSolve:
                 if not grp.boundary:
                     continue
                 vid = el.sub_entity(1, grp.index_in_inside).id
-                q = t[i] * (p[i] - problem.dirichlet_pressure[vid])
+                q = g[i] * (p[i] - problem.dirichlet_pressure[vid])
                 net += q
                 scale = max(scale, abs(q))
         assert abs(net) <= 1e-12 * scale
@@ -278,8 +299,10 @@ class TestTransport:
 
         got = transport_step(view, problem, state, dt)[order]
 
-        # dense re-derivation on the ordered chain
+        # dense re-derivation on the ordered chain of unit cells: half-cell
+        # conductance g = 2 t / 1, so g / 2 between cells and g at the outlet
         t = math.pi * r**4 / (2.0 * mu * (2.0 + gamma))
+        g = 2.0 * t / 1.0
         area = math.pi * r**2
         wall = 2.0 * math.pi * r * 1.0
         p = p_view[order]
@@ -292,7 +315,7 @@ class TestTransport:
             m[i, i] += wall * (l_c + l_p * (p[i] - p_bar) * (1.0 - sigma))
             rhs[i] += wall * l_c * c_bar
         for i in range(3):  # interior faces, upwind advection + diffusion
-            q = (t / 2.0) * (p[i] - p[i + 1])
+            q = (g / 2.0) * (p[i] - p[i + 1])
             if q >= 0.0:
                 m[i, i] += q
                 m[i + 1, i] -= q
@@ -304,7 +327,7 @@ class TestTransport:
             m[i + 1, i + 1] += d_e * area
             m[i + 1, i] -= d_e * area
         rhs[0] += v_in * area * c_in          # inflow face advects c_in
-        q_out = t * (p[3] - 0.0)
+        q_out = g * (p[3] - 0.0)
         m[3, 3] += max(q_out, 0.0)            # outflow face advects c_3
         expected = np.linalg.solve(m, rhs)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
