@@ -250,17 +250,21 @@ def assemble_pressure(view, problem, radius, t=None):
     return two_point_system(table, g, leak, problem.tissue_pressure, dirichlet, inflow)
 
 
-def _checked_solve(a, b, what, hint=""):
-    """spsolve, rejecting non-finite solutions and residuals above 1e-8 of the scale."""
+def checked_solve(a, b, what, hint=""):
+    """spsolve, rejecting non-finite solutions and inexact ones.
+
+    The largest residual entry may be at most 1e-12 of
+    max(max|b|, max|A| max|x|), the size of the largest term in A x = b.
+    The scale has no floor, so it holds for systems of any units.
+    """
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         x = scipy.sparse.linalg.spsolve(a, b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"{what} system is singular{hint}")
-    residual = np.abs(a @ x - b)
     entries = np.max(np.abs(a.data)) if a.nnz else 0.0
-    scale = max(np.max(np.abs(b)), np.max(np.abs(x)), 1.0) * max(entries, 1.0)
-    if np.max(residual) > 1e-8 * scale:
+    scale = max(np.max(np.abs(b)), entries * np.max(np.abs(x)))
+    if np.max(np.abs(a @ x - b)) > 1e-12 * scale:
         raise SingularSystemError(f"{what} solve did not converge to a solution")
     return x
 
@@ -268,7 +272,7 @@ def _checked_solve(a, b, what, hint=""):
 def solve_pressure(view, problem, radius, t=None):
     """Direct sparse solve; raises SingularSystemError for closed no-leak systems."""
     a, b = assemble_pressure(view, problem, radius, t=t)
-    return _checked_solve(a, b, "pressure", " (no Dirichlet facet and no wall conductivity?)")
+    return checked_solve(a, b, "pressure", " (no Dirichlet facet and no wall conductivity?)")
 
 
 @dataclass
@@ -329,7 +333,7 @@ def transport_step(view, problem, state, dt):
     source = storage * state.concentration + wall * problem.l_c * problem.tissue_concentration
     rhs = ([(source, every)], [(i, -(q * c_in), fed & ~(q >= 0.0))])
     a, b = _system(table, matrix, rhs)
-    return _checked_solve(a, b, "transport")
+    return checked_solve(a, b, "transport")
 
 
 def total_amount(view, state):

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import ScenarioError, SingularSystemError
-from .flow import facet_table, two_point_system
+from .flow import checked_solve, facet_table, two_point_system
 # not called here: bench/tracing.py patches these two names in this module
 from .flow import junction_two_point_transmissibilities  # noqa: F401
 from .intersections import intersections  # noqa: F401
@@ -221,14 +220,7 @@ def assemble_solve_root_pressure(problem, view, k_x=None, k_r=None, radius=None)
         )
     no_inflow = table.boundary_values({})
     a, b = two_point_system(table, t, soil, problem.soil_pressure, collar, no_inflow)
-    p = scipy.sparse.linalg.spsolve(a, b)
-    if not np.all(np.isfinite(p)):
-        raise SingularSystemError("root pressure system is singular (collar not on the network?)")
-    residual = np.abs(a @ p - b)
-    scale = max(np.max(np.abs(b)), 1.0)
-    if np.max(residual) > 1e-10 * scale * max(np.max(np.abs(a.data)), 1.0):
-        raise SingularSystemError("root pressure solve did not converge")
-    return p
+    return checked_solve(a, b, "root pressure", " (collar not on the network?)")
 
 
 def total_uptake(problem, view, p, k_r=None, radius=None):

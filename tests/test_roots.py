@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from netmesh import ScenarioError, SingularSystemError
 from netmesh.roots import (
@@ -281,6 +282,17 @@ class TestRootPressure:
     def test_detached_collar_is_singular(self):
         grid, collar = build_vertical_root(4, 0.01)
         problem = RootProblem(radial_conductivity=0.0, collar_vertex_id=999)
+        with pytest.raises(SingularSystemError):
+            assemble_solve_root_pressure(problem, grid.leaf_view())
+
+    @pytest.mark.parametrize("error", [1e-5, np.nan])
+    def test_rejects_a_solution_that_misses_the_system(self, monkeypatch, error):
+        # pressures near -1.2e6: a shift of 1e-5 leaves a residual of about
+        # 4e-7 at the collar, above 1e-12 of the system's largest term
+        grid, collar = build_vertical_root(8, 0.025)
+        problem = RootProblem(collar_vertex_id=collar)
+        spsolve = scipy.sparse.linalg.spsolve
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda a, b: spsolve(a, b) + error)
         with pytest.raises(SingularSystemError):
             assemble_solve_root_pressure(problem, grid.leaf_view())
 
