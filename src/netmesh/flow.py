@@ -43,12 +43,21 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import ScenarioError, SingularSystemError
+from .errors import LifecycleError, ScenarioError, SingularSystemError
 from .intersections import intersections
 
 log = logging.getLogger(__name__)
 
 _TWO_PI = 2.0 * math.pi
+
+# every key a flow scenario may hold: run_scenario and problem_from_scenario
+SCENARIO_KEYS = (
+    "mesh", "radius", "initial_concentration", "dt", "steps", "eps_refine", "eps_coarsen",
+    "max_refinement_level", "adapt_every", "output_prefix",
+    "viscosity", "gamma", "l_p", "l_c", "sigma_c", "d_e", "tissue_pressure",
+    "tissue_concentration", "inflow_tags", "outflow_tags", "concentration_tags",
+    "inflow_velocity", "outflow_pressure", "concentration_value",
+)
 
 
 @dataclass
@@ -68,13 +77,21 @@ class VesselProblem:
     dirichlet_concentration: dict = field(default_factory=dict)  # vertex id -> c
 
     def validate(self):
-        problems = []
+        scalars = ("viscosity", "gamma", "l_p", "l_c", "sigma_c", "d_e",
+                   "tissue_pressure", "tissue_concentration")
+        problems = [f"{name} must be finite" for name in scalars
+                    if not math.isfinite(getattr(self, name))]
+        boundary = (self.dirichlet_pressure, self.neumann_velocity, self.dirichlet_concentration)
+        if not all(math.isfinite(v) for values in boundary for v in values.values()):
+            problems.append("boundary values must be finite")
         if self.viscosity <= 0.0:
             problems.append("viscosity must be positive")
         if self.gamma < 2.0:
             problems.append("gamma must be at least 2 (blunt velocity profile)")
         if not 0.0 <= self.sigma_c <= 1.0:
             problems.append("sigma_c must lie in [0, 1]")
+        problems += [f"{name} must be nonnegative" for name in ("l_p", "l_c", "d_e")
+                     if getattr(self, name) < 0.0]
         extra = set(self.dirichlet_concentration) - set(self.neumann_velocity)
         if extra:
             problems.append(
@@ -88,9 +105,9 @@ class VesselProblem:
 def element_transmissibility(radius, viscosity, gamma):
     """t = pi R^4 / (2 mu (2 + gamma)); vectorized over ``radius``."""
     radius = np.asarray(radius, dtype=float)
-    if np.any(radius <= 0.0):
+    if not np.all(radius > 0.0):
         raise ScenarioError("vessel radius must be positive")
-    if viscosity <= 0.0:
+    if not viscosity > 0.0:
         raise ScenarioError("viscosity must be positive")
     if gamma <= -2.0:
         raise ScenarioError("gamma must exceed -2")
@@ -287,8 +304,8 @@ class FlowState:
 
 def transport_step(view, problem, state, dt):
     """One implicit Euler step; returns the new concentration array."""
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("time step must be positive and finite")
     table = facet_table(view)
     i, j = table.inside, table.outside
     lengths = table.lengths
@@ -414,7 +431,10 @@ def restore_leaf_data(view, store, names):
                 break
             probe = probe.father()
         if values is None:
-            raise KeyError(f"no stored data for element id {el.id} or its ancestors")
+            raise LifecycleError(
+                f"no stored data for element id {el.id} or its ancestors "
+                "(store_leaf_data must run after pre_adapt)"
+            )
         for name in names:
             out[name][i] = values[name]
     return out
@@ -486,7 +506,18 @@ def run_scenario(scenario, out_dir, steps=None):
     max_level = s.get_int("max_refinement_level", 2)
     adapt_every = s.get_int("adapt_every", 1)
     prefix = s.get_str("output_prefix", "flow")
-    s.check()
+    s.check(known=SCENARIO_KEYS)
+    problems = []
+    if not 0.0 < radius_value < math.inf:
+        problems.append("radius must be positive and finite")
+    if not math.isfinite(initial_c):
+        problems.append("initial_concentration must be finite")
+    if not 0.0 < dt < math.inf:
+        problems.append("dt must be positive and finite")
+    if not 0.0 <= eps_coarsen < eps_refine <= 1.0:
+        problems.append("thresholds must satisfy 0 <= eps_coarsen < eps_refine <= 1")
+    if problems:
+        raise ScenarioError(f"{s.source}: " + "; ".join(problems))
     if steps is not None:
         n_steps = steps
 

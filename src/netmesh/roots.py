@@ -31,6 +31,13 @@ from .topology import LINE
 
 log = logging.getLogger(__name__)
 
+# every key a roots scenario may hold
+SCENARIO_KEYS = (
+    "seed", "steps", "branch_probability", "elongation_probability", "gravity_bias",
+    "segment_length", "initial_segments", "k_x", "k_r", "radius", "soil_pressure",
+    "collar_pressure", "output_prefix",
+)
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -332,7 +339,7 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     soil_p = s.get_float("soil_pressure", -2.9429e-2)
     collar_p = s.get_float("collar_pressure", -1.2e6)
     prefix = s.get_str("output_prefix", "roots")
-    s.check()
+    s.check(known=SCENARIO_KEYS)
     if steps is not None:
         n_steps = steps
     if seed is not None:

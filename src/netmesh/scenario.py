@@ -65,12 +65,16 @@ class Scenario:
 
         return self._get(key, tuple(default), convert, "int list")
 
-    def check(self):
-        """Raise with all accumulated validation problems."""
-        if self._errors:
-            raise ScenarioError(
-                f"{self.source}: " + "; ".join(self._errors)
-            )
+    def check(self, known=None):
+        """Raise with all accumulated validation problems.
+
+        Given the ``known`` keys, any other key in the file is a problem too.
+        """
+        errors = list(self._errors)
+        if known is not None:
+            errors += [f"unknown key {key!r}" for key in self.unknown_keys(known)]
+        if errors:
+            raise ScenarioError(f"{self.source}: " + "; ".join(errors))
 
     def unknown_keys(self, known):
         return sorted(set(self.values) - set(known))

@@ -117,6 +117,38 @@ class TestErrorCategories:
         assert code == 3
         assert "'dt'" in err
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("dt", "0", "dt must be positive and finite"),
+            ("dt", "inf", "dt must be positive and finite"),
+            ("eps_refine", "0.05", "eps_coarsen < eps_refine"),
+            ("eps_refine", "0.01", "eps_coarsen < eps_refine"),
+            ("radius", "nan", "radius must be positive and finite"),
+            ("l_p", "-1", "l_p must be nonnegative"),
+            ("viscosty", "1e-3", "unknown key 'viscosty'"),
+        ],
+    )
+    def test_bad_flow_scenario_is_3(self, capsys, tmp_path, key, value, message):
+        lines = [
+            line.replace("../meshes", str(ROOT / "meshes"))
+            for line in (ROOT / "scenarios" / "vessels.txt").read_text().splitlines()
+            if line.partition("=")[0].strip() != key
+        ]
+        scen = tmp_path / "bad.txt"
+        scen.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        code, out, err = run(capsys, "flow", scen, "--out", tmp_path / "out", "--steps", 2)
+        assert code == 3
+        assert err.startswith("scenario-error:")
+        assert message in err
+
+    def test_unknown_roots_key_is_3(self, capsys, tmp_path):
+        scen = tmp_path / "bad.txt"
+        scen.write_text((ROOT / "scenarios" / "roots.txt").read_text() + "brnach_probability = 0.5\n")
+        code, out, err = run(capsys, "roots", scen, "--out", tmp_path / "out", "--steps", 1)
+        assert code == 3
+        assert "unknown key 'brnach_probability'" in err
+
 
 class TestDemos:
     def test_flow_demo_runs_and_is_deterministic(self, capsys, tmp_path):

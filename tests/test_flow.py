@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_grid, refine_all
-from netmesh import ScenarioError, SingularSystemError
+from netmesh import LifecycleError, ScenarioError, SingularSystemError
 from netmesh.flow import (
     FlowState,
     VesselProblem,
@@ -268,6 +268,8 @@ class TestTransport:
             transport_step(view, problem, state, 0.0)
         with pytest.raises(ValueError):
             transport_step(view, problem, state, -0.5)
+        with pytest.raises(ValueError):
+            transport_step(view, problem, state, math.inf)
 
     @pytest.mark.parametrize("error", [0.5, 1e-4, np.nan])
     def test_rejects_a_solution_that_misses_the_system(self, chain4, monkeypatch, error):
@@ -474,7 +476,7 @@ class TestStateTransfer:
 
     def test_restore_without_ancestor_data_fails(self, chain4):
         view = chain4.leaf_view()
-        with pytest.raises(KeyError):
+        with pytest.raises(LifecycleError, match="no stored data"):
             restore_leaf_data(view, {}, ("c",))
 
     def test_adapt_with_state_carries_everything(self, chain4):
@@ -519,6 +521,20 @@ class TestProblemSetup:
         problem = VesselProblem(viscosity=-1.0, gamma=1.0, sigma_c=1.5)
         with pytest.raises(ScenarioError, match="viscosity.*gamma.*sigma_c"):
             problem.validate()
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"l_p": -1.0}, "l_p must be nonnegative"),
+            ({"d_e": -1e-3}, "d_e must be nonnegative"),
+            ({"viscosity": math.nan}, "viscosity must be finite"),
+            ({"tissue_pressure": math.inf}, "tissue_pressure must be finite"),
+            ({"dirichlet_pressure": {3: math.nan}}, "boundary values must be finite"),
+        ],
+    )
+    def test_validate_rejects_non_finite_and_negative_values(self, kwargs, message):
+        with pytest.raises(ScenarioError, match=message):
+            VesselProblem(**kwargs).validate()
 
     def test_validate_rejects_concentration_without_inflow(self):
         problem = VesselProblem()

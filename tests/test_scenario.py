@@ -74,3 +74,10 @@ class TestTypedGetters:
         s = Scenario({"a": "1", "zeta": "2", "beta": "3"})
         assert s.unknown_keys({"a"}) == ["beta", "zeta"]
         assert s.unknown_keys({"a", "beta", "zeta"}) == []
+
+    def test_check_with_known_keys_names_every_unknown_one(self):
+        s = Scenario({"a": "1", "zeta": "2", "beta": "x"}, source="case.txt")
+        s.get_float("beta", 0.0)
+        with pytest.raises(ScenarioError, match="'beta'.*unknown key 'zeta'"):
+            s.check(known={"a", "beta"})
+        Scenario({"a": "1"}).check(known={"a", "b"})
