@@ -9,13 +9,14 @@ over *all* elements incident to the junction, so junctions of any
 multiplicity are assembled in a single sweep over the intersection
 groups; for two partners it is the series conductance of the two half
 cells.  Dirichlet boundary facets couple with the element's own g_i.
-This reproduces exact linear profiles on chains of any cell lengths.
+This reproduces exact linear profiles on chains of one radius and any
+cell lengths.
 Wall filtration adds 2 pi R L_p l_i (p_i - p_tissue).
 
 Transport: implicit Euler on solute amounts A_i l_i c_i with full upwind
-advection driven by the pressure fluxes (the same half-cell
-conductances), two-point diffusion D_e on the
-amounts, and transmural Kedem-Katchalsky exchange
+advection driven by the pressure fluxes (through the same half-cell
+conductances), two-point diffusion D_e on the amounts, and transmural
+Kedem-Katchalsky exchange
 2 pi R l [L_c (c - c_tissue) + L_p (p - p_tissue)(1 - sigma_c) c]
 acting as a wall loss.  Outflow advects the upwind cell value and
 neglects diffusion; inflow carries the prescribed concentration on the
@@ -433,7 +434,7 @@ def restore_leaf_data(view, store, names):
         if values is None:
             raise LifecycleError(
                 f"no stored data for element id {el.id} or its ancestors "
-                "(store_leaf_data must run after pre_adapt)"
+                "(was store_leaf_data called after pre_adapt?)"
             )
         for name in names:
             out[name][i] = values[name]
