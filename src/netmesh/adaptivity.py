@@ -74,15 +74,13 @@ def adapt(grid):
         raise LifecycleError("adapt requires a preceding pre_adapt")
     grid._adapt_phase = "adapted"
 
-    # coarsen unanimous sibling groups
-    dead = set()
-    for lev in range(len(grid._elems)):
-        for rec in grid._elems[lev]:
-            if not rec.children:
-                continue
-            kids = [grid._elems[lev + 1][c] for c in rec.children]
-            if kids and all(not k.children and k.mark == -1 and k.might_vanish for k in kids):
-                dead.update((lev + 1, c) for c in rec.children)
+    # coarsen what pre_adapt flagged: marks cannot change in between
+    dead = {
+        (lev, slot)
+        for lev, recs in enumerate(grid._elems)
+        for slot, rec in enumerate(recs)
+        if rec.might_vanish
+    }
     if dead:
         from .compaction import remove_elements
 

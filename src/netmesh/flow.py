@@ -396,12 +396,9 @@ def store_leaf_data(grid, view, arrays):
     Sibling groups flagged to vanish also store a volume-weighted average
     onto their father's id so coarsening can restore sensible values.
     """
-    ix = view.index_set
-    store = {}
-    for el in view.elements():
-        i = ix.index_of(el)
-        store[el.id] = {name: a[i] for name, a in arrays.items()}
-    for el in view.elements():
+    elements = view.elements()
+    store = {el.id: {name: a[i] for name, a in arrays.items()} for i, el in enumerate(elements)}
+    for el in elements:
         if not el.might_vanish:
             continue
         father = el.father()
@@ -410,8 +407,8 @@ def store_leaf_data(grid, view, arrays):
         kids = father.children()
         weights = np.array([k.geometry.volume() for k in kids])
         values = {}
-        for name, a in arrays.items():
-            vals = np.array([a[ix.index_of(k)] for k in kids])
+        for name in arrays:
+            vals = np.array([store[k.id][name] for k in kids])
             values[name] = float(np.sum(weights * vals) / np.sum(weights))
         store[father.id] = values
     return store
@@ -421,9 +418,7 @@ def restore_leaf_data(view, store, names):
     """Rebuild arrays on the new leaf view; children inherit stored ancestors."""
     elements = view.elements()
     out = {name: np.zeros(len(elements)) for name in names}
-    ix = view.index_set
-    for el in elements:
-        i = ix.index_of(el)
+    for i, el in enumerate(elements):
         values = None
         probe = el
         while probe is not None:
@@ -590,7 +585,6 @@ def adapt_with_state(grid, marks, state, max_level=None):
     new_view = grid.leaf_view()
     data = restore_leaf_data(new_view, store, ("pressure", "concentration", "radius"))
     grid.post_adapt()
-    new_view = grid.leaf_view()
     new_state = FlowState(
         pressure=data["pressure"],
         concentration=data["concentration"],

@@ -83,9 +83,6 @@ class AffineGeometry:
         """Image of the reference barycenter."""
         return self.corners.mean(axis=0)
 
-    def corner(self, i):
-        return self.corners[i]
-
     # -- inverse map ------------------------------------------------------
 
     def to_local(self, point):

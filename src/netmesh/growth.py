@@ -32,10 +32,6 @@ class GrowthReport:
     skipped: list = field(default_factory=list)    # (queue_index, reason)
     removed: int = 0
 
-    @property
-    def inserted_ids(self):
-        return [eid for _, eid in self.inserted]
-
 
 def _require_idle_adapt(grid):
     if grid._adapt_phase != "idle":
@@ -110,21 +106,6 @@ def remove_element(grid, element):
         grid._queued_removals.append(key)
 
 
-def _chain_levels(grid, level, slot):
-    """Every level on which this logical vertex has a copy, with slots."""
-    lo_level, lo_slot = level, slot
-    rec = grid._verts[level][slot]
-    while rec.father is not None:
-        lo_level, lo_slot = lo_level - 1, rec.father
-        rec = grid._verts[lo_level][lo_slot]
-    out = {lo_level: lo_slot}
-    while rec.finer is not None:
-        lo_level, lo_slot = lo_level + 1, rec.finer
-        rec = grid._verts[lo_level][lo_slot]
-        out[lo_level] = lo_slot
-    return out
-
-
 def grow(grid):
     """Commit queued insertions and removals; returns True when the grid changed.
 
@@ -138,43 +119,32 @@ def grow(grid):
 
     created = {}  # provisional queue slot -> (level, vertex slot)
     for qidx, (refs, parametrization) in enumerate(grid._queued_elements):
-        chains = []
-        given_levels = []
-        unresolved = []
+        chains = []  # per ref: level -> slot of its copies, None while still to create
+        given_levels = set()
         for ref in refs:
             if ref[0] == "v":
-                chains.append(_chain_levels(grid, ref[1], ref[2]))
-                given_levels.append(ref[1])
+                chains.append(dict(grid._vertex_chain(ref[1], ref[2])))
+                given_levels.add(ref[1])
             elif ref[1] in created:
                 lev, slot = created[ref[1]]
                 chains.append({lev: slot})
-                given_levels.append(lev)
+                given_levels.add(lev)
             else:
-                unresolved.append(ref[1])
-        if not chains:
-            resolved = 0
-        elif len(set(given_levels)) == 1:
-            resolved = given_levels[0]
+                chains.append(None)
+        if len(given_levels) <= 1:
+            resolved = min(given_levels, default=0)
         else:
-            common = set(chains[0])
-            for c in chains[1:]:
-                common &= set(c)
+            common = set.intersection(*(set(c) for c in chains if c is not None))
             if not common:
                 report.skipped.append((qidx, "vertices reach no common level"))
                 continue
             resolved = min(common)
-        ok = all(resolved in c for c in chains)
-        if not ok:
-            report.skipped.append((qidx, "vertices reach no common level"))
-            continue
 
         grid._ensure_level(resolved)
         vslots = []
-        for ref in refs:
-            if ref[0] == "v":
-                vslots.append(_chain_levels(grid, ref[1], ref[2])[resolved])
-            elif ref[1] in created:
-                vslots.append(created[ref[1]][1])
+        for ref, chain in zip(refs, chains):
+            if chain is not None:
+                vslots.append(chain[resolved])
             else:
                 s = len(grid._verts[resolved])
                 grid._verts[resolved].append(

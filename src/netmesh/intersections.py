@@ -190,21 +190,9 @@ def _groups_1d(grid, element, in_view):
     corners = [grid._verts[element.level][s].coords for s in rec.v]
     groups = []
     for facet in (0, 1):
-        # walk the whole copy chain of the facet vertex
-        lev, slot = element.level, rec.v[facet]
-        vrec = grid._verts[lev][slot]
-        while vrec.father is not None:
-            lev, slot = lev - 1, vrec.father
-            vrec = grid._verts[lev][slot]
-        copies = [(lev, slot)]
-        while vrec.finer is not None:
-            lev, slot = lev + 1, vrec.finer
-            vrec = grid._verts[lev][slot]
-            copies.append((lev, slot))
-
         neighbors = []
-        chain_id = vrec.id
-        for clev, cslot in copies:
+        chain_id = grid._verts[element.level][rec.v[facet]].id
+        for clev, cslot in grid._vertex_chain(element.level, rec.v[facet]):
             for t in grid._verts[clev][cslot].incident:
                 if (clev, t) == (element.level, element.slot) or not in_view(clev, t):
                     continue

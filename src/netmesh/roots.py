@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError, SingularSystemError
-from .flow import checked_solve, facet_table, two_point_system
+from .flow import checked_solve, facet_table, restore_leaf_data, store_leaf_data, two_point_system
 # not called here: bench/tracing.py patches these two names in this module
 from .flow import junction_two_point_transmissibilities  # noqa: F401
 from .intersections import intersections  # noqa: F401
@@ -125,18 +125,11 @@ class GrowthDecision:
 
 def leaf_degree(grid, vertex):
     """Number of leaf elements meeting the vertex, over its whole copy chain."""
-    level, slot = vertex.level, vertex.slot
-    while grid._verts[level][slot].father is not None:
-        level, slot = level - 1, grid._verts[level][slot].father
     count = 0
-    while True:
-        rec = grid._verts[level][slot]
-        for el_slot in rec.incident:
-            if not grid._elems[level][el_slot].children:
-                count += 1
-        if rec.finer is None:
-            return count
-        level, slot = level + 1, rec.finer
+    for level, slot in grid._vertex_chain(vertex.level, vertex.slot):
+        elems = grid._elems[level]
+        count += sum(1 for t in grid._verts[level][slot].incident if not elems[t].children)
+    return count
 
 
 def indicator_evaluate(indicator, grid, element, step):
@@ -257,9 +250,8 @@ def grow_grid(grid, indicator, variables, step=0):
     # (1) indicator pass
     view = grid.leaf_view()
     ix = view.index_set
-    elements = view.elements()
     decisions = []
-    for el in elements:
+    for el in view.elements():
         d = indicator_evaluate(indicator, grid, el, step)
         if d is not None:
             decisions.append((el, d))
@@ -272,29 +264,16 @@ def grow_grid(grid, indicator, variables, step=0):
         sources.append(el.id)
 
     # (3) store variables by persistent id
-    store = {}
-    for el in elements:
-        i = ix.index_of(el)
-        store[el.id] = {name: a[i] for name, a in variables.items()}
+    store = store_leaf_data(grid, view, variables)
 
     # (4) grow
     grid.grow()
     report = grid.growth_report
-    inserted = dict(report.inserted)  # queue position -> new element id
 
     # (5) resize and reconstruct: inherit from the originating neighbor
-    new_view = grid.leaf_view()
-    new_ix = new_view.index_set
-    new_elements = new_view.elements()
-    out = {name: np.zeros(len(new_elements)) for name in variables}
-    by_new_id = {eid: sources[q] for q, eid in inserted.items()}
-    for el in new_elements:
-        i = new_ix.index_of(el)
-        values = store.get(el.id)
-        if values is None:
-            values = store[by_new_id[el.id]]
-        for name in out:
-            out[name][i] = values[name]
+    for q, eid in report.inserted:
+        store[eid] = store[sources[q]]
+    out = restore_leaf_data(grid.leaf_view(), store, tuple(variables))
 
     # (6) clear the is_new markers
     grid.post_grow()

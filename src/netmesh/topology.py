@@ -9,6 +9,8 @@ coarsening or growth transaction compacts the arenas.
 A vertex that appears on several levels is stored once per level; the
 copies are linked through ``father``/``finer`` and share one persistent
 id, so they act as a single logical vertex across the hierarchy.
+``Grid._vertex_chain`` is the one walk over such a chain; junctions,
+hanging-node lookups and growth all ask it.
 """
 
 from __future__ import annotations
@@ -291,6 +293,20 @@ class Grid:
             lookup[key] = slot
         return slot
 
+    def _vertex_chain(self, level, slot):
+        """(level, slot) of every copy of one logical vertex, coarsest first."""
+        verts = self._verts
+        rec = verts[level][slot]
+        while rec.father is not None:
+            level, slot = level - 1, rec.father
+            rec = verts[level][slot]
+        chain = [(level, slot)]
+        while rec.finer is not None:
+            level, slot = level + 1, rec.finer
+            rec = verts[level][slot]
+            chain.append((level, slot))
+        return chain
+
     def _vertex_copy(self, level, slot):
         """Slot of the chain copy at ``level + 1``, creating it if absent."""
         rec = self._verts[level][slot]
@@ -333,8 +349,38 @@ class _Entity:
     def __repr__(self):
         return f"{type(self).__name__}(level={self.level}, slot={self.slot})"
 
+    @property
+    def id(self):
+        return self._rec().id
 
-class Element(_Entity):
+    def father(self):
+        rec = self._rec()
+        if rec.father is None:
+            return None
+        return type(self)(self.grid, self.level - 1, rec.father)
+
+
+class _Simplex(_Entity):
+    """Element or edge: refinement children and a vertex list of its level."""
+
+    def children(self):
+        rec = self._rec()
+        return [type(self)(self.grid, self.level + 1, s) for s in rec.children]
+
+    def vertices(self):
+        rec = self._rec()
+        return [Vertex(self.grid, self.level, s) for s in rec.v]
+
+    @property
+    def geometry(self):
+        from .geometry import AffineGeometry
+
+        rec = self._rec()
+        verts = self.grid._verts[self.level]
+        return AffineGeometry(np.array([verts[s].coords for s in rec.v]))
+
+
+class Element(_Simplex):
     """Codim-0 entity: a line segment (dim 1) or triangle (dim 2)."""
 
     codim = 0
@@ -345,10 +391,6 @@ class Element(_Entity):
             return self.grid._elems[self.level][self.slot]
         except IndexError:
             raise StaleEntityError(f"no element at level {self.level} slot {self.slot}")
-
-    @property
-    def id(self):
-        return self._rec().id
 
     @property
     def kind(self):
@@ -372,20 +414,6 @@ class Element(_Entity):
         rl, rs = self._rec().root
         return self.grid._elems[rl][rs].marker
 
-    def father(self):
-        rec = self._rec()
-        if rec.father is None:
-            return None
-        return Element(self.grid, self.level - 1, rec.father)
-
-    def children(self):
-        rec = self._rec()
-        return [Element(self.grid, self.level + 1, s) for s in rec.children]
-
-    def vertices(self):
-        rec = self._rec()
-        return [Vertex(self.grid, self.level, s) for s in rec.v]
-
     def sub_entity(self, codim, i):
         """Subentity ``i`` of the given codimension (0 returns the element)."""
         rec = self._rec()
@@ -404,20 +432,12 @@ class Element(_Entity):
             return Edge(self.grid, self.level, rec.edges[i])
         raise DimensionMismatchError(f"no codim {codim} subentity on a dim-{d} grid element")
 
-    @property
-    def geometry(self):
-        from .geometry import AffineGeometry
-
-        rec = self._rec()
-        verts = self.grid._verts[self.level]
-        return AffineGeometry(np.array([verts[s].coords for s in rec.v]))
-
     def root_element(self):
         rl, rs = self._rec().root
         return Element(self.grid, rl, rs)
 
 
-class Edge(_Entity):
+class Edge(_Simplex):
     """Codim-1 entity of a dim-2 grid."""
 
     codim = 1
@@ -429,44 +449,12 @@ class Edge(_Entity):
         except IndexError:
             raise StaleEntityError(f"no edge at level {self.level} slot {self.slot}")
 
-    @property
-    def id(self):
-        return self._rec().id
-
-    @property
-    def is_leaf(self):
-        from .views import edge_in_leaf_view
-
-        return edge_in_leaf_view(self.grid, self.level, self.slot)
-
-    def father(self):
-        rec = self._rec()
-        if rec.father is None:
-            return None
-        return Edge(self.grid, self.level - 1, rec.father)
-
-    def children(self):
-        rec = self._rec()
-        return [Edge(self.grid, self.level + 1, s) for s in rec.children]
-
-    def vertices(self):
-        rec = self._rec()
-        return [Vertex(self.grid, self.level, s) for s in rec.v]
-
     def sub_entity(self, codim, i):
         if codim != 2:
             raise DimensionMismatchError("edge subentities: only codim 2 (vertices)")
         if not 0 <= i < 2:
             raise IndexError(f"subentity index {i} out of range")
         return Vertex(self.grid, self.level, self._rec().v[i])
-
-    @property
-    def geometry(self):
-        from .geometry import AffineGeometry
-
-        rec = self._rec()
-        verts = self.grid._verts[self.level]
-        return AffineGeometry(np.array([verts[s].coords for s in rec.v]))
 
     def incident_elements(self):
         rec = self._rec()
@@ -488,39 +476,8 @@ class Vertex(_Entity):
             raise StaleEntityError(f"no vertex at level {self.level} slot {self.slot}")
 
     @property
-    def id(self):
-        return self._rec().id
-
-    @property
     def coords(self):
         return self._rec().coords
-
-    @property
-    def is_leaf(self):
-        from .views import vertex_in_leaf_view
-
-        return vertex_in_leaf_view(self.grid, self.level, self.slot)
-
-    def father(self):
-        rec = self._rec()
-        if rec.father is None:
-            return None
-        return Vertex(self.grid, self.level - 1, rec.father)
-
-    def finer_copy(self):
-        rec = self._rec()
-        if rec.finer is None:
-            return None
-        return Vertex(self.grid, self.level + 1, rec.finer)
-
-    def leaf_copy(self):
-        """Finest copy of this logical vertex."""
-        level, slot = self.level, self.slot
-        rec = self.grid._verts[level][slot]
-        while rec.finer is not None:
-            level, slot = level + 1, rec.finer
-            rec = self.grid._verts[level][slot]
-        return Vertex(self.grid, level, slot)
 
     @property
     def geometry(self):

@@ -150,17 +150,8 @@ class IndexSet:
         if key in table:
             return table[key]
         if isinstance(entity, Vertex) and self.view.is_leaf_view:
-            # resolve through the copy chain: at most one copy represents
-            # the logical vertex in the leaf view
-            grid = self.view.grid
-            level, slot = entity.level, entity.slot
-            while grid._verts[level][slot].father is not None:
-                level, slot = level - 1, grid._verts[level][slot].father
-            while True:
-                if (level, slot) in table:
-                    return table[(level, slot)]
-                finer = grid._verts[level][slot].finer
-                if finer is None:
-                    break
-                level, slot = level + 1, finer
+            # at most one copy represents the logical vertex in the leaf view
+            for copy in self.view.grid._vertex_chain(entity.level, entity.slot):
+                if copy in table:
+                    return table[copy]
         raise StaleEntityError(f"{entity!r} is not part of this view")
