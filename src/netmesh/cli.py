@@ -170,11 +170,11 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if getattr(args, "steps", None) is not None and args.steps < 0:
+            raise ScenarioError("--steps must be nonnegative")
         if args.command == "info":
             print(cmd_info(args.mesh))
         elif args.command == "refine":
-            if args.steps < 0:
-                raise ScenarioError("--steps must be nonnegative")
             print(cmd_refine(args.mesh, args.steps, args.parametrization, args.out))
         elif args.command == "flow":
             print(cmd_flow(args.scenario, args.out, steps=args.steps))

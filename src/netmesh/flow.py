@@ -512,6 +512,8 @@ def run_scenario(scenario, out_dir, steps=None):
         problems.append("dt must be positive and finite")
     if not 0.0 <= eps_coarsen < eps_refine <= 1.0:
         problems.append("thresholds must satisfy 0 <= eps_coarsen < eps_refine <= 1")
+    if n_steps < 0:
+        problems.append("steps must be nonnegative")
     if problems:
         raise ScenarioError(f"{s.source}: " + "; ".join(problems))
     if steps is not None:

@@ -188,12 +188,18 @@ class RootProblem:
     collar_vertex_id: int = 0
 
     def validate(self):
+        scalars = ("axial_conductance", "radial_conductivity", "root_radius",
+                   "soil_pressure", "collar_pressure")
+        problems = [f"{name} must be finite" for name in scalars
+                    if not math.isfinite(getattr(self, name))]
         if self.axial_conductance <= 0.0:
-            raise ScenarioError("axial conductance K_x must be positive")
+            problems.append("axial conductance K_x must be positive")
         if self.radial_conductivity < 0.0:
-            raise ScenarioError("radial conductivity K_r must be nonnegative")
+            problems.append("radial conductivity K_r must be nonnegative")
         if self.root_radius <= 0.0:
-            raise ScenarioError("root radius must be positive")
+            problems.append("root radius must be positive")
+        if problems:
+            raise ScenarioError("; ".join(problems))
 
 
 def assemble_solve_root_pressure(problem, view, k_x=None, k_r=None, radius=None):
@@ -319,6 +325,24 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     collar_p = s.get_float("collar_pressure", -1.2e6)
     prefix = s.get_str("output_prefix", "roots")
     s.check(known=SCENARIO_KEYS)
+    floats = {
+        "branch_probability": branch_p, "elongation_probability": elongation_p,
+        "gravity_bias": gravity, "segment_length": seg_len, "k_x": k_x, "k_r": k_r,
+        "radius": radius, "soil_pressure": soil_p, "collar_pressure": collar_p,
+    }
+    problems = [f"{name} must be finite" for name, v in floats.items() if not math.isfinite(v)]
+    problems += [f"{name} must be positive" for name in ("segment_length", "radius", "k_x")
+                 if floats[name] <= 0.0]
+    if k_r < 0.0:
+        problems.append("k_r must be nonnegative")
+    problems += [f"{name} must lie in [0, 1]" for name in floats
+                 if name.endswith("_probability") and not 0.0 <= floats[name] <= 1.0]
+    if segments < 1:
+        problems.append("initial_segments must be at least 1")
+    if n_steps < 0:
+        problems.append("steps must be nonnegative")
+    if problems:
+        raise ScenarioError(f"{s.source}: " + "; ".join(problems))
     if steps is not None:
         n_steps = steps
     if seed is not None:

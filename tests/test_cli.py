@@ -19,6 +19,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _scenario_with(tmp_path, name, key, value):
+    """Copy of a bundled scenario with ``key`` set to ``value``."""
+    lines = [
+        line.replace("../meshes", str(ROOT / "meshes"))
+        for line in (ROOT / "scenarios" / name).read_text().splitlines()
+        if line.partition("=")[0].strip() != key
+    ]
+    scen = tmp_path / "bad.txt"
+    scen.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    return scen
+
+
 class TestInfo:
     def test_network_mesh(self, capsys):
         code, out, err = run(capsys, "info", DATA / "network.msh")
@@ -96,6 +108,14 @@ class TestErrorCategories:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("command,steps", [("flow", -1), ("roots", -3)])
+    def test_negative_demo_steps_option_is_3(self, capsys, tmp_path, command, steps):
+        scenario = ROOT / "scenarios" / ("vessels.txt" if command == "flow" else "roots.txt")
+        code, out, err = run(capsys, command, scenario, "--out", tmp_path / "out", "--steps", steps)
+        assert code == 3
+        assert "--steps must be nonnegative" in err
+        assert not (tmp_path / "out").exists()
+
     def test_mesh_error_is_4(self, capsys, tmp_path):
         code, out, err = run(
             capsys,
@@ -130,17 +150,40 @@ class TestErrorCategories:
         ],
     )
     def test_bad_flow_scenario_is_3(self, capsys, tmp_path, key, value, message):
-        lines = [
-            line.replace("../meshes", str(ROOT / "meshes"))
-            for line in (ROOT / "scenarios" / "vessels.txt").read_text().splitlines()
-            if line.partition("=")[0].strip() != key
-        ]
-        scen = tmp_path / "bad.txt"
-        scen.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        scen = _scenario_with(tmp_path, "vessels.txt", key, value)
         code, out, err = run(capsys, "flow", scen, "--out", tmp_path / "out", "--steps", 2)
         assert code == 3
         assert err.startswith("scenario-error:")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("gravity_bias", "nan", "gravity_bias must be finite"),
+            ("collar_pressure", "nan", "collar_pressure must be finite"),
+            ("k_x", "nan", "k_x must be finite"),
+            ("k_r", "nan", "k_r must be finite"),
+            ("radius", "nan", "radius must be finite"),
+            ("segment_length", "nan", "segment_length must be finite"),
+            ("segment_length", "-0.01", "segment_length must be positive"),
+            ("branch_probability", "2", "branch_probability must lie in [0, 1]"),
+            ("initial_segments", "0", "initial_segments must be at least 1"),
+        ],
+    )
+    def test_bad_roots_scenario_is_3(self, capsys, tmp_path, key, value, message):
+        # --steps 0: no growth step runs, so no input can loop in the indicator
+        scen = _scenario_with(tmp_path, "roots.txt", key, value)
+        code, out, err = run(capsys, "roots", scen, "--out", tmp_path / "out", "--steps", 0)
+        assert code == 3
+        assert err.startswith("scenario-error:")
+        assert message in err
+
+    @pytest.mark.parametrize("command,name", [("flow", "vessels.txt"), ("roots", "roots.txt")])
+    def test_negative_scenario_steps_is_3(self, capsys, tmp_path, command, name):
+        scen = _scenario_with(tmp_path, name, "steps", "-1")
+        code, out, err = run(capsys, command, scen, "--out", tmp_path / "out")
+        assert code == 3
+        assert "steps must be nonnegative" in err
 
     def test_unknown_roots_key_is_3(self, capsys, tmp_path):
         scen = tmp_path / "bad.txt"

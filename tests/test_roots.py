@@ -302,6 +302,9 @@ class TestRootPressure:
             {"axial_conductance": 0.0},
             {"radial_conductivity": -1.0},
             {"root_radius": 0.0},
+            {"axial_conductance": math.nan},
+            {"collar_pressure": math.nan},
+            {"soil_pressure": math.inf},
         ],
     )
     def test_validate_rejects_bad_parameters(self, kwargs):
