@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netmesh import LINE, audit_grid
+from netmesh import LINE, audit_grid, intersections
 from netmesh.errors import FactoryError, LifecycleError
+from netmesh.roots import leaf_degree
 
 from conftest import make_grid, refine_all
 
@@ -142,3 +145,50 @@ def test_same_vertex_used_by_two_queued_elements(chain4):
     grp = next(x for x in intersections(view, el) if not x.boundary and x.geometry.center()[0] == 4.0)
     assert grp.neighbor_count == 2
     assert audit_grid(g) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["refine", "coarsen", "grow"]), st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_vertex_chain_users_agree(transactions):
+    """leaf_degree, the intersection groups and the leaf index set see one chain.
+
+    Random refine, coarsen and grow transactions on a Y network; after each,
+    every facet vertex of every leaf element has leaf degree one more than
+    its group's neighbor count, and every copy in its chain has one index.
+    """
+    grid = make_grid(1, 3, [(0, 0, 0), (1, 0, 0), (2, 1, 0), (2, -1, 0)], [(0, 1), (1, 2), (1, 3)])
+    for kind, seed in transactions:
+        rng = np.random.default_rng(seed)
+        view = grid.leaf_view()
+        if kind == "grow":
+            ix = view.index_set
+            for el in view.elements():
+                if rng.uniform() < 0.3:
+                    v = el.vertices()[int(rng.integers(2))]
+                    fresh = grid.queue_vertex(v.coords + rng.normal(size=3))
+                    grid.queue_element(LINE, [ix.index_of(v), fresh])
+            grid.grow()
+            grid.post_grow()
+        else:
+            for el in view.elements():
+                if rng.uniform() < 0.5:
+                    grid.mark(1 if kind == "refine" else -1, el)
+            grid.pre_adapt()
+            grid.adapt()
+            grid.post_adapt()
+        assert audit_grid(grid) == []
+
+        view = grid.leaf_view()
+        ix = view.index_set
+        for el in view.elements():
+            for grp in intersections(view, el):
+                v = el.sub_entity(1, grp.index_in_inside)
+                assert leaf_degree(grid, v) == 1 + grp.neighbor_count
+                chain = grid._vertex_chain(v.level, v.slot)
+                assert len({ix.index_of(grid.vertex(*copy)) for copy in chain}) == 1
