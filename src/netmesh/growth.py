@@ -119,7 +119,7 @@ def grow(grid):
 
     created = {}  # provisional queue slot -> (level, vertex slot)
     for qidx, (refs, parametrization) in enumerate(grid._queued_elements):
-        chains = []  # per ref: level -> slot of its copies, None while still to create
+        chains = []  # per ref: level -> slot of its copies, None for a vertex not yet created
         given_levels = set()
         for ref in refs:
             if ref[0] == "v":
