@@ -6,9 +6,8 @@ a cell of length l_i conducts g_i = 2 t_i / l_i between its center and
 each of its facets (the half-cell conductance).  The two-point
 transmissibility between junction partners i, j is g_i g_j / sum of g_k
 over *all* elements incident to the junction, so junctions of any
-multiplicity are assembled in a single sweep over the intersection
-groups; for two partners it is the series conductance of the two half
-cells.  Dirichlet boundary facets couple with the element's own g_i.
+multiplicity are assembled alike; for two partners it is the series
+conductance of the two half cells.  Dirichlet boundary facets couple with the element's own g_i.
 This reproduces exact linear profiles on chains of one radius and any
 cell lengths.
 Wall filtration adds 2 pi R L_p l_i (p_i - p_tissue).
@@ -26,8 +25,8 @@ Boundary conditions are keyed by the persistent id of the boundary
 vertex, which survives refinement, coarsening and growth.
 
 Every scheme reads one :class:`FacetTable` per view: plain arrays built
-from a single sweep over the intersection groups, indexed by the view's
-index set.  :func:`two_point_system` assembles the vessel pressure and
+by grouping the segment ends by persistent vertex id, indexed by the
+view's index set.  :func:`two_point_system` assembles the vessel pressure and
 the root pressure (``roots``) from it; transport, the refinement
 indicator and the boundary lookups read the same table.
 """
@@ -44,8 +43,15 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import LifecycleError, ScenarioError, SingularSystemError
-from .intersections import intersections
+from .errors import (
+    DimensionMismatchError,
+    LifecycleError,
+    ScenarioError,
+    SingularGeometryError,
+    SingularSystemError,
+)
+# bench/tracing.py wraps intersections where a module holds it by name; held only for that
+from .intersections import intersections  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -116,47 +122,72 @@ def element_transmissibility(radius, viscosity, gamma):
 
 
 class FacetTable:
-    """Plain arrays of one view for the finite-volume schemes.
+    """Plain arrays of one network view for the finite-volume schemes.
 
-    Built from a single :func:`intersections` sweep over the view's
-    elements; element ``i`` is the element with index ``i`` in the view.
-    Per element: persistent ``ids`` and ``lengths`` (element measures).
-    Per facet record, in sweep order (element, facet, neighbour):
-    ``inside`` and ``outside`` element indices (``outside`` is -1 on a
-    boundary facet), the persistent id of the ``facet`` (the junction
-    vertex on a network) and the ``junction`` number (-1 on a boundary
-    facet).  A junction is the set of elements sharing one facet
-    fragment; ``member_junction`` and ``member_element`` list it one row
-    per element, by ascending element id.
+    Every copy of a logical vertex carries one persistent id, so a
+    junction is exactly the set of leaf segments with an end vertex of
+    that id.  The table groups the 2N segment ends by one sort over
+    (vertex id, element id); element ``i`` is the element with index
+    ``i`` in the view.  Per element: persistent ``ids`` and ``lengths``.
+    Per facet record, in sweep order (element, facet 0 then 1,
+    neighbours by ascending id): ``inside`` and ``outside`` element
+    indices (``outside`` is -1 on a boundary facet), the persistent id of
+    the ``facet`` (the junction vertex) and the ``junction`` number (-1
+    on a boundary facet).  Junctions are numbered as the sweep first
+    reaches them; ``member_junction`` and ``member_element`` list each
+    one row per element, by ascending element id.
     """
 
     def __init__(self, view):
-        ix = view.index_set
-        elements = view.elements()
-        self.ids = np.array([el.id for el in elements], dtype=np.int64)
-        self.lengths = np.array([el.geometry.volume() for el in elements])
-        records = []  # (inside, outside, facet id, junction)
-        junctions = {}  # ascending member ids -> junction number
-        members = []  # (junction, element index)
-        for i, el in enumerate(elements):
-            for grp in intersections(view, el):
-                fid = el.sub_entity(1, grp.index_in_inside).id
-                if grp.boundary:
-                    records.append((i, -1, fid, -1))
-                    continue
-                outsides = [grp.outside(k) for k in range(grp.neighbor_count)]
-                index = [ix.index_of(other) for other in outsides]
-                group = sorted(zip([el.id] + [other.id for other in outsides], [i] + index))
-                key = tuple(eid for eid, _ in group)
-                junction = junctions.get(key)
-                if junction is None:
-                    junction = junctions[key] = len(junctions)
-                    members.extend((junction, m) for _, m in group)
-                records.extend((i, j, fid, junction) for j in index)
-        self.inside, self.outside, self.facet, self.junction = (
-            np.array(records, dtype=np.int64).reshape(-1, 4).T
-        )
-        self.member_junction, self.member_element = np.array(members, dtype=np.int64).reshape(-1, 2).T
+        grid = view.grid
+        if grid.dim != 1:
+            raise DimensionMismatchError("facet tables exist only on network (dim 1) views")
+        ids, vids, corners = [], [], []
+        for el in view.elements():
+            rec = grid._elems[el.level][el.slot]
+            verts = grid._verts[el.level]
+            a, b = verts[rec.v[0]], verts[rec.v[1]]
+            ids.append(rec.id)
+            vids += (a.id, b.id)
+            corners += (a.coords, b.coords)
+        n = len(ids)
+        self.ids = np.array(ids, dtype=np.int64)
+        self.lengths = _segment_lengths(np.array(corners, dtype=float).reshape(n, 2, grid.world_dim))
+
+        # segment end k = 2 i + facet, sorted by vertex id, then element id
+        vid = np.array(vids, dtype=np.int64)
+        owner = np.repeat(np.arange(n, dtype=np.int64), 2)
+        order = np.lexsort((self.ids[owner], vid))
+        place = np.empty_like(order)
+        place[order] = np.arange(2 * n)
+        starts = np.ones(2 * n, dtype=bool)
+        starts[1:] = vid[order][1:] != vid[order][:-1]
+        group = (np.cumsum(starts) - 1)[place]
+        first = np.flatnonzero(starts)
+        size = np.diff(np.append(first, 2 * n))
+
+        # junctions: groups of two or more ends, numbered as the sweep reaches them
+        reached = np.full(len(first), 2 * n)
+        np.minimum.at(reached, group, np.arange(2 * n))
+        shared = np.flatnonzero(size > 1)
+        junction = np.full(len(first), -1, dtype=np.int64)
+        junction[shared[np.argsort(reached[shared])]] = np.arange(len(shared))
+
+        # one record per end and neighbour, or one boundary record
+        count = np.maximum(size[group] - 1, 1)
+        end = np.repeat(np.arange(2 * n), count)
+        inner = size[group[end]] > 1
+        pos = first[group[end]] + np.arange(len(end)) - np.repeat(np.cumsum(count) - count, count)
+        pos += inner & (pos >= place[end])  # skip the end itself
+        self.inside = owner[end]
+        self.outside = np.where(inner, owner[order[pos]], -1)
+        self.facet = vid[end]
+        self.junction = junction[group[end]]
+
+        by_junction = np.repeat(junction, size)  # per sorted end
+        rows = np.argsort(by_junction, kind="stable")[np.count_nonzero(by_junction < 0):]
+        self.member_junction = by_junction[rows]
+        self.member_element = owner[order[rows]]
 
     @property
     def size(self):
@@ -178,6 +209,22 @@ class FacetTable:
         for r in np.flatnonzero(self.outside < 0).tolist():
             out[r] = values.get(int(self.facet[r]), default)
         return out
+
+
+def _segment_lengths(corners):
+    """sqrt(d . d) per segment, bit for bit as ``AffineGeometry.volume``.
+
+    Refuses a segment whose squared length is 0 or overflows, with the
+    error ``AffineGeometry`` raises.
+    """
+    with np.errstate(all="ignore"):
+        d = corners[:, 1] - corners[:, 0]
+        squared = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        degenerate = (squared == 0.0) | (squared == math.inf)
+    if np.any(degenerate):
+        bad = corners[np.argmax(degenerate)]
+        raise SingularGeometryError(f"degenerate 1-simplex with corners {bad.tolist()}")
+    return np.sqrt(squared)
 
 
 def facet_table(view):

@@ -4,7 +4,9 @@ Random Y, T and four-way networks with random radii are refined at
 random to mixed levels.  Dense systems are then assembled straight from
 ``intersections``, element by element, and compared with what the
 vessel and root solvers assemble; the refinement indicator is compared
-with a brute-force scan over all pairs of leaf elements.
+with a brute-force scan over all pairs of leaf elements.  The table
+itself, which groups segment ends by vertex id, is compared array by
+array with one written out over ``intersections``.
 """
 
 import math
@@ -16,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_grid
-from netmesh import intersections
-from netmesh.flow import VesselProblem, assemble_pressure, refinement_indicator
+from netmesh import LINE, intersections
+from netmesh.errors import DimensionMismatchError
+from netmesh.flow import VesselProblem, assemble_pressure, facet_table, refinement_indicator
 from netmesh.roots import RootProblem, assemble_solve_root_pressure
 
 ARMS = {
@@ -177,3 +180,109 @@ def test_refinement_indicator_matches_brute_force_neighbours(case):
 
     marks = refinement_indicator(view, concentration, 0.3, 0.05)
     np.testing.assert_array_equal(marks, expected)
+
+
+def table_over_intersections(view):
+    """Every :class:`FacetTable` array, written out over the intersection groups.
+
+    A junction is numbered when the sweep first reaches its facet vertex,
+    and lists its members by ascending element id.
+    """
+    ix = view.index_set
+    ids, lengths, records, members, junctions = [], [], [], [], {}
+    for i, el in enumerate(view.elements()):
+        ids.append(el.id)
+        lengths.append(el.geometry.volume())
+        for grp in intersections(view, el):
+            vid = el.sub_entity(1, grp.index_in_inside).id
+            if grp.boundary:
+                records.append((i, -1, vid, -1))
+                continue
+            outsides = [grp.outside(k) for k in range(grp.neighbor_count)]
+            partners = [ix.index_of(other) for other in outsides]
+            if vid not in junctions:
+                junctions[vid] = len(junctions)
+                group = sorted([(el.id, i)] + [(o.id, j) for o, j in zip(outsides, partners)])
+                members += [(junctions[vid], m) for _, m in group]
+            records += [(i, j, vid, junctions[vid]) for j in partners]
+    inside, outside, facet, junction = np.array(records, dtype=np.int64).reshape(-1, 4).T
+    member_junction, member_element = np.array(members, dtype=np.int64).reshape(-1, 2).T
+    return {
+        "ids": np.array(ids, dtype=np.int64), "lengths": np.array(lengths),
+        "inside": inside, "outside": outside, "facet": facet, "junction": junction,
+        "member_junction": member_junction, "member_element": member_element,
+    }
+
+
+def assert_table_matches_intersections(view):
+    table = facet_table(view)
+    for name, expected in table_over_intersections(view).items():
+        got = getattr(table, name)
+        assert got.dtype == expected.dtype, name
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    network,
+    st.lists(
+        st.tuples(st.sampled_from(["refine", "coarsen", "grow"]), st.integers(0, 2**32 - 1)),
+        max_size=5,
+    ),
+)
+def test_table_matches_intersections(case, transactions):
+    """Bit-identical arrays after random refine, coarsen and grow transactions.
+
+    Growth attaches fresh segments at leaf vertices and now and then joins
+    two leaf vertices of different levels, so ends from several levels
+    share one junction.
+    """
+    kind, seed = case
+    grid, _ = random_network(kind, np.random.default_rng(seed))
+    assert_table_matches_intersections(grid.leaf_view())
+    for transaction, seed in transactions:
+        rng = np.random.default_rng(seed)
+        view = grid.leaf_view()
+        if transaction == "grow":
+            ix = view.index_set
+            leaf_vertices = view.vertices()
+            for el in view.elements():
+                if rng.uniform() < 0.3:
+                    v = el.vertices()[int(rng.integers(2))]
+                    fresh = grid.queue_vertex(v.coords + rng.normal(size=3))
+                    grid.queue_element(LINE, [ix.index_of(v), fresh])
+            if rng.uniform() < 0.5:
+                a, b = rng.choice(len(leaf_vertices), size=2, replace=False)
+                grid.queue_element(LINE, [int(a), int(b)])
+            grid.grow()
+            grid.post_grow()
+        else:
+            for el in view.elements():
+                if rng.uniform() < 0.5:
+                    grid.mark(1 if transaction == "refine" else -1, el)
+            grid.pre_adapt()
+            grid.adapt()
+            grid.post_adapt()
+        assert_table_matches_intersections(grid.leaf_view())
+
+
+def test_two_segment_loop_keeps_one_junction_per_vertex():
+    """Two segments sharing both end vertices meet at two junctions.
+
+    Keyed by the sorted member ids, as the table once was, both vertices
+    would share one junction number.  Every junction has the same two
+    members either way, so the denominators, and with them the pair
+    transmissibilities t_i t_j / (t_i + t_j) = 0.75 on every record, agree.
+    """
+    grid = make_grid(1, 3, [(0, 0, 0), (1, 0, 0)], [(0, 1), (1, 0)])
+    view = grid.leaf_view()
+    assert_table_matches_intersections(view)
+    table = facet_table(view)
+    np.testing.assert_array_equal(table.junction, [0, 1, 1, 0])
+    np.testing.assert_array_equal(table.member_junction, [0, 0, 1, 1])
+    np.testing.assert_array_equal(table.pair_transmissibilities([1.0, 3.0]), [0.75] * 4)
+
+
+def test_table_refuses_a_surface_view(two_triangles):
+    with pytest.raises(DimensionMismatchError):
+        facet_table(two_triangles.leaf_view())
