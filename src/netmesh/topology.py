@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,6 +156,7 @@ class Grid:
         self._queue_base = None
         self._queue_leaf_vertices = None
         self._edge_lookup = [None]
+        self._leaf_view = None    # weak reference: a strong one would tie grid and view in a cycle
 
     # -- basic properties -------------------------------------------------
 
@@ -198,9 +200,14 @@ class Grid:
     # -- views ------------------------------------------------------------
 
     def leaf_view(self):
+        """The leaf view of the current revision, built once while anyone holds it."""
         from .views import GridView
 
-        return GridView(self, None)
+        view = self._leaf_view() if self._leaf_view is not None else None
+        if view is None or view._revision != self._revision:
+            view = GridView(self, None)
+            self._leaf_view = weakref.ref(view)
+        return view
 
     def level_view(self, level):
         from .views import GridView

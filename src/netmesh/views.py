@@ -2,6 +2,7 @@
 
 Views are snapshots: any adapt or grow commit invalidates previously
 created views and index sets (queries then raise StaleEntityError).
+``Grid.leaf_view`` hands out one view per grid revision while it is in use.
 Index sets number the entities of one view consecutively from zero per
 codimension, in iteration order, and are rebuilt eagerly on view
 creation.  Persistent ids (``entity.id``) survive every transaction for

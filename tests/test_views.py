@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,23 @@ def test_view_is_invalidated_by_adapt(two_triangles):
         view.elements()
     with pytest.raises(StaleEntityError):
         view.size(0)
+
+
+def test_leaf_view_is_built_once_per_revision(y_junction):
+    g = y_junction
+    view = g.leaf_view()
+    assert g.leaf_view() is view
+    refine_all(g)
+    fresh = g.leaf_view()
+    assert fresh is not view and fresh.size(0) == 6
+    assert g.leaf_view() is fresh
+
+
+def test_grid_holds_its_leaf_view_weakly(y_junction):
+    # a strong reference would tie grid and view in a cycle, so an unused
+    # grid would outlive its last reference until the cycle collector runs
+    ref = weakref.ref(y_junction.leaf_view())
+    assert ref() is None
 
 
 def test_index_of_foreign_entity_fails(two_triangles, single_triangle):
