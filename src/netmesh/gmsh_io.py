@@ -13,6 +13,7 @@ insertion marker.
 from __future__ import annotations
 
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,8 @@ def read_gmsh(path, config):
             xyz = [float(p) for p in parts[1:]]
         except ValueError:
             raise MshParseError("malformed node line", line=line_no)
+        if not all(map(math.isfinite, xyz)):
+            raise MshParseError(f"node {nid} has a non-finite coordinate", line=line_no)
         if nid in coords:
             raise MshParseError(f"duplicate node id {nid}", line=line_no)
         coords[nid] = np.array(xyz)

@@ -61,6 +61,8 @@ def queue_vertex(grid, coords):
         raise DimensionMismatchError(
             f"expected {grid.world_dim} coordinates, got shape {coords.shape}"
         )
+    if not np.all(np.isfinite(coords)):
+        raise FactoryError(f"vertex coordinates must be finite, got {coords.tolist()}")
     base = _queue_base(grid)
     grid._queued_vertices.append(coords.copy())
     return base + len(grid._queued_vertices) - 1

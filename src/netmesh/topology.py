@@ -517,6 +517,8 @@ class GridFactory:
             raise DimensionMismatchError(
                 f"expected {self.config.world_dim} coordinates, got shape {coords.shape}"
             )
+        if not np.all(np.isfinite(coords)):
+            raise FactoryError(f"vertex coordinates must be finite, got {coords.tolist()}")
         self._coords.append(coords.copy())
         return len(self._coords) - 1
 

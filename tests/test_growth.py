@@ -23,6 +23,13 @@ def test_queue_vertex_indices_continue_leaf_range(chain4):
     assert audit_grid(g) == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_queued_vertex_must_be_finite(chain4, bad):
+    with pytest.raises(FactoryError, match="finite"):
+        chain4.queue_vertex(np.array([5.0, bad, 0.0]))
+    assert chain4._queued_vertices == []
+
+
 def test_grown_elements_carry_is_new_until_post_grow(chain4):
     g = chain4
     iv = g.queue_vertex(np.array([5.0, 0.0, 0.0]))

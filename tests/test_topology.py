@@ -46,6 +46,12 @@ class TestFactoryValidation:
         with pytest.raises(DimensionMismatchError):
             f.insert_vertex([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_coordinates_must_be_finite(self, bad):
+        f = GridFactory(GridConfig(1, 3))
+        with pytest.raises(FactoryError, match="finite"):
+            f.insert_vertex([0.0, bad, 0.0])
+
     def test_parametrization_must_be_callable(self):
         f = GridFactory(GridConfig(1, 3))
         f.insert_vertex([0, 0, 0])
