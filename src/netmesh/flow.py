@@ -43,13 +43,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import (
-    DimensionMismatchError,
-    LifecycleError,
-    ScenarioError,
-    SingularGeometryError,
-    SingularSystemError,
-)
+from .errors import DimensionMismatchError, LifecycleError, ScenarioError
+from .errors import SingularGeometryError, SingularSystemError
 # bench/tracing.py wraps intersections where a module holds it by name; held only for that
 from .intersections import intersections  # noqa: F401
 
@@ -152,7 +147,16 @@ class FacetTable:
             corners += (a.coords, b.coords)
         n = len(ids)
         self.ids = np.array(ids, dtype=np.int64)
-        self.lengths = _segment_lengths(np.array(corners, dtype=float).reshape(n, 2, grid.world_dim))
+        corners = np.array(corners, dtype=float).reshape(n, 2, grid.world_dim)
+        # sqrt(d . d) as AffineGeometry.volume computes it (np.linalg.norm differs in the
+        # last bit); a zero or overflowing d . d is the degenerate segment it refuses
+        with np.errstate(all="ignore"):
+            d = corners[:, 1] - corners[:, 0]
+            squared = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        bad = np.flatnonzero((squared == 0.0) | (squared == math.inf))
+        if len(bad):
+            raise SingularGeometryError(f"degenerate 1-simplex with corners {corners[bad[0]].tolist()}")
+        self.lengths = np.sqrt(squared)
 
         # segment end k = 2 i + facet, sorted by vertex id, then element id
         vid = np.array(vids, dtype=np.int64)
@@ -209,22 +213,6 @@ class FacetTable:
         for r in np.flatnonzero(self.outside < 0).tolist():
             out[r] = values.get(int(self.facet[r]), default)
         return out
-
-
-def _segment_lengths(corners):
-    """sqrt(d . d) per segment, bit for bit as ``AffineGeometry.volume``.
-
-    Refuses a segment whose squared length is 0 or overflows, with the
-    error ``AffineGeometry`` raises.
-    """
-    with np.errstate(all="ignore"):
-        d = corners[:, 1] - corners[:, 0]
-        squared = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-        degenerate = (squared == 0.0) | (squared == math.inf)
-    if np.any(degenerate):
-        bad = corners[np.argmax(degenerate)]
-        raise SingularGeometryError(f"degenerate 1-simplex with corners {bad.tolist()}")
-    return np.sqrt(squared)
 
 
 def facet_table(view):

@@ -31,6 +31,17 @@ def _scenario_with(tmp_path, name, key, value):
     return scen
 
 
+def _vessels_with_node(tmp_path, node, coords):
+    """Copy of meshes/vessels.msh with node ``node`` at ``coords``."""
+    lines = (ROOT / "meshes" / "vessels.msh").read_text().splitlines()
+    nodes = range(lines.index("$Nodes") + 2, lines.index("$EndNodes"))
+    row = next(no for no in nodes if lines[no].split()[0] == str(node))
+    lines[row] = f"{node} {coords}"
+    mesh = tmp_path / "moved.msh"
+    mesh.write_text("\n".join(lines) + "\n")
+    return mesh
+
+
 class TestInfo:
     def test_network_mesh(self, capsys):
         code, out, err = run(capsys, "info", DATA / "network.msh")
@@ -184,6 +195,33 @@ class TestErrorCategories:
         code, out, err = run(capsys, command, scen, "--out", tmp_path / "out")
         assert code == 3
         assert "steps must be nonnegative" in err
+
+    @pytest.mark.parametrize("coords", ["4 nan 0", "4 -inf 0"])
+    def test_non_finite_node_is_a_parse_error(self, capsys, tmp_path, coords):
+        mesh = _vessels_with_node(tmp_path, 7, coords)
+        code, out, err = run(capsys, "info", mesh)
+        assert code == 2
+        assert err.startswith("parse-error:")
+        assert "node 7 has a non-finite coordinate" in err
+        scen = _scenario_with(tmp_path, "vessels.txt", "mesh", mesh)
+        code, out, err = run(capsys, "flow", scen, "--out", tmp_path / "out")
+        assert code == 2
+        assert "node 7 has a non-finite coordinate" in err
+
+    @pytest.mark.parametrize("coords", ["1 0 0", "1e308 0 0"])
+    def test_degenerate_segment_is_4_and_alone_on_stderr(self, tmp_path, coords):
+        # node 3 onto node 2 (zero length) or out to 1e308 (squared length overflows)
+        mesh = _vessels_with_node(tmp_path, 3, coords)
+        scen = _scenario_with(tmp_path, "vessels.txt", "mesh", mesh)
+        proc = subprocess.run(
+            [sys.executable, "-m", "netmesh", "flow", str(scen), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("mesh-error: degenerate 1-simplex with corners [[1.0, 0.0, 0.0], [")
+        assert proc.stderr.count("\n") == 1
 
     def test_unknown_roots_key_is_3(self, capsys, tmp_path):
         scen = tmp_path / "bad.txt"
