@@ -13,6 +13,7 @@ silently; the per-element outcome is retrievable from the growth report.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +62,7 @@ def queue_vertex(grid, coords):
         raise DimensionMismatchError(
             f"expected {grid.world_dim} coordinates, got shape {coords.shape}"
         )
-    if not np.all(np.isfinite(coords)):
+    if not all(map(math.isfinite, coords.tolist())):
         raise FactoryError(f"vertex coordinates must be finite, got {coords.tolist()}")
     base = _queue_base(grid)
     grid._queued_vertices.append(coords.copy())

@@ -16,6 +16,7 @@ hanging-node lookups and growth all ask it.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -517,7 +518,7 @@ class GridFactory:
             raise DimensionMismatchError(
                 f"expected {self.config.world_dim} coordinates, got shape {coords.shape}"
             )
-        if not np.all(np.isfinite(coords)):
+        if not all(map(math.isfinite, coords.tolist())):
             raise FactoryError(f"vertex coordinates must be finite, got {coords.tolist()}")
         self._coords.append(coords.copy())
         return len(self._coords) - 1
