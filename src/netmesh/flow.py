@@ -7,9 +7,9 @@ each of its facets (the half-cell conductance).  The two-point
 transmissibility between junction partners i, j is g_i g_j / sum of g_k
 over *all* elements incident to the junction, so junctions of any
 multiplicity are assembled alike; for two partners it is the series
-conductance of the two half cells.  Dirichlet boundary facets couple with the element's own g_i.
-This reproduces exact linear profiles on chains of one radius and any
-cell lengths.
+conductance of the two half cells.  Dirichlet boundary facets couple
+with the element's own g_i.  This reproduces exact linear profiles on
+chains of one radius and any cell lengths.
 Wall filtration adds 2 pi R L_p l_i (p_i - p_tissue).
 
 Transport: implicit Euler on solute amounts A_i l_i c_i with full upwind
@@ -26,9 +26,9 @@ vertex, which survives refinement, coarsening and growth.
 
 Every scheme reads one :class:`FacetTable` per view: plain arrays built
 by grouping the segment ends by persistent vertex id, indexed by the
-view's index set.  :func:`two_point_system` assembles the vessel pressure and
-the root pressure (``roots``) from it; transport, the refinement
-indicator and the boundary lookups read the same table.
+view's index set.  :func:`two_point_system` assembles the vessel
+pressure and the root pressure (``roots``) from it; transport, the
+refinement indicator and the boundary lookups read the same table.
 """
 
 from __future__ import annotations
