@@ -15,14 +15,7 @@ import logging
 
 from .errors import LifecycleError
 from .parametrization import refined_vertex_position
-from .topology import (
-    CHILD_CORNERS_IN_FATHER,
-    CHILD_VERTEX_SOURCES,
-    TRIANGLE_EDGES,
-    ElemRec,
-    EdgeRec,
-    VertexRec,
-)
+from .topology import CHILD_CORNERS_IN_FATHER, CHILD_VERTEX_SOURCES
 
 logger = logging.getLogger(__name__)
 
@@ -126,15 +119,10 @@ def _split_edge(grid, level, eslot, position):
     c0 = grid._vertex_copy(level, erec.v[0])
     c1 = grid._vertex_copy(level, erec.v[1])
     fine = level + 1
-    mid = len(grid._verts[fine])
-    grid._verts[fine].append(VertexRec(coords=position, id=grid._new_id()))
-    lookup = grid._edge_index(fine)
-    base = len(grid._edges[fine])
-    grid._edges[fine].append(EdgeRec(v=(c0, mid), id=grid._new_id(), father=eslot))
-    grid._edges[fine].append(EdgeRec(v=(mid, c1), id=grid._new_id(), father=eslot))
-    lookup[frozenset((c0, mid))] = base
-    lookup[frozenset((mid, c1))] = base + 1
-    erec.children = (base, base + 1)
+    mid = grid._add_vertex(fine, position)
+    erec.children = (grid._get_or_make_edge(fine, c0, mid), grid._get_or_make_edge(fine, mid, c1))
+    for half in erec.children:
+        grid._edges[fine][half].father = eslot
     return mid
 
 
@@ -147,16 +135,12 @@ def _edge_midpoint_slot(grid, level, eslot):
 
 def _refine_element(grid, level, slot):
     rec = grid._elems[level][slot]
-    grid._ensure_level(level + 1)
     fine = level + 1
     d = grid.dim
 
     if d == 1:
         copies = (grid._vertex_copy(level, rec.v[0]), grid._vertex_copy(level, rec.v[1]))
-        mid = len(grid._verts[fine])
-        grid._verts[fine].append(
-            VertexRec(coords=refined_vertex_position(grid, level, slot, 0), id=grid._new_id())
-        )
+        mid = grid._add_vertex(fine, refined_vertex_position(grid, level, slot, 0))
         corners = {("c", 0): copies[0], ("c", 1): copies[1], ("m", 0): mid}
     else:
         copies = tuple(grid._vertex_copy(level, v) for v in rec.v)
@@ -171,27 +155,13 @@ def _refine_element(grid, level, slot):
         corners = {("c", i): copies[i] for i in range(3)}
         corners.update({("m", k): mids[k] for k in range(3)})
 
-    child_slots = []
-    for child_idx, sources in enumerate(CHILD_VERTEX_SOURCES[d]):
-        v = tuple(corners[tok] for tok in sources)
-        edges = ()
-        if d == 2:
-            edges = tuple(grid._get_or_make_edge(fine, v[a], v[b]) for a, b in TRIANGLE_EDGES)
-        cslot = len(grid._elems[fine])
-        grid._elems[fine].append(
-            ElemRec(
-                v=v,
-                id=grid._new_id(),
-                edges=edges,
-                father=slot,
-                root=rec.root,
-                is_new=True,
-                corners_in_father=CHILD_CORNERS_IN_FATHER[d][child_idx],
-            )
+    rec.children = tuple(
+        grid._add_element(
+            fine,
+            tuple(corners[tok] for tok in sources),
+            father=slot,
+            is_new=True,
+            corners_in_father=CHILD_CORNERS_IN_FATHER[d][child_idx],
         )
-        for e in edges:
-            grid._edges[fine][e].incident.append(cslot)
-        for vs in v:
-            grid._verts[fine][vs].incident.append(cslot)
-        child_slots.append(cslot)
-    rec.children = tuple(child_slots)
+        for child_idx, sources in enumerate(CHILD_VERTEX_SOURCES[d])
+    )

@@ -13,14 +13,10 @@ silently; the per-element outcome is retrievable from the growth report.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import DimensionMismatchError, FactoryError, LifecycleError
-from .topology import ElemRec, SimplexKind, TRIANGLE_EDGES, VertexRec
-from .views import vertex_in_leaf_view
+from .errors import FactoryError, LifecycleError
+from .topology import checked_coords, checked_element
 
 logger = logging.getLogger(__name__)
 
@@ -39,17 +35,11 @@ def _require_idle_adapt(grid):
         raise LifecycleError("grow transaction cannot overlap an adapt transaction")
 
 
-def _queue_base(grid):
-    """Leaf-vertex count snapshot; provisional indices continue this range."""
-    if grid._queue_base is None:
-        leaves = []
-        for lev in range(len(grid._verts)):
-            for slot in range(len(grid._verts[lev])):
-                if vertex_in_leaf_view(grid, lev, slot):
-                    leaves.append((lev, slot))
-        grid._queue_leaf_vertices = leaves
-        grid._queue_base = len(leaves)
-    return grid._queue_base
+def _queue_leaf_vertices(grid):
+    """(level, slot) of each leaf-view vertex; provisional indices continue this range."""
+    if grid._queue_leaf_vertices is None:
+        grid._queue_leaf_vertices = [(v.level, v.slot) for v in grid.leaf_view().vertices()]
+    return grid._queue_leaf_vertices
 
 
 def queue_vertex(grid, coords):
@@ -57,15 +47,9 @@ def queue_vertex(grid, coords):
     _require_idle_adapt(grid)
     if grid._grow_phase != "idle":
         raise LifecycleError("queue_vertex after grow; call post_grow first")
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (grid.world_dim,):
-        raise DimensionMismatchError(
-            f"expected {grid.world_dim} coordinates, got shape {coords.shape}"
-        )
-    if not all(map(math.isfinite, coords.tolist())):
-        raise FactoryError(f"vertex coordinates must be finite, got {coords.tolist()}")
-    base = _queue_base(grid)
-    grid._queued_vertices.append(coords.copy())
+    coords = checked_coords(coords, grid.world_dim)
+    base = len(_queue_leaf_vertices(grid))
+    grid._queued_vertices.append(coords)
     return base + len(grid._queued_vertices) - 1
 
 
@@ -74,25 +58,13 @@ def queue_element(grid, kind, vertex_indices, parametrization=None):
     _require_idle_adapt(grid)
     if grid._grow_phase != "idle":
         raise LifecycleError("queue_element after grow; call post_grow first")
-    if not isinstance(kind, SimplexKind) or kind.dim != grid.dim:
-        raise FactoryError(f"element kind {kind!r} does not match grid dimension {grid.dim}")
-    if parametrization is not None and not callable(parametrization):
-        raise FactoryError("parametrization must be callable")
-    base = _queue_base(grid)
-    idx = tuple(int(i) for i in vertex_indices)
-    if len(idx) != grid.dim + 1:
-        raise FactoryError(f"need {grid.dim + 1} vertex indices, got {len(idx)}")
-    if len(set(idx)) != len(idx):
-        raise FactoryError(f"repeated vertex index in {idx}")
-    refs = []
-    for i in idx:
-        if 0 <= i < base:
-            refs.append(("v",) + grid._queue_leaf_vertices[i])
-        elif base <= i < base + len(grid._queued_vertices):
-            refs.append(("q", i - base))
-        else:
-            raise FactoryError(f"unknown vertex index {i}")
-    grid._queued_elements.append((tuple(refs), parametrization))
+    leaves = _queue_leaf_vertices(grid)
+    base = len(leaves)
+    idx = checked_element(
+        grid.dim, kind, vertex_indices, parametrization, base + len(grid._queued_vertices)
+    )
+    refs = tuple(("v",) + leaves[i] if i < base else ("q", i - base) for i in idx)
+    grid._queued_elements.append((refs, parametrization))
     return len(grid._queued_elements) - 1
 
 
@@ -143,43 +115,19 @@ def grow(grid):
                 continue
             resolved = min(common)
 
-        grid._ensure_level(resolved)
         vslots = []
         for ref, chain in zip(refs, chains):
             if chain is not None:
                 vslots.append(chain[resolved])
             else:
-                s = len(grid._verts[resolved])
-                grid._verts[resolved].append(
-                    VertexRec(coords=grid._queued_vertices[ref[1]].copy(), id=grid._new_id())
-                )
+                s = grid._add_vertex(resolved, grid._queued_vertices[ref[1]].copy())
                 created[ref[1]] = (resolved, s)
                 vslots.append(s)
         if len(set(vslots)) != grid.dim + 1:
             report.skipped.append((qidx, "vertices coincide after level resolution"))
             continue
 
-        edges = ()
-        if grid.dim == 2:
-            edges = tuple(
-                grid._get_or_make_edge(resolved, vslots[a], vslots[b])
-                for a, b in TRIANGLE_EDGES
-            )
-        slot = len(grid._elems[resolved])
-        grid._elems[resolved].append(
-            ElemRec(
-                v=tuple(vslots),
-                id=grid._new_id(),
-                edges=edges,
-                root=(resolved, slot),
-                is_new=True,
-                parametrization=parametrization,
-            )
-        )
-        for e in edges:
-            grid._edges[resolved][e].incident.append(slot)
-        for vs in vslots:
-            grid._verts[resolved][vs].incident.append(slot)
+        slot = grid._add_element(resolved, tuple(vslots), is_new=True, parametrization=parametrization)
         report.inserted.append((qidx, grid._elems[resolved][slot].id))
 
     if grid._queued_removals:
@@ -194,7 +142,6 @@ def grow(grid):
     grid._queued_vertices = []
     grid._queued_elements = []
     grid._queued_removals = []
-    grid._queue_base = None
     grid._queue_leaf_vertices = None
     grid._growth_report = report
     grid._grow_phase = "grown"

@@ -11,6 +11,12 @@ copies are linked through ``father``/``finer`` and share one persistent
 id, so they act as a single logical vertex across the hierarchy.
 ``Grid._vertex_chain`` is the one walk over such a chain; junctions,
 hanging-node lookups and growth all ask it.
+
+Records enter the arenas only through ``Grid._add_vertex``,
+``Grid._add_element`` and ``Grid._get_or_make_edge`` (factory,
+refinement and growth alike) and leave only through
+``compaction.remove_elements``.  Staged factory and growth input passes
+the same checks, ``checked_coords`` and ``checked_element``.
 """
 
 from __future__ import annotations
@@ -154,7 +160,6 @@ class Grid:
         self._queued_elements = []
         self._queued_removals = []
         self._growth_report = None
-        self._queue_base = None
         self._queue_leaf_vertices = None
         self._edge_lookup = [None]
         self._leaf_view = None    # weak reference: a strong one would tie grid and view in a cycle
@@ -291,6 +296,42 @@ class Grid:
             self._edge_lookup[level] = lookup
         return lookup
 
+    def _add_vertex(self, level, coords, vid=None, father=None):
+        """Append a vertex record at ``level``; a new id unless ``vid`` is a chain's id."""
+        verts = self._verts[level]
+        verts.append(VertexRec(coords=coords, id=self._new_id() if vid is None else vid, father=father))
+        return len(verts) - 1
+
+    def _add_element(self, level, v, father=None, is_new=False, parametrization=None,
+                     corners_in_father=None, marker=None):
+        """Append an element over vertex slots ``v`` at ``level``; returns its slot.
+
+        Edge ids are drawn before the element id.  An element without a
+        father roots its own refinement tree; a child shares its father's.
+        """
+        edges = ()
+        if self.dim == 2:
+            edges = tuple(self._get_or_make_edge(level, v[a], v[b]) for a, b in TRIANGLE_EDGES)
+        elems = self._elems[level]
+        slot = len(elems)
+        elems.append(ElemRec(
+            v=v,
+            id=self._new_id(),
+            edges=edges,
+            father=father,
+            root=(level, slot) if father is None else self._elems[level - 1][father].root,
+            is_new=is_new,
+            parametrization=parametrization,
+            corners_in_father=corners_in_father,
+            marker=marker,
+        ))
+        for e in edges:
+            self._edges[level][e].incident.append(slot)
+        verts = self._verts[level]
+        for s in v:
+            verts[s].incident.append(slot)
+        return slot
+
     def _get_or_make_edge(self, level, va, vb):
         lookup = self._edge_index(level)
         key = frozenset((va, vb))
@@ -318,15 +359,10 @@ class Grid:
     def _vertex_copy(self, level, slot):
         """Slot of the chain copy at ``level + 1``, creating it if absent."""
         rec = self._verts[level][slot]
-        if rec.finer is not None:
-            return rec.finer
-        self._ensure_level(level + 1)
-        fine = len(self._verts[level + 1])
-        self._verts[level + 1].append(
-            VertexRec(coords=rec.coords.copy(), id=rec.id, father=slot)
-        )
-        rec.finer = fine
-        return fine
+        if rec.finer is None:
+            self._ensure_level(level + 1)
+            rec.finer = self._add_vertex(level + 1, rec.coords.copy(), rec.id, slot)
+        return rec.finer
 
 
 # -- entity wrappers ------------------------------------------------------
@@ -513,14 +549,7 @@ class GridFactory:
 
     def insert_vertex(self, coords):
         """Stage a vertex; returns its insertion index."""
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.config.world_dim,):
-            raise DimensionMismatchError(
-                f"expected {self.config.world_dim} coordinates, got shape {coords.shape}"
-            )
-        if not all(map(math.isfinite, coords.tolist())):
-            raise FactoryError(f"vertex coordinates must be finite, got {coords.tolist()}")
-        self._coords.append(coords.copy())
+        self._coords.append(checked_coords(coords, self.config.world_dim))
         return len(self._coords) - 1
 
     def insert_element(self, kind, vertex_indices, parametrization=None, marker=None):
@@ -529,20 +558,9 @@ class GridFactory:
         Degenerate (zero-measure) elements are accepted; geometry operations
         on them raise :class:`SingularGeometryError` later.
         """
-        if not isinstance(kind, SimplexKind) or kind.dim != self.config.dim:
-            raise FactoryError(f"element kind {kind!r} does not match grid dimension {self.config.dim}")
-        idx = tuple(int(i) for i in vertex_indices)
-        if len(idx) != self.config.dim + 1:
-            raise FactoryError(
-                f"need {self.config.dim + 1} vertex indices, got {len(idx)}"
-            )
-        if len(set(idx)) != len(idx):
-            raise FactoryError(f"repeated vertex index in {idx}")
-        for i in idx:
-            if not 0 <= i < len(self._coords):
-                raise FactoryError(f"unknown vertex index {i}")
-        if parametrization is not None and not callable(parametrization):
-            raise FactoryError("parametrization must be callable")
+        idx = checked_element(
+            self.config.dim, kind, vertex_indices, parametrization, len(self._coords)
+        )
         self._elements.append((idx, parametrization, marker))
         return len(self._elements) - 1
 
@@ -552,30 +570,41 @@ class GridFactory:
             raise FactoryError("cannot create a grid without elements")
         grid = Grid(self.config)
         for coords in self._coords:
-            grid._verts[0].append(VertexRec(coords=coords.copy(), id=grid._new_id()))
+            grid._add_vertex(0, coords.copy())
         for idx, parametrization, marker in self._elements:
-            slot = len(grid._elems[0])
-            edges = ()
-            if self.config.dim == 2:
-                edges = tuple(
-                    grid._get_or_make_edge(0, idx[a], idx[b]) for a, b in TRIANGLE_EDGES
-                )
-            rec = ElemRec(
-                v=idx,
-                id=grid._new_id(),
-                edges=edges,
-                root=(0, slot),
-                parametrization=parametrization,
-                marker=marker,
-            )
-            grid._elems[0].append(rec)
-            for e in edges:
-                grid._edges[0][e].incident.append(slot)
-            for vslot in idx:
-                grid._verts[0][vslot].incident.append(slot)
+            slot = grid._add_element(0, idx, parametrization=parametrization, marker=marker)
             if parametrization is not None:
                 _check_parametrization_corners(grid, slot, parametrization)
         return grid
+
+
+def checked_coords(coords, world_dim):
+    """Staged vertex coordinates as a new float array of length ``world_dim``."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (world_dim,):
+        raise DimensionMismatchError(
+            f"expected {world_dim} coordinates, got shape {coords.shape}"
+        )
+    if not all(map(math.isfinite, coords.tolist())):
+        raise FactoryError(f"vertex coordinates must be finite, got {coords.tolist()}")
+    return coords.copy()
+
+
+def checked_element(dim, kind, vertex_indices, parametrization, n_vertices):
+    """Vertex index tuple of a staged element over indices ``0 .. n_vertices - 1``."""
+    if not isinstance(kind, SimplexKind) or kind.dim != dim:
+        raise FactoryError(f"element kind {kind!r} does not match grid dimension {dim}")
+    idx = tuple(int(i) for i in vertex_indices)
+    if len(idx) != dim + 1:
+        raise FactoryError(f"need {dim + 1} vertex indices, got {len(idx)}")
+    if len(set(idx)) != len(idx):
+        raise FactoryError(f"repeated vertex index in {idx}")
+    for i in idx:
+        if not 0 <= i < n_vertices:
+            raise FactoryError(f"unknown vertex index {i}")
+    if parametrization is not None and not callable(parametrization):
+        raise FactoryError("parametrization must be callable")
+    return idx
 
 
 def _check_parametrization_corners(grid, slot, phi, tol=1e-9):
