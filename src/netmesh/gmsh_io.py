@@ -24,9 +24,14 @@ from .topology import GridConfig, GridFactory, LINE, TRIANGLE
 
 logger = logging.getLogger(__name__)
 
-_NODES_PER_TYPE = {1: 2, 2: 3, 8: 3, 9: 6, 15: 1, 3: 4, 4: 4, 5: 8, 6: 6, 7: 5,
-                   10: 9, 11: 10, 12: 27, 13: 18, 14: 14}
-_TYPE_DIM = {1: 1, 2: 2, 8: 1, 9: 2}
+# element type -> (kind, node count, parametrization class or None);
+# gmsh orders type-9 nodes (0,1,2, edge01, edge12, edge02)
+_ELEMENT_TYPES = {
+    1: (LINE, 2, None),
+    2: (TRIANGLE, 3, None),
+    8: (LINE, 3, QuadraticLine),
+    9: (TRIANGLE, 6, QuadraticTriangle),
+}
 
 
 def read_gmsh(path, config):
@@ -96,10 +101,7 @@ def read_gmsh(path, config):
         if nid not in coords:
             raise MshParseError(f"element references unknown node {nid}", line=line_no)
         if nid not in node_index:
-            full = coords[nid]
-            padded = np.zeros(w)
-            padded[: min(w, 3)] = full[: min(w, 3)]
-            node_index[nid] = factory.insert_vertex(padded)
+            node_index[nid] = factory.insert_vertex(_padded(coords[nid], w))
         return node_index[nid]
 
     start, elem_lines = sections["Elements"]
@@ -127,31 +129,23 @@ def read_gmsh(path, config):
             nodes = [int(t) for t in parts[3 + n_tags :]]
         except ValueError:
             raise MshParseError("malformed element line", line=line_no)
-        if etype not in _TYPE_DIM:
+        if etype not in _ELEMENT_TYPES:
             skipped += 1
             logger.warning("skipping unsupported element type %d (line %d)", etype, line_no)
             continue
-        if _NODES_PER_TYPE[etype] != len(nodes):
-            raise MshParseError(
-                f"type {etype} needs {_NODES_PER_TYPE[etype]} nodes, got {len(nodes)}",
-                line=line_no,
-            )
-        if _TYPE_DIM[etype] != config.dim:
+        kind, n_nodes, parametrization = _ELEMENT_TYPES[etype]
+        if n_nodes != len(nodes):
+            raise MshParseError(f"type {etype} needs {n_nodes} nodes, got {len(nodes)}", line=line_no)
+        if kind.dim != config.dim:
             ignored += 1
             continue
-        marker = tags[0] if tags else None
         idx = [vertex_index(n, line_no) for n in nodes]
-        if etype == 1:
-            factory.insert_element(LINE, idx, marker=marker)
-        elif etype == 2:
-            factory.insert_element(TRIANGLE, idx, marker=marker)
-        elif etype == 8:
-            phi = QuadraticLine(np.stack([_padded(coords[n], w) for n in nodes]))
-            factory.insert_element(LINE, idx[:2], parametrization=phi, marker=marker)
-        else:  # type 9: gmsh orders nodes (0,1,2, edge01, edge12, edge02)
-            pts = np.stack([_padded(coords[n], w) for n in nodes])
-            phi = QuadraticTriangle(pts)
-            factory.insert_element(TRIANGLE, idx[:3], parametrization=phi, marker=marker)
+        phi = None
+        if parametrization is not None:
+            phi = parametrization(np.stack([_padded(coords[n], w) for n in nodes]))
+        factory.insert_element(
+            kind, idx[: kind.dim + 1], parametrization=phi, marker=tags[0] if tags else None
+        )
         read += 1
 
     if read == 0:
