@@ -15,6 +15,8 @@ import logging
 import sys
 from collections import Counter
 
+import numpy as np
+
 from .errors import MeshError, MshParseError, ScenarioError
 from .gmsh_io import read_gmsh
 from .intersections import intersections
@@ -172,14 +174,19 @@ def main(argv=None):
     try:
         if getattr(args, "steps", None) is not None and args.steps < 0:
             raise ScenarioError("--steps must be nonnegative")
-        if args.command == "info":
-            print(cmd_info(args.mesh))
-        elif args.command == "refine":
-            print(cmd_refine(args.mesh, args.steps, args.parametrization, args.out))
-        elif args.command == "flow":
-            print(cmd_flow(args.scenario, args.out, steps=args.steps))
-        else:
-            print(cmd_roots(args.scenario, args.out, steps=args.steps, seed=args.seed))
+        # a value that overflows numpy arithmetic ends the run here, not as a later symptom
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "info":
+                print(cmd_info(args.mesh))
+            elif args.command == "refine":
+                print(cmd_refine(args.mesh, args.steps, args.parametrization, args.out))
+            elif args.command == "flow":
+                print(cmd_flow(args.scenario, args.out, steps=args.steps))
+            else:
+                print(cmd_roots(args.scenario, args.out, steps=args.steps, seed=args.seed))
+    except FloatingPointError as err:
+        print(f"scenario-error: values out of floating-point range ({err})", file=sys.stderr)
+        return 3
     except MshParseError as err:
         print(f"parse-error: {err}", file=sys.stderr)
         return 2

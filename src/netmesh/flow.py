@@ -522,6 +522,9 @@ def run_scenario(scenario, out_dir, steps=None):
     lines.  Purely deterministic: identical scenarios produce identical
     bytes.
     """
+    # read_gmsh and write_vtk are imported here, at call time, on purpose:
+    # bench/tracing.py wraps them in their home modules, and a module-level
+    # import would bind the unwrapped functions and hide both layers
     from .gmsh_io import read_gmsh
     from .topology import GridConfig
     from .vtk_io import write_vtk
@@ -553,6 +556,8 @@ def run_scenario(scenario, out_dir, steps=None):
         raise ScenarioError(f"{s.source}: " + "; ".join(problems))
     if steps is not None:
         n_steps = steps
+    if not math.isfinite(dt * n_steps):
+        raise ScenarioError(f"{s.source}: dt * steps must be finite")
 
     mesh_path = pathlib.Path(mesh)
     if not mesh_path.is_absolute() and s.source is not None:

@@ -158,14 +158,21 @@ class TestErrorCategories:
             ("radius", "nan", "radius must be positive and finite"),
             ("l_p", "-1", "l_p must be nonnegative"),
             ("viscosty", "1e-3", "unknown key 'viscosty'"),
+            ("inflow_velocity", "1e308", "out of floating-point range"),
+            ("viscosity", "1e308", "out of floating-point range"),
+            ("radius", "1e-300", "out of floating-point range"),
+            ("dt", "1e-320", "out of floating-point range"),
+            ("dt", "1e308", "dt * steps must be finite"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_flow_scenario_is_3(self, capsys, tmp_path, key, value, message):
         scen = _scenario_with(tmp_path, "vessels.txt", key, value)
         code, out, err = run(capsys, "flow", scen, "--out", tmp_path / "out", "--steps", 2)
         assert code == 3
         assert err.startswith("scenario-error:")
         assert message in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -179,15 +186,22 @@ class TestErrorCategories:
             ("segment_length", "-0.01", "segment_length must be positive"),
             ("branch_probability", "2", "branch_probability must lie in [0, 1]"),
             ("initial_segments", "0", "initial_segments must be at least 1"),
+            ("k_x", "1e308", "out of floating-point range"),
+            ("k_r", "1e308", "out of floating-point range"),
+            ("radius", "1e308", "out of floating-point range"),
+            ("gravity_bias", "1e200", "out of floating-point range"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_roots_scenario_is_3(self, capsys, tmp_path, key, value, message):
-        # --steps 0: no growth step runs, so no input can loop in the indicator
+        # --steps 3: the solves and growth rounds where overflowing values show
+        # (gravity_bias in the first branch); other inputs are refused before step 0
         scen = _scenario_with(tmp_path, "roots.txt", key, value)
-        code, out, err = run(capsys, "roots", scen, "--out", tmp_path / "out", "--steps", 0)
+        code, out, err = run(capsys, "roots", scen, "--out", tmp_path / "out", "--steps", 3)
         assert code == 3
         assert err.startswith("scenario-error:")
         assert message in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command,name", [("flow", "vessels.txt"), ("roots", "roots.txt")])
     def test_negative_scenario_steps_is_3(self, capsys, tmp_path, command, name):
