@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import make_grid
 from netmesh import intersections
 from netmesh.geometry import REFERENCE_CORNERS, AffineGeometry
-from netmesh.topology import TRIANGLE_EDGES
+from netmesh.topology import TRIANGLE, TRIANGLE_EDGES, audit_grid
 
 # three triangles fanning around the edge (0, 1), one more on the edge (1, 2)
 FAN = (
@@ -174,3 +174,64 @@ def test_geometries_read_after_adapt_equal_those_before(seed):
         if i in early:
             assert_same(got, early[i])
         np.testing.assert_array_equal(grp.unit_outer_normal(), normals[i])
+
+
+def grow(grid, rng, share=0.3):
+    """Queue a triangle on a random edge of about ``share`` of the leaves, with a fresh apex."""
+    view = grid.leaf_view()
+    ix = view.index_set
+    for el in view.elements():
+        if rng.uniform() < share:
+            corners = el.vertices()
+            a, b = rng.choice(3, size=2, replace=False)
+            apex = grid.queue_vertex(corners[a].coords + rng.normal(size=3))
+            grid.queue_element(TRIANGLE, [ix.index_of(corners[a]), ix.index_of(corners[b]), apex])
+    grid.grow()
+    grid.post_grow()
+
+
+def remove(grid, rng, share=0.2):
+    """Remove about ``share`` of the leaves, always keeping the first."""
+    for el in grid.leaf_view().elements()[1:]:
+        if rng.uniform() < share:
+            grid.remove_element(el)
+    grid.grow()
+    grid.post_grow()
+
+
+def assert_partitioned(grid):
+    """Fragments tile each leaf facet, neighbours are mutual, and the audit is clean."""
+    assert audit_grid(grid) == []
+    view = grid.leaf_view()
+    ref = REFERENCE_CORNERS[2]
+    pairs = set()
+    for el in view.elements():
+        spans = {facet: [] for facet in range(3)}
+        for grp in intersections(view, el):
+            ia, ib = TRIANGLE_EDGES[grp.index_in_inside]
+            d = ref[ib] - ref[ia]
+            t = sorted(float((c - ref[ia]) @ d / (d @ d)) for c in grp.geometry_in_inside.corners)
+            spans[grp.index_in_inside].append(t)
+            pairs.update((el.id, grp.outside(k).id) for k in range(grp.neighbor_count))
+        for pieces in spans.values():
+            pieces.sort()
+            ends = [0.0] + [b for _, b in pieces]
+            starts = [a for a, _ in pieces] + [1.0]
+            np.testing.assert_allclose(starts, ends, rtol=0, atol=1e-12)
+    assert all((b, a) in pairs for a, b in pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([adapt, grow, remove]), st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_random_transactions_keep_facets_partitioned(rounds):
+    """Random adapt, grow and remove rounds on the fan keep every leaf facet partitioned."""
+    grid = fan_grid()
+    for transaction, seed in rounds:
+        transaction(grid, np.random.default_rng(seed))
+        assert_partitioned(grid)
