@@ -311,6 +311,8 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     """
     import pathlib
 
+    # imported at call time on purpose: bench/tracing.py wraps write_vtk in
+    # vtk_io, and a module-level import would hide the VTK layer from it
     from .vtk_io import write_vtk
 
     s = scenario
