@@ -50,9 +50,8 @@ scenario_edits = st.sampled_from(sorted(DEMOS)).flatmap(
 
 
 def mutate(lines, op, row, col, value):
+    """Copy of ``lines`` with one line deleted, duplicated or given ``value`` as a token."""
     lines = list(lines)
-    if not lines:
-        return lines
     row %= len(lines)
     if op == "delete":
         del lines[row]

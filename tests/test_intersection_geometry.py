@@ -6,6 +6,9 @@ facet edge among the inside and its outsides, its corners in an element
 are the parameter interval of that edge on the element's facet edge,
 turned to the element's corner order, and its global corners are those
 local corners under the inside element's map.
+
+The last test runs random adapt, grow and remove rounds on the same fan
+and checks after each that fragments tile every leaf facet.
 """
 
 import numpy as np
