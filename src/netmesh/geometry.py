@@ -46,6 +46,10 @@ class AffineGeometry:
         self.dim = k
         self.world_dim = w
         self._a = (corners[1:] - corners[0]).T  # w x k
+        # The gram stays a numpy matmul.  It rounds as a fused multiply-add
+        # chain, which plain float sums do not reproduce (they differ in more
+        # than half of random draws); FacetTable matches these bits with a
+        # batched matmul, and the flow goldens depend on them.
         self._gram = self._a.T @ self._a  # k x k
         self._det = _det_small(self._gram)
 
@@ -55,7 +59,10 @@ class AffineGeometry:
         """True when the spanned measure vanishes relative to the corner scale."""
         if self.dim == 0:
             return False
-        scale = float(((self.corners - self.corners[0]) ** 2).sum(axis=1).max())
+        # Python floats over the rows of A^T = corners[1:] - corners[0], each
+        # square summed left to right: the same bits as numpy's row sums of
+        # (corners - corners[0])**2, at a fraction of the cost.
+        scale = max([sum([x * x for x in row]) for row in self._a.T.tolist()])
         if scale == 0.0:
             return True
         # det(A^T A) carries units length^(2k) and its round-off is of order
@@ -81,7 +88,10 @@ class AffineGeometry:
 
     def center(self):
         """Image of the reference barycenter."""
-        return self.corners.mean(axis=0)
+        # Python floats, each column summed top to bottom: the same bits as
+        # ``corners.mean(axis=0)``, at a fraction of the cost.
+        n = len(self.corners)
+        return np.array([sum(column) / n for column in zip(*self.corners.tolist())])
 
     # -- inverse map ------------------------------------------------------
 

@@ -97,9 +97,7 @@ def read_gmsh(path, config):
     w = config.world_dim
     node_index = {}
 
-    def vertex_index(nid, line_no):
-        if nid not in coords:
-            raise MshParseError(f"element references unknown node {nid}", line=line_no)
+    def vertex_index(nid):
         if nid not in node_index:
             node_index[nid] = factory.insert_vertex(_padded(coords[nid], w))
         return node_index[nid]
@@ -139,13 +137,15 @@ def read_gmsh(path, config):
         if kind.dim != config.dim:
             ignored += 1
             continue
-        idx = [vertex_index(n, line_no) for n in nodes]
+        for n in nodes:
+            if n not in coords:
+                raise MshParseError(f"element references unknown node {n}", line=line_no)
+        # only corner nodes become vertices; mid-edge nodes shape the parametrization
+        idx = [vertex_index(n) for n in nodes[: kind.dim + 1]]
         phi = None
         if parametrization is not None:
             phi = parametrization(np.stack([_padded(coords[n], w) for n in nodes]))
-        factory.insert_element(
-            kind, idx[: kind.dim + 1], parametrization=phi, marker=tags[0] if tags else None
-        )
+        factory.insert_element(kind, idx, parametrization=phi, marker=tags[0] if tags else None)
         read += 1
 
     if read == 0:

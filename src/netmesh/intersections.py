@@ -18,15 +18,32 @@ number (1D), plus the inside element's corner coordinates.  A group
 builds ``geometry_in_inside``, ``geometry_in_outside(k)`` and
 ``geometry`` on first access and keeps them; building them reads no grid
 state, so a group read after a later adapt returns the same geometries.
+
+Geometry reads are cheap per group.  All groups of an element share one
+corner array and one array of edge vectors from corner 0, made once per
+element, so a global fragment costs one matmul and one add.  Fragment
+reference corners are computed in Python floats: the reference corners
+are 0 or 1 and the intervals are dyadic, and ``x * (1 - t) + y * t`` on
+floats rounds exactly as the numpy rows of ``REFERENCE_CORNERS`` did,
+at a fraction of the per-call cost.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import NeighborIndexError
 from .geometry import REFERENCE_CORNERS, AffineGeometry
 from .topology import Element, TRIANGLE_EDGES
+
+# per facet of the reference triangle: (start, end) reference coordinate
+# pairs, one pair per axis, as Python floats
+_FACET_ENDS = [
+    tuple(zip(REFERENCE_CORNERS[2][ia].tolist(), REFERENCE_CORNERS[2][ib].tolist()))
+    for ia, ib in TRIANGLE_EDGES
+]
 
 
 class IntersectionGroup:
@@ -37,12 +54,12 @@ class IntersectionGroup:
     A boundary group has ``neighbor_count == 0``.
     """
 
-    __slots__ = ("inside", "index_in_inside", "_corners", "_fragment", "_outsides", "_built")
+    __slots__ = ("inside", "index_in_inside", "_frame", "_fragment", "_outsides", "_built")
 
-    def __init__(self, inside, index_in_inside, corners, fragment, outsides):
+    def __init__(self, inside, index_in_inside, frame, fragment, outsides):
         self.inside = inside
         self.index_in_inside = index_in_inside
-        self._corners = corners  # inside element's corner coordinates
+        self._frame = frame  # inside element's corners and edge vectors from corner 0
         self._fragment = fragment  # fragment in the inside reference element
         self._outsides = outsides  # (element, facet index, fragment in that element)
         self._built = {}  # geometries read so far: "inside", "global" or k
@@ -87,14 +104,14 @@ class IntersectionGroup:
         """Global geometry of the fragment (image under the inside element)."""
 
         def corners():
-            c = np.array(self._corners)
-            return c[0] + _reference_corners(self._fragment) @ (c[1:] - c[0])
+            c, edges = self._frame
+            return c[0] + _reference_corners(self._fragment) @ edges
 
         return self._memo("global", corners)
 
     def unit_outer_normal(self):
         """Outward unit normal within the inside element's tangent plane."""
-        return _outer_normal(np.array(self._corners), self.index_in_inside)
+        return _outer_normal(self._frame[0], self.index_in_inside)
 
     def __repr__(self):
         kind = "boundary" if self.boundary else f"{self.neighbor_count} neighbors"
@@ -154,12 +171,12 @@ def intersections(view, element):
     """All intersection groups of ``element``, facets in local order."""
     grid = view.grid
     if view.level is None:
-        def in_view(lev, slot):
-            return not grid._elems[lev][slot].children
+        def in_view(lev, rec):
+            return not rec.children
     else:
         target = view.level
 
-        def in_view(lev, slot):
+        def in_view(lev, rec):
             return lev == target
 
     if grid.dim == 1:
@@ -182,25 +199,34 @@ def pairwise_intersections(view, element):
     return out
 
 
+def _element_frame(grid, element, rec):
+    """Corners of ``element`` and its edge vectors from corner 0, which
+    all groups of the element share."""
+    verts = grid._verts[element.level]
+    corners = np.array([verts[s].coords for s in rec.v])
+    return corners, corners[1:] - corners[0]
+
+
 # -- dim 1: facets are vertices, junctions are copy chains ----------------
 
 
 def _groups_1d(grid, element, in_view):
     rec = element._rec()
-    corners = [grid._verts[element.level][s].coords for s in rec.v]
+    frame = _element_frame(grid, element, rec)
     groups = []
     for facet in (0, 1):
         neighbors = []
         chain_id = grid._verts[element.level][rec.v[facet]].id
         for clev, cslot in grid._vertex_chain(element.level, rec.v[facet]):
             for t in grid._verts[clev][cslot].incident:
-                if (clev, t) == (element.level, element.slot) or not in_view(clev, t):
-                    continue
                 nrec = grid._elems[clev][t]
+                if (clev, t) == (element.level, element.slot) or not in_view(clev, nrec):
+                    continue
                 nfacet = 0 if grid._verts[clev][nrec.v[0]].id == chain_id else 1
-                neighbors.append((Element(grid, clev, t), nfacet, (nfacet,)))
-        neighbors.sort(key=lambda n: n[0].id)
-        groups.append(IntersectionGroup(element, facet, corners, (facet,), neighbors))
+                neighbors.append((nrec.id, clev, t, nfacet))
+        neighbors.sort(key=itemgetter(0))
+        outsides = [(Element(grid, lev, t), nf, (nf,)) for _, lev, t, nf in neighbors]
+        groups.append(IntersectionGroup(element, facet, frame, (facet,), outsides))
     return groups
 
 
@@ -209,78 +235,57 @@ def _groups_1d(grid, element, in_view):
 
 def _groups_2d(grid, element, in_view):
     rec = element._rec()
-    corners = [grid._verts[element.level][s].coords for s in rec.v]
+    frame = _element_frame(grid, element, rec)
+    level, slot, elems = element.level, element.slot, grid._elems
     groups = []
     for facet in range(3):
-        root = (element.level, rec.edges[facet])
-        candidates = []  # (neighbor (lev, slot), via edge, facet in neighbor, full cover)
+        root = (level, rec.edges[facet])
 
-        # self and coarser ancestors cover the whole facet
+        # neighbours on the facet edge or a coarser ancestor cover the whole facet
+        full = []  # (neighbour record, its level and slot, via edge, facet in neighbour)
         lev, es = root
-        while True:
+        while es is not None:
             erec = grid._edges[lev][es]
             for t in erec.incident:
-                if (lev, t) == (element.level, element.slot) or not in_view(lev, t):
-                    continue
-                nfacet = grid._elems[lev][t].edges.index(es)
-                candidates.append(((lev, t), (lev, es), nfacet, True))
-            if erec.father is None:
-                break
+                nrec = elems[lev][t]
+                if (t != slot or lev != level) and in_view(lev, nrec):
+                    full.append((nrec, lev, t, (lev, es), nrec.edges.index(es)))
             lev, es = lev - 1, erec.father
 
-        # finer descendants cover sub-fragments
-        stack = [
-            (root[0] + 1, c) for c in grid._edges[root[0]][root[1]].children
-        ]
-        while stack:
-            lev, es = stack.pop()
-            erec = grid._edges[lev][es]
-            for t in erec.incident:
-                if not in_view(lev, t):
-                    continue
-                nfacet = grid._elems[lev][t].edges.index(es)
-                candidates.append(((lev, t), (lev, es), nfacet, False))
-            stack.extend((lev + 1, c) for c in erec.children)
-
-        # fragments: split wherever a candidate sits strictly below
-        split_needed = set()
-        for _, via, _, full in candidates:
-            if full:
-                continue
-            lev, es = via
-            while (lev, es) != root:
-                f = grid._edges[lev][es].father
-                lev, es = lev - 1, f
-                split_needed.add((lev, es))
-
-        fragments = []
-
-        def emit(edge):
-            erec = grid._edges[edge[0]][edge[1]]
-            if edge in split_needed and erec.children:
-                for c in erec.children:
-                    emit((edge[0] + 1, c))
-            else:
-                fragments.append(edge)
-
-        emit(root)
-
-        for frag in fragments:
-            ancestors = {frag}
-            lev, es = frag
-            while (lev, es) != root:
-                lev, es = lev - 1, grid._edges[lev][es].father
-                ancestors.add((lev, es))
-
-            outsides = []
-            for nelem, via, nfacet, full in candidates:
-                if full or via in ancestors:
-                    piece = _edge_fragment(grid, nelem, nfacet, via, frag)
-                    outsides.append((Element(grid, nelem[0], nelem[1]), nfacet, piece))
-            outsides.sort(key=lambda n: (n[0].id, n[1]))
-            piece = _edge_fragment(grid, (element.level, element.slot), facet, root, frag)
-            groups.append(IntersectionGroup(element, facet, corners, piece, outsides))
+        for frag, partial in _fragments(grid, in_view, root, []):
+            found = [
+                (nrec.id, nfacet, lev, t, _edge_fragment(grid, lev, nrec, nfacet, via, frag))
+                for nrec, lev, t, via, nfacet in full + partial
+            ]
+            found.sort(key=itemgetter(0, 1))
+            outsides = [(Element(grid, lev, t), nf, piece) for _, nf, lev, t, piece in found]
+            piece = _edge_fragment(grid, level, rec, facet, root, frag)
+            groups.append(IntersectionGroup(element, facet, frame, piece, outsides))
     return groups
+
+
+def _fragments(grid, in_view, edge, above):
+    """Fragments of ``edge`` in order, each with the neighbours that hold it
+    through a finer edge than the facet edge.
+
+    ``edge`` is split into its children wherever some finer edge below it
+    has a neighbour in the view; ``above`` are the neighbours met on the
+    way down from the facet edge.
+    """
+    lev, es = edge
+    split = []
+    for c in grid._edges[lev][es].children:
+        child = (lev + 1, c)
+        here = above + [
+            (nrec, lev + 1, t, child, nrec.edges.index(c))
+            for t in grid._edges[lev + 1][c].incident
+            for nrec in (grid._elems[lev + 1][t],)
+            if in_view(lev + 1, nrec)
+        ]
+        split += _fragments(grid, in_view, child, here)
+    if any(len(partial) > len(above) for _, partial in split):
+        return split
+    return [(edge, above)]
 
 
 def _interval_within(grid, ancestor, frag):
@@ -296,15 +301,15 @@ def _interval_within(grid, ancestor, frag):
     return a, b
 
 
-def _edge_fragment(grid, elem_key, facet, via, frag):
-    """Fragment as (facet, a, b, flip): its parameter interval on ``via``
-    and whether the stored orientation of ``via`` runs against the
-    element's local corner order."""
+def _edge_fragment(grid, level, rec, facet, via, frag):
+    """Fragment as (facet, a, b, flip) in the element ``rec`` of ``level``,
+    which holds edge ``via`` as its ``facet``: the parameter interval of
+    ``frag`` on ``via`` and whether the stored orientation of ``via`` runs
+    against the element's local corner order."""
     a, b = _interval_within(grid, via, frag)
-    erec = grid._edges[via[0]][via[1]]
-    rec = grid._elems[elem_key[0]][elem_key[1]]
-    ia = TRIANGLE_EDGES[facet][0]
-    flip = grid._verts[via[0]][erec.v[0]].id != grid._verts[elem_key[0]][rec.v[ia]].id
+    verts = grid._verts[level]
+    start = grid._edges[level][via[1]].v[0]
+    flip = verts[start].id != verts[rec.v[TRIANGLE_EDGES[facet][0]]].id
     return facet, a, b, flip
 
 
@@ -315,9 +320,8 @@ def _reference_corners(fragment):
     facet, a, b, flip = fragment
     if flip:
         a, b = 1.0 - a, 1.0 - b
-    ia, ib = TRIANGLE_EDGES[facet]
-    ref = REFERENCE_CORNERS[2]
-    return np.array([ref[ia] * (1.0 - t) + ref[ib] * t for t in (a, b)])
+    ends = _FACET_ENDS[facet]
+    return np.array([[x * (1.0 - t) + y * t for x, y in ends] for t in (a, b)])
 
 
 def _outer_normal(corners, facet):

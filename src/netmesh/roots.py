@@ -38,8 +38,13 @@ log = logging.getLogger(__name__)
 SCENARIO_KEYS = (
     "seed", "steps", "branch_probability", "elongation_probability", "gravity_bias",
     "segment_length", "initial_segments", "k_x", "k_r", "radius", "soil_pressure",
-    "collar_pressure", "output_prefix",
+    "collar_pressure", "max_elements", "output_prefix",
 )
+
+# Default growth bound.  Growth is exponential: at branch probability 0.3 a
+# root of 8 segments has 24,992 after 20 steps (peak memory 143 MB), and 30
+# steps do not finish in ten minutes.  The bound is four times that count.
+MAX_ELEMENTS = 100_000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -117,6 +122,7 @@ class GrowthIndicator:
     gravity_bias: float = 1.0
     segment_length: float = 0.01
     anchored_ids: tuple = ()  # vertex ids never treated as growable tips (the collar)
+    max_elements: int = MAX_ELEMENTS  # leaf segments a growth round may leave at most
 
 
 @dataclass(frozen=True)
@@ -247,14 +253,32 @@ def _running_sum(terms):
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
+class GrowthRound(tuple):
+    """``(report, new_variables)`` of one growth round.
+
+    ``view`` is the post-grow leaf view that ``new_variables`` are aligned
+    with.  The grid holds its leaf view only weakly, so a caller that keeps
+    ``view`` for its next step keeps ``grid.leaf_view()`` from building it
+    again.
+    """
+
+    def __new__(cls, report, variables, view):
+        grown = super().__new__(cls, (report, variables))
+        grown.view = view
+        return grown
+
+
 def grow_grid(grid, indicator, variables, step=0):
     """One growth round: the six-step insert/store/grow/reconstruct protocol.
 
     ``variables`` maps names to per-leaf-element arrays (aligned with the
-    current leaf index set).  Returns (report, new_variables); fresh
-    segments inherit every variable from the element whose indicator
-    decision created them.  Tips of fresh segments are free boundary
-    vertices and therefore no-flow by construction.
+    current leaf index set).  Returns a :class:`GrowthRound`, which
+    unpacks as (report, new_variables); fresh segments inherit every
+    variable from the element whose indicator decision created them.
+    Tips of fresh segments are free boundary vertices and therefore
+    no-flow by construction.  Raises :class:`ScenarioError` before
+    queueing anything when the round would leave more than
+    ``indicator.max_elements`` leaf segments.
     """
     # (1) indicator pass
     view = grid.leaf_view()
@@ -264,6 +288,12 @@ def grow_grid(grid, indicator, variables, step=0):
         d = indicator_evaluate(indicator, grid, el, step)
         if d is not None:
             decisions.append((el, d))
+    count = view.size(0) + len(decisions)
+    if count > indicator.max_elements:
+        raise ScenarioError(
+            f"growth step {step} would grow the root to {count} segments, "
+            f"more than max_elements = {indicator.max_elements}"
+        )
 
     # (2) queue the new segments: vertex from the indicator, one line each
     sources = []  # queue position -> originating element id
@@ -282,14 +312,15 @@ def grow_grid(grid, indicator, variables, step=0):
     # (5) resize and reconstruct: inherit from the originating neighbor
     for q, eid in report.inserted:
         store[eid] = store[sources[q]]
-    out = flow.restore_leaf_data(grid.leaf_view(), store, tuple(variables))
+    view = grid.leaf_view()
+    out = flow.restore_leaf_data(view, store, tuple(variables))
 
     # (6) clear the is_new markers
     grid.post_grow()
     log.debug(
         "growth step %d: %d inserted, %d skipped", step, len(report.inserted), len(report.skipped)
     )
-    return report, out
+    return GrowthRound(report, out, view)
 
 
 def collar_flux(problem, view, p, k_x=None):
@@ -323,6 +354,7 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     gravity = s.get_float("gravity_bias", 1.0)
     seg_len = s.get_float("segment_length", 0.01)
     segments = s.get_int("initial_segments", 8)
+    max_elements = s.get_int("max_elements", MAX_ELEMENTS)
     k_x = s.get_float("k_x", 4.32e-2)
     k_r = s.get_float("k_r", 1.73e-4)
     radius = s.get_float("radius", 2.0e-3)
@@ -345,6 +377,8 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
                  if not 0.0 <= floats[name] <= 1.0]
     if segments < 1:
         problems.append("initial_segments must be at least 1")
+    if max_elements < segments:
+        problems.append("max_elements must be at least initial_segments")
     if n_steps < 0:
         problems.append("steps must be nonnegative")
     if problems:
@@ -362,6 +396,7 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
         gravity_bias=gravity,
         segment_length=seg_len,
         anchored_ids=(collar,),
+        max_elements=max_elements,
     )
     problem = RootProblem(
         axial_conductance=k_x,
@@ -381,8 +416,8 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
+    view = grid.leaf_view()
     for step in range(n_steps):
-        view = grid.leaf_view()
         p = assemble_solve_root_pressure(
             problem, view, k_x=variables["k_x"], k_r=variables["k_r"], radius=variables["radius"]
         )
@@ -402,9 +437,10 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
         )
         summary.append(line)
         log.info(line)
-        _, variables = grow_grid(grid, indicator, variables, step=step)
+        grown = grow_grid(grid, indicator, variables, step=step)
+        _, variables = grown
+        view = grown.view  # held here, the grid keeps it only weakly
 
-    view = grid.leaf_view()
     line = f"final: elements={view.size(0)}"
     summary.append(line)
     log.info(line)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from netmesh.cli import main
+from netmesh.views import GridView
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
@@ -190,6 +191,8 @@ class TestErrorCategories:
             ("k_r", "1e308", "out of floating-point range"),
             ("radius", "1e308", "out of floating-point range"),
             ("gravity_bias", "1e200", "out of floating-point range"),
+            ("max_elements", "7", "max_elements must be at least initial_segments"),
+            ("max_elements", "9", "step 1 would grow the root to 10 segments, more than max_elements = 9"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -246,6 +249,22 @@ class TestErrorCategories:
 
 
 class TestDemos:
+    def test_roots_demo_builds_one_leaf_view_per_revision(self, capsys, tmp_path, monkeypatch):
+        builds = []  # (grid, revision) of every leaf view built
+        init = GridView.__init__
+
+        def counting(view, grid, level):
+            init(view, grid, level)
+            if level is None:
+                builds.append((id(grid), view._revision))
+
+        monkeypatch.setattr(GridView, "__init__", counting)
+        scenario = ROOT / "scenarios" / "roots.txt"
+        code, _, _ = run(capsys, "roots", scenario, "--out", tmp_path / "o", "--steps", 6)
+        assert code == 0
+        # the initial root, then one revision per growth round
+        assert len(builds) == len(set(builds)) == 7
+
     def test_flow_demo_runs_and_is_deterministic(self, capsys, tmp_path):
         scenario = ROOT / "scenarios" / "vessels.txt"
         code_a, out_a, _ = run(capsys, "flow", scenario, "--out", tmp_path / "a", "--steps", 3)

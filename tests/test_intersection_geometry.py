@@ -7,9 +7,14 @@ are the parameter interval of that edge on the element's facet edge,
 turned to the element's corner order, and its global corners are those
 local corners under the inside element's map.
 
-The last test runs random adapt, grow and remove rounds on the same fan
-and checks after each that fragments tile every leaf facet.
+The last tests run random adapt, grow and remove rounds on the same fan.
+After each round they check that fragments tile every leaf facet, and that
+every corner and volume keeps the bits of the numpy expressions the
+geometries were computed with before they moved to Python floats and
+shared per-element corners.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -224,17 +229,137 @@ def assert_partitioned(grid):
     assert all((b, a) in pairs for a, b in pairs)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from([adapt, grow, remove]), st.integers(0, 2**32 - 1)),
-        min_size=1,
-        max_size=6,
-    )
+transactions = st.lists(
+    st.tuples(st.sampled_from([adapt, grow, remove]), st.integers(0, 2**32 - 1)),
+    min_size=1,
+    max_size=6,
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(transactions)
 def test_random_transactions_keep_facets_partitioned(rounds):
     """Random adapt, grow and remove rounds on the fan keep every leaf facet partitioned."""
     grid = fan_grid()
     for transaction, seed in rounds:
         transaction(grid, np.random.default_rng(seed))
         assert_partitioned(grid)
+
+
+# -- bit identity with the numpy expressions -------------------------------
+
+
+def numpy_threshold(corners):
+    """Determinant below which numpy's corner scale made a simplex degenerate."""
+    scale = float(((corners - corners[0]) ** 2).sum(axis=1).max())
+    return 64.0 * np.finfo(float).eps * scale ** (len(corners) - 1), scale
+
+
+def numpy_is_degenerate(corners):
+    """``AffineGeometry.is_degenerate`` as numpy arrays computed it."""
+    k = len(corners) - 1
+    if k == 0:
+        return False
+    a = (corners[1:] - corners[0]).T
+    gram = a.T @ a
+    det = float(gram[0, 0]) if k == 1 else float(gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0])
+    threshold, scale = numpy_threshold(corners)
+    return scale == 0.0 or det <= threshold
+
+
+def numpy_volume(corners):
+    """``AffineGeometry.volume`` as numpy arrays computed it, None if degenerate."""
+    if numpy_is_degenerate(corners):
+        return None
+    a = (corners[1:] - corners[0]).T
+    gram = a.T @ a
+    if len(corners) == 2:
+        return math.sqrt(float(gram[0, 0]))
+    return 0.5 * math.sqrt(float(gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]))
+
+
+def numpy_reference_corners(fragment):
+    """Corners of a (facet, a, b, flip) fragment as numpy rows of REFERENCE_CORNERS made them."""
+    facet, a, b, flip = fragment
+    if flip:
+        a, b = 1.0 - a, 1.0 - b
+    ia, ib = TRIANGLE_EDGES[facet]
+    ref = REFERENCE_CORNERS[2]
+    return np.array([ref[ia] * (1.0 - t) + ref[ib] * t for t in (a, b)])
+
+
+def same_bits(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def assert_same_geometry(geo, corners):
+    assert same_bits(geo.corners, corners)
+    volume = numpy_volume(corners)
+    assert geo.is_degenerate() == (volume is None)
+    if volume is not None:
+        assert same_bits(geo.volume(), volume)
+
+
+def assert_numpy_bits(grid):
+    """Element and fragment geometries equal the numpy expressions bit for bit.
+
+    The fragment numbers (facet, parameter interval, flip) are the ones the
+    sweep found; this pins the arithmetic that turns them into geometries.
+    """
+    view = grid.leaf_view()
+    for el in view.elements():
+        corners = np.array([v.coords for v in el.vertices()])
+        assert_same_geometry(el.geometry, corners)
+        assert same_bits(el.geometry.center(), corners.mean(axis=0))
+        for grp in intersections(view, el):
+            local = numpy_reference_corners(grp._fragment)
+            assert_same_geometry(grp.geometry_in_inside, local)
+            assert_same_geometry(grp.geometry, corners[0] + local @ (corners[1:] - corners[0]))
+            for k in range(grp.neighbor_count):
+                outside = numpy_reference_corners(grp._outsides[k][2])
+                assert_same_geometry(grp.geometry_in_outside(k), outside)
+
+
+@settings(max_examples=30, deadline=None)
+@given(transactions)
+def test_random_transactions_keep_the_numpy_bits(rounds):
+    """Random adapt, grow and remove rounds on the fan leave every geometry bit as numpy made it."""
+    grid = fan_grid()
+    assert_numpy_bits(grid)
+    for transaction, seed in rounds:
+        transaction(grid, np.random.default_rng(seed))
+        assert_numpy_bits(grid)
+
+
+# down to subnormal; up to where scale**k still fits a float after the column spread below
+SCALES = [5e-324, 1e-310, 1e-170, 1e-150, 1e-8, 1.0, 1e8, 1e70]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(2, 3),
+    st.sampled_from(SCALES),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e-300, 1e-16, 1e-9, 1.0]),
+)
+def test_is_degenerate_matches_numpy(k, w, scale, seed, bend):
+    """Tiny, huge, subnormal and near-collinear corners classify as numpy did."""
+    rng = np.random.default_rng(seed)
+    # columns a few orders of magnitude apart, so the summation order shows
+    corners = rng.normal(size=(k + 1, w)) * scale * 10.0 ** rng.uniform(-3.0, 3.0, size=w)
+    if k == 2:  # third corner on the line through the first two, bent off it by ``bend``
+        t = rng.uniform(-1.0, 2.0)
+        corners[2] = corners[0] + t * (corners[1] - corners[0]) + bend * scale * rng.normal(size=w)
+    geo = AffineGeometry(corners)
+    assert_same_geometry(geo, corners)
+    assert same_bits(geo.center(), corners.mean(axis=0))
+    # pin the corner scale to the bit: a determinant on numpy's threshold is
+    # degenerate, one step above it is not
+    threshold, _ = numpy_threshold(corners)
+    if threshold > 0.0:
+        geo._det = threshold
+        assert geo.is_degenerate()
+        geo._det = math.nextafter(threshold, math.inf)
+        assert not geo.is_degenerate()

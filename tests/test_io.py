@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from netmesh import GridConfig, read_gmsh
+from netmesh import GridConfig, audit_grid, read_gmsh
 from netmesh.errors import MshParseError
 from netmesh.vtk_io import write_vtk
 
@@ -55,6 +55,13 @@ class TestMshReading:
         assert (0.5, 0.0, 0.1) in coords
         assert (0.5, 0.5, 0.2) in coords
         assert (0.0, 0.5, 0.1) in coords
+
+    @pytest.mark.parametrize("name,dim", [("quadratic_line.msh", 1), ("quadratic_surface.msh", 2)])
+    def test_quadratic_mesh_keeps_only_corner_vertices(self, name, dim):
+        # mid-edge nodes shape the parametrization and take no vertex or id
+        g = read_gmsh(DATA / name, GridConfig(dim, 3))
+        assert audit_grid(g) == []
+        assert len(g._verts[0]) == g.leaf_view().size(dim)
 
     def test_missing_file_raises_oserror(self):
         with pytest.raises(OSError):
@@ -113,6 +120,18 @@ class TestMshErrors:
             read_gmsh(p, GridConfig(1, 3))
         assert err.value.line == 6
         assert "line 6" in str(err.value)
+
+    def test_unknown_mid_edge_node(self, tmp_path):
+        # the mid-edge node takes no vertex, but it must still exist
+        p = self.write(
+            tmp_path,
+            "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+            "$Nodes\n2\n1 0 0 0\n2 1 0 0\n$EndNodes\n"
+            "$Elements\n1\n1 8 2 0 0 1 2 3\n$EndElements\n",
+        )
+        with pytest.raises(MshParseError, match="unknown node 3") as err:
+            read_gmsh(p, GridConfig(1, 3))
+        assert err.value.line == 11
 
     def test_no_elements_of_grid_dimension(self, tmp_path):
         p = self.write(
