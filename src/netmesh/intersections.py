@@ -276,12 +276,11 @@ def _fragments(grid, in_view, edge, above):
     split = []
     for c in grid._edges[lev][es].children:
         child = (lev + 1, c)
-        here = above + [
-            (nrec, lev + 1, t, child, nrec.edges.index(c))
-            for t in grid._edges[lev + 1][c].incident
-            for nrec in (grid._elems[lev + 1][t],)
-            if in_view(lev + 1, nrec)
-        ]
+        here = list(above)
+        for t in grid._edges[lev + 1][c].incident:
+            nrec = grid._elems[lev + 1][t]
+            if in_view(lev + 1, nrec):
+                here.append((nrec, lev + 1, t, child, nrec.edges.index(c)))
         split += _fragments(grid, in_view, child, here)
     if any(len(partial) > len(above) for _, partial in split):
         return split

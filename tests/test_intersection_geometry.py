@@ -9,9 +9,9 @@ local corners under the inside element's map.
 
 The last tests run random adapt, grow and remove rounds on the same fan.
 After each round they check that fragments tile every leaf facet, and that
-every corner and volume keeps the bits of the numpy expressions the
-geometries were computed with before they moved to Python floats and
-shared per-element corners.
+every corner, volume and centre has the bits of the numpy array
+expressions written out below, which the Python-float arithmetic and the
+shared per-element corners must reproduce.
 """
 
 import math
