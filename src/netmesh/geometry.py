@@ -59,10 +59,10 @@ class AffineGeometry:
         """True when the spanned measure vanishes relative to the corner scale."""
         if self.dim == 0:
             return False
-        # Python floats over the rows of A^T = corners[1:] - corners[0], each
-        # square summed left to right: the same bits as numpy's row sums of
-        # (corners - corners[0])**2, at a fraction of the cost.
-        scale = max([sum([x * x for x in row]) for row in self._a.T.tolist()])
+        # Python floats over the rows of A^T = corners[1:] - corners[0]: the
+        # same bits as numpy's row sums of (corners - corners[0])**2, at a
+        # fraction of the cost.
+        scale = max([_plain_sum([x * x for x in row]) for row in self._a.T.tolist()])
         if scale == 0.0:
             return True
         # det(A^T A) carries units length^(2k) and its round-off is of order
@@ -88,10 +88,10 @@ class AffineGeometry:
 
     def center(self):
         """Image of the reference barycenter."""
-        # Python floats, each column summed top to bottom: the same bits as
-        # ``corners.mean(axis=0)``, at a fraction of the cost.
+        # Python floats: the same bits as ``corners.mean(axis=0)``, at a
+        # fraction of the cost.
         n = len(self.corners)
-        return np.array([sum(column) / n for column in zip(*self.corners.tolist())])
+        return np.array([_plain_sum(column) / n for column in zip(*self.corners.tolist())])
 
     # -- inverse map ------------------------------------------------------
 
@@ -143,6 +143,19 @@ class AffineGeometry:
         self._require_regular()
         inv = _inverse_small(self._gram, self._det)
         return self._a @ inv
+
+
+def _plain_sum(terms):
+    """Sum from 0.0, left to right, as numpy reduces fewer than eight terms.
+
+    Not the built-in ``sum``: from Python 3.12 on it compensates float
+    round-off, so 1e16 + 1.0 + 1.0 gives 1e16 + 2 where numpy gives 1e16.
+    Starting from 0.0 also gives numpy's +0.0 for a sum of negative zeros.
+    """
+    s = 0.0
+    for x in terms:
+        s += x
+    return s
 
 
 def _det_small(m):

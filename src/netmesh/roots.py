@@ -38,12 +38,13 @@ log = logging.getLogger(__name__)
 SCENARIO_KEYS = (
     "seed", "steps", "branch_probability", "elongation_probability", "gravity_bias",
     "segment_length", "initial_segments", "k_x", "k_r", "radius", "soil_pressure",
-    "collar_pressure", "max_elements", "output_prefix",
+    "collar_pressure", "output_prefix",
 )
 
-# Default growth bound.  Growth is exponential: at branch probability 0.3 a
-# root of 8 segments has 24,992 after 20 steps (peak memory 143 MB), and 30
-# steps do not finish in ten minutes.  The bound is four times that count.
+# Growth bound: the most leaf segments a growth round may leave.  Growth is
+# exponential: at branch probability 0.3 a root of 8 segments has 24,992
+# after 20 steps (peak memory 143 MB), and 30 steps do not finish in ten
+# minutes.  The bound is four times that count.
 MAX_ELEMENTS = 100_000
 
 _MASK64 = (1 << 64) - 1
@@ -122,7 +123,6 @@ class GrowthIndicator:
     gravity_bias: float = 1.0
     segment_length: float = 0.01
     anchored_ids: tuple = ()  # vertex ids never treated as growable tips (the collar)
-    max_elements: int = MAX_ELEMENTS  # leaf segments a growth round may leave at most
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,7 @@ def grow_grid(grid, indicator, variables, step=0):
     Tips of fresh segments are free boundary vertices and therefore
     no-flow by construction.  Raises :class:`ScenarioError` before
     queueing anything when the round would leave more than
-    ``indicator.max_elements`` leaf segments.
+    :data:`MAX_ELEMENTS` leaf segments.
     """
     # (1) indicator pass
     view = grid.leaf_view()
@@ -289,10 +289,10 @@ def grow_grid(grid, indicator, variables, step=0):
         if d is not None:
             decisions.append((el, d))
     count = view.size(0) + len(decisions)
-    if count > indicator.max_elements:
+    if count > MAX_ELEMENTS:
         raise ScenarioError(
             f"growth step {step} would grow the root to {count} segments, "
-            f"more than max_elements = {indicator.max_elements}"
+            f"more than the bound of {MAX_ELEMENTS}"
         )
 
     # (2) queue the new segments: vertex from the indicator, one line each
@@ -354,7 +354,6 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     gravity = s.get_float("gravity_bias", 1.0)
     seg_len = s.get_float("segment_length", 0.01)
     segments = s.get_int("initial_segments", 8)
-    max_elements = s.get_int("max_elements", MAX_ELEMENTS)
     k_x = s.get_float("k_x", 4.32e-2)
     k_r = s.get_float("k_r", 1.73e-4)
     radius = s.get_float("radius", 2.0e-3)
@@ -377,8 +376,6 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
                  if not 0.0 <= floats[name] <= 1.0]
     if segments < 1:
         problems.append("initial_segments must be at least 1")
-    if max_elements < segments:
-        problems.append("max_elements must be at least initial_segments")
     if n_steps < 0:
         problems.append("steps must be nonnegative")
     if problems:
@@ -396,7 +393,6 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
         gravity_bias=gravity,
         segment_length=seg_len,
         anchored_ids=(collar,),
-        max_elements=max_elements,
     )
     problem = RootProblem(
         axial_conductance=k_x,

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from netmesh import roots
 from netmesh.cli import main
 from netmesh.views import GridView
 
@@ -191,8 +192,6 @@ class TestErrorCategories:
             ("k_r", "1e308", "out of floating-point range"),
             ("radius", "1e308", "out of floating-point range"),
             ("gravity_bias", "1e200", "out of floating-point range"),
-            ("max_elements", "7", "max_elements must be at least initial_segments"),
-            ("max_elements", "9", "step 1 would grow the root to 10 segments, more than max_elements = 9"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -205,6 +204,14 @@ class TestErrorCategories:
         assert err.startswith("scenario-error:")
         assert message in err
         assert err.count("\n") == 1
+
+    def test_growth_past_the_bound_is_3(self, capsys, tmp_path, monkeypatch):
+        # the bundled root has 8 segments and 9 after step 0; step 1 would leave 10
+        monkeypatch.setattr(roots, "MAX_ELEMENTS", 9)
+        scen = ROOT / "scenarios" / "roots.txt"
+        code, out, err = run(capsys, "roots", scen, "--out", tmp_path / "out", "--steps", 3)
+        assert code == 3
+        assert err == "scenario-error: growth step 1 would grow the root to 10 segments, more than the bound of 9\n"
 
     @pytest.mark.parametrize("command,name", [("flow", "vessels.txt"), ("roots", "roots.txt")])
     def test_negative_scenario_steps_is_3(self, capsys, tmp_path, command, name):

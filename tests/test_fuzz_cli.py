@@ -7,10 +7,9 @@ list and run through ``flow``/``roots --steps 2``.  Warnings are errors.
 Every run must end with exit 0 or a categorized error (2-5) and raise no
 exception; after exit 0, ``summary.txt`` holds no nan or inf.
 
-The growth bound ``max_elements`` is a roots key like the others here;
-every value in the list is refused before step 0.  ``test_cli.py``
-checks a bound that growth reaches.  Root growth is exponential, so a
-roots run is still kept to two steps.
+Not covered: the growth bound ``roots.MAX_ELEMENTS``.  It is a constant,
+not a scenario key; ``test_cli.py`` lowers it to reach it.  Root growth
+is exponential, so a roots run is kept to two steps here.
 """
 
 import tempfile

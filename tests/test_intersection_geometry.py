@@ -352,6 +352,27 @@ def test_is_degenerate_matches_numpy(k, w, scale, seed, bend):
     if k == 2:  # third corner on the line through the first two, bent off it by ``bend``
         t = rng.uniform(-1.0, 2.0)
         corners[2] = corners[0] + t * (corners[1] - corners[0]) + bend * scale * rng.normal(size=w)
+    assert_numpy_classification(corners)
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [
+        # a compensated sum (the built-in sum from Python 3.12 on) gives
+        # 1e16 + 2 for 1e16 + 1 + 1, numpy's plain one 1e16
+        [[1e16, -0.0, 0.0], [1.0, -0.0, 1.0], [1.0, -0.0, 0.0]],  # centre column
+        [[0.0, 0.0, 0.0], [1e8, 1.0, 1.0]],  # squares of the corner scale
+        [[0.0, 0.0, 0.0], [1e8, 1.0, 1.0], [0.0, 1e8, 0.0]],
+        # numpy sums negative zeros to +0.0
+        [[-0.0, 0.0], [-0.0, 1.0]],
+    ],
+)
+def test_rounding_sensitive_corners_match_numpy(corners):
+    """Sums whose rounding or sign depends on how they are added classify and centre as numpy did."""
+    assert_numpy_classification(np.array(corners))
+
+
+def assert_numpy_classification(corners):
     geo = AffineGeometry(corners)
     assert_same_geometry(geo, corners)
     assert same_bits(geo.center(), corners.mean(axis=0))
