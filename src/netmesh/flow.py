@@ -124,11 +124,14 @@ class FacetTable:
     that id.  The table groups the 2N segment ends by one sort over
     (vertex id, element id); element ``i`` is the element with index
     ``i`` in the view.  Per element: persistent ``ids`` and ``lengths``.
-    Per facet record, in sweep order (element, facet 0 then 1,
-    neighbours by ascending id): ``inside`` and ``outside`` element
-    indices (``outside`` is -1 on a boundary facet), the persistent id of
-    the ``facet`` (the junction vertex) and the ``junction`` number (-1
-    on a boundary facet).  Junctions are numbered as the sweep first
+    Per segment end, as ``(n, 2)`` arrays over element and facet: the
+    persistent vertex id ``end_ids`` and the leaf degree ``end_degrees``
+    (the size of the end's group); ``corners`` holds the end coordinates,
+    ``(n, 2, world_dim)``.  Per facet record, in sweep order (element,
+    facet 0 then 1, neighbours by ascending id): ``inside`` and
+    ``outside`` element indices (``outside`` is -1 on a boundary facet),
+    the persistent id of the ``facet`` (the junction vertex) and the
+    ``junction`` number (-1 on a boundary facet).  Junctions are numbered as the sweep first
     reaches them; ``member_junction`` and ``member_element`` list each
     one row per element, by ascending element id.
     """
@@ -147,12 +150,11 @@ class FacetTable:
             corners += (a.coords, b.coords)
         n = len(ids)
         self.ids = np.array(ids, dtype=np.int64)
-        corners = np.array(corners, dtype=float).reshape(n, 2, grid.world_dim)
+        self.corners = corners = np.array(corners, dtype=float).reshape(n, 2, grid.world_dim)
         # sqrt(d . d) as AffineGeometry.volume computes it (np.linalg.norm differs in the
         # last bit); a zero or overflowing d . d is the degenerate segment it refuses
         with np.errstate(all="ignore"):
-            d = corners[:, 1] - corners[:, 0]
-            squared = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+            squared = squared_norms(corners[:, 1] - corners[:, 0])
         bad = np.flatnonzero((squared == 0.0) | (squared == math.inf))
         if len(bad):
             raise SingularGeometryError(f"degenerate 1-simplex with corners {corners[bad[0]].tolist()}")
@@ -169,6 +171,8 @@ class FacetTable:
         group = (np.cumsum(starts) - 1)[place]
         first = np.flatnonzero(starts)
         size = np.diff(np.append(first, 2 * n))
+        self.end_ids = vid.reshape(n, 2)
+        self.end_degrees = size[group].reshape(n, 2)
 
         # junctions: groups of two or more ends, numbered as the sweep reaches them
         reached = np.full(len(first), 2 * n)
@@ -213,6 +217,15 @@ class FacetTable:
         for r in np.flatnonzero(self.outside < 0).tolist():
             out[r] = values.get(int(self.facet[r]), default)
         return out
+
+
+def squared_norms(d):
+    """Row-wise d . d of an (m, w) array with the bits of ``v @ v`` on each row.
+
+    A batched matmul rounds each row as the 1-D product does; elementwise
+    sums add in another order and differ in the last bit.
+    """
+    return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
 
 
 def facet_table(view):

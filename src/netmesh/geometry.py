@@ -67,7 +67,11 @@ class AffineGeometry:
             return True
         # det(A^T A) carries units length^(2k) and its round-off is of order
         # eps * scale^k, so compare against that; small-but-healthy elements pass.
-        return self._det <= 64.0 * _EPS * scale**self.dim
+        try:
+            power = scale**self.dim
+        except OverflowError:  # a float power raises where numpy's gives inf
+            power = math.inf
+        return self._det <= 64.0 * _EPS * power
 
     def _require_regular(self):
         if self.is_degenerate():

@@ -12,6 +12,12 @@ iteration order and whole runs are bit-reproducible.  Tip segments may
 elongate straight ahead; other segments may sprout a lateral branch in a
 random direction pulled downwards by the gravity bias.  Gravity enters
 the geometry only, never the flow operator.
+
+A growth round draws the decisions of all its segments in one vectorized
+pass (:func:`round_decisions`), with the streams held as numpy ``uint64``
+arrays.  The scalar generator :class:`Xoshiro256StarStar` and
+:func:`indicator_evaluate` are the reference that pass matches bit for
+bit: the same elements, attach vertices and coordinates.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 # marked F401 are held here only to be wrapped
 from . import flow
 from .errors import ScenarioError, SingularSystemError
-from .flow import checked_solve, facet_table, two_point_system
+from .flow import checked_solve, facet_table, squared_norms, two_point_system
 from .flow import junction_two_point_transmissibilities  # noqa: F401
 from .intersections import intersections  # noqa: F401
 from .topology import LINE
@@ -113,6 +119,58 @@ class Xoshiro256StarStar:
                 return v / math.sqrt(n2)
 
 
+# explicit uint64 operands: numpy 1.x and 2.x promote uint64 with other integers
+# differently, and uint64 with int64 goes to float
+_U64 = np.uint64
+
+
+def _mix64_array(x):
+    """:func:`_mix64` over a ``uint64`` array; array arithmetic wraps silently."""
+    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return x ^ (x >> _U64(31))
+
+
+def _rotl_array(x, k):
+    return (x << _U64(k)) | (x >> _U64(64 - k))
+
+
+class _Streams:
+    """One :class:`Xoshiro256StarStar` per entry of a ``uint64`` seed array.
+
+    A draw advances every stream held; :meth:`keep` drops the streams that
+    draw no further, so each stream still sees its own draws in order.
+    """
+
+    def __init__(self, seeds):
+        state, s = seeds, []
+        for _ in range(4):
+            state = state + _U64(_GOLDEN)
+            s.append(_mix64_array(state))
+        self._s = np.stack(s)
+
+    def keep(self, rows):
+        self._s = self._s[:, rows]
+
+    def uniform(self):
+        s0, s1, s2, s3 = self._s  # row views: the updates below write the state
+        result = _rotl_array(s1 * _U64(5), 7) * _U64(9)
+        t = s1 << _U64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3[:] = _rotl_array(s3, 45)
+        return (result >> _U64(11)).astype(float) * 2.0**-53
+
+
+def _stream_seeds(seed, ids, step):
+    """:func:`stream_seed` over an array of element ids; the scalars stay Python ints."""
+    h = _mix64_array((ids.astype(_U64) + _U64(_GOLDEN)) ^ _U64(_mix64(seed)))
+    return _mix64_array(h ^ _U64((step + 0xD1B54A32D192ED03) & _MASK64))
+
+
 @dataclass(frozen=True)
 class GrowthIndicator:
     """Per-step random growth law; deterministic given the seed."""
@@ -183,6 +241,65 @@ def indicator_evaluate(indicator, grid, element, step):
             break
     coords = attach.coords + d / norm * indicator.segment_length
     return GrowthDecision("branch", attach, coords)
+
+
+def round_decisions(indicator, view, step):
+    """The decisions of :func:`indicator_evaluate` for every element of ``view``.
+
+    Returns ``(positions, ends, coords)``: the ascending view indices of
+    the elements that grow, the end (0 or 1) each new segment attaches
+    to, and the new vertex coordinates, one row per decision.  End ids,
+    leaf degrees and corners come from the view's facet table.  All
+    streams draw together; a draw advances only the streams that make it
+    at that point, and the cube rejection and the norm retry of a branch
+    direction run as rounds over the streams still pending.
+    """
+    table = facet_table(view)
+    w = view.grid.world_dim
+    streams = _Streams(_stream_seeds(indicator.seed, table.ids, step))
+    r_elongate = streams.uniform()
+    r_branch = streams.uniform()
+    anchored = np.isin(table.end_ids, np.array(indicator.anchored_ids, dtype=np.int64))
+    tips = (table.end_degrees == 1) & ~anchored
+    has_tip = tips.any(axis=1)
+    elongate = has_tip & ~(r_elongate >= indicator.elongation_probability)
+    branch = ~has_tip & ~(r_branch >= indicator.branch_probability)
+    ends = np.where(tips[:, 0], 0, 1)  # the first tip
+    coords = np.empty((table.size, w))
+
+    rows = np.flatnonzero(elongate)
+    tip = table.corners[rows, ends[rows]]
+    axis = tip - table.corners[rows, 1 - ends[rows]]
+    coords[rows] = tip + axis / np.sqrt(squared_norms(axis))[:, None] * indicator.segment_length
+
+    rows = np.flatnonzero(branch)
+    streams.keep(rows)
+    pick = np.where(streams.uniform() < 0.5, 0, 1)
+    ends[rows] = np.where(anchored[rows, pick], 1 - pick, pick)
+    down = np.zeros(w)
+    down[-1] = -indicator.gravity_bias
+    d = np.empty((len(rows), w))
+    norm = np.empty(len(rows))
+    pending = np.arange(len(rows))
+    while len(pending):
+        v = np.stack([2.0 * streams.uniform() - 1.0 for _ in range(w)], axis=1)
+        n2 = squared_norms(v)
+        inside = np.flatnonzero((1e-12 < n2) & (n2 <= 1.0))
+        tilted = v[inside] / np.sqrt(n2[inside])[:, None] + down
+        tilted_norm = np.sqrt(squared_norms(tilted))
+        good = tilted_norm > 1e-9
+        done = inside[good]
+        d[pending[done]] = tilted[good]
+        norm[pending[done]] = tilted_norm[good]
+        left = np.ones(len(pending), dtype=bool)
+        left[done] = False
+        pending = pending[left]
+        streams.keep(left)
+    attach = table.corners[rows, ends[rows]]
+    coords[rows] = attach + d / norm[:, None] * indicator.segment_length
+
+    chosen = np.flatnonzero(elongate | branch)
+    return chosen, ends[chosen], coords[chosen]
 
 
 @dataclass
@@ -280,15 +397,11 @@ def grow_grid(grid, indicator, variables, step=0):
     queueing anything when the round would leave more than
     :data:`MAX_ELEMENTS` leaf segments.
     """
-    # (1) indicator pass
+    # (1) indicator pass, over the whole view at once
     view = grid.leaf_view()
     ix = view.index_set
-    decisions = []
-    for el in view.elements():
-        d = indicator_evaluate(indicator, grid, el, step)
-        if d is not None:
-            decisions.append((el, d))
-    count = view.size(0) + len(decisions)
+    positions, ends, coords = round_decisions(indicator, view, step)
+    count = view.size(0) + len(positions)
     if count > MAX_ELEMENTS:
         raise ScenarioError(
             f"growth step {step} would grow the root to {count} segments, "
@@ -296,11 +409,11 @@ def grow_grid(grid, indicator, variables, step=0):
         )
 
     # (2) queue the new segments: vertex from the indicator, one line each
-    sources = []  # queue position -> originating element id
-    for el, d in decisions:
-        new_idx = grid.queue_vertex(d.coords)
-        grid.queue_element(LINE, [ix.index_of(d.attach), new_idx])
-        sources.append(el.id)
+    elements = view.elements()
+    for pos, end, xyz in zip(positions.tolist(), ends.tolist(), coords):
+        new_idx = grid.queue_vertex(xyz)
+        grid.queue_element(LINE, [ix.index_of(elements[pos].sub_entity(1, end)), new_idx])
+    sources = facet_table(view).ids[positions].tolist()  # queue position -> originating element id
 
     # (3) store variables by persistent id
     store = flow.store_leaf_data(grid, view, variables)

@@ -283,16 +283,16 @@ def test_7_pressure_oracle(chain4):
         p = solve_pressure(view, problem, np.full(4, r))[order]
 
         t = math.pi * r**4 / (2.0 * mu * (2.0 + gamma))
-        h = t / 2.0
-        dense = np.array(
-            [
-                [t + h, -h, 0, 0],
-                [-h, 2 * h, -h, 0],
-                [0, -h, 2 * h, -h],
-                [0, 0, -h, h + t],
-            ]
-        )
-        expected = np.linalg.solve(dense, np.array([t, 0.0, 0.0, 0.0]))
+        lengths = np.array([el.geometry.volume() for el in view.elements()])[order]
+        g = 2.0 * t / lengths  # half-cell conductances
+        dense = np.zeros((4, 4))
+        for i in range(3):  # interior facet: the two half cells in series
+            c = g[i] * g[i + 1] / (g[i] + g[i + 1])
+            dense[[i, i + 1], [i, i + 1]] += c
+            dense[[i, i + 1], [i + 1, i]] -= c
+        dense[0, 0] += g[0]  # Dirichlet facets couple with the element's own g_i
+        dense[3, 3] += g[3]
+        expected = np.linalg.solve(dense, np.array([g[0] * 1.0, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose(p, expected, rtol=1e-12)
         np.testing.assert_allclose(p, [7 / 8, 5 / 8, 3 / 8, 1 / 8], rtol=1e-12)
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_grid
-from netmesh import intersections
+from netmesh import SingularGeometryError, intersections
 from netmesh.geometry import REFERENCE_CORNERS, AffineGeometry
 from netmesh.topology import TRIANGLE, TRIANGLE_EDGES, audit_grid
 
@@ -370,6 +370,15 @@ def test_is_degenerate_matches_numpy(k, w, scale, seed, bend):
 def test_rounding_sensitive_corners_match_numpy(corners):
     """Sums whose rounding or sign depends on how they are added classify and centre as numpy did."""
     assert_numpy_classification(np.array(corners))
+
+
+@pytest.mark.parametrize("size", [1e80, 1e100])
+def test_overflowing_corner_scale_is_singular(size):
+    """A triangle whose scale**2 overflows is singular, as a 1e160 triangle is."""
+    with np.errstate(over="ignore"):  # the determinant overflows to inf on the way
+        geo = AffineGeometry([[0.0, 0.0, 0.0], [size, 0.0, 0.0], [0.0, size, 0.0]])
+        with pytest.raises(SingularGeometryError):
+            geo.volume()
 
 
 def assert_numpy_classification(corners):

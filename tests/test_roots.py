@@ -10,8 +10,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netmesh import ScenarioError, SingularSystemError
+from netmesh.flow import facet_table
 from netmesh.roots import (
     GrowthIndicator,
     RootProblem,
@@ -25,6 +28,7 @@ from netmesh.roots import (
     grow_grid,
     indicator_evaluate,
     leaf_degree,
+    round_decisions,
     stream_seed,
     total_uptake,
 )
@@ -310,6 +314,121 @@ class TestRootPressure:
     def test_validate_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ScenarioError):
             RootProblem(**kwargs).validate()
+
+
+def vectorized_decisions(indicator, view, step):
+    positions, ends, coords = round_decisions(indicator, view, step)
+    return [(p, e, c.tobytes()) for p, e, c in zip(positions.tolist(), ends.tolist(), coords)]
+
+
+def scalar_decisions(indicator, view, step):
+    """What round_decisions must return, as a loop over indicator_evaluate."""
+    out = []
+    for pos, el in enumerate(view.elements()):
+        d = indicator_evaluate(indicator, view.grid, el, step)
+        if d is not None:
+            ends = [el.sub_entity(1, k).id for k in range(2)]
+            out.append((pos, ends.index(d.attach.id), d.coords.tobytes()))
+    return out
+
+
+def refine_some(grid, rng, share=0.3):
+    for el in grid.leaf_view().elements():
+        if rng.uniform() < share:
+            grid.mark(1, el)
+    grid.pre_adapt()
+    grid.adapt()
+    grid.post_adapt()
+
+
+PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestVectorizedRound:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.sampled_from([0, -1, -(2**63), 2**64, 2**64 + 1, 2**70]),
+            st.integers(-(2**70), 2**70),
+        ),
+        first_step=st.one_of(st.just(0), st.integers(-(2**65), 2**65)),
+        branch=PROBABILITIES,
+        elongation=PROBABILITIES,
+        # with gravity 1 in one world dimension, half the branch directions
+        # cancel the pull and take the 1e-9 retry; in three, the cube rejects
+        # about half of all draws
+        gravity=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0)),
+        world_dim=st.integers(1, 3),
+        segments=st.integers(1, 20),
+        rounds=st.lists(st.booleans(), min_size=1, max_size=4),
+        rng_seed=st.integers(0, 2**32 - 1),
+    )
+    # pinned: the 1e-9 retry on every other branch, and the largest seed and step
+    @example(seed=-1, first_step=0, branch=1.0, elongation=0.5, gravity=1.0, world_dim=1,
+             segments=6, rounds=[False, True], rng_seed=0)
+    @example(seed=2**64, first_step=2**65, branch=0.5, elongation=1.0, gravity=3.0, world_dim=3,
+             segments=20, rounds=[False, False, True, False], rng_seed=1)
+    def test_round_matches_indicator_evaluate(
+        self, seed, first_step, branch, elongation, gravity, world_dim, segments, rounds, rng_seed
+    ):
+        """Same elements, attach ends and coordinate bytes as the scalar loop, round by round."""
+        grid, collar = build_vertical_root(segments, 0.01, world_dim=world_dim)
+        ind = GrowthIndicator(
+            seed=seed, branch_probability=branch, elongation_probability=elongation,
+            gravity_bias=gravity, segment_length=0.01, anchored_ids=(collar,),
+        )
+        rng = np.random.default_rng(rng_seed)
+        variables = {}
+        for k, refine in enumerate(rounds):
+            if refine:
+                refine_some(grid, rng)
+            step = first_step + k
+            view = grid.leaf_view()
+            assert vectorized_decisions(ind, view, step) == scalar_decisions(ind, view, step)
+            _, variables = grow_grid(grid, ind, variables, step=step)
+
+    def test_doubling_rounds_match(self):
+        """The root-growth benchmark's shape: every segment grows at every step."""
+        grid, collar = build_vertical_root(128, 0.01)
+        ind = GrowthIndicator(
+            seed=1, branch_probability=1.0, elongation_probability=1.0,
+            gravity_bias=0.5, anchored_ids=(collar,),
+        )
+        for step in range(5):
+            view = grid.leaf_view()
+            got = vectorized_decisions(ind, view, step)
+            assert len(got) == view.size(0)
+            assert got == scalar_decisions(ind, view, step)
+            grow_grid(grid, ind, {}, step=step)
+        assert grid.leaf_view().size(0) == 128 * 2**5
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        segments=st.integers(1, 12),
+        rounds=st.lists(st.booleans(), min_size=1, max_size=4),
+    )
+    def test_end_degrees_equal_leaf_degree(self, seed, segments, rounds):
+        """On grown and refined networks, the table's per-end arrays are the chain walk's."""
+        grid, collar = build_vertical_root(segments, 0.01)
+        ind = GrowthIndicator(
+            seed=seed, branch_probability=0.4, elongation_probability=0.8,
+            anchored_ids=(collar,),
+        )
+        rng = np.random.default_rng(seed)
+        for step, refine in enumerate(rounds):
+            if refine:
+                refine_some(grid, rng)
+            else:
+                grow_grid(grid, ind, {}, step=step)
+            view = grid.leaf_view()
+            table = facet_table(view)
+            for i, el in enumerate(view.elements()):
+                for k in range(2):
+                    v = el.sub_entity(1, k)
+                    assert table.end_ids[i, k] == v.id
+                    assert table.end_degrees[i, k] == leaf_degree(grid, v)
+                    assert table.corners[i, k].tobytes() == v.coords.tobytes()
 
 
 class TestGrowGrid:
