@@ -303,13 +303,12 @@ def two_point_system(table, t, sink, sink_value, dirichlet, inflow):
     )
 
 
-def assemble_pressure(view, problem, radius, t=None):
+def assemble_pressure(view, problem, radius):
     """Sparse system (A, b) for the leaf pressures."""
     table = facet_table(view)
     radius = np.asarray(radius, dtype=float)
-    if t is None:
-        t = element_transmissibility(radius, problem.viscosity, problem.gamma)
-    g = 2.0 * np.asarray(t, dtype=float) / table.lengths
+    t = element_transmissibility(radius, problem.viscosity, problem.gamma)
+    g = 2.0 * t / table.lengths
     leak = _TWO_PI * radius * problem.l_p * table.lengths
     inflow = table.boundary_values(problem.neumann_velocity) * math.pi * radius[table.inside] ** 2
     dirichlet = table.boundary_values(problem.dirichlet_pressure)
@@ -335,9 +334,9 @@ def checked_solve(a, b, what, hint=""):
     return x
 
 
-def solve_pressure(view, problem, radius, t=None):
+def solve_pressure(view, problem, radius):
     """Direct sparse solve; raises SingularSystemError for closed no-leak systems."""
-    a, b = assemble_pressure(view, problem, radius, t=t)
+    a, b = assemble_pressure(view, problem, radius)
     return checked_solve(a, b, "pressure", " (no Dirichlet facet and no wall conductivity?)")
 
 
@@ -623,9 +622,8 @@ def run_scenario(scenario, out_dir, steps=None):
 def adapt_with_state(grid, marks, state, max_level=None):
     """Mark, adapt and transfer a FlowState; returns (new_view, new_state, changed)."""
     view = grid.leaf_view()
-    ix = view.index_set
-    for el in view.elements():
-        m = marks[ix.index_of(el)]
+    for i, el in enumerate(view.elements()):  # the index set numbers elements in this order
+        m = marks[i]
         if m > 0 and max_level is not None and el.level >= max_level:
             continue
         if m:

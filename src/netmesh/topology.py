@@ -9,8 +9,9 @@ coarsening or growth transaction compacts the arenas.
 A vertex that appears on several levels is stored once per level; the
 copies are linked through ``father``/``finer`` and share one persistent
 id, so they act as a single logical vertex across the hierarchy.
-``Grid._vertex_chain`` is the one walk over such a chain; junctions,
-hanging-node lookups and growth all ask it.
+Views, index sets and the facet table name a logical vertex by that id;
+``Grid._vertex_chain`` is the one walk over its copies, for the 1D
+intersection sweep, ``roots.leaf_degree`` and growth.
 
 Records enter the arenas only through ``Grid._add_vertex``,
 ``Grid._add_element`` and ``Grid._get_or_make_edge`` (factory,

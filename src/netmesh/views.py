@@ -7,45 +7,19 @@ Index sets number the entities of one view consecutively from zero per
 codimension, in iteration order, and are rebuilt eagerly on view
 creation.  Persistent ids (``entity.id``) survive every transaction for
 entities that survive.
+
+A view keys each codimension by persistent id, the same rule the facet
+table and growth use: the copies of a vertex on different levels share
+one id and are one logical vertex.  A level view keeps every record of
+its level.  The leaf view keeps the leaf elements and the edges and
+vertices that touch a leaf element; of a vertex it keeps the finest copy
+that touches a leaf, so any copy asks for the same index.
 """
 
 from __future__ import annotations
 
 from .errors import StaleEntityError
 from .topology import Edge, Element, Vertex
-
-
-def element_is_leaf(grid, level, slot):
-    return not grid._elems[level][slot].children
-
-
-def edge_in_leaf_view(grid, level, slot):
-    """An edge belongs to the leaf view iff some incident element is a leaf."""
-    rec = grid._edges[level][slot]
-    elems = grid._elems[level]
-    return any(not elems[t].children for t in rec.incident)
-
-
-def _touches_leaf(grid, level, slot):
-    elems = grid._elems[level]
-    return any(not elems[t].children for t in grid._verts[level][slot].incident)
-
-
-def vertex_in_leaf_view(grid, level, slot):
-    """Finest chain copy that touches at least one leaf element.
-
-    Each logical vertex appears in the leaf view exactly once, through
-    this representative; coarser copies of hanging nodes are excluded.
-    """
-    if not _touches_leaf(grid, level, slot):
-        return False
-    rec = grid._verts[level][slot]
-    while rec.finer is not None:
-        level, slot = level + 1, rec.finer
-        if _touches_leaf(grid, level, slot):
-            return False
-        rec = grid._verts[level][slot]
-    return True
 
 
 class GridView:
@@ -55,15 +29,11 @@ class GridView:
         self.grid = grid
         self.level = level  # None selects the leaf view
         self._revision = grid._revision
-        self._index = {}
+        self._index = {}  # codim -> {persistent id: index}
         self._entities = {}
         self._facet_table = None  # built by flow.facet_table on first use
         for codim in self._codims():
             self._build(codim)
-
-    @property
-    def is_leaf_view(self):
-        return self.level is None
 
     def _codims(self):
         return (0, 1, self.grid.dim) if self.grid.dim == 2 else (0, 1)
@@ -73,25 +43,29 @@ class GridView:
             raise StaleEntityError("view created before the last grid modification")
 
     def _build(self, codim):
+        """One pass over the records in (level, slot) order, keyed by id.
+
+        A vertex copy that is kept replaces the coarser copies kept before
+        it, at its own place, so the finest copy touching a leaf stays.
+        """
         grid = self.grid
-        d = grid.dim
-        ents = []
-        levels = range(len(grid._elems)) if self.level is None else (self.level,)
-        for level in levels:
-            if codim == 0:
-                for slot in range(len(grid._elems[level])):
-                    if self.level is not None or element_is_leaf(grid, level, slot):
-                        ents.append(Element(grid, level, slot))
-            elif codim == d:
-                for slot in range(len(grid._verts[level])):
-                    if self.level is not None or vertex_in_leaf_view(grid, level, slot):
-                        ents.append(Vertex(grid, level, slot))
-            else:  # codim 1 of a dim-2 grid
-                for slot in range(len(grid._edges[level])):
-                    if self.level is not None or edge_in_leaf_view(grid, level, slot):
-                        ents.append(Edge(grid, level, slot))
-        self._entities[codim] = ents
-        self._index[codim] = {(e.level, e.slot): i for i, e in enumerate(ents)}
+        if codim == 0:
+            kind, arena = Element, grid._elems
+        elif codim == grid.dim:
+            kind, arena = Vertex, grid._verts
+        else:  # codim 1 of a dim-2 grid
+            kind, arena = Edge, grid._edges
+        leaf = self.level is None
+        kept = {}
+        for level in range(len(arena)) if leaf else (self.level,):
+            elems = grid._elems[level]
+            for slot, rec in enumerate(arena[level]):
+                if leaf and (rec.children if codim == 0 else all(elems[t].children for t in rec.incident)):
+                    continue
+                kept.pop(rec.id, None)
+                kept[rec.id] = kind(grid, level, slot)
+        self._entities[codim] = list(kept.values())
+        self._index[codim] = {rid: i for i, rid in enumerate(kept)}
 
     # -- public surface ---------------------------------------------------
 
@@ -115,9 +89,10 @@ class GridView:
         return len(self._entities[codim])
 
     def contains(self, entity):
+        """Whether ``entity`` itself, not merely a copy of it, is in this view."""
         self._check_fresh()
-        codim = entity.codim
-        return (entity.level, entity.slot) in self._index.get(codim, {})
+        i = self._index.get(entity.codim, {}).get(entity.id)
+        return i is not None and self._entities[entity.codim][i] == entity
 
     @property
     def index_set(self):
@@ -136,23 +111,17 @@ class IndexSet:
     def index_of(self, entity):
         """Index of ``entity`` in its codim; StaleEntityError when not in view.
 
-        Vertex queries resolve through the chain: asking with a coarser copy
-        of a leaf-view vertex yields the index of its finest copy, so corner
-        lookups from coarse leaf elements land on the right point.
+        The index belongs to the persistent id: in the leaf view, asking
+        with a coarser copy of a vertex yields the index of its finest
+        copy, so corner lookups from coarse leaf elements land on the
+        right point.
         """
-        self.view._check_fresh()
-        if entity.grid is not self.view.grid:
+        view = self.view
+        view._check_fresh()
+        if entity.grid is not view.grid:
             raise StaleEntityError("entity belongs to a different grid")
-        codim = entity.codim
-        table = self.view._index.get(codim)
-        if table is None:
-            raise StaleEntityError(f"no codim {codim} in this view")
-        key = (entity.level, entity.slot)
-        if key in table:
-            return table[key]
-        if isinstance(entity, Vertex) and self.view.is_leaf_view:
-            # at most one copy represents the logical vertex in the leaf view
-            for copy in self.view.grid._vertex_chain(entity.level, entity.slot):
-                if copy in table:
-                    return table[copy]
-        raise StaleEntityError(f"{entity!r} is not part of this view")
+        i = view._index.get(entity.codim, {}).get(entity.id)
+        # vertex copies share their id, so a level view also matches the level
+        if i is None or (view.level is not None and entity.level != view.level):
+            raise StaleEntityError(f"{entity!r} is not part of this view")
+        return i

@@ -60,3 +60,30 @@ def refine_all(grid, rounds=1):
         grid.adapt()
         grid.post_adapt()
     return grid
+
+
+def brute_force_leaf_view(grid):
+    """(level, slot) of every leaf-view entity per codim, from the records alone.
+
+    Leaf elements; edges with a leaf triangle; and, per vertex id, the
+    finest copy that touches a leaf element. Each list is in (level, slot)
+    order.
+    """
+    elements, edges, finest = [], [], {}
+    for level, (elem_recs, edge_recs, vert_recs) in enumerate(zip(grid._elems, grid._edges, grid._verts)):
+        leaves = {t for t, rec in enumerate(elem_recs) if not rec.children}
+        elements += [(level, t) for t in sorted(leaves)]
+        edges += [(level, s) for s, rec in enumerate(edge_recs) if leaves.intersection(rec.incident)]
+        for s, rec in enumerate(vert_recs):
+            if leaves.intersection(rec.incident):
+                finest[rec.id] = (level, s)  # a finer copy overwrites a coarser one
+    expected = {0: elements, grid.dim: sorted(finest.values())}
+    if grid.dim == 2:
+        expected[1] = edges
+    return expected
+
+
+def assert_leaf_view_is_brute_force(grid):
+    view = grid.leaf_view()
+    for codim, expected in brute_force_leaf_view(grid).items():
+        assert [(e.level, e.slot) for e in view.entities(codim)] == expected

@@ -7,7 +7,7 @@ from netmesh import LINE, audit_grid, intersections
 from netmesh.errors import FactoryError, LifecycleError
 from netmesh.roots import leaf_degree
 
-from conftest import make_grid, refine_all
+from conftest import assert_leaf_view_is_brute_force, make_grid, refine_all
 
 
 def test_queue_vertex_indices_continue_leaf_range(chain4):
@@ -167,7 +167,8 @@ def test_vertex_chain_users_agree(transactions):
 
     Random refine, coarsen and grow transactions on a Y network; after each,
     every facet vertex of every leaf element has leaf degree one more than
-    its group's neighbor count, and every copy in its chain has one index.
+    its group's neighbor count, every copy in its chain has one index, and
+    the leaf view holds what a brute-force pass over the records finds.
     """
     grid = make_grid(1, 3, [(0, 0, 0), (1, 0, 0), (2, 1, 0), (2, -1, 0)], [(0, 1), (1, 2), (1, 3)])
     for kind, seed in transactions:
@@ -190,6 +191,7 @@ def test_vertex_chain_users_agree(transactions):
             grid.adapt()
             grid.post_adapt()
         assert audit_grid(grid) == []
+        assert_leaf_view_is_brute_force(grid)
 
         view = grid.leaf_view()
         ix = view.index_set

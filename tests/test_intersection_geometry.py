@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_grid
+from conftest import assert_leaf_view_is_brute_force, make_grid
 from netmesh import SingularGeometryError, intersections
 from netmesh.geometry import REFERENCE_CORNERS, AffineGeometry
 from netmesh.topology import TRIANGLE, TRIANGLE_EDGES, audit_grid
@@ -239,10 +239,15 @@ transactions = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(transactions)
 def test_random_transactions_keep_facets_partitioned(rounds):
-    """Random adapt, grow and remove rounds on the fan keep every leaf facet partitioned."""
+    """Random adapt, grow and remove rounds on the fan keep every leaf facet partitioned.
+
+    The leaf view also holds exactly what a brute-force pass over the
+    records finds.
+    """
     grid = fan_grid()
     for transaction, seed in rounds:
         transaction(grid, np.random.default_rng(seed))
+        assert_leaf_view_is_brute_force(grid)
         assert_partitioned(grid)
 
 

@@ -117,3 +117,41 @@ def test_contains_matches_membership(two_triangles):
     for child in refined_root.children():
         assert view.contains(child)
     assert audit_grid(g) == []
+
+
+def test_stale_handle_is_refused_after_compaction(chain4):
+    g = chain4
+    old = g.leaf_view().elements()
+    ids = [el.id for el in old]
+    g.remove_element(old[0])
+    g.grow()
+    g.post_grow()
+    view = g.leaf_view()
+    # the compaction moved the element after it into the old handle's slot
+    assert view.elements()[old[1].slot].id == ids[2]
+    with pytest.raises(StaleEntityError):
+        view.index_set.index_of(old[1])
+    with pytest.raises(StaleEntityError):
+        view.contains(old[1])
+
+
+def test_contains_refuses_foreign_entity(two_triangles, single_triangle):
+    view = two_triangles.leaf_view()
+    other = single_triangle.leaf_view().elements()[0]
+    assert not view.contains(other)
+    assert view.contains(view.elements()[0])
+
+
+def test_vertex_copies_in_leaf_and_level_views(chain4):
+    refine_all(chain4)
+    coarse = chain4.level_view(0).vertices()[0]
+    level1 = chain4.level_view(1)
+    fine = next(v for v in level1.vertices() if v.id == coarse.id)
+    # a level view answers only for copies of its own level
+    assert level1.contains(fine) and not level1.contains(coarse)
+    with pytest.raises(StaleEntityError):
+        level1.index_set.index_of(coarse)
+    # the leaf view keeps the fine copy and gives both copies its index
+    leaf = chain4.leaf_view()
+    assert leaf.contains(fine) and not leaf.contains(coarse)
+    assert leaf.index_set.index_of(coarse) == leaf.index_set.index_of(fine)
