@@ -25,8 +25,9 @@ Boundary conditions are keyed by the persistent id of the boundary
 vertex, which survives refinement, coarsening and growth.
 
 Every scheme reads one :class:`FacetTable` per view: plain arrays built
-by grouping the segment ends by persistent vertex id, indexed by the
-view's index set.  :func:`two_point_system` assembles the vessel
+from the view's own arrays (element ids, corner indices, vertex ids and
+coordinates) by grouping the segment ends by persistent vertex id,
+indexed by the view's index set.  :func:`two_point_system` assembles the vessel
 pressure and the root pressure (``roots``) from it; transport, the
 refinement indicator and the boundary lookups read the same table.
 """
@@ -121,9 +122,10 @@ class FacetTable:
 
     Every copy of a logical vertex carries one persistent id, so a
     junction is exactly the set of leaf segments with an end vertex of
-    that id.  The table groups the 2N segment ends by one sort over
-    (vertex id, element id); element ``i`` is the element with index
-    ``i`` in the view.  Per element: persistent ``ids`` and ``lengths``.
+    that id.  The table is built from the view's arrays, with no walk of
+    its own: it groups the 2N segment ends by one sort over (vertex id,
+    element id); element ``i`` is the element with index ``i`` in the
+    view.  Per element: persistent ``ids`` and ``lengths``.
     Per segment end, as ``(n, 2)`` arrays over element and facet: the
     persistent vertex id ``end_ids`` and the leaf degree ``end_degrees``
     (the size of the end's group); ``corners`` holds the end coordinates,
@@ -137,20 +139,12 @@ class FacetTable:
     """
 
     def __init__(self, view):
-        grid = view.grid
-        if grid.dim != 1:
+        if view.grid.dim != 1:
             raise DimensionMismatchError("facet tables exist only on network (dim 1) views")
-        ids, vids, corners = [], [], []
-        for el in view.elements():
-            rec = grid._elems[el.level][el.slot]
-            verts = grid._verts[el.level]
-            a, b = verts[rec.v[0]], verts[rec.v[1]]
-            ids.append(rec.id)
-            vids += (a.id, b.id)
-            corners += (a.coords, b.coords)
-        n = len(ids)
-        self.ids = np.array(ids, dtype=np.int64)
-        self.corners = corners = np.array(corners, dtype=float).reshape(n, 2, grid.world_dim)
+        ends = view.corner_indices()
+        self.ids = view.ids(0)
+        n = len(self.ids)
+        self.corners = corners = view.coordinates()[ends]
         # sqrt(d . d) as AffineGeometry.volume computes it (np.linalg.norm differs in the
         # last bit); a zero or overflowing d . d is the degenerate segment it refuses
         with np.errstate(all="ignore"):
@@ -161,7 +155,7 @@ class FacetTable:
         self.lengths = np.sqrt(squared)
 
         # segment end k = 2 i + facet, sorted by vertex id, then element id
-        vid = np.array(vids, dtype=np.int64)
+        vid = view.ids(1)[ends].reshape(2 * n)
         owner = np.repeat(np.arange(n, dtype=np.int64), 2)
         order = np.lexsort((self.ids[owner], vid))
         place = np.empty_like(order)
@@ -443,12 +437,11 @@ def store_leaf_data(grid, view, arrays):
     Sibling groups flagged to vanish also store a volume-weighted average
     onto their father's id so coarsening can restore sensible values.
     """
-    elements = view.elements()
-    store = {el.id: {name: a[i] for name, a in arrays.items()} for i, el in enumerate(elements)}
-    for el in elements:
-        if not el.might_vanish:
+    store = {eid: {name: a[i] for name, a in arrays.items()} for i, eid in enumerate(view.ids(0).tolist())}
+    for level, slot in view.places(0):
+        if not grid._elems[level][slot].might_vanish:
             continue
-        father = el.father()
+        father = grid.element(level, slot).father()
         if father is None or father.id in store:
             continue
         kids = father.children()
@@ -463,24 +456,20 @@ def store_leaf_data(grid, view, arrays):
 
 def restore_leaf_data(view, store, names):
     """Rebuild arrays on the new leaf view; children inherit stored ancestors."""
-    elements = view.elements()
-    out = {name: np.zeros(len(elements)) for name in names}
-    for i, el in enumerate(elements):
-        values = None
-        probe = el
-        while probe is not None:
-            if probe.id in store:
-                values = store[probe.id]
-                break
-            probe = probe.father()
-        if values is None:
+    elems = view.grid._elems
+    rows = []
+    for eid, (level, slot) in zip(view.ids(0).tolist(), view.places(0)):
+        key = eid
+        while key not in store and elems[level][slot].father is not None:  # up to a stored ancestor
+            level, slot = level - 1, elems[level][slot].father
+            key = elems[level][slot].id
+        if key not in store:
             raise LifecycleError(
-                f"no stored data for element id {el.id} or its ancestors "
+                f"no stored data for element id {eid} or its ancestors "
                 "(was store_leaf_data called after pre_adapt?)"
             )
-        for name in names:
-            out[name][i] = values[name]
-    return out
+        rows.append(store[key])
+    return {name: np.array([row[name] for row in rows], dtype=float) for name in names}
 
 
 def boundary_vertex_ids_by_marker(view, markers):
@@ -622,12 +611,11 @@ def run_scenario(scenario, out_dir, steps=None):
 def adapt_with_state(grid, marks, state, max_level=None):
     """Mark, adapt and transfer a FlowState; returns (new_view, new_state, changed)."""
     view = grid.leaf_view()
-    for i, el in enumerate(view.elements()):  # the index set numbers elements in this order
-        m = marks[i]
-        if m > 0 and max_level is not None and el.level >= max_level:
+    for m, (level, slot) in zip(marks, view.places(0), strict=True):  # marks follow the index set
+        if m > 0 and max_level is not None and level >= max_level:
             continue
         if m:
-            grid.mark(m, el)
+            grid.mark(m, grid.element(level, slot))
     grid.pre_adapt()
     store = store_leaf_data(
         grid,

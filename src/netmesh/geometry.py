@@ -4,7 +4,8 @@ A k-simplex with corners c_0..c_k in R^w (k <= w, k in {0, 1, 2}) is the
 image of the reference simplex under F(xi) = A xi + c_0 with
 A = [c_1 - c_0, ..., c_k - c_0].  Because k < w is the common case for
 network grids, the inverse map is the closest-point projection onto the
-affine hull, computed from the k x k normal equations.
+affine hull, a least-squares solve on A itself (the normal equations
+would square its condition number and lose accuracy on thin triangles).
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ class AffineGeometry:
     def to_local(self, point):
         """Reference coordinates of the closest point on the affine hull.
 
-        For w > k this is the least-squares solution
-        xi = (A^T A)^{-1} A^T (x - c_0); the returned coordinates may lie
-        outside the reference simplex when ``point`` is off the element.
+        For w > k this is the least-squares solution of A xi = x - c_0;
+        the returned coordinates may lie outside the reference simplex
+        when ``point`` is off the element.
         """
         point = np.asarray(point, dtype=float)
         if point.shape != (self.world_dim,):
@@ -114,8 +115,7 @@ class AffineGeometry:
         if self.dim == 0:
             return np.zeros(0)
         self._require_regular()
-        rhs = self._a.T @ (point - self.corners[0])
-        return _solve_small(self._gram, self._det, rhs)
+        return np.linalg.lstsq(self._a, point - self.corners[0], rcond=None)[0]
 
     # -- measures and derivatives ----------------------------------------
 
@@ -176,9 +176,3 @@ def _inverse_small(m, det):
     if n == 1:
         return np.array([[1.0 / det]])
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-
-def _solve_small(m, det, rhs):
-    n = m.shape[0]
-    if n == 1:
-        return rhs / det
-    return _inverse_small(m, det) @ rhs

@@ -42,7 +42,11 @@ def read_gmsh(path, config):
     """
     if not isinstance(config, GridConfig):
         config = GridConfig(*config)
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        line = err.object[: err.start].count(b"\n") + 1
+        raise MshParseError(f"not UTF-8 text ({err.reason} at byte {err.start})", line=line)
     sections = _split_sections(lines)
 
     if "MeshFormat" not in sections:

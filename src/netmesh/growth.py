@@ -38,7 +38,7 @@ def _require_idle_adapt(grid):
 def _queue_leaf_vertices(grid):
     """(level, slot) of each leaf-view vertex; provisional indices continue this range."""
     if grid._queue_leaf_vertices is None:
-        grid._queue_leaf_vertices = [(v.level, v.slot) for v in grid.leaf_view().vertices()]
+        grid._queue_leaf_vertices = grid.leaf_view().places(grid.dim)
     return grid._queue_leaf_vertices
 
 

@@ -399,7 +399,6 @@ def grow_grid(grid, indicator, variables, step=0):
     """
     # (1) indicator pass, over the whole view at once
     view = grid.leaf_view()
-    ix = view.index_set
     positions, ends, coords = round_decisions(indicator, view, step)
     count = view.size(0) + len(positions)
     if count > MAX_ELEMENTS:
@@ -409,11 +408,9 @@ def grow_grid(grid, indicator, variables, step=0):
         )
 
     # (2) queue the new segments: vertex from the indicator, one line each
-    elements = view.elements()
-    for pos, end, xyz in zip(positions.tolist(), ends.tolist(), coords):
-        new_idx = grid.queue_vertex(xyz)
-        grid.queue_element(LINE, [ix.index_of(elements[pos].sub_entity(1, end)), new_idx])
-    sources = facet_table(view).ids[positions].tolist()  # queue position -> originating element id
+    for attach, xyz in zip(view.corner_indices()[positions, ends].tolist(), coords):
+        grid.queue_element(LINE, [attach, grid.queue_vertex(xyz)])
+    sources = view.ids(0)[positions].tolist()  # queue position -> originating element id
 
     # (3) store variables by persistent id
     store = flow.store_leaf_data(grid, view, variables)

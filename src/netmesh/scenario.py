@@ -20,8 +20,13 @@ class Scenario:
 
     @classmethod
     def load(cls, path):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            line = err.object[: err.start].count(b"\n") + 1
+            raise ScenarioError(f"{path}:{line}: not UTF-8 text ({err.reason} at byte {err.start})")
         values = {}
-        for i, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for i, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

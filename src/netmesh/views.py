@@ -4,9 +4,8 @@ Views are snapshots: any adapt or grow commit invalidates previously
 created views and index sets (queries then raise StaleEntityError).
 ``Grid.leaf_view`` hands out one view per grid revision while it is in use.
 Index sets number the entities of one view consecutively from zero per
-codimension, in iteration order, and are rebuilt eagerly on view
-creation.  Persistent ids (``entity.id``) survive every transaction for
-entities that survive.
+codimension, in iteration order.  Persistent ids (``entity.id``) survive
+every transaction for entities that survive.
 
 A view keys each codimension by persistent id, the same rule the facet
 table and growth use: the copies of a vertex on different levels share
@@ -14,9 +13,19 @@ one id and are one logical vertex.  A level view keeps every record of
 its level.  The leaf view keeps the leaf elements and the edges and
 vertices that touch a leaf element; of a vertex it keeps the finest copy
 that touches a leaf, so any copy asks for the same index.
+
+A view walks the records once, when it is made, and keeps what that walk
+found as arrays in index order: per codim the persistent ``ids`` and the
+``(level, slot)`` ``places`` of the records, per element the vertex
+indices of its corners (``corner_indices``) and per vertex its
+``coordinates``.  The facet table, the VTK writer, growth and the
+leaf-data transfer read these; entity wrappers are made only on the
+first ``entities`` call of a codim.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import StaleEntityError
 from .topology import Edge, Element, Vertex
@@ -29,14 +38,13 @@ class GridView:
         self.grid = grid
         self.level = level  # None selects the leaf view
         self._revision = grid._revision
-        self._index = {}  # codim -> {persistent id: index}
-        self._entities = {}
+        self._places = {}  # codim -> ((level, slot), ...) in index order
+        self._index = {}  # codim -> {persistent id: index}, in index order
+        self._arrays = {}  # 0 -> corner indices per element, dim -> coordinates per vertex
+        self._entities = {}  # codim -> wrappers, made on the first entities() call
         self._facet_table = None  # built by flow.facet_table on first use
-        for codim in self._codims():
+        for codim in range(grid.dim, -1, -1):  # vertices first: element corners index them
             self._build(codim)
-
-    def _codims(self):
-        return (0, 1, self.grid.dim) if self.grid.dim == 2 else (0, 1)
 
     def _check_fresh(self):
         if self._revision != self.grid._revision:
@@ -49,12 +57,7 @@ class GridView:
         it, at its own place, so the finest copy touching a leaf stays.
         """
         grid = self.grid
-        if codim == 0:
-            kind, arena = Element, grid._elems
-        elif codim == grid.dim:
-            kind, arena = Vertex, grid._verts
-        else:  # codim 1 of a dim-2 grid
-            kind, arena = Edge, grid._edges
+        arena = grid._elems if codim == 0 else grid._verts if codim == grid.dim else grid._edges
         leaf = self.level is None
         kept = {}
         for level in range(len(arena)) if leaf else (self.level,):
@@ -63,17 +66,31 @@ class GridView:
                 if leaf and (rec.children if codim == 0 else all(elems[t].children for t in rec.incident)):
                     continue
                 kept.pop(rec.id, None)
-                kept[rec.id] = kind(grid, level, slot)
-        self._entities[codim] = list(kept.values())
+                kept[rec.id] = (level, slot, rec)
+        self._places[codim] = tuple((level, slot) for level, slot, _ in kept.values())
         self._index[codim] = {rid: i for i, rid in enumerate(kept)}
+        if codim == grid.dim:
+            coords = np.array([rec.coords for _, _, rec in kept.values()], dtype=float)
+            self._arrays[codim] = coords.reshape(-1, grid.world_dim)
+        elif codim == 0:
+            index, verts = self._index[grid.dim], grid._verts
+            corners = [index[verts[level][s].id] for level, _, rec in kept.values() for s in rec.v]
+            self._arrays[codim] = np.array(corners, dtype=np.int64).reshape(-1, grid.dim + 1)
+
+    def _of(self, table, codim):
+        self._check_fresh()
+        if codim not in table:
+            raise StaleEntityError(f"view has no codim {codim} entities")
+        return table[codim]
 
     # -- public surface ---------------------------------------------------
 
     def entities(self, codim):
         """Deterministically ordered entities of the given codimension."""
-        self._check_fresh()
+        places = self._of(self._places, codim)
         if codim not in self._entities:
-            raise StaleEntityError(f"view has no codim {codim} entities")
+            kind = Element if codim == 0 else Vertex if codim == self.grid.dim else Edge
+            self._entities[codim] = [kind(self.grid, level, slot) for level, slot in places]
         return list(self._entities[codim])
 
     def elements(self):
@@ -83,16 +100,30 @@ class GridView:
         return self.entities(self.grid.dim)
 
     def size(self, codim):
-        self._check_fresh()
-        if codim not in self._entities:
-            raise StaleEntityError(f"view has no codim {codim} entities")
-        return len(self._entities[codim])
+        return len(self._of(self._places, codim))
+
+    def ids(self, codim):
+        """Persistent ids of one codim in index order, a new int64 array."""
+        return np.fromiter(self._of(self._index, codim), np.int64)
+
+    def places(self, codim):
+        """``(level, slot)`` of one codim's records in index order, a tuple."""
+        return self._of(self._places, codim)
+
+    def corner_indices(self):
+        """Vertex indices of each element's corners in its own order, a new (n, dim + 1) array."""
+        return self._of(self._arrays, 0).copy()
+
+    def coordinates(self):
+        """Vertex coordinates in index order, a new (nv, world_dim) array."""
+        return self._of(self._arrays, self.grid.dim).copy()
 
     def contains(self, entity):
         """Whether ``entity`` itself, not merely a copy of it, is in this view."""
         self._check_fresh()
         i = self._index.get(entity.codim, {}).get(entity.id)
-        return i is not None and self._entities[entity.codim][i] == entity
+        place = (entity.level, entity.slot)
+        return i is not None and entity.grid is self.grid and self._places[entity.codim][i] == place
 
     @property
     def index_set(self):
@@ -117,10 +148,9 @@ class IndexSet:
         right point.
         """
         view = self.view
-        view._check_fresh()
         if entity.grid is not view.grid:
             raise StaleEntityError("entity belongs to a different grid")
-        i = view._index.get(entity.codim, {}).get(entity.id)
+        i = view._of(view._index, entity.codim).get(entity.id)
         # vertex copies share their id, so a level view also matches the level
         if i is None or (view.level is not None and entity.level != view.level):
             raise StaleEntityError(f"{entity!r} is not part of this view")

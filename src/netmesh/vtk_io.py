@@ -1,7 +1,7 @@
 """Legacy ASCII VTK unstructured-grid writer for grid views.
 
-Points are the view's vertices in index-set order, always padded to
-three components; cells are the view's elements (VTK types 3/5).
+Points are the view's vertex coordinates in index-set order, padded to
+three components; cells are its elements' corner indices (VTK types 3/5).
 Floats are written with shortest round-trip formatting, so output is
 byte-reproducible and coordinates survive a read-back bit-exactly.
 """
@@ -9,6 +9,7 @@ byte-reproducible and coordinates survive a read-back bit-exactly.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 
 VTK_LINE = 3
@@ -28,9 +29,8 @@ def write_vtk(view, sink, point_data=None, cell_data=None, title="netmesh output
     ``point_data`` and ``cell_data`` map field names to sequences aligned
     with the view's vertex/element index sets; each becomes a SCALARS array.
     """
-    index_set = view.index_set
-    vertices = view.vertices()
-    elements = view.elements()
+    coordinates = view.coordinates()
+    corners = view.corner_indices()
     d = view.grid.dim
 
     buf = io.StringIO()
@@ -39,15 +39,14 @@ def write_vtk(view, sink, point_data=None, cell_data=None, title="netmesh output
     buf.write("ASCII\n")
     buf.write("DATASET UNSTRUCTURED_GRID\n")
 
-    buf.write(f"POINTS {len(vertices)} double\n")
-    for v in vertices:
-        coords = list(v.coords) + [0.0] * (3 - view.grid.world_dim)
+    buf.write(f"POINTS {len(coordinates)} double\n")
+    for coords in coordinates.tolist():
+        coords += [0.0] * (3 - view.grid.world_dim)
         buf.write(" ".join(_fmt(c) for c in coords[:3]) + "\n")
 
-    n_cells = len(elements)
+    n_cells = len(corners)
     buf.write(f"CELLS {n_cells} {n_cells * (d + 2)}\n")
-    for e in elements:
-        ids = [index_set.index_of(v) for v in e.vertices()]
+    for ids in corners.tolist():
         buf.write(" ".join(str(i) for i in [d + 1] + ids) + "\n")
 
     buf.write(f"CELL_TYPES {n_cells}\n")
@@ -56,9 +55,9 @@ def write_vtk(view, sink, point_data=None, cell_data=None, title="netmesh output
         buf.write(f"{cell_type}\n")
 
     if point_data:
-        buf.write(f"POINT_DATA {len(vertices)}\n")
+        buf.write(f"POINT_DATA {len(coordinates)}\n")
         for name, values in point_data.items():
-            _write_scalars(buf, name, values, len(vertices))
+            _write_scalars(buf, name, values, len(coordinates))
     if cell_data:
         buf.write(f"CELL_DATA {n_cells}\n")
         for name, values in cell_data.items():
@@ -76,6 +75,9 @@ def _write_scalars(buf, name, values, expected):
     values = list(values)
     if len(values) != expected:
         raise ValueError(f"field {name!r} has {len(values)} values, expected {expected}")
+    bad = next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"field {name!r} has the non-finite value {values[bad]} at index {bad}")
     buf.write(f"SCALARS {name} double 1\n")
     buf.write("LOOKUP_TABLE default\n")
     for v in values:

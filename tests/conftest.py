@@ -83,7 +83,30 @@ def brute_force_leaf_view(grid):
     return expected
 
 
+def assert_view_arrays_match_entities(view):
+    """The arrays a view keeps say what its entity wrappers say.
+
+    Ids and places follow index order, each row of corner indices is the
+    index of that element's corner vertices, and each coordinate row has
+    the bits of that vertex's coordinates.
+    """
+    grid = view.grid
+    for codim in range(grid.dim + 1):
+        entities = view.entities(codim)
+        assert view.ids(codim).tolist() == [e.id for e in entities]
+        assert list(view.places(codim)) == [(e.level, e.slot) for e in entities]
+    ix = view.index_set
+    corners = [[ix.index_of(v) for v in el.vertices()] for el in view.elements()]
+    assert view.corner_indices().tolist() == corners
+    coordinates = view.coordinates()
+    assert coordinates.shape == (view.size(grid.dim), grid.world_dim)
+    assert [row.tobytes() for row in coordinates] == [v.coords.tobytes() for v in view.vertices()]
+
+
 def assert_leaf_view_is_brute_force(grid):
     view = grid.leaf_view()
     for codim, expected in brute_force_leaf_view(grid).items():
         assert [(e.level, e.slot) for e in view.entities(codim)] == expected
+    assert_view_arrays_match_entities(view)
+    for level in range(grid.max_level + 1):
+        assert_view_arrays_match_entities(grid.level_view(level))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from netmesh import roots
@@ -142,6 +143,23 @@ class TestErrorCategories:
         code, out, err = run(capsys, "info", tmp_path / "nowhere.msh")
         assert code == 5
         assert err.startswith("io-error:")
+
+    @pytest.mark.parametrize("command,extra", [("info", ()), ("refine", ("--out", "x.vtk"))])
+    def test_undecodable_mesh_is_a_parse_error(self, capsys, tmp_path, monkeypatch, command, extra):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "noise.msh"
+        bad.write_bytes(np.random.default_rng(3).integers(0, 256, 300, dtype=np.uint8).tobytes())
+        code, out, err = run(capsys, command, bad, *extra)
+        assert code == 2
+        assert err.startswith("parse-error:") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("command,name", [("flow", "vessels.txt"), ("roots", "roots.txt")])
+    def test_undecodable_scenario_is_a_scenario_error(self, capsys, tmp_path, command, name):
+        scen = tmp_path / "bad.txt"
+        scen.write_bytes((ROOT / "scenarios" / name).read_bytes() + b"\xff = 1\n")
+        code, out, err = run(capsys, command, scen, "--out", tmp_path / "out")
+        assert code == 3
+        assert err.startswith("scenario-error:") and "not UTF-8" in err
 
     def test_scenario_parse_problem_is_3(self, capsys, tmp_path):
         scen = tmp_path / "broken.txt"

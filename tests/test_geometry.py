@@ -110,6 +110,8 @@ coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(coord, coord, coord), min_size=3, max_size=3))
 @example([(1.1, 0.0, 1.25), (1.1, 1.25, 1.25), (1.1, 1.1, 1.25)])  # collinear corners
+# thin but regular: normal equations square its condition number and miss by 3e-6
+@example([(0.0, 0.0, 4.0), (0.0, 1.0, 0.0), (0.0, 1.0, 6.103515625e-05)])
 def test_local_global_round_trip_random_triangles(pts):
     corners = np.array(pts)
     geo = AffineGeometry(corners)

@@ -199,6 +199,11 @@ class TestVtkWriting:
                 cell_data={"p": np.array([1.0])},
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_is_refused_by_name_and_index(self, two_triangles, bad):
+        with pytest.raises(ValueError, match="field 'p' has the non-finite value .* at index 1"):
+            write_vtk(two_triangles.leaf_view(), io.StringIO(), cell_data={"p": np.array([1.0, bad])})
+
     def test_two_dim_world_coordinates_padded(self):
         g = make_grid(1, 2, [(0, 0), (1, 0)], [(0, 1)])
         buf = io.StringIO()

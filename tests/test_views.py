@@ -1,12 +1,17 @@
+import contextlib
+import io
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netmesh import audit_grid
+from netmesh import audit_grid, cli, topology
 from netmesh.errors import StaleEntityError
 
 from conftest import make_grid, refine_all
+
+ROOT = Path(__file__).parent.parent
 
 
 def test_leaf_indices_are_consecutive(two_triangles):
@@ -155,3 +160,25 @@ def test_vertex_copies_in_leaf_and_level_views(chain4):
     leaf = chain4.leaf_view()
     assert leaf.contains(fine) and not leaf.contains(coarse)
     assert leaf.index_set.index_of(coarse) == leaf.index_set.index_of(fine)
+
+
+def test_arrays_of_a_stale_view_are_refused(chain4):
+    view = chain4.leaf_view()
+    refine_all(chain4)
+    for read in (view.corner_indices, view.coordinates, lambda: view.ids(0), lambda: view.places(1)):
+        with pytest.raises(StaleEntityError):
+            read()
+
+
+def test_roots_demo_builds_no_entity_wrapper(monkeypatch, tmp_path):
+    built = []
+    init = topology._Entity.__init__
+
+    def counting(entity, grid, level, slot):
+        built.append(type(entity).__name__)
+        init(entity, grid, level, slot)
+
+    monkeypatch.setattr(topology._Entity, "__init__", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["roots", str(ROOT / "scenarios" / "roots.txt"), "--out", str(tmp_path)]) == 0
+    assert built == []
