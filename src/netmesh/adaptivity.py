@@ -7,30 +7,28 @@ performed, so hanging nodes of arbitrary depth are permitted.
 Coarsening removes a sibling group only when every sibling is a leaf
 marked -1.  Marks with magnitude greater than one are accepted but
 execute a single round.
+
+The grid's phase runs idle -> preadapted -> adapted -> idle.
+``pre_adapt`` collects the places of vanishing sibling groups in
+``Grid._vanishing`` and ``adapt`` removes exactly that set; the elements
+``adapt`` makes are new by id until ``post_adapt`` (see ``topology``).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
-from .errors import LifecycleError
 from .parametrization import refined_vertex_position
 from .topology import CHILD_CORNERS_IN_FATHER, CHILD_VERTEX_SOURCES
 
 logger = logging.getLogger(__name__)
 
 
-def _require_idle_growth(grid):
-    if grid._grow_phase != "idle" or grid._queued_elements or grid._queued_vertices or grid._queued_removals:
-        raise LifecycleError("adapt transaction cannot overlap a grow transaction")
-
-
 def mark(grid, ref_count, element):
     """Store a refinement mark; returns False (and stores nothing) on non-leaves."""
-    if grid._adapt_phase != "idle":
-        raise LifecycleError(f"mark called during phase {grid._adapt_phase!r}")
-    _require_idle_growth(grid)
-    rec = element._rec()
+    grid._require("mark", "idle")
+    rec = grid._own(element)
     if rec.children:
         return False
     ref_count = int(ref_count)
@@ -39,41 +37,32 @@ def mark(grid, ref_count, element):
 
 
 def get_mark(grid, element):
-    return element._rec().mark
+    return grid._own(element).mark
 
 
 def pre_adapt(grid):
-    """Flag elements that might vanish; returns True when any are flagged."""
-    if grid._adapt_phase != "idle":
-        raise LifecycleError(f"pre_adapt called during phase {grid._adapt_phase!r}")
-    _require_idle_growth(grid)
-    grid._adapt_phase = "preadapted"
-    any_flag = False
-    for lev in range(len(grid._elems)):
-        for rec in grid._elems[lev]:
+    """Collect the places of sibling groups that vanish; returns True when any do."""
+    grid._require("pre_adapt", "idle")
+    grid._phase = "preadapted"
+    elems = grid._elems
+    for lev, recs in enumerate(elems):
+        for rec in recs:
             if not rec.children:
                 continue
-            kids = [grid._elems[lev + 1][c] for c in rec.children]
+            kids = [elems[lev + 1][c] for c in rec.children]
             if all(not k.children and k.mark == -1 for k in kids):
-                for k in kids:
-                    k.might_vanish = True
-                any_flag = True
-    return any_flag
+                grid._vanishing.update((lev + 1, c) for c in rec.children)
+    return bool(grid._vanishing)
 
 
 def adapt(grid):
     """Execute coarsening then refinement; returns True iff anything was refined."""
-    if grid._adapt_phase != "preadapted":
-        raise LifecycleError("adapt requires a preceding pre_adapt")
-    grid._adapt_phase = "adapted"
+    grid._require("adapt", "preadapted")
+    grid._phase = "adapted"
+    grid._first_new_id = grid._next_id
 
-    # coarsen what pre_adapt flagged: marks cannot change in between
-    dead = {
-        (lev, slot)
-        for lev, recs in enumerate(grid._elems)
-        for slot, rec in enumerate(recs)
-        if rec.might_vanish
-    }
+    # coarsen what pre_adapt collected: marks cannot change in between
+    dead, grid._vanishing = grid._vanishing, set()
     if dead:
         from .compaction import remove_elements
 
@@ -83,16 +72,15 @@ def adapt(grid):
     refined = 0
     lev = 0
     while lev < len(grid._elems):
-        for slot in range(len(grid._elems[lev])):
-            rec = grid._elems[lev][slot]
+        recs = grid._elems[lev]
+        for slot in range(len(recs)):
+            rec = recs[slot]
             if rec.mark == 1 and not rec.children:
                 _refine_element(grid, lev, slot)
                 refined += 1
+            rec.mark = 0
         lev += 1
 
-    for level_recs in grid._elems:
-        for rec in level_recs:
-            rec.mark = 0
     grid._revision += 1
     if dead or refined:
         logger.debug("adapt: coarsened %d elements, refined %d", len(dead), refined)
@@ -100,14 +88,10 @@ def adapt(grid):
 
 
 def post_adapt(grid):
-    """Clear is_new/might_vanish flags and close the transaction."""
-    if grid._adapt_phase != "adapted":
-        raise LifecycleError("post_adapt requires a preceding adapt")
-    grid._adapt_phase = "idle"
-    for level_recs in grid._elems:
-        for rec in level_recs:
-            rec.is_new = False
-            rec.might_vanish = False
+    """Close the transaction: no element counts as new any more."""
+    grid._require("post_adapt", "adapted")
+    grid._phase = "idle"
+    grid._first_new_id = math.inf
 
 
 # -- refinement internals -------------------------------------------------
@@ -160,7 +144,6 @@ def _refine_element(grid, level, slot):
             fine,
             tuple(corners[tok] for tok in sources),
             father=slot,
-            is_new=True,
             corners_in_father=CHILD_CORNERS_IN_FATHER[d][child_idx],
         )
         for child_idx, sources in enumerate(CHILD_VERTEX_SOURCES[d])

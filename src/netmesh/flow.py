@@ -439,7 +439,7 @@ def store_leaf_data(grid, view, arrays):
     """
     store = {eid: {name: a[i] for name, a in arrays.items()} for i, eid in enumerate(view.ids(0).tolist())}
     for level, slot in view.places(0):
-        if not grid._elems[level][slot].might_vanish:
+        if (level, slot) not in grid._vanishing:
             continue
         father = grid.element(level, slot).father()
         if father is None or father.id in store:
@@ -553,6 +553,9 @@ def run_scenario(scenario, out_dir, steps=None):
         problems.append("thresholds must satisfy 0 <= eps_coarsen < eps_refine <= 1")
     if n_steps < 0:
         problems.append("steps must be nonnegative")
+    problems += [f"{name} must be nonnegative"
+                 for name, v in (("adapt_every", adapt_every), ("max_refinement_level", max_level))
+                 if v < 0]
     if problems:
         raise ScenarioError(f"{s.source}: " + "; ".join(problems))
     if steps is not None:

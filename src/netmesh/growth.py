@@ -8,14 +8,19 @@ vertices must sit on one common level; when the given leaf copies
 disagree, coarser chain copies are substituted and the lowest common
 level wins.  Elements whose vertices reach no common level are skipped
 silently; the per-element outcome is retrievable from the growth report.
+
+The grid's phase runs idle -> queued -> grown -> idle; the first
+accepted queue call moves it to queued, and ``grow`` may also start from
+idle.  The elements ``grow`` inserts are new by id until ``post_grow``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
-from .errors import FactoryError, LifecycleError
+from .errors import FactoryError
 from .topology import checked_coords, checked_element
 
 logger = logging.getLogger(__name__)
@@ -30,11 +35,6 @@ class GrowthReport:
     removed: int = 0
 
 
-def _require_idle_adapt(grid):
-    if grid._adapt_phase != "idle":
-        raise LifecycleError("grow transaction cannot overlap an adapt transaction")
-
-
 def _queue_leaf_vertices(grid):
     """(level, slot) of each leaf-view vertex; provisional indices continue this range."""
     if grid._queue_leaf_vertices is None:
@@ -44,20 +44,17 @@ def _queue_leaf_vertices(grid):
 
 def queue_vertex(grid, coords):
     """Stage a new vertex; returns its provisional index (fixed until grow)."""
-    _require_idle_adapt(grid)
-    if grid._grow_phase != "idle":
-        raise LifecycleError("queue_vertex after grow; call post_grow first")
+    grid._require("queue_vertex", "idle", "queued")
     coords = checked_coords(coords, grid.world_dim)
     base = len(_queue_leaf_vertices(grid))
     grid._queued_vertices.append(coords)
+    grid._phase = "queued"
     return base + len(grid._queued_vertices) - 1
 
 
 def queue_element(grid, kind, vertex_indices, parametrization=None):
     """Stage a new element over provisional and/or existing leaf vertex indices."""
-    _require_idle_adapt(grid)
-    if grid._grow_phase != "idle":
-        raise LifecycleError("queue_element after grow; call post_grow first")
+    grid._require("queue_element", "idle", "queued")
     leaves = _queue_leaf_vertices(grid)
     base = len(leaves)
     idx = checked_element(
@@ -65,20 +62,19 @@ def queue_element(grid, kind, vertex_indices, parametrization=None):
     )
     refs = tuple(("v",) + leaves[i] if i < base else ("q", i - base) for i in idx)
     grid._queued_elements.append((refs, parametrization))
+    grid._phase = "queued"
     return len(grid._queued_elements) - 1
 
 
 def remove_element(grid, element):
     """Stage removal of a leaf element (a strict subset of siblings is fine)."""
-    _require_idle_adapt(grid)
-    if grid._grow_phase != "idle":
-        raise LifecycleError("remove_element after grow; call post_grow first")
-    rec = element._rec()
-    if rec.children:
+    grid._require("remove_element", "idle", "queued")
+    if grid._own(element).children:
         raise FactoryError("only leaf elements can be removed")
     key = (element.level, element.slot)
     if key not in grid._queued_removals:
         grid._queued_removals.append(key)
+    grid._phase = "queued"
 
 
 def grow(grid):
@@ -87,9 +83,8 @@ def grow(grid):
     New elements carry ``is_new`` until post_grow and start their own
     refinement tree (no father), so their level may exceed zero.
     """
-    _require_idle_adapt(grid)
-    if grid._grow_phase != "idle":
-        raise LifecycleError("grow called twice without post_grow")
+    grid._require("grow", "idle", "queued")
+    grid._first_new_id = grid._next_id
     report = GrowthReport()
 
     created = {}  # provisional queue slot -> (level, vertex slot)
@@ -127,7 +122,7 @@ def grow(grid):
             report.skipped.append((qidx, "vertices coincide after level resolution"))
             continue
 
-        slot = grid._add_element(resolved, tuple(vslots), is_new=True, parametrization=parametrization)
+        slot = grid._add_element(resolved, tuple(vslots), parametrization=parametrization)
         report.inserted.append((qidx, grid._elems[resolved][slot].id))
 
     if grid._queued_removals:
@@ -144,16 +139,13 @@ def grow(grid):
     grid._queued_removals = []
     grid._queue_leaf_vertices = None
     grid._growth_report = report
-    grid._grow_phase = "grown"
+    grid._phase = "grown"
     grid._revision += 1
     return changed
 
 
 def post_grow(grid):
-    """Clear is_new flags and close the grow transaction."""
-    if grid._grow_phase != "grown":
-        raise LifecycleError("post_grow requires a preceding grow")
-    grid._grow_phase = "idle"
-    for level_recs in grid._elems:
-        for rec in level_recs:
-            rec.is_new = False
+    """Close the grow transaction: no element counts as new any more."""
+    grid._require("post_grow", "grown")
+    grid._phase = "idle"
+    grid._first_new_id = math.inf

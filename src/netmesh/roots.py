@@ -425,7 +425,7 @@ def grow_grid(grid, indicator, variables, step=0):
     view = grid.leaf_view()
     out = flow.restore_leaf_data(view, store, tuple(variables))
 
-    # (6) clear the is_new markers
+    # (6) close the grow transaction
     grid.post_grow()
     log.debug(
         "growth step %d: %d inserted, %d skipped", step, len(report.inserted), len(report.skipped)
@@ -486,6 +486,8 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
                  if not 0.0 <= floats[name] <= 1.0]
     if segments < 1:
         problems.append("initial_segments must be at least 1")
+    if segments > MAX_ELEMENTS:
+        problems.append(f"initial_segments must be at most {MAX_ELEMENTS}")
     if n_steps < 0:
         problems.append("steps must be nonnegative")
     if problems:

@@ -18,6 +18,14 @@ Records enter the arenas only through ``Grid._add_vertex``,
 refinement and growth alike) and leave only through
 ``compaction.remove_elements``.  Staged factory and growth input passes
 the same checks, ``checked_coords`` and ``checked_element``.
+
+The open adapt or grow transaction is grid state, not record state.
+``Grid._require`` checks one phase (idle, queued, preadapted, adapted,
+grown).  Ids only increase, so an element is new when its id is at least
+``Grid._first_new_id``, the first id the open transaction drew.
+``Grid._vanishing`` holds the places ``pre_adapt`` lets coarsen.
+Transaction calls read the record behind a handle through ``Grid._own``,
+which refuses a handle of another grid.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     FactoryError,
+    LifecycleError,
     StaleEntityError,
 )
 
@@ -133,8 +142,6 @@ class ElemRec:
     children: tuple = ()
     root: tuple = (0, 0)        # (level, slot) of the refinement-tree root
     mark: int = 0
-    is_new: bool = False
-    might_vanish: bool = False
     parametrization: object = None  # callable local -> R^w, tree roots only
     corners_in_father: np.ndarray | None = None
     marker: int | None = None   # insertion marker (e.g. gmsh physical tag)
@@ -155,8 +162,10 @@ class Grid:
         self._next_id = 0
         self._revision = 0        # bumped by every adapt/grow commit
         self._srev = 0            # bumped only when slots are remapped
-        self._adapt_phase = "idle"   # idle -> preadapted -> adapted -> idle
-        self._grow_phase = "idle"    # idle -> grown -> idle
+        # idle -> preadapted -> adapted -> idle, or idle [-> queued] -> grown -> idle
+        self._phase = "idle"
+        self._first_new_id = math.inf  # ids from here on were made by the open adapt/grow
+        self._vanishing = set()   # (level, slot) of the elements pre_adapt lets coarsen
         self._queued_vertices = []
         self._queued_elements = []
         self._queued_removals = []
@@ -283,6 +292,16 @@ class Grid:
 
     # -- internal helpers shared by adaptivity/growth ---------------------
 
+    def _require(self, call, *phases):
+        if self._phase not in phases:
+            raise LifecycleError(f"{call} called during phase {self._phase!r}")
+
+    def _own(self, entity):
+        """Record of an entity handle, refusing one of another grid."""
+        if entity.grid is not self:
+            raise StaleEntityError("entity belongs to a different grid")
+        return entity._rec()
+
     def _check_alive(self, srev):
         if srev != self._srev:
             raise StaleEntityError("entity handle outlived a compacting grid transaction")
@@ -303,8 +322,8 @@ class Grid:
         verts.append(VertexRec(coords=coords, id=self._new_id() if vid is None else vid, father=father))
         return len(verts) - 1
 
-    def _add_element(self, level, v, father=None, is_new=False, parametrization=None,
-                     corners_in_father=None, marker=None):
+    def _add_element(self, level, v, father=None, parametrization=None, corners_in_father=None,
+                     marker=None):
         """Append an element over vertex slots ``v`` at ``level``; returns its slot.
 
         Edge ids are drawn before the element id.  An element without a
@@ -321,7 +340,6 @@ class Grid:
             edges=edges,
             father=father,
             root=(level, slot) if father is None else self._elems[level - 1][father].root,
-            is_new=is_new,
             parametrization=parametrization,
             corners_in_father=corners_in_father,
             marker=marker,
@@ -447,11 +465,12 @@ class Element(_Simplex):
 
     @property
     def is_new(self):
-        return self._rec().is_new
+        return self._rec().id >= self.grid._first_new_id
 
     @property
     def might_vanish(self):
-        return self._rec().might_vanish
+        self._rec()
+        return (self.level, self.slot) in self.grid._vanishing
 
     @property
     def marker(self):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from netmesh import audit_grid
-from netmesh.errors import LifecycleError
+from netmesh import LINE, audit_grid
+from netmesh.errors import LifecycleError, StaleEntityError
 
 from conftest import make_grid, refine_all
 
@@ -29,6 +29,15 @@ class TestMarking:
         assert chain4.get_mark(el) == 1
         chain4.mark(-3, el)
         assert chain4.get_mark(el) == -1
+
+    def test_element_of_another_grid_is_refused(self, chain4):
+        other = make_grid(1, 3, [(float(i), 0.0, 0.0) for i in range(5)], [(i, i + 1) for i in range(4)])
+        foreign = leaf_elements(other)[0]
+        with pytest.raises(StaleEntityError, match="different grid"):
+            chain4.mark(1, foreign)
+        with pytest.raises(StaleEntityError, match="different grid"):
+            chain4.get_mark(foreign)
+        assert other.get_mark(foreign) == 0
 
     def test_marks_cleared_after_adapt(self, chain4):
         el = leaf_elements(chain4)[0]
@@ -62,6 +71,55 @@ class TestLifecycle:
         chain4.queue_vertex(np.array([9.0, 0.0, 0.0]))
         with pytest.raises(LifecycleError):
             chain4.pre_adapt()
+
+    # phase -> (public calls that reach it from idle, calls that close it)
+    PHASES = {
+        "idle": ((), ()),
+        "queued": (("queue_vertex", "queue_element"), ("grow", "post_grow")),
+        "preadapted": (("mark", "pre_adapt"), ("adapt", "post_adapt")),
+        "adapted": (("mark", "pre_adapt", "adapt"), ("post_adapt",)),
+        "grown": (("queue_vertex", "queue_element", "grow"), ("post_grow",)),
+    }
+    ACCEPTED = {
+        "idle": {"mark", "pre_adapt", "queue_vertex", "queue_element", "remove_element", "grow"},
+        "queued": {"queue_vertex", "queue_element", "remove_element", "grow"},
+        "preadapted": {"adapt"},
+        "adapted": {"post_adapt"},
+        "grown": {"post_grow"},
+    }
+    CALLS = ("mark", "pre_adapt", "adapt", "post_adapt", "queue_vertex",
+             "queue_element", "remove_element", "grow", "post_grow")
+
+    @staticmethod
+    def _call(grid, name):
+        leaf = leaf_elements(grid)[-1]
+        if name == "mark":
+            return grid.mark(1, leaf)
+        if name == "queue_vertex":
+            return grid.queue_vertex(np.array([9.0, 0.0, 0.0]))
+        if name == "queue_element":
+            return grid.queue_element(LINE, [0, grid.leaf_view().size(1) - 1])
+        if name == "remove_element":
+            return grid.remove_element(leaf)
+        return getattr(grid, name)()
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("phase", list(PHASES))
+    def test_every_call_in_every_phase(self, chain4, phase, call):
+        g = chain4
+        opening, closing = self.PHASES[phase]
+        for name in opening:
+            self._call(g, name)
+        if call in self.ACCEPTED[phase]:
+            self._call(g, call)
+            return
+        with pytest.raises(LifecycleError):
+            self._call(g, call)
+        for name in closing:
+            self._call(g, name)
+        assert audit_grid(g) == []
+        refine_all(g)  # the grid is idle again: a whole adapt cycle runs
+        assert audit_grid(g) == []
 
 
 def test_refined_segment_children_halve_length(chain4):

@@ -183,6 +183,8 @@ class TestErrorCategories:
             ("radius", "1e-300", "out of floating-point range"),
             ("dt", "1e-320", "out of floating-point range"),
             ("dt", "1e308", "dt * steps must be finite"),
+            ("adapt_every", "-1", "adapt_every must be nonnegative"),
+            ("max_refinement_level", "-1", "max_refinement_level must be nonnegative"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -230,6 +232,16 @@ class TestErrorCategories:
         code, out, err = run(capsys, "roots", scen, "--out", tmp_path / "out", "--steps", 3)
         assert code == 3
         assert err == "scenario-error: growth step 1 would grow the root to 10 segments, more than the bound of 9\n"
+
+    def test_initial_root_past_the_bound_is_3(self, capsys, tmp_path, monkeypatch):
+        # the bound holds before the first segment is built, not only in a growth round
+        monkeypatch.setattr(roots, "MAX_ELEMENTS", 10)
+        scen = _scenario_with(tmp_path, "roots.txt", "initial_segments", "11")
+        code, out, err = run(capsys, "roots", scen, "--out", tmp_path / "out", "--steps", 0)
+        assert code == 3
+        assert err.startswith("scenario-error:")
+        assert "initial_segments must be at most 10" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,name", [("flow", "vessels.txt"), ("roots", "roots.txt")])
     def test_negative_scenario_steps_is_3(self, capsys, tmp_path, command, name):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmesh import LINE, audit_grid, intersections
-from netmesh.errors import FactoryError, LifecycleError
+from netmesh.errors import FactoryError, LifecycleError, StaleEntityError
 from netmesh.roots import leaf_degree
 
 from conftest import assert_leaf_view_is_brute_force, make_grid, refine_all
@@ -55,6 +55,16 @@ def test_remove_leaf_element(chain4):
     g.post_grow()
     assert g.leaf_view().size(0) == 3
     assert audit_grid(g) == []
+
+
+def test_remove_element_of_another_grid_is_refused(chain4):
+    other = make_grid(1, 3, [(float(i), 0.0, 0.0) for i in range(5)], [(i, i + 1) for i in range(4)])
+    with pytest.raises(StaleEntityError, match="different grid"):
+        chain4.remove_element(other.leaf_view().elements()[3])
+    chain4.grow()
+    chain4.post_grow()
+    assert chain4.leaf_view().size(0) == 4
+    assert other.leaf_view().size(0) == 4
 
 
 def test_insertions_processed_before_removals(chain4):
