@@ -476,7 +476,9 @@ def boundary_vertex_ids_by_marker(view, markers):
     """Ids of boundary vertices whose adjacent element carries one of the markers."""
     wanted = set(markers)
     table = facet_table(view)
-    marked = np.array([el.marker in wanted for el in view.elements()], dtype=bool)
+    elems = view.grid._elems
+    roots = [elems[level][slot].root for level, slot in view.places(0)]
+    marked = np.array([elems[rl][rs].marker in wanted for rl, rs in roots], dtype=bool)
     return set(table.facet[(table.outside < 0) & marked[table.inside]].tolist())
 
 

@@ -6,6 +6,13 @@ A = [c_1 - c_0, ..., c_k - c_0].  Because k < w is the common case for
 network grids, the inverse map is the closest-point projection onto the
 affine hull, a least-squares solve on A itself (the normal equations
 would square its condition number and lose accuracy on thin triangles).
+
+A geometry stores its corners when it is made and derives A, A^T A and
+det(A^T A) on first use, so reading only the corners or the centre costs
+no matmul.  :class:`AffineStack` derives them for a whole stack of
+simplices in one batched pass and hands each geometry its share; the
+bits are those a lone instance derives, because a stacked numpy matmul
+runs the same kernel on each simplex that a lone one runs.
 """
 
 from __future__ import annotations
@@ -46,13 +53,19 @@ class AffineGeometry:
         self.corners = corners
         self.dim = k
         self.world_dim = w
-        self._a = (corners[1:] - corners[0]).T  # w x k
+        self._a = self._gram = self._det = None  # derived on first use
+
+    def _derive(self):
+        """Fill A (w x k), A^T A (k x k) and det(A^T A) unless already filled."""
+        if self._a is not None:
+            return
+        a = (self.corners[1:] - self.corners[0]).T
         # The gram stays a numpy matmul.  It rounds as a fused multiply-add
         # chain, which plain float sums do not reproduce (they differ in more
-        # than half of random draws); FacetTable matches these bits with a
-        # batched matmul, and the flow goldens depend on them.
-        self._gram = self._a.T @ self._a  # k x k
-        self._det = _det_small(self._gram)
+        # than half of random draws); FacetTable and AffineStack match these
+        # bits with a batched matmul, and the flow goldens depend on them.
+        gram = a.T @ a
+        self._a, self._gram, self._det = a, gram, float(_det_small(gram))
 
     # -- degeneracy -------------------------------------------------------
 
@@ -60,6 +73,7 @@ class AffineGeometry:
         """True when the spanned measure vanishes relative to the corner scale."""
         if self.dim == 0:
             return False
+        self._derive()
         # Python floats over the rows of A^T = corners[1:] - corners[0]: the
         # same bits as numpy's row sums of (corners - corners[0])**2, at a
         # fraction of the cost.
@@ -89,6 +103,7 @@ class AffineGeometry:
             raise DimensionMismatchError(
                 f"expected local coordinates of length {self.dim}, got {local.shape}"
             )
+        self._derive()
         return self.corners[0] + self._a @ local
 
     def center(self):
@@ -123,7 +138,7 @@ class AffineGeometry:
         """sqrt(det(A^T A)); the constant Jacobian factor of this affine map."""
         if self.dim == 0:
             return 1.0
-        self._require_regular()
+        self._require_regular()  # derives
         return math.sqrt(self._det)
 
     def volume(self):
@@ -135,6 +150,7 @@ class AffineGeometry:
 
     def jacobian_transposed(self):
         """A^T as a (k, w) array; constant over the element."""
+        self._derive()
         return self._a.T.copy()
 
     def jacobian_inverse_transposed(self):
@@ -144,9 +160,33 @@ class AffineGeometry:
         """
         if self.dim == 0:
             return np.zeros((self.world_dim, 0))
-        self._require_regular()
+        self._require_regular()  # derives
         inv = _inverse_small(self._gram, self._det)
         return self._a @ inv
+
+
+class AffineStack:
+    """The affine geometries of an (n, k + 1, w) stack of simplex corners.
+
+    One batched pass derives every simplex's A, A^T A and det(A^T A);
+    ``geometry(i)`` makes the i-th geometry through
+    ``AffineGeometry(corners[i])`` and hands it its share, so a geometry
+    nobody reads is never made.
+    """
+
+    __slots__ = ("corners", "_a", "_gram", "_det")
+
+    def __init__(self, corners):
+        self.corners = corners
+        at = corners[:, 1:] - corners[:, :1]  # A^T per simplex, (n, k, w)
+        self._a = at.transpose(0, 2, 1)
+        self._gram = at @ self._a
+        self._det = _det_small(self._gram).tolist()
+
+    def geometry(self, i):
+        geo = AffineGeometry(self.corners[i])
+        geo._a, geo._gram, geo._det = self._a[i], self._gram[i], self._det[i]
+        return geo
 
 
 def _plain_sum(terms):
@@ -163,13 +203,14 @@ def _plain_sum(terms):
 
 
 def _det_small(m):
-    """Determinant of a 0x0, 1x1 or 2x2 matrix without LAPACK."""
-    n = m.shape[0]
+    """Determinants of 0x0, 1x1 or 2x2 matrices, stacked on leading axes, without LAPACK."""
+    n = m.shape[-1]
     if n == 0:
-        return 1.0
+        return np.ones(m.shape[:-2])
     if n == 1:
-        return float(m[0, 0])
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        return m[..., 0, 0]
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
 
 def _inverse_small(m, det):
     n = m.shape[0]

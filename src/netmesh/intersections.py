@@ -20,22 +20,31 @@ builds ``geometry_in_inside``, ``geometry_in_outside(k)`` and
 state, so a group read after a later adapt returns the same geometries.
 
 Geometry reads are cheap per group.  All groups of an element share one
-corner array and one array of edge vectors from corner 0, made once per
-element, so a global fragment costs one matmul and one add.  Fragment
-reference corners are computed in Python floats: the reference corners
-are 0 or 1 and the intervals are dyadic, and ``x * (1 - t) + y * t`` on
-floats rounds exactly as the numpy rows of ``REFERENCE_CORNERS`` did,
-at a fraction of the per-call cost.
+frame: the element's corners and every group's fragment.  The first
+``geometry`` read of any group of the element maps all the fragments at
+once, ``c_0 + R @ E`` over the stacked reference corners ``R`` and the
+edge vectors ``E`` from corner 0, and an :class:`AffineStack` derives
+every fragment's A, A^T A and det in one more batched pass; each group
+then makes its own ``AffineGeometry`` from its share when it is read.
+Both grid dimensions take this path (a 1D fragment is a point, k = 0).
+The frame holds fragments and arrays, never the groups, so groups a
+reader drops are freed at once rather than left to the cyclic collector.
+Fragment reference corners are computed in Python floats: the reference
+corners are 0 or 1 and the intervals are dyadic, and
+``x * (1 - t) + y * t`` on floats rounds exactly as the numpy rows of
+``REFERENCE_CORNERS`` did.  Fragments repeat from element to element, so
+their reference corners are kept, as read-only arrays.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import NeighborIndexError
-from .geometry import REFERENCE_CORNERS, AffineGeometry
+from .geometry import REFERENCE_CORNERS, AffineGeometry, AffineStack
 from .topology import Element, TRIANGLE_EDGES
 
 # per facet of the reference triangle: (start, end) reference coordinate
@@ -54,12 +63,15 @@ class IntersectionGroup:
     A boundary group has ``neighbor_count == 0``.
     """
 
-    __slots__ = ("inside", "index_in_inside", "_frame", "_fragment", "_outsides", "_built")
+    __slots__ = ("inside", "index_in_inside", "_frame", "_position", "_fragment", "_outsides",
+                 "_built")
 
     def __init__(self, inside, index_in_inside, frame, fragment, outsides):
         self.inside = inside
         self.index_in_inside = index_in_inside
-        self._frame = frame  # inside element's corners and edge vectors from corner 0
+        self._frame = frame  # what all groups of the inside element share
+        self._position = len(frame.fragments)
+        frame.fragments.append(fragment)
         self._fragment = fragment  # fragment in the inside reference element
         self._outsides = outsides  # (element, facet index, fragment in that element)
         self._built = {}  # geometries read so far: "inside", "global" or k
@@ -79,10 +91,10 @@ class IntersectionGroup:
             )
         return self._outsides[k]
 
-    def _memo(self, key, corners):
+    def _memo(self, key, make, arg):
         geo = self._built.get(key)
         if geo is None:
-            geo = self._built[key] = AffineGeometry(corners())
+            geo = self._built[key] = make(arg)
         return geo
 
     def outside(self, k=0):
@@ -92,26 +104,20 @@ class IntersectionGroup:
         return self._pick(k)[1]
 
     def geometry_in_outside(self, k=0):
-        fragment = self._pick(k)[2]
-        return self._memo(k, lambda: _reference_corners(fragment))
+        return self._memo(k, _local_geometry, self._pick(k)[2])
 
     @property
     def geometry_in_inside(self):
-        return self._memo("inside", lambda: _reference_corners(self._fragment))
+        return self._memo("inside", _local_geometry, self._fragment)
 
     @property
     def geometry(self):
         """Global geometry of the fragment (image under the inside element)."""
-
-        def corners():
-            c, edges = self._frame
-            return c[0] + _reference_corners(self._fragment) @ edges
-
-        return self._memo("global", corners)
+        return self._memo("global", self._frame.geometry, self._position)
 
     def unit_outer_normal(self):
         """Outward unit normal within the inside element's tangent plane."""
-        return _outer_normal(self._frame[0], self.index_in_inside)
+        return _outer_normal(self._frame.corners, self.index_in_inside)
 
     def __repr__(self):
         kind = "boundary" if self.boundary else f"{self.neighbor_count} neighbors"
@@ -199,12 +205,26 @@ def pairwise_intersections(view, element):
     return out
 
 
-def _element_frame(grid, element, rec):
-    """Corners of ``element`` and its edge vectors from corner 0, which
-    all groups of the element share."""
-    verts = grid._verts[element.level]
-    corners = np.array([verts[s].coords for s in rec.v])
-    return corners, corners[1:] - corners[0]
+class _Frame:
+    """What all groups of one element share: its corners and each group's
+    fragment, in the order the groups were made.  It holds no group, so it
+    makes no reference cycle."""
+
+    __slots__ = ("corners", "fragments", "_stack")
+
+    def __init__(self, grid, element, rec):
+        verts = grid._verts[element.level]
+        self.corners = np.array([verts[s].coords for s in rec.v])
+        self.fragments = []
+        self._stack = None
+
+    def geometry(self, position):
+        """Global geometry of one fragment; the first read maps them all."""
+        if self._stack is None:
+            c = self.corners
+            local = np.array([_reference_corners(f) for f in self.fragments])
+            self._stack = AffineStack(c[0] + local @ (c[1:] - c[0]))
+        return self._stack.geometry(position)
 
 
 # -- dim 1: facets are vertices, junctions are copy chains ----------------
@@ -212,7 +232,7 @@ def _element_frame(grid, element, rec):
 
 def _groups_1d(grid, element, in_view):
     rec = element._rec()
-    frame = _element_frame(grid, element, rec)
+    frame = _Frame(grid, element, rec)
     groups = []
     for facet in (0, 1):
         neighbors = []
@@ -235,7 +255,7 @@ def _groups_1d(grid, element, in_view):
 
 def _groups_2d(grid, element, in_view):
     rec = element._rec()
-    frame = _element_frame(grid, element, rec)
+    frame = _Frame(grid, element, rec)
     level, slot, elems = element.level, element.slot, grid._elems
     groups = []
     for facet in range(3):
@@ -312,15 +332,28 @@ def _edge_fragment(grid, level, rec, facet, via, frag):
     return facet, a, b, flip
 
 
+@lru_cache(maxsize=1024)
 def _reference_corners(fragment):
-    """Corners of a fragment in its element's reference coordinates."""
+    """Corners of a fragment in its element's reference coordinates.
+
+    Fragments repeat (whole facets, the halves of a refined facet), so the
+    arrays are kept, read-only, for the next element that has them; the
+    cache is bounded because refinement depth is not.
+    """
     if len(fragment) == 1:  # dim 1: the facet vertex
-        return np.array([[float(fragment[0])]])
-    facet, a, b, flip = fragment
-    if flip:
-        a, b = 1.0 - a, 1.0 - b
-    ends = _FACET_ENDS[facet]
-    return np.array([[x * (1.0 - t) + y * t for x, y in ends] for t in (a, b)])
+        corners = np.array([[float(fragment[0])]])
+    else:
+        facet, a, b, flip = fragment
+        if flip:
+            a, b = 1.0 - a, 1.0 - b
+        ends = _FACET_ENDS[facet]
+        corners = np.array([[x * (1.0 - t) + y * t for x, y in ends] for t in (a, b)])
+    corners.flags.writeable = False
+    return corners
+
+
+def _local_geometry(fragment):
+    return AffineGeometry(_reference_corners(fragment))
 
 
 def _outer_normal(corners, facet):

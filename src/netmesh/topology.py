@@ -24,8 +24,9 @@ The open adapt or grow transaction is grid state, not record state.
 grown).  Ids only increase, so an element is new when its id is at least
 ``Grid._first_new_id``, the first id the open transaction drew.
 ``Grid._vanishing`` holds the places ``pre_adapt`` lets coarsen.
-Transaction calls read the record behind a handle through ``Grid._own``,
-which refuses a handle of another grid.
+Transaction calls read the record behind an element handle through
+``Grid._own``, which refuses a handle of another grid or one that is not
+an element.
 """
 
 from __future__ import annotations
@@ -296,11 +297,13 @@ class Grid:
         if self._phase not in phases:
             raise LifecycleError(f"{call} called during phase {self._phase!r}")
 
-    def _own(self, entity):
-        """Record of an entity handle, refusing one of another grid."""
-        if entity.grid is not self:
+    def _own(self, element):
+        """Record of an element handle, refusing one of another grid or another codim."""
+        if element.grid is not self:
             raise StaleEntityError("entity belongs to a different grid")
-        return entity._rec()
+        if element.codim != 0:
+            raise DimensionMismatchError(f"expected an element, got a {type(element).__name__}")
+        return element._rec()
 
     def _check_alive(self, srev):
         if srev != self._srev:

@@ -52,6 +52,16 @@ def t_junction():
     return make_grid(2, 3, verts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
 
+def vertex_or_edge(kind):
+    """A grid and a leaf handle of it that is not an element: a ``Vertex`` of
+    a 4-segment chain or an ``Edge`` of a triangle."""
+    if kind == "Vertex":
+        grid = make_grid(1, 3, [(float(i), 0.0, 0.0) for i in range(5)], [(i, i + 1) for i in range(4)])
+        return grid, grid.leaf_view().vertices()[1]
+    grid = make_grid(2, 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
+    return grid, grid.leaf_view().entities(1)[0]
+
+
 def refine_all(grid, rounds=1):
     for _ in range(rounds):
         for el in grid.leaf_view().elements():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from netmesh import LINE, audit_grid
-from netmesh.errors import LifecycleError, StaleEntityError
+from netmesh.errors import DimensionMismatchError, LifecycleError, StaleEntityError
 
-from conftest import make_grid, refine_all
+from conftest import make_grid, refine_all, vertex_or_edge
 
 
 def leaf_elements(grid):
@@ -38,6 +38,19 @@ class TestMarking:
         with pytest.raises(StaleEntityError, match="different grid"):
             chain4.get_mark(foreign)
         assert other.get_mark(foreign) == 0
+
+    @pytest.mark.parametrize("kind", ["Vertex", "Edge"])
+    def test_mark_refuses_a_vertex_or_edge(self, kind):
+        grid, entity = vertex_or_edge(kind)
+        with pytest.raises(DimensionMismatchError, match=f"got a {kind}"):
+            grid.mark(1, entity)
+        assert grid.pre_adapt() is False  # still idle, nothing marked
+
+    @pytest.mark.parametrize("kind", ["Vertex", "Edge"])
+    def test_get_mark_refuses_a_vertex_or_edge(self, kind):
+        grid, entity = vertex_or_edge(kind)
+        with pytest.raises(DimensionMismatchError, match=f"got a {kind}"):
+            grid.get_mark(entity)
 
     def test_marks_cleared_after_adapt(self, chain4):
         el = leaf_elements(chain4)[0]

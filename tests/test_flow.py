@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_grid, refine_all
-from netmesh import LifecycleError, ScenarioError, SingularSystemError
+from netmesh import LifecycleError, ScenarioError, SingularSystemError, topology
 from netmesh.flow import (
     FlowState,
     VesselProblem,
@@ -554,6 +554,27 @@ class TestProblemSetup:
         assert boundary_vertex_ids_by_marker(view, [3]) == {3}
         assert boundary_vertex_ids_by_marker(view, [2]) == set()
         assert boundary_vertex_ids_by_marker(view, [1, 3]) == {0, 3}
+
+    def test_boundary_vertices_by_marker_make_no_entity_wrapper(self, monkeypatch):
+        grid = make_grid(
+            1, 3,
+            [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)],
+            [(0, 1), (1, 2), (2, 3)],
+            markers=[1, 2, 3],
+        )
+        refine_all(grid, rounds=2)  # leaves read their level-0 root's marker
+        view = grid.leaf_view()
+        built = []
+        init = topology._Entity.__init__
+
+        def counting(entity, grid, level, slot):
+            built.append(type(entity).__name__)
+            init(entity, grid, level, slot)
+
+        monkeypatch.setattr(topology._Entity, "__init__", counting)
+        assert boundary_vertex_ids_by_marker(view, [1, 3]) == {0, 3}
+        assert boundary_vertex_ids_by_marker(view, [2]) == set()
+        assert built == []
 
     def test_problem_from_scenario_maps_tags_to_vertices(self):
         grid = make_grid(

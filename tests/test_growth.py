@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmesh import LINE, audit_grid, intersections
-from netmesh.errors import FactoryError, LifecycleError, StaleEntityError
+from netmesh.errors import DimensionMismatchError, FactoryError, LifecycleError, StaleEntityError
 from netmesh.roots import leaf_degree
 
-from conftest import assert_leaf_view_is_brute_force, make_grid, refine_all
+from conftest import assert_leaf_view_is_brute_force, make_grid, refine_all, vertex_or_edge
 
 
 def test_queue_vertex_indices_continue_leaf_range(chain4):
@@ -65,6 +65,17 @@ def test_remove_element_of_another_grid_is_refused(chain4):
     chain4.post_grow()
     assert chain4.leaf_view().size(0) == 4
     assert other.leaf_view().size(0) == 4
+
+
+@pytest.mark.parametrize("kind", ["Vertex", "Edge"])
+def test_remove_element_refuses_a_vertex_or_edge(kind):
+    grid, entity = vertex_or_edge(kind)
+    size = grid.leaf_view().size(0)
+    with pytest.raises(DimensionMismatchError, match=f"got a {kind}"):
+        grid.remove_element(entity)
+    assert grid.grow() is False  # the refused call queued nothing
+    grid.post_grow()
+    assert grid.leaf_view().size(0) == size
 
 
 def test_insertions_processed_before_removals(chain4):

@@ -11,9 +11,12 @@ The last tests run random adapt, grow and remove rounds on the same fan.
 After each round they check that fragments tile every leaf facet, and that
 every corner, volume and centre has the bits of the numpy array
 expressions written out below, which the Python-float arithmetic and the
-shared per-element corners must reproduce.
+shared per-element corners must reproduce.  The global geometries of an
+element's groups are derived together in one batch; its A, A^T A and
+det(A^T A) must have the bits of a lone ``AffineGeometry``.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_leaf_view_is_brute_force, make_grid
 from netmesh import SingularGeometryError, intersections
-from netmesh.geometry import REFERENCE_CORNERS, AffineGeometry
+from netmesh.geometry import REFERENCE_CORNERS, AffineGeometry, AffineStack
 from netmesh.topology import TRIANGLE, TRIANGLE_EDGES, audit_grid
 
 # three triangles fanning around the edge (0, 1), one more on the edge (1, 2)
@@ -145,6 +148,41 @@ def test_geometries_are_built_once(count_geometries):
     assert grp.geometry_in_outside(1) is grp.geometry_in_outside(1)
     assert_same(read_geometries(grp), first)
     assert count_geometries["built"] == built
+
+
+def test_dropped_groups_leave_no_garbage_cycle():
+    """Groups whose geometries were read are freed by reference counting alone."""
+    grid = fan_grid()
+    adapt(grid, np.random.default_rng(3), refine=0.6, coarsen=0.0)
+    view = grid.leaf_view()
+    elements = view.elements()
+    gc.collect()
+    gc.disable()
+    try:
+        for el in elements:
+            for grp in intersections(view, el):
+                grp.geometry.volume()
+                grp.geometry_in_inside.corners
+                for k in range(grp.neighbor_count):
+                    grp.geometry_in_outside(k).corners
+        del grp
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_zero_length_fragment_is_singular():
+    """A fragment on a collapsed facet is derived with the other fragments of
+    its element and still refuses a volume."""
+    grid = make_grid(2, 3, [(0, 0, 0), (0, 0, 0), (0, 1, 0), (1, 0, 0)], [(0, 1, 2), (0, 3, 1)])
+    view = grid.leaf_view()
+    for el in view.elements():
+        groups = intersections(view, el)
+        collapsed = [grp for grp in groups if grp.neighbor_count == 1]
+        assert len(collapsed) == 1
+        with pytest.raises(SingularGeometryError):
+            collapsed[0].geometry.volume()
+        assert [grp.geometry.volume() for grp in groups if grp.neighbor_count == 0] == [1.0, 1.0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -360,18 +398,18 @@ def test_is_degenerate_matches_numpy(k, w, scale, seed, bend):
     assert_numpy_classification(corners)
 
 
-@pytest.mark.parametrize(
-    "corners",
-    [
-        # a compensated sum (the built-in sum from Python 3.12 on) gives
-        # 1e16 + 2 for 1e16 + 1 + 1, numpy's plain one 1e16
-        [[1e16, -0.0, 0.0], [1.0, -0.0, 1.0], [1.0, -0.0, 0.0]],  # centre column
-        [[0.0, 0.0, 0.0], [1e8, 1.0, 1.0]],  # squares of the corner scale
-        [[0.0, 0.0, 0.0], [1e8, 1.0, 1.0], [0.0, 1e8, 0.0]],
-        # numpy sums negative zeros to +0.0
-        [[-0.0, 0.0], [-0.0, 1.0]],
-    ],
-)
+ROUNDING_SENSITIVE = [
+    # a compensated sum (the built-in sum from Python 3.12 on) gives
+    # 1e16 + 2 for 1e16 + 1 + 1, numpy's plain one 1e16
+    [[1e16, -0.0, 0.0], [1.0, -0.0, 1.0], [1.0, -0.0, 0.0]],  # centre column
+    [[0.0, 0.0, 0.0], [1e8, 1.0, 1.0]],  # squares of the corner scale
+    [[0.0, 0.0, 0.0], [1e8, 1.0, 1.0], [0.0, 1e8, 0.0]],
+    # numpy sums negative zeros to +0.0
+    [[-0.0, 0.0], [-0.0, 1.0]],
+]
+
+
+@pytest.mark.parametrize("corners", ROUNDING_SENSITIVE)
 def test_rounding_sensitive_corners_match_numpy(corners):
     """Sums whose rounding or sign depends on how they are added classify and centre as numpy did."""
     assert_numpy_classification(np.array(corners))
@@ -398,3 +436,41 @@ def assert_numpy_classification(corners):
         assert geo.is_degenerate()
         geo._det = math.nextafter(threshold, math.inf)
         assert not geo.is_degenerate()
+
+
+def assert_stack_is_lone(stack):
+    """Every geometry of an ``AffineStack`` has the bits of a lone instance."""
+    batch = AffineStack(stack)
+    for i, corners in enumerate(stack):
+        got, lone = batch.geometry(i), AffineGeometry(corners.copy())
+        lone._derive()
+        assert same_bits(got.corners, lone.corners)
+        assert same_bits(got._a, lone._a)
+        assert same_bits(got._gram, lone._gram)
+        assert type(got._det) is float and same_bits(got._det, lone._det)
+        assert got.is_degenerate() == lone.is_degenerate()
+        if not lone.is_degenerate():
+            assert same_bits(got.volume(), lone.volume())
+            assert same_bits(got.jacobian_inverse_transposed(), lone.jacobian_inverse_transposed())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(1, 6),
+    st.sampled_from(SCALES),
+    st.integers(0, 2**32 - 1),
+)
+def test_stack_derives_the_bits_of_lone_geometries(k, extra, n, scale, seed):
+    """A, A^T A and det(A^T A) of a random stack equal what each simplex derives alone."""
+    w = max(k, 1) + extra
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(n, k + 1, w)) * scale * 10.0 ** rng.uniform(-3.0, 3.0, size=w)
+    assert_stack_is_lone(stack)
+
+
+@pytest.mark.parametrize("corners", ROUNDING_SENSITIVE)
+def test_stack_of_rounding_sensitive_corners_is_lone(corners):
+    corners = np.array(corners)
+    assert_stack_is_lone(np.stack([corners, corners[::-1], 2.0 * corners]))
