@@ -43,7 +43,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import NeighborIndexError
+from .errors import NeighborIndexError, StaleEntityError
 from .geometry import REFERENCE_CORNERS, AffineGeometry, AffineStack
 from .topology import Element, TRIANGLE_EDGES
 
@@ -174,8 +174,14 @@ class PairwiseIntersection:
 
 
 def intersections(view, element):
-    """All intersection groups of ``element``, facets in local order."""
+    """All intersection groups of ``element``, facets in local order.
+
+    ``element`` must be an element handle of the view's grid, as for
+    ``Grid.mark``, and one the view keeps; an element outside the view
+    raises StaleEntityError.
+    """
     grid = view.grid
+    rec = grid._own(element)
     if view.level is None:
         def in_view(lev, rec):
             return not rec.children
@@ -185,9 +191,11 @@ def intersections(view, element):
         def in_view(lev, rec):
             return lev == target
 
+    if not in_view(element.level, rec):
+        raise StaleEntityError(f"{element!r} is not part of this view")
     if grid.dim == 1:
-        return _groups_1d(grid, element, in_view)
-    return _groups_2d(grid, element, in_view)
+        return _groups_1d(grid, element, rec, in_view)
+    return _groups_2d(grid, element, rec, in_view)
 
 
 def pairwise_intersections(view, element):
@@ -230,8 +238,7 @@ class _Frame:
 # -- dim 1: facets are vertices, junctions are copy chains ----------------
 
 
-def _groups_1d(grid, element, in_view):
-    rec = element._rec()
+def _groups_1d(grid, element, rec, in_view):
     frame = _Frame(grid, element, rec)
     groups = []
     for facet in (0, 1):
@@ -253,8 +260,7 @@ def _groups_1d(grid, element, in_view):
 # -- dim 2: facets are edges with refinement trees ------------------------
 
 
-def _groups_2d(grid, element, in_view):
-    rec = element._rec()
+def _groups_2d(grid, element, rec, in_view):
     frame = _Frame(grid, element, rec)
     level, slot, elems = element.level, element.slot, grid._elems
     groups = []

@@ -25,8 +25,8 @@ grown).  Ids only increase, so an element is new when its id is at least
 ``Grid._first_new_id``, the first id the open transaction drew.
 ``Grid._vanishing`` holds the places ``pre_adapt`` lets coarsen.
 Transaction calls read the record behind an element handle through
-``Grid._own``, which refuses a handle of another grid or one that is not
-an element.
+``Grid._own``, which refuses a handle of another grid and anything that
+is not an element handle.
 """
 
 from __future__ import annotations
@@ -298,11 +298,11 @@ class Grid:
             raise LifecycleError(f"{call} called during phase {self._phase!r}")
 
     def _own(self, element):
-        """Record of an element handle, refusing one of another grid or another codim."""
+        """Record of an element handle, refusing anything else or a handle of another grid."""
+        if not isinstance(element, Element):
+            raise DimensionMismatchError(f"expected an element, got a {type(element).__name__}")
         if element.grid is not self:
             raise StaleEntityError("entity belongs to a different grid")
-        if element.codim != 0:
-            raise DimensionMismatchError(f"expected an element, got a {type(element).__name__}")
         return element._rec()
 
     def _check_alive(self, srev):

@@ -25,6 +25,8 @@ first ``entities`` call of a codim.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+
 import numpy as np
 
 from .errors import StaleEntityError
@@ -53,18 +55,28 @@ class GridView:
     def _build(self, codim):
         """One pass over the records in (level, slot) order, keyed by id.
 
-        A vertex copy that is kept replaces the coarser copies kept before
-        it, at its own place, so the finest copy touching a leaf stays.
+        The leaf view keeps, per level, the edges and vertices that the
+        leaf elements of that level list as their own, flagged in one pass
+        over those elements.  A vertex copy that is kept replaces the
+        coarser copies kept before it, at its own place, so the finest
+        copy touching a leaf stays.
         """
         grid = self.grid
         arena = grid._elems if codim == 0 else grid._verts if codim == grid.dim else grid._edges
         leaf = self.level is None
         kept = {}
         for level in range(len(arena)) if leaf else (self.level,):
-            elems = grid._elems[level]
-            for slot, rec in enumerate(arena[level]):
-                if leaf and (rec.children if codim == 0 else all(elems[t].children for t in rec.incident)):
-                    continue
+            records = arena[level]
+            keep = repeat(True)
+            if leaf and codim == 0:
+                keep = [not rec.children for rec in records]
+            elif leaf:
+                keep = bytearray(len(records))
+                for erec in grid._elems[level]:
+                    if not erec.children:
+                        for s in erec.v if codim == grid.dim else erec.edges:
+                            keep[s] = 1
+            for slot, rec in compress(enumerate(records), keep):
                 kept.pop(rec.id, None)
                 kept[rec.id] = (level, slot, rec)
         self._places[codim] = tuple((level, slot) for level, slot, _ in kept.values())

@@ -1,26 +1,36 @@
 """Legacy ASCII VTK unstructured-grid writer for grid views.
 
-Points are the view's vertex coordinates in index-set order, padded to
-three components; cells are its elements' corner indices (VTK types 3/5).
-Floats are written with shortest round-trip formatting, so output is
-byte-reproducible and coordinates survive a read-back bit-exactly.
+Points are the view's vertex coordinates in index-set order, padded or
+cut to three components; cells are its elements' corner indices (VTK
+types 3/5).  A float is written as ``str(int(x))`` when it is integral
+and ``abs(x) < 1e16`` and as ``repr(x)`` otherwise, and ``-0.0`` as
+``0``, so output is byte-reproducible and coordinates survive a
+read-back bit-exactly.
+
+Each section is one ``%``-format over a flat tuple, with no Python call
+per value.  ``x + 0.0`` turns ``-0.0`` into ``0.0``.  Below 1e16,
+``repr`` of a finite float ends in ``.0`` exactly when it is integral
+(it uses an exponent only for large or small values, and an exponent
+never ends in ``.0``), so replacing ``.0`` where a token ends, before
+``" "`` or ``"\\n"``, drops exactly the ``.0`` of integral values.
+Tokens hold no space or newline, so the replaces touch nothing else.
 """
 
 from __future__ import annotations
 
-import io
-import math
+from array import array
 from pathlib import Path
+
+import numpy as np
 
 VTK_LINE = 3
 VTK_TRIANGLE = 5
 
 
-def _fmt(x):
-    x = float(x)
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))  # 1.0 -> "1", keeps files tidy
-    return repr(x)
+def _floats(values, row):
+    """``row`` formatted once per row of the float array ``values``."""
+    text = row * len(values) % tuple((values + 0.0).ravel().tolist())
+    return text.replace(".0 ", " ").replace(".0\n", "\n")
 
 
 def write_vtk(view, sink, point_data=None, cell_data=None, title="netmesh output"):
@@ -32,38 +42,24 @@ def write_vtk(view, sink, point_data=None, cell_data=None, title="netmesh output
     coordinates = view.coordinates()
     corners = view.corner_indices()
     d = view.grid.dim
+    n_points, n_cells = len(coordinates), len(corners)
+    points = np.zeros((n_points, 3))
+    w = min(view.grid.world_dim, 3)
+    points[:, :w] = coordinates[:, :w]
 
-    buf = io.StringIO()
-    buf.write("# vtk DataFile Version 2.0\n")
-    buf.write(f"{title}\n")
-    buf.write("ASCII\n")
-    buf.write("DATASET UNSTRUCTURED_GRID\n")
+    parts = [
+        f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {n_points} double\n", _floats(points, "%r %r %r\n"),
+        f"CELLS {n_cells} {n_cells * (d + 2)}\n",
+        (f"{d + 1}" + " %d" * (d + 1) + "\n") * n_cells % tuple(corners.ravel().tolist()),
+        f"CELL_TYPES {n_cells}\n", f"{VTK_LINE if d == 1 else VTK_TRIANGLE}\n" * n_cells,
+    ]
+    for header, fields, n in (("POINT_DATA", point_data, n_points), ("CELL_DATA", cell_data, n_cells)):
+        if fields:
+            parts.append(f"{header} {n}\n")
+            parts += [_scalars(name, values, n) for name, values in fields.items()]
 
-    buf.write(f"POINTS {len(coordinates)} double\n")
-    for coords in coordinates.tolist():
-        coords += [0.0] * (3 - view.grid.world_dim)
-        buf.write(" ".join(_fmt(c) for c in coords[:3]) + "\n")
-
-    n_cells = len(corners)
-    buf.write(f"CELLS {n_cells} {n_cells * (d + 2)}\n")
-    for ids in corners.tolist():
-        buf.write(" ".join(str(i) for i in [d + 1] + ids) + "\n")
-
-    buf.write(f"CELL_TYPES {n_cells}\n")
-    cell_type = VTK_LINE if d == 1 else VTK_TRIANGLE
-    for _ in range(n_cells):
-        buf.write(f"{cell_type}\n")
-
-    if point_data:
-        buf.write(f"POINT_DATA {len(coordinates)}\n")
-        for name, values in point_data.items():
-            _write_scalars(buf, name, values, len(coordinates))
-    if cell_data:
-        buf.write(f"CELL_DATA {n_cells}\n")
-        for name, values in cell_data.items():
-            _write_scalars(buf, name, values, n_cells)
-
-    text = buf.getvalue()
+    text = "".join(parts)
     if hasattr(sink, "write"):
         sink.write(text)
     else:
@@ -71,14 +67,12 @@ def write_vtk(view, sink, point_data=None, cell_data=None, title="netmesh output
     return text
 
 
-def _write_scalars(buf, name, values, expected):
-    values = list(values)
+def _scalars(name, values, expected):
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
     if len(values) != expected:
         raise ValueError(f"field {name!r} has {len(values)} values, expected {expected}")
-    bad = next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
-    if bad is not None:
-        raise ValueError(f"field {name!r} has the non-finite value {values[bad]} at index {bad}")
-    buf.write(f"SCALARS {name} double 1\n")
-    buf.write("LOOKUP_TABLE default\n")
-    for v in values:
-        buf.write(_fmt(v) + "\n")
+    floats = np.frombuffer(array("d", values))  # refuses what math.isfinite refuses
+    bad = np.flatnonzero(~np.isfinite(floats))
+    if bad.size:
+        raise ValueError(f"field {name!r} has the non-finite value {values[bad[0]]} at index {bad[0]}")
+    return f"SCALARS {name} double 1\nLOOKUP_TABLE default\n" + _floats(floats, "%r\n")

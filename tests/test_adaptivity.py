@@ -52,6 +52,14 @@ class TestMarking:
         with pytest.raises(DimensionMismatchError, match=f"got a {kind}"):
             grid.get_mark(entity)
 
+    @pytest.mark.parametrize("thing", [3, None, "x", (0, 1)])
+    def test_mark_and_get_mark_refuse_a_non_handle(self, chain4, thing):
+        with pytest.raises(DimensionMismatchError, match=f"got a {type(thing).__name__}"):
+            chain4.mark(1, thing)
+        with pytest.raises(DimensionMismatchError, match=f"got a {type(thing).__name__}"):
+            chain4.get_mark(thing)
+        assert chain4.pre_adapt() is False  # still idle, nothing marked
+
     def test_marks_cleared_after_adapt(self, chain4):
         el = leaf_elements(chain4)[0]
         chain4.mark(1, el)

@@ -78,6 +78,14 @@ def test_remove_element_refuses_a_vertex_or_edge(kind):
     assert grid.leaf_view().size(0) == size
 
 
+@pytest.mark.parametrize("thing", [3, None, "x"])
+def test_remove_element_refuses_a_non_handle(chain4, thing):
+    with pytest.raises(DimensionMismatchError, match=f"got a {type(thing).__name__}"):
+        chain4.remove_element(thing)
+    assert chain4.mark(1, chain4.leaf_view().elements()[0])  # refused in any phase but idle
+    assert chain4.grow() is False  # the refused call queued nothing
+
+
 def test_insertions_processed_before_removals(chain4):
     g = chain4
     # remove the last segment but extend from its far vertex in the same

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from netmesh import intersections, pairwise_intersections
-from netmesh.errors import NeighborIndexError
+from netmesh.errors import DimensionMismatchError, NeighborIndexError, StaleEntityError
 
-from conftest import make_grid, refine_all
+from conftest import make_grid, refine_all, vertex_or_edge
 
 
 def groups_of(grid, element=None, view=None):
@@ -201,3 +201,36 @@ def test_group_geometry_matches_subentity(two_triangles):
             sorted(tuple(v.coords) for v in facet.vertices()),
             atol=1e-14,
         )
+
+
+class TestRefusals:
+    """Only an element the view keeps has intersections in that view."""
+
+    def test_refined_father_is_not_in_the_leaf_view(self, chain4):
+        refine_all(chain4)
+        father = chain4.level_view(0).elements()[1]
+        for call in (intersections, pairwise_intersections):
+            with pytest.raises(StaleEntityError, match="not part of this view"):
+                call(chain4.leaf_view(), father)
+
+    def test_element_of_another_level_is_not_in_a_level_view(self, two_triangles):
+        refine_all(two_triangles)
+        child = two_triangles.level_view(1).elements()[0]
+        with pytest.raises(StaleEntityError, match="not part of this view"):
+            intersections(two_triangles.level_view(0), child)
+        assert len(intersections(two_triangles.level_view(1), child)) >= 3
+
+    @pytest.mark.parametrize("kind", ["Vertex", "Edge"])
+    def test_vertex_or_edge_is_refused(self, kind):
+        grid, entity = vertex_or_edge(kind)
+        with pytest.raises(DimensionMismatchError, match=f"got a {kind}"):
+            intersections(grid.leaf_view(), entity)
+
+    @pytest.mark.parametrize("thing", [None, 0])
+    def test_non_handle_is_refused(self, chain4, thing):
+        with pytest.raises(DimensionMismatchError, match=f"got a {type(thing).__name__}"):
+            intersections(chain4.leaf_view(), thing)
+
+    def test_element_of_another_grid_is_refused(self, chain4, y_junction):
+        with pytest.raises(StaleEntityError, match="different grid"):
+            intersections(chain4.leaf_view(), y_junction.leaf_view().elements()[0])

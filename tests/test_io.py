@@ -3,6 +3,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmesh import GridConfig, audit_grid, read_gmsh
 from netmesh.errors import MshParseError
@@ -219,3 +221,112 @@ class TestVtkWriting:
         write_vtk(g.leaf_view(), buf)
         text = buf.getvalue()
         assert "CELLS 5 20" in text  # 4 children + 1 coarse neighbor
+
+
+def _fmt(x):
+    """The writer's byte rule, one value at a time: the oracle for ``write_vtk``."""
+    x = float(x)
+    if x == int(x) and abs(x) < 1e16:
+        return str(int(x))  # 1.0 -> "1", -0.0 -> "0"
+    return repr(x)
+
+
+def reference_vtk(view, point_data=None, cell_data=None, title="netmesh output"):
+    """What ``write_vtk`` writes, built line by line with ``_fmt``."""
+    d = view.grid.dim
+    points, cells = view.coordinates().tolist(), view.corner_indices().tolist()
+    lines = ["# vtk DataFile Version 2.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
+    lines += [f"POINTS {len(points)} double"] + [" ".join(map(_fmt, (p + [0.0] * 3)[:3])) for p in points]
+    lines += [f"CELLS {len(cells)} {len(cells) * (d + 2)}"] + [" ".join(map(str, [d + 1] + c)) for c in cells]
+    lines += [f"CELL_TYPES {len(cells)}"] + [str(3 if d == 1 else 5)] * len(cells)
+    for header, fields, n in (("POINT_DATA", point_data, len(points)), ("CELL_DATA", cell_data, len(cells))):
+        if fields:
+            lines.append(f"{header} {n}")
+            for name, values in fields.items():
+                lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"] + [_fmt(v) for v in values]
+    return "\n".join(lines) + "\n"
+
+
+def chain(coords):
+    return make_grid(1, len(coords[0]), coords, [(i, i + 1) for i in range(len(coords) - 1)])
+
+
+# value -> the token written for it; integral below 1e16 drops ".0", the rest is repr
+TOKENS = [
+    (-0.0, "0"),
+    (0.0, "0"),
+    (1e16, "1e+16"),
+    (9999999999999998.0, "9999999999999998"),
+    (2.0**53, "9007199254740992"),
+    (-(2.0**60), "-1.152921504606847e+18"),
+    (5e-324, "5e-324"),
+    (1e300, "1e+300"),
+    (0.1, "0.1"),
+    (1.5e-05, "1.5e-05"),
+    (-3.0, "-3"),
+    (-(2.0**52), "-4503599627370496"),
+    (-9999999999999998.0, "-9999999999999998"),
+    (-1e16, "-1e+16"),
+]
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def chains_with_fields(draw):
+    world_dim = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 8))
+    coords = draw(st.lists(st.lists(finite, min_size=world_dim, max_size=world_dim), min_size=n, max_size=n))
+    point = draw(st.lists(finite, min_size=n, max_size=n))
+    cell = draw(st.lists(finite, min_size=n - 1, max_size=n - 1))
+    return coords, point, cell
+
+
+class TestVtkByteRule:
+    @settings(max_examples=150, deadline=None)
+    @given(chains_with_fields())
+    def test_every_section_follows_the_per_value_rule(self, case):
+        coords, point, cell = case
+        view = chain(coords).leaf_view()
+        fields = {"point_data": {"u": point}, "cell_data": {"p": cell, "q": np.array(cell)}}
+        buf = io.StringIO()
+        text = write_vtk(view, buf, **fields)
+        assert text == buf.getvalue() == reference_vtk(view, **fields)
+
+    @pytest.mark.parametrize("value,token", TOKENS)
+    def test_token_of_each_edge_value(self, value, token):
+        view = chain([(value, 0.0, 1.0), (2.0, value, 0.5)]).leaf_view()
+        text = write_vtk(view, io.StringIO(), cell_data={"p": np.array([value])})
+        assert f"POINTS 2 double\n{token} 0 1\n2 {token} 0.5\nCELLS" in text
+        assert text.endswith(f"LOOKUP_TABLE default\n{token}\n")
+        assert text == reference_vtk(view, cell_data={"p": [value]})
+
+    def test_int_bool_and_numpy_int_field_values(self):
+        view = chain([(0.0,), (1.0,), (2.0,), (3.0,)]).leaf_view()
+        values = [-7, True, np.int64(3)]
+        text = write_vtk(view, io.StringIO(), cell_data={"p": values, "q": np.array([2**60, 0, -1])})
+        assert "LOOKUP_TABLE default\n-7\n1\n3\nSCALARS q" in text
+        assert text.endswith("LOOKUP_TABLE default\n1.152921504606847e+18\n0\n-1\n")
+        assert text == reference_vtk(view, cell_data={"p": values, "q": [2**60, 0, -1]})
+
+    @pytest.mark.parametrize("world_dim", [1, 2, 3, 4])
+    def test_points_are_padded_or_cut_to_three_components(self, world_dim):
+        coords = [[-0.0, 1.5, -2.0, 7.0][:world_dim], [3.0, -0.25, 0.1, 8.0][:world_dim]]
+        view = chain(coords).leaf_view()
+        point = {"h": view.coordinates()[:, 0]}
+        text = write_vtk(view, io.StringIO(), point_data=point)
+        rows = {1: ["0 0 0", "3 0 0"], 2: ["0 1.5 0", "3 -0.25 0"]}.get(world_dim, ["0 1.5 -2", "3 -0.25 0.1"])
+        assert f"POINTS 2 double\n{rows[0]}\n{rows[1]}\nCELLS" in text
+        assert text.endswith("POINT_DATA 2\nSCALARS h double 1\nLOOKUP_TABLE default\n0\n3\n")
+        assert text == reference_vtk(view, point_data=point)
+
+    def test_empty_field_sets_write_no_data_section(self, two_triangles):
+        view = two_triangles.leaf_view()
+        bare = write_vtk(view, io.StringIO())
+        assert write_vtk(view, io.StringIO(), point_data={}, cell_data={}) == bare == reference_vtk(view)
+        assert "_DATA" not in bare
+
+    @pytest.mark.parametrize("bad", ["2", None, 1j])
+    def test_value_that_is_not_a_real_number_is_refused(self, two_triangles, bad):
+        with pytest.raises(TypeError):
+            write_vtk(two_triangles.leaf_view(), io.StringIO(), cell_data={"p": [1.0, bad]})
