@@ -9,10 +9,11 @@ would square its condition number and lose accuracy on thin triangles).
 
 A geometry stores its corners when it is made and derives A, A^T A and
 det(A^T A) on first use, so reading only the corners or the centre costs
-no matmul.  :class:`AffineStack` derives them for a whole stack of
-simplices in one batched pass and hands each geometry its share; the
-bits are those a lone instance derives, because a stacked numpy matmul
-runs the same kernel on each simplex that a lone one runs.
+no matmul.  :class:`AffineStack` derives them, and the corner scale of
+the degeneracy test, for a whole stack of simplices in one batched pass
+and hands each geometry its share; the bits are those a lone instance
+derives, because a stacked numpy matmul runs the same kernel on each
+simplex that a lone one runs, and numpy sums a short row left to right.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ _EPS = np.finfo(float).eps
 class AffineGeometry:
     """Map between a reference k-simplex and an affine simplex in R^w."""
 
-    __slots__ = ("corners", "dim", "world_dim", "_a", "_gram", "_det")
+    __slots__ = ("corners", "dim", "world_dim", "_a", "_gram", "_det", "_scale", "__weakref__")
 
     def __init__(self, corners):
         corners = np.asarray(corners, dtype=float)
@@ -54,6 +55,7 @@ class AffineGeometry:
         self.dim = k
         self.world_dim = w
         self._a = self._gram = self._det = None  # derived on first use
+        self._scale = None  # corner scale, when a stack derived it
 
     def _derive(self):
         """Fill A (w x k), A^T A (k x k) and det(A^T A) unless already filled."""
@@ -74,10 +76,12 @@ class AffineGeometry:
         if self.dim == 0:
             return False
         self._derive()
-        # Python floats over the rows of A^T = corners[1:] - corners[0]: the
-        # same bits as numpy's row sums of (corners - corners[0])**2, at a
-        # fraction of the cost.
-        scale = max([_plain_sum([x * x for x in row]) for row in self._a.T.tolist()])
+        scale = self._scale
+        if scale is None:
+            # Python floats over the rows of A^T = corners[1:] - corners[0]: the
+            # same bits as numpy's row sums of (corners - corners[0])**2, at a
+            # fraction of the cost.
+            scale = max([_plain_sum([x * x for x in row]) for row in self._a.T.tolist()])
         if scale == 0.0:
             return True
         # det(A^T A) carries units length^(2k) and its round-off is of order
@@ -168,24 +172,30 @@ class AffineGeometry:
 class AffineStack:
     """The affine geometries of an (n, k + 1, w) stack of simplex corners.
 
-    One batched pass derives every simplex's A, A^T A and det(A^T A);
-    ``geometry(i)`` makes the i-th geometry through
-    ``AffineGeometry(corners[i])`` and hands it its share, so a geometry
-    nobody reads is never made.
+    One batched pass derives every simplex's A, A^T A and det(A^T A), and
+    the corner scale of the degeneracy test: the largest row sum of
+    (A^T)**2, which numpy adds left to right as ``_plain_sum`` does while a
+    row has fewer than eight terms (so only then).  ``geometry(i)`` makes
+    the i-th geometry through ``AffineGeometry(corners[i])`` and hands it
+    its share, so a geometry nobody reads is never made.
     """
 
-    __slots__ = ("corners", "_a", "_gram", "_det")
+    __slots__ = ("corners", "_a", "_gram", "_det", "_scale")
 
     def __init__(self, corners):
         self.corners = corners
         at = corners[:, 1:] - corners[:, :1]  # A^T per simplex, (n, k, w)
         self._a = at.transpose(0, 2, 1)
         self._gram = at @ self._a
-        self._det = _det_small(self._gram).tolist()
+        self._det = _det_small(self._gram)
+        k, w = at.shape[1:]
+        self._scale = (at * at).sum(axis=-1).max(axis=-1) if 0 < k and w < 8 else None
 
     def geometry(self, i):
         geo = AffineGeometry(self.corners[i])
-        geo._a, geo._gram, geo._det = self._a[i], self._gram[i], self._det[i]
+        geo._a, geo._gram, geo._det = self._a[i], self._gram[i], float(self._det[i])
+        if self._scale is not None:
+            geo._scale = float(self._scale[i])
         return geo
 
 

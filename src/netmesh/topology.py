@@ -9,9 +9,9 @@ coarsening or growth transaction compacts the arenas.
 A vertex that appears on several levels is stored once per level; the
 copies are linked through ``father``/``finer`` and share one persistent
 id, so they act as a single logical vertex across the hierarchy.
-Views, index sets and the facet table name a logical vertex by that id;
-``Grid._vertex_chain`` is the one walk over its copies, for the 1D
-intersection sweep, ``roots.leaf_degree`` and growth.
+Views, index sets, the facet table and the 1D intersection table name a
+logical vertex by that id; ``Grid._vertex_chain`` is the one walk over
+its copies, for ``roots.leaf_degree`` and growth.
 
 Records enter the arenas only through ``Grid._add_vertex``,
 ``Grid._add_element`` and ``Grid._get_or_make_edge`` (factory,
@@ -222,6 +222,8 @@ class Grid:
 
         view = self._leaf_view() if self._leaf_view is not None else None
         if view is None or view._revision != self._revision:
+            if view is not None:
+                view._release()
             view = GridView(self, None)
             self._leaf_view = weakref.ref(view)
         return view

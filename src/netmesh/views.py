@@ -18,9 +18,11 @@ A view walks the records once, when it is made, and keeps what that walk
 found as arrays in index order: per codim the persistent ``ids`` and the
 ``(level, slot)`` ``places`` of the records, per element the vertex
 indices of its corners (``corner_indices``) and per vertex its
-``coordinates``.  The facet table, the VTK writer, growth and the
-leaf-data transfer read these; entity wrappers are made only on the
-first ``entities`` call of a codim.
+``coordinates``.  The facet table, the intersection table, the VTK
+writer, growth and the leaf-data transfer read these; entity wrappers
+are made only on the first ``entities`` call of a codim.  The facet and
+intersection tables are built on first use and kept on the view; the
+grid drops those of its stale leaf view when it builds the next one.
 """
 
 from __future__ import annotations
@@ -45,8 +47,13 @@ class GridView:
         self._arrays = {}  # 0 -> corner indices per element, dim -> coordinates per vertex
         self._entities = {}  # codim -> wrappers, made on the first entities() call
         self._facet_table = None  # built by flow.facet_table on first use
+        self._intersection_table = None  # built by the first intersections() call
         for codim in range(grid.dim, -1, -1):  # vertices first: element corners index them
             self._build(codim)
+
+    def _release(self):
+        """Drop the tables built on first use: a stale view can read none of them."""
+        self._facet_table = self._intersection_table = None
 
     def _check_fresh(self):
         if self._revision != self.grid._revision:
@@ -95,15 +102,19 @@ class GridView:
             raise StaleEntityError(f"view has no codim {codim} entities")
         return table[codim]
 
-    # -- public surface ---------------------------------------------------
-
-    def entities(self, codim):
-        """Deterministically ordered entities of the given codimension."""
+    def _wrappers(self, codim):
+        """The view's own list of entity wrappers of one codim, made on first use."""
         places = self._of(self._places, codim)
         if codim not in self._entities:
             kind = Element if codim == 0 else Vertex if codim == self.grid.dim else Edge
             self._entities[codim] = [kind(self.grid, level, slot) for level, slot in places]
-        return list(self._entities[codim])
+        return self._entities[codim]
+
+    # -- public surface ---------------------------------------------------
+
+    def entities(self, codim):
+        """Deterministically ordered entities of the given codimension."""
+        return list(self._wrappers(codim))
 
     def elements(self):
         return self.entities(0)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from gridcheck import check_intersections
+from intersection_walk import assert_table_matches_walk
 from netmesh import LINE, TRIANGLE, GridConfig, GridFactory
 
 
@@ -120,3 +122,12 @@ def assert_leaf_view_is_brute_force(grid):
     assert_view_arrays_match_entities(view)
     for level in range(grid.max_level + 1):
         assert_view_arrays_match_entities(grid.level_view(level))
+
+
+def assert_intersections_agree(grid, contract=True):
+    """On the leaf view and every level view, the intersection table says what
+    the per-element walk says, and (with ``contract``) passes the gridcheck."""
+    for view in [grid.leaf_view()] + [grid.level_view(level) for level in range(grid.max_level + 1)]:
+        assert_table_matches_walk(view)
+        if contract:
+            check_intersections(view)

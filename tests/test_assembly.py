@@ -17,7 +17,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_grid
+from conftest import assert_intersections_agree, make_grid
 from netmesh import LINE, intersections
 from netmesh.errors import DimensionMismatchError
 from netmesh.flow import VesselProblem, assemble_pressure, facet_table, refinement_indicator
@@ -264,6 +264,7 @@ def test_table_matches_intersections(case, transactions):
             grid.adapt()
             grid.post_adapt()
         assert_table_matches_intersections(grid.leaf_view())
+        assert_intersections_agree(grid)
 
 
 def test_two_segment_loop_keeps_one_junction_per_vertex():

@@ -7,7 +7,13 @@ from netmesh import LINE, audit_grid, intersections
 from netmesh.errors import DimensionMismatchError, FactoryError, LifecycleError, StaleEntityError
 from netmesh.roots import leaf_degree
 
-from conftest import assert_leaf_view_is_brute_force, make_grid, refine_all, vertex_or_edge
+from conftest import (
+    assert_intersections_agree,
+    assert_leaf_view_is_brute_force,
+    make_grid,
+    refine_all,
+    vertex_or_edge,
+)
 
 
 def test_queue_vertex_indices_continue_leaf_range(chain4):
@@ -221,6 +227,7 @@ def test_vertex_chain_users_agree(transactions):
             grid.post_adapt()
         assert audit_grid(grid) == []
         assert_leaf_view_is_brute_force(grid)
+        assert_intersections_agree(grid)
 
         view = grid.leaf_view()
         ix = view.index_set

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_leaf_view_is_brute_force, make_grid
+from conftest import assert_intersections_agree, assert_leaf_view_is_brute_force, make_grid
 from netmesh import SingularGeometryError, intersections
 from netmesh.geometry import REFERENCE_CORNERS, AffineGeometry, AffineStack
 from netmesh.topology import TRIANGLE, TRIANGLE_EDGES, audit_grid
@@ -287,6 +287,7 @@ def test_random_transactions_keep_facets_partitioned(rounds):
         transaction(grid, np.random.default_rng(seed))
         assert_leaf_view_is_brute_force(grid)
         assert_partitioned(grid)
+        assert_intersections_agree(grid)
 
 
 # -- bit identity with the numpy expressions -------------------------------
@@ -474,3 +475,27 @@ def test_stack_derives_the_bits_of_lone_geometries(k, extra, n, scale, seed):
 def test_stack_of_rounding_sensitive_corners_is_lone(corners):
     corners = np.array(corners)
     assert_stack_is_lone(np.stack([corners, corners[::-1], 2.0 * corners]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(0, 6),
+    st.integers(1, 6),
+    st.sampled_from(SCALES),
+    st.integers(0, 2**32 - 1),
+)
+def test_stack_scale_has_the_bits_of_numpy_scale(k, extra, n, scale, seed):
+    """The corner scale a stack derives for the degeneracy test is numpy's
+    largest row sum of squares, bit for bit; from eight world coordinates
+    on the stack leaves it to each geometry."""
+    w = k + extra
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(n, k + 1, w)) * scale * 10.0 ** rng.uniform(-3.0, 3.0, size=w)
+    batch = AffineStack(stack)
+    for i, corners in enumerate(stack):
+        if w < 8:
+            assert same_bits(batch.geometry(i)._scale, numpy_threshold(corners)[1])
+        else:
+            assert batch.geometry(i)._scale is None
+    assert_stack_is_lone(stack)

@@ -1,0 +1,160 @@
+"""The view's intersection table against the per-element walk and the grid contract.
+
+A view builds one intersection table on the first ``intersections`` call
+and keeps it; every group it hands out must equal what the per-element
+walk in ``intersection_walk`` finds (facet, fragment, outsides by id,
+facet and fragment) and pass ``gridcheck.check_intersections``, on the
+leaf view and every level view of the fixture meshes.
+"""
+
+import gc
+import pathlib
+import weakref
+
+import numpy as np
+import pytest
+
+from conftest import assert_intersections_agree, make_grid, refine_all
+from netmesh import GridConfig, intersections, pairwise_intersections, read_gmsh
+from netmesh.errors import StaleEntityError
+from netmesh.views import GridView
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MESHES = {
+    "meshes/square.msh": 2,
+    "meshes/tjunction.msh": 2,
+    "meshes/vessels.msh": 1,
+    "tests/data/network.msh": 1,
+    "tests/data/quadratic_line.msh": 1,
+    "tests/data/quadratic_surface.msh": 2,
+    "tests/data/surface.msh": 2,
+}
+
+# three triangles fanning around the edge (0, 1), one more on the edge (1, 2)
+FAN = (
+    [(0, 0, 0), (1, 0, 0), (0.5, 1, 0), (0.5, -1, 0), (0.5, 0, 1), (1.5, 1, 0)],
+    [(0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 5, 2)],
+)
+
+
+def refine_first(grid):
+    """Refine the first leaf element only, so that hanging nodes appear."""
+    grid.mark(1, grid.leaf_view().elements()[0])
+    grid.pre_adapt()
+    grid.adapt()
+    grid.post_adapt()
+    return grid
+
+
+FIXTURES = {
+    "chain4": lambda: make_grid(
+        1, 3, [(float(i), 0.0, 0.0) for i in range(5)], [(i, i + 1) for i in range(4)]
+    ),
+    "y_junction": lambda: make_grid(
+        1, 3, [(0, 0, 0), (1, 0, 0), (2, 1, 0), (2, -1, 0)], [(0, 1), (1, 2), (1, 3)]
+    ),
+    "loop": lambda: make_grid(1, 3, [(0, 0, 0), (1, 0, 0)], [(0, 1), (1, 0)]),
+    "two_triangles": lambda: make_grid(
+        2, 3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 3)]
+    ),
+    "fan": lambda: make_grid(2, 3, *FAN),
+    **{
+        name: (lambda name=name, dim=dim: read_gmsh(ROOT / name, GridConfig(dim, 3)))
+        for name, dim in MESHES.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_table_matches_walk_on_fixture_meshes(name):
+    """Unrefined, refined everywhere, then refined at one element twice.
+
+    A quadratic mesh refines onto its curved surface: a hanging node there
+    lies off the coarse neighbour's straight facet, so the contract's
+    geometry holds only while the grid is conforming.
+    """
+    grid = FIXTURES[name]()
+    assert_intersections_agree(grid)
+    refine_all(grid)
+    assert_intersections_agree(grid)
+    for _ in range(2):
+        refine_first(grid)
+        assert_intersections_agree(grid, contract="quadratic" not in name)
+
+
+def test_intersections_on_a_stale_view_are_refused(chain4):
+    old = chain4.leaf_view()
+    chain4.mark(1, old.elements()[1])
+    chain4.pre_adapt()
+    chain4.adapt()
+    chain4.post_adapt()
+    new = chain4.leaf_view().elements()[0]
+    for call in (intersections, pairwise_intersections):
+        with pytest.raises(StaleEntityError, match="view created before"):
+            call(old, new)
+
+
+def test_table_is_built_on_the_first_call_and_kept(y_junction):
+    view = GridView(y_junction, None)
+    assert view._intersection_table is None
+    el = view.elements()[0]
+    intersections(view, el)
+    table = view._intersection_table
+    assert table is not None
+    intersections(view, view.elements()[1])
+    assert view._intersection_table is table
+
+
+def test_the_next_leaf_view_drops_the_tables_of_the_stale_one(y_junction):
+    view = y_junction.leaf_view()
+    intersections(view, view.elements()[0])
+    refine_all(y_junction)
+    assert view._intersection_table is not None
+    assert y_junction.leaf_view() is not view
+    assert view._intersection_table is None
+
+
+def test_outsides_are_the_views_own_wrappers(t_junction):
+    view = t_junction.leaf_view()
+    wrappers = view.elements()
+    for el in wrappers:
+        for grp in intersections(view, el):
+            assert grp.inside is el
+            for k in range(grp.neighbor_count):
+                assert any(grp.outside(k) is w for w in wrappers)
+
+
+def test_groups_are_fresh_per_call(two_triangles):
+    view = two_triangles.leaf_view()
+    el = view.elements()[0]
+    first, again = intersections(view, el), intersections(view, el)
+    assert all(a is not b for a, b in zip(first, again))
+    assert first[0].geometry is not again[0].geometry
+    np.testing.assert_array_equal(first[0].geometry.corners, again[0].geometry.corners)
+
+
+def test_a_sweep_leaves_no_group_or_geometry_behind():
+    """The table keeps nothing a sweep made: with the view still alive and
+    the cyclic collector paused, dropping the groups frees every group and
+    every geometry read from them."""
+    grid = make_grid(2, 3, *FAN)
+    refine_first(grid)
+    refine_first(grid)
+    view = grid.leaf_view()
+    gc.collect()
+    gc.disable()
+    try:
+        refs = []
+        for el in view.elements():
+            for grp in intersections(view, el):
+                refs.append(weakref.ref(grp))
+                refs.append(weakref.ref(grp.geometry))
+                refs.append(weakref.ref(grp.geometry_in_inside))
+                for k in range(grp.neighbor_count):
+                    refs.append(weakref.ref(grp.geometry_in_outside(k)))
+        del grp
+        assert view._intersection_table is not None
+        alive = [ref() for ref in refs if ref() is not None]
+        assert alive == []
+    finally:
+        gc.enable()
