@@ -2,9 +2,11 @@
 
 Removing leaf elements can orphan edges, vertex copies and whole
 refinement-tree branches.  This module computes the surviving entity
-sets, rewrites every slot reference, rebuilds incidence lists and trims
-empty trailing levels.  Slot handles are invalidated (the grid's
-structural revision is bumped); persistent ids are untouched.
+sets, gives the survivors of each level new contiguous slots in their old
+order, rewrites every slot reference and trims empty trailing levels.
+The grid stores no incidence lists, so there is none to rebuild.  Slot
+handles are invalidated (the grid's structural revision is bumped);
+persistent ids are untouched.
 
 Survival rules:
 
@@ -18,130 +20,92 @@ Survival rules:
 
 from __future__ import annotations
 
+from itertools import count
+
+# per arena: each slot reference its records hold, as (attribute, arena
+# the slots index, level of that arena relative to the record's level)
+_LINKS = {
+    "_verts": (("father", "_verts", -1), ("finer", "_verts", 1)),
+    "_edges": (("v", "_verts", 0), ("father", "_edges", -1), ("children", "_edges", 1)),
+    "_elems": (("v", "_verts", 0), ("edges", "_edges", 0), ("father", "_elems", -1),
+               ("children", "_elems", 1)),
+}
+
 
 def remove_elements(grid, dead):
     """Remove the (level, slot) element set ``dead`` and compact the arenas."""
     if not dead:
         return
-    n_levels = len(grid._elems)
+    elems, edges, verts = grid._elems, grid._edges, grid._verts
+    n_levels = len(elems)
 
-    elem_alive = [
-        [(lev, s) not in dead for s in range(len(grid._elems[lev]))]
-        for lev in range(n_levels)
-    ]
+    elem_alive = [[(lev, s) not in dead for s in range(len(recs))] for lev, recs in enumerate(elems)]
+    edge_alive = _used(edges, (elems, elem_alive, "edges"))
+    _keep_fathers(edges, edge_alive)
+    # keep half pairs together
+    for lev, recs in enumerate(edges):
+        for s, rec in enumerate(recs):
+            if edge_alive[lev][s] and rec.children:
+                finer = edge_alive[lev + 1]
+                c0, c1 = rec.children
+                if finer[c0] or finer[c1]:
+                    finer[c0] = finer[c1] = True
+    vert_alive = _used(verts, (elems, elem_alive, "v"), (edges, edge_alive, "v"))
+    _keep_fathers(verts, vert_alive)
 
-    # --- edges ----------------------------------------------------------
-    edge_alive = [[False] * len(grid._edges[lev]) for lev in range(n_levels)]
-    if grid.dim == 2:
-        for lev in range(n_levels):
-            for s, rec in enumerate(grid._elems[lev]):
-                if elem_alive[lev][s]:
-                    for e in rec.edges:
-                        edge_alive[lev][e] = True
-        # child-to-father propagation, finest level first
-        for lev in range(n_levels - 1, 0, -1):
-            for s, rec in enumerate(grid._edges[lev]):
-                if edge_alive[lev][s] and rec.father is not None:
-                    edge_alive[lev - 1][rec.father] = True
-        # keep half pairs together
-        for lev in range(n_levels):
-            for s, rec in enumerate(grid._edges[lev]):
-                if edge_alive[lev][s] and rec.children:
-                    c0, c1 = rec.children
-                    if edge_alive[lev + 1][c0] or edge_alive[lev + 1][c1]:
-                        edge_alive[lev + 1][c0] = True
-                        edge_alive[lev + 1][c1] = True
-
-    # --- vertices -------------------------------------------------------
-    vert_alive = [[False] * len(grid._verts[lev]) for lev in range(n_levels)]
-    for lev in range(n_levels):
-        for s, rec in enumerate(grid._elems[lev]):
-            if elem_alive[lev][s]:
-                for v in rec.v:
-                    vert_alive[lev][v] = True
-        for s, rec in enumerate(grid._edges[lev]):
-            if edge_alive[lev][s]:
-                for v in rec.v:
-                    vert_alive[lev][v] = True
-    for lev in range(n_levels - 1, 0, -1):
-        for s, rec in enumerate(grid._verts[lev]):
-            if vert_alive[lev][s] and rec.father is not None:
-                vert_alive[lev - 1][rec.father] = True
-
-    # --- slot remaps ----------------------------------------------------
-    def build_map(alive):
-        remap, new_slot = {}, 0
-        for s, keep in enumerate(alive):
-            if keep:
-                remap[s] = new_slot
-                new_slot += 1
-        return remap
-
-    elem_map = [build_map(a) for a in elem_alive]
-    edge_map = [build_map(a) for a in edge_alive]
-    vert_map = [build_map(a) for a in vert_alive]
-
-    new_elems = [[] for _ in range(n_levels)]
-    new_edges = [[] for _ in range(n_levels)]
-    new_verts = [[] for _ in range(n_levels)]
-
-    for lev in range(n_levels):
-        for s, rec in enumerate(grid._verts[lev]):
-            if not vert_alive[lev][s]:
-                continue
-            rec.father = None if lev == 0 or rec.father is None else vert_map[lev - 1].get(rec.father)
-            if rec.finer is not None:
-                rec.finer = vert_map[lev + 1].get(rec.finer) if lev + 1 < n_levels else None
-            rec.incident = []
-            new_verts[lev].append(rec)
-
-        for s, rec in enumerate(grid._edges[lev]):
-            if not edge_alive[lev][s]:
-                continue
-            rec.v = tuple(vert_map[lev][v] for v in rec.v)
-            rec.father = None if lev == 0 or rec.father is None else edge_map[lev - 1].get(rec.father)
-            if rec.children:
-                kids = tuple(
-                    edge_map[lev + 1][c]
-                    for c in rec.children
-                    if lev + 1 < n_levels and c in edge_map[lev + 1]
-                )
-                rec.children = kids if len(kids) == 2 else ()
-            rec.incident = []
-            new_edges[lev].append(rec)
-
-        for s, rec in enumerate(grid._elems[lev]):
-            if not elem_alive[lev][s]:
-                continue
-            rec.v = tuple(vert_map[lev][v] for v in rec.v)
-            if rec.edges:
-                rec.edges = tuple(edge_map[lev][e] for e in rec.edges)
-            rec.father = None if lev == 0 or rec.father is None else elem_map[lev - 1].get(rec.father)
-            if rec.children:
-                rec.children = tuple(
-                    elem_map[lev + 1][c]
-                    for c in rec.children
-                    if lev + 1 < n_levels and c in elem_map[lev + 1]
-                )
+    alive = {"_elems": elem_alive, "_edges": edge_alive, "_verts": vert_alive}
+    maps = {name: [_slot_map(a) for a in levels] for name, levels in alive.items()}
+    for name, links in _LINKS.items():
+        arena = getattr(grid, name)
+        for lev, recs in enumerate(arena):
+            arena[lev] = kept = [rec for rec, new in zip(recs, maps[name][lev]) if new is not None]
+            for attr, target, step in links:
+                m = maps[target][lev + step] if 0 <= lev + step < n_levels else ()
+                for rec in kept:
+                    old = getattr(rec, attr)
+                    if type(old) is tuple:  # dropped children vanish from the tuple
+                        setattr(rec, attr, tuple([m[x] for x in old if m[x] is not None]))
+                    elif old is not None:
+                        setattr(rec, attr, m[old])
+    for recs in elems:
+        for rec in recs:
             rl, rs = rec.root
-            rec.root = (rl, elem_map[rl][rs])
-            new_elems[lev].append(rec)
-
-    grid._elems, grid._edges, grid._verts = new_elems, new_edges, new_verts
+            rec.root = (rl, maps["_elems"][rl][rs])
 
     # trim empty trailing levels
-    while len(grid._elems) > 1 and not grid._elems[-1] and not grid._edges[-1] and not grid._verts[-1]:
-        grid._elems.pop()
-        grid._edges.pop()
-        grid._verts.pop()
+    while len(elems) > 1 and not elems[-1] and not edges[-1] and not verts[-1]:
+        elems.pop()
+        edges.pop()
+        verts.pop()
 
-    # rebuild incidence from scratch
-    for lev in range(len(grid._elems)):
-        for s, rec in enumerate(grid._elems[lev]):
-            for v in rec.v:
-                grid._verts[lev][v].incident.append(s)
-            for e in rec.edges:
-                grid._edges[lev][e].incident.append(s)
-
-    grid._edge_lookup = [None] * len(grid._elems)
+    grid._edge_lookup = [None] * len(elems)
     grid._srev += 1
+
+
+def _used(arena, *users):
+    """Per level, whether a surviving user references a slot of ``arena``;
+    a user is (its arena, its survival flags, the attribute with the slots)."""
+    alive = [[False] * len(recs) for recs in arena]
+    for user_arena, user_alive, attr in users:
+        for lev, recs in enumerate(user_arena):
+            flags, keep = alive[lev], user_alive[lev]
+            for s, rec in enumerate(recs):
+                if keep[s]:
+                    for x in getattr(rec, attr):
+                        flags[x] = True
+    return alive
+
+
+def _keep_fathers(arena, alive):
+    """Child-to-father survival, finest level first."""
+    for lev in range(len(arena) - 1, 0, -1):
+        coarser, flags = alive[lev - 1], alive[lev]
+        for s, rec in enumerate(arena[lev]):
+            if flags[s] and rec.father is not None:
+                coarser[rec.father] = True
+
+
+def _slot_map(alive):
+    """New slot of each old slot of one level, None for a slot that goes."""
+    new = count()
+    return [next(new) if keep else None for keep in alive]

@@ -144,9 +144,14 @@ class IntersectionGroup:
         return self._memo("global", self._fragments.geometry, self._row)
 
     def unit_outer_normal(self):
-        """Outward unit normal within the inside element's tangent plane."""
-        inside = self._members[3 * self._position]
-        return _outer_normal(self._fragments.corners[inside], self.index_in_inside)
+        """Outward unit normal within the inside element's tangent plane.
+
+        A degenerate inside element has no tangent plane to point out of:
+        SingularGeometryError, by the test ``volume`` applies.
+        """
+        corners = self._fragments.corners[self._members[3 * self._position]]
+        AffineGeometry(corners)._require_regular()
+        return _outer_normal(corners, self.index_in_inside)
 
     def __repr__(self):
         kind = "boundary" if self.boundary else f"{self.neighbor_count} neighbors"

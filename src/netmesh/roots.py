@@ -192,11 +192,8 @@ class GrowthDecision:
 
 def leaf_degree(grid, vertex):
     """Number of leaf elements meeting the vertex, over its whole copy chain."""
-    count = 0
-    for level, slot in grid._vertex_chain(vertex.level, vertex.slot):
-        elems = grid._elems[level]
-        count += sum(1 for t in grid._verts[level][slot].incident if not elems[t].children)
-    return count
+    chain = grid._vertex_chain(vertex.level, vertex.slot)
+    return sum(not rec.children and slot in rec.v for level, slot in chain for rec in grid._elems[level])
 
 
 def indicator_evaluate(indicator, grid, element, step):

@@ -17,7 +17,9 @@ Records enter the arenas only through ``Grid._add_vertex``,
 ``Grid._add_element`` and ``Grid._get_or_make_edge`` (factory,
 refinement and growth alike) and leave only through
 ``compaction.remove_elements``.  Staged factory and growth input passes
-the same checks, ``checked_coords`` and ``checked_element``.
+the same checks, ``checked_coords`` and ``checked_element``.  Records
+link down (corners, edges) and across levels (father, children, finer)
+but store no incidence: ``incident_elements`` scans the level.
 
 The open adapt or grow transaction is grid state, not record state.
 ``Grid._require`` checks one phase (idle, queued, preadapted, adapted,
@@ -35,7 +37,7 @@ import logging
 import math
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +124,6 @@ class VertexRec:
     id: int
     father: int | None = None   # slot one level down, same chain
     finer: int | None = None    # slot one level up, same chain
-    incident: list = field(default_factory=list)  # element slots, same level
 
 
 @dataclass
@@ -131,7 +132,6 @@ class EdgeRec:
     id: int
     father: int | None = None
     children: tuple = ()        # () or 2 slots: (v[0]-side half, v[1]-side half)
-    incident: list = field(default_factory=list)  # triangle slots, same level
 
 
 @dataclass
@@ -349,11 +349,6 @@ class Grid:
             corners_in_father=corners_in_father,
             marker=marker,
         ))
-        for e in edges:
-            self._edges[level][e].incident.append(slot)
-        verts = self._verts[level]
-        for s in v:
-            verts[s].incident.append(slot)
         return slot
 
     def _get_or_make_edge(self, level, va, vb):
@@ -396,6 +391,7 @@ class _Entity:
     __slots__ = ("grid", "level", "slot", "_srev")
 
     codim = None
+    _arena = None  # name of the grid arena the records of this kind live in
 
     def __init__(self, grid, level, slot):
         self.grid = grid
@@ -416,6 +412,14 @@ class _Entity:
 
     def __repr__(self):
         return f"{type(self).__name__}(level={self.level}, slot={self.slot})"
+
+    def _rec(self):
+        self.grid._check_alive(self._srev)
+        try:
+            return getattr(self.grid, self._arena)[self.level][self.slot]
+        except IndexError:
+            kind = type(self).__name__.lower()
+            raise StaleEntityError(f"no {kind} at level {self.level} slot {self.slot}")
 
     @property
     def id(self):
@@ -448,17 +452,24 @@ class _Simplex(_Entity):
         return AffineGeometry(np.array([verts[s].coords for s in rec.v]))
 
 
+def _incident_elements(self):
+    """Elements of the entity's level that list it among their corners or
+    edges (the record attribute named ``_in_element``), in slot order; the
+    grid stores no incidence, so this scans the level."""
+    self._rec()
+    attr, slot = self._in_element, self.slot
+    return [
+        Element(self.grid, self.level, t)
+        for t, rec in enumerate(self.grid._elems[self.level])
+        if slot in getattr(rec, attr)
+    ]
+
+
 class Element(_Simplex):
     """Codim-0 entity: a line segment (dim 1) or triangle (dim 2)."""
 
     codim = 0
-
-    def _rec(self):
-        self.grid._check_alive(self._srev)
-        try:
-            return self.grid._elems[self.level][self.slot]
-        except IndexError:
-            raise StaleEntityError(f"no element at level {self.level} slot {self.slot}")
+    _arena = "_elems"
 
     @property
     def kind(self):
@@ -510,13 +521,8 @@ class Edge(_Simplex):
     """Codim-1 entity of a dim-2 grid."""
 
     codim = 1
-
-    def _rec(self):
-        self.grid._check_alive(self._srev)
-        try:
-            return self.grid._edges[self.level][self.slot]
-        except IndexError:
-            raise StaleEntityError(f"no edge at level {self.level} slot {self.slot}")
+    _arena = "_edges"
+    _in_element = "edges"
 
     def sub_entity(self, codim, i):
         if codim != 2:
@@ -525,24 +531,18 @@ class Edge(_Simplex):
             raise IndexError(f"subentity index {i} out of range")
         return Vertex(self.grid, self.level, self._rec().v[i])
 
-    def incident_elements(self):
-        rec = self._rec()
-        return [Element(self.grid, self.level, s) for s in rec.incident]
+    incident_elements = _incident_elements
 
 
 class Vertex(_Entity):
     """Codim-d entity; one record per level the logical vertex lives on."""
 
+    _arena = "_verts"
+    _in_element = "v"
+
     @property
     def codim(self):
         return self.grid.dim
-
-    def _rec(self):
-        self.grid._check_alive(self._srev)
-        try:
-            return self.grid._verts[self.level][self.slot]
-        except IndexError:
-            raise StaleEntityError(f"no vertex at level {self.level} slot {self.slot}")
 
     @property
     def coords(self):
@@ -554,9 +554,7 @@ class Vertex(_Entity):
 
         return AffineGeometry(self._rec().coords.reshape(1, -1))
 
-    def incident_elements(self):
-        rec = self._rec()
-        return [Element(self.grid, self.level, s) for s in rec.incident]
+    incident_elements = _incident_elements
 
 
 # -- staged factory -------------------------------------------------------
@@ -684,8 +682,6 @@ def audit_grid(grid):
                     for k, (a, b) in enumerate(TRIANGLE_EDGES):
                         if frozenset(edges[rec.edges[k]].v) != frozenset((rec.v[a], rec.v[b])):
                             problems.append(f"{tag}: edge {k} does not match its corner pair")
-                        if slot not in edges[rec.edges[k]].incident:
-                            problems.append(f"{tag}: missing from edge {k} incidence")
             if rec.father is not None:
                 if level == 0 or not 0 <= rec.father < len(grid._elems[level - 1]):
                     problems.append(f"{tag}: dangling father")
@@ -726,10 +722,9 @@ def audit_grid(grid):
                     problems.append(f"{tag}: dangling father")
                 elif slot not in grid._edges[level - 1][rec.father].children:
                     problems.append(f"{tag}: father does not list it")
-            for t in rec.incident:
-                if not 0 <= t < len(elems) or slot not in elems[t].edges:
-                    problems.append(f"{tag}: stale incidence entry {t}")
 
+        referenced = {s for rec in elems for s in rec.v}
+        referenced.update(s for rec in edges for s in rec.v)
         for slot, rec in enumerate(verts):
             tag = f"vertex ({level},{slot})"
             if rec.coords.shape != (grid.world_dim,):
@@ -746,29 +741,15 @@ def audit_grid(grid):
             if rec.finer is not None:
                 if level + 1 >= n_levels or not 0 <= rec.finer < len(grid._verts[level + 1]):
                     problems.append(f"{tag}: dangling finer copy")
-            for e in rec.incident:
-                if not 0 <= e < len(elems) or slot not in elems[e].v:
-                    problems.append(f"{tag}: stale incidence entry {e}")
-            referenced = bool(rec.incident) or rec.finer is not None
-            if not referenced and d == 2:
-                referenced = any(slot in er.v for er in edges)
-            if not referenced:
+            elif slot not in referenced:
                 problems.append(f"{tag}: unreferenced")
 
     # persistent ids must be unique across logical entities alive now
-    seen = {}
+    seen = set()
     for level in range(n_levels):
-        for rec in grid._elems[level]:
+        chains = [rec for rec in grid._verts[level] if rec.father is None]  # copies share ids
+        for rec in grid._elems[level] + grid._edges[level] + chains:
             if rec.id in seen:
                 problems.append(f"duplicate id {rec.id}")
-            seen[rec.id] = True
-        for rec in grid._edges[level]:
-            if rec.id in seen:
-                problems.append(f"duplicate id {rec.id}")
-            seen[rec.id] = True
-        for rec in grid._verts[level]:
-            if rec.father is None:  # chain ids are shared on purpose
-                if rec.id in seen:
-                    problems.append(f"duplicate id {rec.id}")
-                seen[rec.id] = True
+            seen.add(rec.id)
     return problems

@@ -82,13 +82,12 @@ def brute_force_leaf_view(grid):
     order.
     """
     elements, edges, finest = [], [], {}
-    for level, (elem_recs, edge_recs, vert_recs) in enumerate(zip(grid._elems, grid._edges, grid._verts)):
-        leaves = {t for t, rec in enumerate(elem_recs) if not rec.children}
-        elements += [(level, t) for t in sorted(leaves)]
-        edges += [(level, s) for s, rec in enumerate(edge_recs) if leaves.intersection(rec.incident)]
-        for s, rec in enumerate(vert_recs):
-            if leaves.intersection(rec.incident):
-                finest[rec.id] = (level, s)  # a finer copy overwrites a coarser one
+    for level, (elem_recs, vert_recs) in enumerate(zip(grid._elems, grid._verts)):
+        leaves = [t for t, rec in enumerate(elem_recs) if not rec.children]
+        elements += [(level, t) for t in leaves]
+        edges += [(level, s) for s in sorted({s for t in leaves for s in elem_recs[t].edges})]
+        for s in sorted({s for t in leaves for s in elem_recs[t].v}):
+            finest[vert_recs[s].id] = (level, s)  # a finer copy overwrites a coarser one
     expected = {0: elements, grid.dim: sorted(finest.values())}
     if grid.dim == 2:
         expected[1] = edges

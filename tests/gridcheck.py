@@ -13,14 +13,16 @@ element of a fresh view against the elements' own geometries:
   way);
 - the fragments tile each facet of the inside element;
 - each normal of a regular inside element has unit length, points out of
-  it and, on a surface, lies in its tangent plane.
+  it and, on a surface, lies in its tangent plane; asking a degenerate
+  inside element for a normal raises SingularGeometryError.
 
 Positions agree to 1e-14, relative to the coordinates once they exceed 1.
 """
 
 import numpy as np
+import pytest
 
-from netmesh import intersections
+from netmesh import SingularGeometryError, intersections
 
 TOL = 1e-14
 
@@ -64,7 +66,7 @@ def check_intersections(view):
     for el, own in groups.items():
         geo = geometries[el]
         centre = geo.center()
-        degenerate = geo.is_degenerate()  # growth may join coinciding vertices: no normals
+        degenerate = geo.is_degenerate()  # growth may join coinciding vertices
         plane = _plane_normal(geo) if dim == 2 and view.grid.world_dim == 3 else None
         pieces = {facet: [] for facet in range(dim + 1)}
         for grp in own:
@@ -89,7 +91,10 @@ def check_intersections(view):
                     for mutual in groups[out]
                 ), (el, grp.index_in_inside, out)
 
-            if not degenerate:
+            if degenerate:
+                with pytest.raises(SingularGeometryError):
+                    grp.unit_outer_normal()
+            else:
                 normal = grp.unit_outer_normal()
                 assert abs(float(np.linalg.norm(normal)) - 1.0) <= TOL
                 assert float(normal @ (grp.geometry.center() - centre)) > 0.0

@@ -4,8 +4,9 @@ Before the view built one intersection table, ``intersections(view, el)``
 walked the refinement trees from ``el`` alone: in 1D the copy chain of
 each facet vertex, in 2D each facet edge's ancestors and the finer edges
 below it.  ``_groups_1d``, ``_groups_2d``, ``_fragments``,
-``_interval_within`` and ``_edge_fragment`` are that walk, unchanged; the
-group it makes is a plain record here.  ``walk(view, element)`` gives
+``_interval_within`` and ``_edge_fragment`` are that walk, unchanged but
+for reading incidence by a scan of the level (``_holders``), since the
+grid no longer stores it; the group it makes is a plain record here.  ``walk(view, element)`` gives
 what it found per group: the facet, the fragment in the inside element
 and the outsides as (id, facet, fragment), by (id, facet).
 """
@@ -69,6 +70,13 @@ def assert_table_matches_walk(view):
         assert table(view, el) == walk(view, el), el
 
 
+def _holders(grid, level, attr, slot):
+    """Slots of the elements of ``level`` that list ``slot`` among their
+    corners (``attr`` "v") or edges ("edges"), ascending: the incidence the
+    walk once read from per-record lists."""
+    return [t for t, rec in enumerate(grid._elems[level]) if slot in getattr(rec, attr)]
+
+
 # -- dim 1: facets are vertices, junctions are copy chains ----------------
 
 
@@ -79,7 +87,7 @@ def _groups_1d(grid, element, rec, in_view):
         neighbors = []
         chain_id = grid._verts[element.level][rec.v[facet]].id
         for clev, cslot in grid._vertex_chain(element.level, rec.v[facet]):
-            for t in grid._verts[clev][cslot].incident:
+            for t in _holders(grid, clev, "v", cslot):
                 nrec = grid._elems[clev][t]
                 if (clev, t) == (element.level, element.slot) or not in_view(clev, nrec):
                     continue
@@ -106,7 +114,7 @@ def _groups_2d(grid, element, rec, in_view):
         lev, es = root
         while es is not None:
             erec = grid._edges[lev][es]
-            for t in erec.incident:
+            for t in _holders(grid, lev, "edges", es):
                 nrec = elems[lev][t]
                 if (t != slot or lev != level) and in_view(lev, nrec):
                     full.append((nrec, lev, t, (lev, es), nrec.edges.index(es)))
@@ -137,7 +145,7 @@ def _fragments(grid, in_view, edge, above):
     for c in grid._edges[lev][es].children:
         child = (lev + 1, c)
         here = list(above)
-        for t in grid._edges[lev + 1][c].incident:
+        for t in _holders(grid, lev + 1, "edges", c):
             nrec = grid._elems[lev + 1][t]
             if in_view(lev + 1, nrec):
                 here.append((nrec, lev + 1, t, child, nrec.edges.index(c)))

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from netmesh import intersections, pairwise_intersections
-from netmesh.errors import DimensionMismatchError, NeighborIndexError, StaleEntityError
+from netmesh.errors import (
+    DimensionMismatchError,
+    NeighborIndexError,
+    SingularGeometryError,
+    StaleEntityError,
+)
 
 from conftest import make_grid, refine_all, vertex_or_edge
 
@@ -106,6 +111,34 @@ class TestSurfaceIntersections:
             n = grp.unit_outer_normal()
             assert abs(np.dot(n, plane_normal)) < 1e-12
             assert np.linalg.norm(n) == pytest.approx(1.0)
+
+
+class TestDegenerateNormals:
+    """A degenerate inside element has no outer normal: the normal raises
+    where ``volume`` does, and the neighbour keeps its normals."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_degenerate_inside_raises(self, dim):
+        if dim == 1:  # a zero-length segment after a unit one
+            g = make_grid(1, 3, [(0, 0, 0), (1, 0, 0), (1, 0, 0)], [(0, 1), (1, 2)])
+        else:  # corners (1,0,0), (1,0,0), (0,1,0) next to the reference triangle
+            verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 0)]
+            g = make_grid(2, 3, verts, [(0, 1, 2), (3, 1, 2)])
+        view = g.leaf_view()
+        regular, degenerate = view.elements()
+        with pytest.raises(SingularGeometryError):
+            degenerate.geometry.volume()
+        for grp in intersections(view, degenerate):
+            with pytest.raises(SingularGeometryError):
+                grp.unit_outer_normal()
+        for pair in pairwise_intersections(view, degenerate):
+            with pytest.raises(SingularGeometryError):
+                pair.unit_outer_normal()
+        centre = regular.geometry.center()
+        for grp in intersections(view, regular):
+            normal = grp.unit_outer_normal()
+            assert np.linalg.norm(normal) == pytest.approx(1.0)
+            assert np.dot(normal, grp.geometry.center() - centre) > 0
 
 
 class TestNonConformingFragments:
