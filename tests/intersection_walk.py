@@ -4,11 +4,12 @@ Before the view built one intersection table, ``intersections(view, el)``
 walked the refinement trees from ``el`` alone: in 1D the copy chain of
 each facet vertex, in 2D each facet edge's ancestors and the finer edges
 below it.  ``_groups_1d``, ``_groups_2d``, ``_fragments``,
-``_interval_within`` and ``_edge_fragment`` are that walk, unchanged but
-for reading incidence by a scan of the level (``_holders``), since the
-grid no longer stores it; the group it makes is a plain record here.  ``walk(view, element)`` gives
-what it found per group: the facet, the fragment in the inside element
-and the outsides as (id, facet, fragment), by (id, facet).
+``_interval_within`` and ``_edge_fragment`` are that walk; the grid
+stores no incidence, so the walk finds the elements holding a vertex or
+an edge by a scan of the level (``_holders``).  The group it makes is a
+plain record here.  ``walk(view, element)`` gives what it found per
+group: the facet, the fragment in the inside element and the outsides as
+(id, facet, fragment), by (id, facet).
 """
 
 from operator import itemgetter
@@ -72,8 +73,7 @@ def assert_table_matches_walk(view):
 
 def _holders(grid, level, attr, slot):
     """Slots of the elements of ``level`` that list ``slot`` among their
-    corners (``attr`` "v") or edges ("edges"), ascending: the incidence the
-    walk once read from per-record lists."""
+    corners (``attr`` "v") or edges ("edges"), ascending."""
     return [t for t, rec in enumerate(grid._elems[level]) if slot in getattr(rec, attr)]
 
 

@@ -17,9 +17,10 @@ from netmesh import LINE, audit_grid
 from conftest import make_grid, refine_all
 
 
-def refined_two_triangles():
+def two_triangles(rounds=1):
+    """The unit square split along its diagonal, refined ``rounds`` times."""
     grid = make_grid(2, 3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 3)])
-    return refine_all(grid)
+    return refine_all(grid, rounds)
 
 
 def grown_chain():
@@ -66,7 +67,7 @@ def wrong_root_link(grid):
     return "element (1,0): root link does not match father chain"
 
 
-@pytest.mark.parametrize("build", [refined_two_triangles, grown_chain])
+@pytest.mark.parametrize("build", [two_triangles, grown_chain])
 @pytest.mark.parametrize(
     "corrupt",
     [dangling_vertex_slot, child_with_wrong_father, unreferenced_vertex_copy, duplicate_id,
@@ -82,7 +83,7 @@ def test_audit_names_the_fault(build, corrupt):
 def test_a_vertex_only_an_edge_uses_is_referenced():
     """Removing the child at a corner no other triangle shares keeps its edge
     halves in pairs, and with them a vertex copy that no element uses."""
-    grid = refined_two_triangles()
+    grid = two_triangles()
     corner = grid.level_view(0).elements()[0].children()[1]  # at (1, 0, 0)
     grid.remove_element(corner)
     grid.grow()
@@ -141,8 +142,7 @@ def remove_two_of_four_siblings(grid):
 
 @pytest.mark.parametrize("rounds, transaction", [(2, coarsen_one_family), (1, remove_two_of_four_siblings)])
 def test_incident_elements_survive_compaction(rounds, transaction):
-    grid = make_grid(2, 3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 3)])
-    refine_all(grid, rounds)
+    grid = two_triangles(rounds)
     before = incidence(grid)
     ids_before = {rec.id for level in grid._elems for rec in level}
     n_removed = transaction(grid)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netmesh import LINE, TRIANGLE, GridConfig, GridFactory, audit_grid
-from netmesh.errors import DimensionMismatchError, FactoryError
+from netmesh.errors import DimensionMismatchError, FactoryError, StaleEntityError
 
 from conftest import make_grid, refine_all
 
@@ -101,6 +101,13 @@ def test_nonmanifold_edge_incidence(t_junction):
     assert view.size(1) == 7  # shared edge + 2 wings x 3
     shared = [e for e in view.entities(1) if len(e.incident_elements()) == 3]
     assert len(shared) == 1
+
+
+@pytest.mark.parametrize("kind", ["element", "edge", "vertex"])
+def test_handle_past_the_arena_is_stale(two_triangles, kind):
+    handle = getattr(two_triangles, kind)(0, 99)
+    with pytest.raises(StaleEntityError, match=f"no {kind} at level 0 slot 99"):
+        handle.id
 
 
 def test_audit_passes_on_fixtures(chain4, y_junction, two_triangles, t_junction):
