@@ -9,11 +9,13 @@ would square its condition number and lose accuracy on thin triangles).
 
 A geometry stores its corners when it is made and derives A, A^T A and
 det(A^T A) on first use, so reading only the corners or the centre costs
-no matmul.  :class:`AffineStack` derives them, and the corner scale of
-the degeneracy test, for a whole stack of simplices in one batched pass
-and hands each geometry its share; the bits are those a lone instance
-derives, because a stacked numpy matmul runs the same kernel on each
-simplex that a lone one runs, and numpy sums a short row left to right.
+no matmul.  ``volume`` and ``is_degenerate`` need only det(A^T A) and the
+corner scale of the degeneracy test.  :class:`AffineStack` derives those
+two for a whole stack of simplices in one batched pass and hands each
+geometry its pair; a Jacobian read derives A and A^T A alone.  The bits
+are those a lone instance derives, because a stacked numpy matmul runs
+the same kernel on each simplex that a lone one runs, and numpy sums a
+short row left to right.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ class AffineGeometry:
         self.corners = corners
         self.dim = k
         self.world_dim = w
-        self._a = self._gram = self._det = None  # derived on first use
-        self._scale = None  # corner scale, when a stack derived it
+        self._a = self._gram = None  # derived on first use
+        self._det = self._scale = None  # handed over by a stack, or derived on first use
 
     def _derive(self):
-        """Fill A (w x k), A^T A (k x k) and det(A^T A) unless already filled."""
+        """Fill A (w x k) and A^T A (k x k), and det(A^T A) unless a stack gave it."""
         if self._a is not None:
             return
         a = (self.corners[1:] - self.corners[0]).T
@@ -67,7 +69,9 @@ class AffineGeometry:
         # than half of random draws); FacetTable and AffineStack match these
         # bits with a batched matmul, and the flow goldens depend on them.
         gram = a.T @ a
-        self._a, self._gram, self._det = a, gram, float(_det_small(gram))
+        self._a, self._gram = a, gram
+        if self._det is None:
+            self._det = float(_det_small(gram))
 
     # -- degeneracy -------------------------------------------------------
 
@@ -75,13 +79,14 @@ class AffineGeometry:
         """True when the spanned measure vanishes relative to the corner scale."""
         if self.dim == 0:
             return False
-        self._derive()
         scale = self._scale
         if scale is None:
+            self._derive()
             # Python floats over the rows of A^T = corners[1:] - corners[0]: the
             # same bits as numpy's row sums of (corners - corners[0])**2, at a
             # fraction of the cost.
-            scale = max([_plain_sum([x * x for x in row]) for row in self._a.T.tolist()])
+            rows = self._a.T.tolist()
+            scale = self._scale = max([_plain_sum([x * x for x in row]) for row in rows])
         if scale == 0.0:
             return True
         # det(A^T A) carries units length^(2k) and its round-off is of order
@@ -134,6 +139,7 @@ class AffineGeometry:
         if self.dim == 0:
             return np.zeros(0)
         self._require_regular()
+        self._derive()
         return np.linalg.lstsq(self._a, point - self.corners[0], rcond=None)[0]
 
     # -- measures and derivatives ----------------------------------------
@@ -142,15 +148,15 @@ class AffineGeometry:
         """sqrt(det(A^T A)); the constant Jacobian factor of this affine map."""
         if self.dim == 0:
             return 1.0
-        self._require_regular()  # derives
+        self._require_regular()  # fills det
         return math.sqrt(self._det)
 
     def volume(self):
         """k-dimensional measure (length or area; 1.0 for a point)."""
         if self.dim == 0:
             return 1.0
-        ref_volume = 1.0 if self.dim == 1 else 0.5
-        return ref_volume * self.integration_element()
+        self._require_regular()  # fills det
+        return (1.0 if self.dim == 1 else 0.5) * math.sqrt(self._det)
 
     def jacobian_transposed(self):
         """A^T as a (k, w) array; constant over the element."""
@@ -164,38 +170,38 @@ class AffineGeometry:
         """
         if self.dim == 0:
             return np.zeros((self.world_dim, 0))
-        self._require_regular()  # derives
+        self._require_regular()
+        self._derive()
         inv = _inverse_small(self._gram, self._det)
         return self._a @ inv
 
 
 class AffineStack:
-    """The affine geometries of an (n, k + 1, w) stack of simplex corners.
+    """det(A^T A) and the corner scale of an (n, k + 1, w) stack of simplices.
 
-    One batched pass derives every simplex's A, A^T A and det(A^T A), and
-    the corner scale of the degeneracy test: the largest row sum of
-    (A^T)**2, which numpy adds left to right as ``_plain_sum`` does while a
-    row has fewer than eight terms (so only then).  ``geometry(i)`` makes
-    the i-th geometry through ``AffineGeometry(corners[i])`` and hands it
-    its share, so a geometry nobody reads is never made.
+    One batched pass derives every simplex's det(A^T A) and the corner
+    scale of the degeneracy test: the largest row sum of (A^T)**2, which
+    numpy adds left to right as ``_plain_sum`` does while a row has fewer
+    than eight terms (so only then).  Both are kept as float arrays, A and
+    A^T A are not.  ``geometry(i)`` makes the i-th geometry through
+    ``AffineGeometry(corners[i])`` and hands it its det and scale, so a
+    geometry nobody reads is never made.
     """
 
-    __slots__ = ("corners", "_a", "_gram", "_det", "_scale")
+    __slots__ = ("corners", "_det", "_scale")
 
     def __init__(self, corners):
         self.corners = corners
         at = corners[:, 1:] - corners[:, :1]  # A^T per simplex, (n, k, w)
-        self._a = at.transpose(0, 2, 1)
-        self._gram = at @ self._a
-        self._det = _det_small(self._gram)
+        self._det = _det_small(at @ at.transpose(0, 2, 1))
         k, w = at.shape[1:]
         self._scale = (at * at).sum(axis=-1).max(axis=-1) if 0 < k and w < 8 else None
 
     def geometry(self, i):
         geo = AffineGeometry(self.corners[i])
-        geo._a, geo._gram, geo._det = self._a[i], self._gram[i], float(self._det[i])
+        geo._det = self._det.item(i)
         if self._scale is not None:
-            geo._scale = float(self._scale[i])
+            geo._scale = self._scale.item(i)
         return geo
 
 

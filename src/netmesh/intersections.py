@@ -35,13 +35,15 @@ them; building them reads no grid state, so a group read after a later
 adapt returns the same geometries.  The first ``geometry`` read of any
 group maps the fragments of the whole view at once, ``c_0 + R @ E`` over
 the stacked reference corners ``R``, the inside corners ``c_0`` and the
-edge vectors ``E`` from the view's coordinates (vertex copies share
-their coordinates bit for bit), and an :class:`AffineStack` derives
-every fragment's A, A^T A and det in one more batched pass; each group
-then makes its own ``AffineGeometry`` from its share when it is read.
-The table and that stack hold arrays and plain data, never a group, a
-geometry or the view, so groups a reader drops are freed at once rather
-than left to the cyclic collector.  Fragment reference corners are
+edge vectors ``E`` from the view's read-only array of element corners,
+the one its element wrappers read (vertex copies share their
+coordinates bit for bit), and an :class:`AffineStack` derives every
+fragment's det(A^T A) and corner scale in one more batched pass; each
+group then makes its own ``AffineGeometry`` with those two numbers when
+it is read, so its ``volume()`` costs no matmul.  The table and that
+stack hold arrays and plain data, never a group, a geometry or the
+view, so groups a reader drops are freed at once rather than left to
+the cyclic collector.  Fragment reference corners are
 computed in Python floats: the reference corners are 0 or 1 and the
 intervals are dyadic, and ``x * (1 - t) + y * t`` on floats rounds
 exactly as the numpy rows of ``REFERENCE_CORNERS`` did.  Fragments repeat
@@ -83,7 +85,7 @@ class IntersectionGroup:
     """
 
     __slots__ = ("inside", "index_in_inside", "_fragment", "_members", "_position", "_row",
-                 "_elements", "_fragments", "_built", "__weakref__")
+                 "_elements", "_fragments", "_geometry", "_built", "__weakref__")
 
     def __init__(self, inside, members, position, row, elements, fragments):
         self.inside = inside
@@ -96,7 +98,8 @@ class IntersectionGroup:
         self._row = row  # row in the stack of the view's fragments
         self._elements = elements  # the view's element wrappers
         self._fragments = fragments  # what all groups of the view share
-        self._built = {}  # geometries read so far: "inside", "global" or k
+        self._geometry = None  # the global geometry, once read
+        self._built = {}  # local geometries read so far: "inside" or k
 
     @property
     def boundary(self):
@@ -141,7 +144,10 @@ class IntersectionGroup:
     @property
     def geometry(self):
         """Global geometry of the fragment (image under the inside element)."""
-        return self._memo("global", self._fragments.geometry, self._row)
+        geo = self._geometry
+        if geo is None:
+            geo = self._geometry = self._fragments.geometry(self._row)
+        return geo
 
     def unit_outer_normal(self):
         """Outward unit normal within the inside element's tangent plane.
@@ -215,9 +221,9 @@ def intersections(view, element):
     or any element once the grid has changed since the view was made,
     raises StaleEntityError.
     """
-    rec = view.grid._own(element)
+    eid = view.grid._own_id(element)
     view._check_fresh()
-    i = view._index[0].get(rec.id)
+    i = view._index[0].get(eid)
     if i is None or view._places[0][i] != (element.level, element.slot):
         raise StaleEntityError(f"{element!r} is not part of this view")
     table = view._intersection_table
@@ -261,13 +267,14 @@ class _ViewFragments:
 
     def geometry(self, row):
         """Global geometry of one fragment; the first read maps them all."""
-        if self._stack is None:
-            self._stack = self._map()
-        return self._stack.geometry(row)
+        stack = self._stack
+        if stack is None:
+            stack = self._stack = self._map()
+        return stack.geometry(row)
 
     def _map(self):
         """``c_0 + R @ E`` for every fragment, in blocks of rows so that the
-        temporaries stay small, then one AffineStack over them all."""
+        temporaries stay small, read-only, then one AffineStack over them all."""
         c, rows = self.corners, self._rows
         owners = np.repeat(np.arange(len(c)), np.diff(self._firsts))
         stacked = np.empty((len(owners), c.shape[1] - 1, c.shape[2]))
@@ -278,6 +285,7 @@ class _ViewFragments:
             ])
             co = c[owners[start:stop]]
             stacked[start:stop] = co[:, :1] + local @ (co[:, 1:] - co[:, :1])
+        stacked.flags.writeable = False
         return AffineStack(stacked)
 
 
@@ -291,8 +299,7 @@ def _build(view):
     ``firsts[i + 1]``, facets in local order and fragments in order.
     """
     rows, firsts = _rows_1d(view) if view.grid.dim == 1 else _rows_2d(view)
-    fragments = _ViewFragments(view.coordinates()[view.corner_indices()], rows, firsts)
-    return rows, firsts, fragments
+    return rows, firsts, _ViewFragments(view._element_corners(), rows, firsts)
 
 
 def _flat(found):

@@ -29,6 +29,14 @@ grown).  Ids only increase, so an element is new when its id is at least
 Transaction calls read the record behind an element handle through
 ``Grid._own``, which refuses a handle of another grid and anything that
 is not an element handle.
+
+An entity handle is a (level, slot) address checked against the grid's
+slot revision ``_srev`` on every read.  Slots and ids change together,
+only in a compaction, so a handle keeps its id once read: a view hands
+its wrappers the ids it holds, any other handle reads its record once.
+Element wrappers made by a view also read their corners from the view's
+shared array instead of the vertex records.  ``Vertex.coords`` is
+read-only, so no reader can move a record's coordinates.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .errors import (
     LifecycleError,
     StaleEntityError,
 )
+from .geometry import REFERENCE_CORNERS, AffineGeometry
 
 logger = logging.getLogger(__name__)
 
@@ -299,13 +308,20 @@ class Grid:
         if self._phase not in phases:
             raise LifecycleError(f"{call} called during phase {self._phase!r}")
 
-    def _own(self, element):
-        """Record of an element handle, refusing anything else or a handle of another grid."""
+    def _own_id(self, element):
+        """Persistent id of an element handle of this grid, refusing anything
+        else, a handle of another grid or a stale handle."""
         if not isinstance(element, Element):
             raise DimensionMismatchError(f"expected an element, got a {type(element).__name__}")
         if element.grid is not self:
             raise StaleEntityError("entity belongs to a different grid")
-        return element._rec()
+        return element.id
+
+    def _own(self, element):
+        """Record of an element handle, refused as ``_own_id`` refuses; a
+        handle whose id reads is alive, so its slot holds the record."""
+        self._own_id(element)
+        return self._elems[element.level][element.slot]
 
     def _check_alive(self, srev):
         if srev != self._srev:
@@ -388,16 +404,25 @@ class Grid:
 
 
 class _Entity:
-    __slots__ = ("grid", "level", "slot", "_srev")
+    """Handle of one record, addressed by (level, slot).
+
+    A handle outlives no compacting transaction: every read checks the
+    grid's slot revision ``_srev``.  Within one slot revision a slot keeps
+    its record, so the handle keeps the record's persistent id once read;
+    a view passes the ids it already holds when it makes its wrappers.
+    """
+
+    __slots__ = ("grid", "level", "slot", "_srev", "_id")
 
     codim = None
     _arena = None  # name of the grid arena the records of this kind live in
 
-    def __init__(self, grid, level, slot):
+    def __init__(self, grid, level, slot, id=None):
         self.grid = grid
         self.level = level
         self.slot = slot
         self._srev = grid._srev
+        self._id = id
 
     def __eq__(self, other):
         return (
@@ -423,7 +448,10 @@ class _Entity:
 
     @property
     def id(self):
-        return self._rec().id
+        i = self._id
+        if i is None or self._srev != self.grid._srev:
+            i = self._id = self._rec().id  # a stale handle raises here
+        return i
 
     def father(self):
         rec = self._rec()
@@ -435,6 +463,8 @@ class _Entity:
 class _Simplex(_Entity):
     """Element or edge: refinement children and a vertex list of its level."""
 
+    __slots__ = ()
+
     def children(self):
         rec = self._rec()
         return [type(self)(self.grid, self.level + 1, s) for s in rec.children]
@@ -445,8 +475,6 @@ class _Simplex(_Entity):
 
     @property
     def geometry(self):
-        from .geometry import AffineGeometry
-
         rec = self._rec()
         verts = self.grid._verts[self.level]
         return AffineGeometry(np.array([verts[s].coords for s in rec.v]))
@@ -466,10 +494,29 @@ def _incident_elements(self):
 
 
 class Element(_Simplex):
-    """Codim-0 entity: a line segment (dim 1) or triangle (dim 2)."""
+    """Codim-0 entity: a line segment (dim 1) or triangle (dim 2).
+
+    A view makes its element wrappers with its shared read-only array of
+    element corners and the element's row in it; ``geometry`` reads that
+    row while the handle is alive.  Vertex copies hold the same coordinate
+    bits, so the row equals the corners of the element's own level.
+    """
+
+    __slots__ = ("_corners", "_row")
 
     codim = 0
     _arena = "_elems"
+
+    def __init__(self, grid, level, slot, id=None, corners=None, row=None):
+        _Entity.__init__(self, grid, level, slot, id)
+        self._corners = corners
+        self._row = row
+
+    @property
+    def geometry(self):
+        if self._corners is None or self._srev != self.grid._srev:
+            return super().geometry  # a stale handle raises here
+        return AffineGeometry(self._corners[self._row])
 
     @property
     def kind(self):
@@ -520,6 +567,8 @@ class Element(_Simplex):
 class Edge(_Simplex):
     """Codim-1 entity of a dim-2 grid."""
 
+    __slots__ = ()
+
     codim = 1
     _arena = "_edges"
     _in_element = "edges"
@@ -537,6 +586,8 @@ class Edge(_Simplex):
 class Vertex(_Entity):
     """Codim-d entity; one record per level the logical vertex lives on."""
 
+    __slots__ = ()
+
     _arena = "_verts"
     _in_element = "v"
 
@@ -546,13 +597,14 @@ class Vertex(_Entity):
 
     @property
     def coords(self):
-        return self._rec().coords
+        """The record's coordinates, as a read-only array."""
+        coords = self._rec().coords.view()
+        coords.flags.writeable = False
+        return coords
 
     @property
     def geometry(self):
-        from .geometry import AffineGeometry
-
-        return AffineGeometry(self._rec().coords.reshape(1, -1))
+        return AffineGeometry(self.coords.reshape(1, -1))
 
     incident_elements = _incident_elements
 
@@ -632,8 +684,6 @@ def checked_element(dim, kind, vertex_indices, parametrization, n_vertices):
 
 def _check_parametrization_corners(grid, slot, phi, tol=1e-9):
     """Warn when phi at the reference corners disagrees with stored coordinates."""
-    from .geometry import REFERENCE_CORNERS
-
     rec = grid._elems[0][slot]
     for local, vslot in zip(REFERENCE_CORNERS[grid.dim], rec.v):
         stored = grid._verts[0][vslot].coords

@@ -20,7 +20,11 @@ found as arrays in index order: per codim the persistent ``ids`` and the
 indices of its corners (``corner_indices``) and per vertex its
 ``coordinates``.  The facet table, the intersection table, the VTK
 writer, growth and the leaf-data transfer read these; entity wrappers
-are made only on the first ``entities`` call of a codim.  The facet and
+are made only on the first ``entities`` call of a codim.  Each wrapper
+carries its persistent id, so ``entity.id`` reads no record, and each
+element wrapper the view's read-only ``coordinates()[corner_indices()]``
+array and its row in it, which its ``geometry`` reads.  The intersection
+table maps its fragments from the same array.  The facet and
 intersection tables are built on first use and kept on the view; the
 grid drops those of its stale leaf view when it builds the next one.
 """
@@ -46,14 +50,16 @@ class GridView:
         self._index = {}  # codim -> {persistent id: index}, in index order
         self._arrays = {}  # 0 -> corner indices per element, dim -> coordinates per vertex
         self._entities = {}  # codim -> wrappers, made on the first entities() call
+        self._corners = None  # (n, dim + 1, world_dim) element corners, made with the wrappers
         self._facet_table = None  # built by flow.facet_table on first use
         self._intersection_table = None  # built by the first intersections() call
         for codim in range(grid.dim, -1, -1):  # vertices first: element corners index them
             self._build(codim)
 
     def _release(self):
-        """Drop the tables built on first use: a stale view can read none of them."""
-        self._facet_table = self._intersection_table = None
+        """Drop what was built on first use: a stale view can read none of it."""
+        self._facet_table = self._intersection_table = self._corners = None
+        self._entities = {}
 
     def _check_fresh(self):
         if self._revision != self.grid._revision:
@@ -106,9 +112,26 @@ class GridView:
         """The view's own list of entity wrappers of one codim, made on first use."""
         places = self._of(self._places, codim)
         if codim not in self._entities:
-            kind = Element if codim == 0 else Vertex if codim == self.grid.dim else Edge
-            self._entities[codim] = [kind(self.grid, level, slot) for level, slot in places]
+            grid, ids = self.grid, self._index[codim]
+            if codim == 0:
+                corners = self._element_corners()
+                made = [
+                    Element(grid, level, slot, eid, corners, i)
+                    for i, ((level, slot), eid) in enumerate(zip(places, ids))
+                ]
+            else:
+                kind = Vertex if codim == grid.dim else Edge
+                made = [kind(grid, level, slot, eid) for (level, slot), eid in zip(places, ids)]
+            self._entities[codim] = made
         return self._entities[codim]
+
+    def _element_corners(self):
+        """Corners of every element from the view's coordinates, read-only, made once."""
+        if self._corners is None:
+            corners = self._arrays[self.grid.dim][self._arrays[0]]
+            corners.flags.writeable = False
+            self._corners = corners
+        return self._corners
 
     # -- public surface ---------------------------------------------------
 

@@ -64,6 +64,11 @@ def vertex_or_edge(kind):
     return grid, grid.leaf_view().entities(1)[0]
 
 
+def same_bits(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 def refine_all(grid, rounds=1):
     for _ in range(rounds):
         for el in grid.leaf_view().elements():

@@ -11,9 +11,10 @@ The last tests run random adapt, grow and remove rounds on the same fan.
 After each round they check that fragments tile every leaf facet, and that
 every corner, volume and centre has the bits of the numpy array
 expressions written out below, which the Python-float arithmetic and the
-shared per-element corners must reproduce.  The global geometries of an
-element's groups are derived together in one batch; its A, A^T A and
-det(A^T A) must have the bits of a lone ``AffineGeometry``.
+shared per-element corners must reproduce.  The global geometries of a
+view's fragments take det(A^T A) and the corner scale from one batch;
+their measures, degeneracy and Jacobians must have the bits of a lone
+``AffineGeometry``.
 """
 
 import gc
@@ -24,7 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_intersections_agree, assert_leaf_view_is_brute_force, make_grid
+from conftest import (
+    assert_intersections_agree,
+    assert_leaf_view_is_brute_force,
+    make_grid,
+    same_bits,
+)
 from netmesh import SingularGeometryError, intersections
 from netmesh.geometry import REFERENCE_CORNERS, AffineGeometry, AffineStack
 from netmesh.topology import TRIANGLE, TRIANGLE_EDGES, audit_grid
@@ -332,11 +338,6 @@ def numpy_reference_corners(fragment):
     return np.array([ref[ia] * (1.0 - t) + ref[ib] * t for t in (a, b)])
 
 
-def same_bits(got, expected):
-    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
-    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
-
-
 def assert_same_geometry(geo, corners):
     assert same_bits(geo.corners, corners)
     volume = numpy_volume(corners)
@@ -429,30 +430,41 @@ def assert_numpy_classification(corners):
     geo = AffineGeometry(corners)
     assert_same_geometry(geo, corners)
     assert same_bits(geo.center(), corners.mean(axis=0))
-    # pin the corner scale to the bit: a determinant on numpy's threshold is
-    # degenerate, one step above it is not
+    assert_scale_on_threshold(geo, corners)
+
+
+def assert_scale_on_threshold(geo, corners):
+    """Pin the corner scale to the bit: a determinant on numpy's threshold is
+    degenerate, one step above it is not, for ``is_degenerate`` and ``volume``."""
     threshold, _ = numpy_threshold(corners)
-    if threshold > 0.0:
+    if len(corners) > 1 and threshold > 0.0:
         geo._det = threshold
         assert geo.is_degenerate()
-        geo._det = math.nextafter(threshold, math.inf)
+        with pytest.raises(SingularGeometryError):
+            geo.volume()
+        det = geo._det = math.nextafter(threshold, math.inf)
         assert not geo.is_degenerate()
+        assert same_bits(geo.volume(), (1.0 if len(corners) == 2 else 0.5) * math.sqrt(det))
 
 
 def assert_stack_is_lone(stack):
-    """Every geometry of an ``AffineStack`` has the bits of a lone instance."""
+    """Every geometry of an ``AffineStack`` has the bits of a lone instance.
+
+    ``volume`` and ``is_degenerate`` are read first, from the det and scale
+    the stack handed over, then the Jacobians, which derive A alone.
+    """
     batch = AffineStack(stack)
     for i, corners in enumerate(stack):
         got, lone = batch.geometry(i), AffineGeometry(corners.copy())
-        lone._derive()
         assert same_bits(got.corners, lone.corners)
-        assert same_bits(got._a, lone._a)
-        assert same_bits(got._gram, lone._gram)
-        assert type(got._det) is float and same_bits(got._det, lone._det)
         assert got.is_degenerate() == lone.is_degenerate()
         if not lone.is_degenerate():
             assert same_bits(got.volume(), lone.volume())
+            assert same_bits(got.integration_element(), lone.integration_element())
             assert same_bits(got.jacobian_inverse_transposed(), lone.jacobian_inverse_transposed())
+        assert same_bits(got.jacobian_transposed(), lone.jacobian_transposed())
+        if corners.shape[1] < 8:  # where numpy's row sums are plain ones
+            assert_scale_on_threshold(batch.geometry(i), corners)
 
 
 @settings(max_examples=200, deadline=None)
@@ -464,7 +476,8 @@ def assert_stack_is_lone(stack):
     st.integers(0, 2**32 - 1),
 )
 def test_stack_derives_the_bits_of_lone_geometries(k, extra, n, scale, seed):
-    """A, A^T A and det(A^T A) of a random stack equal what each simplex derives alone."""
+    """Measures, degeneracy and Jacobians of a random stack equal what each
+    simplex derives alone."""
     w = max(k, 1) + extra
     rng = np.random.default_rng(seed)
     stack = rng.normal(size=(n, k + 1, w)) * scale * 10.0 ** rng.uniform(-3.0, 3.0, size=w)

@@ -264,3 +264,14 @@ class TestRefusals:
     def test_element_of_another_grid_is_refused(self, chain4, y_junction):
         with pytest.raises(StaleEntityError, match="different grid"):
             intersections(chain4.leaf_view(), y_junction.leaf_view().elements()[0])
+
+    def test_handle_that_outlived_a_compaction_is_refused(self, chain4):
+        old = chain4.leaf_view().elements()
+        chain4.remove_element(old[0])
+        chain4.grow()
+        chain4.post_grow()
+        view = chain4.leaf_view()
+        # the compaction moved another element into the old handle's slot
+        assert (old[1].level, old[1].slot) in view.places(0)
+        with pytest.raises(StaleEntityError, match="outlived"):
+            intersections(view, old[1])

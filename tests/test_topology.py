@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from netmesh import LINE, TRIANGLE, GridConfig, GridFactory, audit_grid
+from netmesh import LINE, TRIANGLE, GridConfig, GridFactory, audit_grid, intersections, read_gmsh
 from netmesh.errors import DimensionMismatchError, FactoryError, StaleEntityError
 
 from conftest import make_grid, refine_all
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestGridConfig:
@@ -176,3 +180,23 @@ def test_ids_unique_across_codims(two_triangles):
         for ent in view.entities(codim):
             assert ent.id not in seen
             seen.add(ent.id)
+
+
+def test_vertex_coordinates_and_shared_corners_are_read_only():
+    """Writing through ``Vertex.coords`` or a geometry's shared corner array
+    is refused, so no reader moves a record or a view's corners."""
+    grid = read_gmsh(DATA / "surface.msh", GridConfig(2, 3))
+    vertex = grid.vertex(0, 0)
+    element = next(el for el in grid.level_view(0).elements() if vertex in el.vertices())
+    corners = grid.element(element.level, element.slot).geometry.corners.copy()
+    for array in (vertex.coords, vertex.geometry.corners):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 99.0
+    assert np.array_equal(grid.element(element.level, element.slot).geometry.corners, corners)
+    view = grid.leaf_view()
+    for el in view.elements():
+        with pytest.raises(ValueError, match="read-only"):
+            el.geometry.corners[0, 0] = 99.0
+        for grp in intersections(view, el):
+            with pytest.raises(ValueError, match="read-only"):
+                grp.geometry.corners[0, 0] = 99.0

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netmesh import audit_grid, cli, topology
+from netmesh import GridConfig, audit_grid, cli, read_gmsh, topology
 from netmesh.errors import StaleEntityError
 
-from conftest import make_grid, refine_all
+from conftest import make_grid, refine_all, same_bits
 
 ROOT = Path(__file__).parent.parent
 
@@ -182,3 +182,56 @@ def test_roots_demo_builds_no_entity_wrapper(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["roots", str(ROOT / "scenarios" / "roots.txt"), "--out", str(tmp_path)]) == 0
     assert built == []
+
+
+def assert_wrappers_match_handles(grid, wrappers):
+    """Each view-made wrapper and a fresh ``grid.element`` handle at its place
+    agree on the id and on the bits of the corners and the centre."""
+    for el in wrappers:
+        handle = grid.element(el.level, el.slot)
+        assert el.id == handle.id
+        assert same_bits(el.geometry.corners, handle.geometry.corners)
+        assert same_bits(el.geometry.center(), handle.geometry.center())
+
+
+@pytest.mark.parametrize("mesh", ["surface.msh", "quadratic_surface.msh"])
+def test_view_wrappers_agree_with_grid_handles(mesh):
+    """Across a refine round and a coarsening round, view wrappers keep the
+    ids and corners that the records give; wrappers made before a refine
+    that compacted nothing still read them."""
+    grid = read_gmsh(ROOT / "tests" / "data" / mesh, GridConfig(2, 3))
+    before = grid.leaf_view().elements()
+    assert_wrappers_match_handles(grid, before)
+    refine_all(grid)
+    assert_wrappers_match_handles(grid, before)
+    assert_wrappers_match_handles(grid, grid.leaf_view().elements())
+    leaves = grid.leaf_view().elements()
+    first = leaves[0].father()
+    for el in leaves:  # coarsen the first family, refine every third other leaf
+        grid.mark(-1 if el.father() == first else int(el.id % 3 == 0), el)
+    grid.pre_adapt()
+    grid.adapt()
+    grid.post_adapt()
+    with pytest.raises(StaleEntityError, match="outlived"):
+        before[0].id  # the coarsening compacted the arenas
+    for level in range(grid.max_level + 1):
+        assert_wrappers_match_handles(grid, grid.level_view(level).elements())
+    assert_wrappers_match_handles(grid, grid.leaf_view().elements())
+
+
+def test_wrappers_and_handles_go_stale_together(two_triangles):
+    """After a compacting adapt, a view wrapper and a grid handle whose id was
+    read refuse ``id`` and ``geometry`` alike."""
+    refine_all(two_triangles)
+    wrapper = two_triangles.leaf_view().elements()[0]
+    handle = two_triangles.element(wrapper.level, wrapper.slot)
+    assert handle.id == wrapper.id
+    for el in two_triangles.leaf_view().elements():
+        two_triangles.mark(-1, el)
+    two_triangles.pre_adapt()
+    two_triangles.adapt()
+    two_triangles.post_adapt()
+    for entity in (wrapper, handle):
+        for read in (lambda: entity.id, lambda: entity.geometry):
+            with pytest.raises(StaleEntityError, match="outlived"):
+                read()
