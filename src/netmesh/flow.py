@@ -39,6 +39,7 @@ import math
 import pathlib
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse
@@ -431,45 +432,83 @@ def refinement_indicator(view, concentration, eps_refine=0.3, eps_coarsen=0.05):
     return marks
 
 
+class LeafData(dict):
+    """Per-element values stored by persistent id: id -> row of ``columns``.
+
+    ``columns`` maps each name to a float array with one row per stored
+    id.  Rows ``0 .. n - 1`` hold the elements of the view the data was
+    stored from, in index order; :meth:`add` appends rows for more ids.
+    """
+
+    def __init__(self, ids, columns):
+        super().__init__(zip(ids, range(len(ids))))
+        self.columns = columns
+
+    def add(self, ids, values):
+        """Store one more row per id, for ids not stored yet; ``values`` maps
+        every stored name to the new rows in the order of ``ids``."""
+        first = len(self)
+        self.update(zip(ids, range(first, first + len(ids))))
+        for name, column in self.columns.items():
+            self.columns[name] = np.concatenate((column, np.asarray(values[name], dtype=float)))
+
+
 def store_leaf_data(grid, view, arrays):
     """Snapshot named per-element arrays by persistent id (call after pre_adapt).
 
-    Sibling groups flagged to vanish also store a volume-weighted average
-    onto their father's id so coarsening can restore sensible values.
+    Returns a :class:`LeafData` over float copies of the arrays, which
+    must be aligned with the view's element index set.  Sibling groups
+    flagged to vanish also store a volume-weighted average onto their
+    father's id so coarsening can restore sensible values.
     """
-    store = {eid: {name: a[i] for name, a in arrays.items()} for i, eid in enumerate(view.ids(0).tolist())}
-    for level, slot in view.places(0):
-        if (level, slot) not in grid._vanishing:
-            continue
+    ids = view.ids(0).tolist()
+    columns = {name: np.array(a, dtype=float) for name, a in arrays.items()}
+    for name, column in columns.items():
+        if len(column) != len(ids):
+            raise DimensionMismatchError(
+                f"{name} has {len(column)} values for {len(ids)} leaf elements"
+            )
+    store = LeafData(ids, columns)
+    vanishing = grid._vanishing
+    averaged = {}  # father id -> {name: volume-weighted average of its children}
+    for level, slot in [place for place in view.places(0) if place in vanishing]:
         father = grid.element(level, slot).father()
-        if father is None or father.id in store:
+        if father is None or father.id in averaged:
             continue
         kids = father.children()
         weights = np.array([k.geometry.volume() for k in kids])
-        values = {}
-        for name in arrays:
-            vals = np.array([store[k.id][name] for k in kids])
-            values[name] = float(np.sum(weights * vals) / np.sum(weights))
-        store[father.id] = values
+        rows = [store[k.id] for k in kids]
+        averaged[father.id] = {
+            name: float(np.sum(weights * column[rows]) / np.sum(weights))
+            for name, column in columns.items()
+        }
+    if averaged:
+        store.add(list(averaged), {name: [v[name] for v in averaged.values()] for name in columns})
     return store
 
 
 def restore_leaf_data(view, store, names):
-    """Rebuild arrays on the new leaf view; children inherit stored ancestors."""
-    elems = view.grid._elems
-    rows = []
-    for eid, (level, slot) in zip(view.ids(0).tolist(), view.places(0)):
-        key = eid
+    """Rebuild arrays on the new leaf view; children inherit stored ancestors.
+
+    Each element's row is gathered by its id; only an element whose id is
+    not stored walks up its fathers to the nearest stored one.
+    """
+    elems, places = view.grid._elems, view.places(0)
+    ids = view.ids(0).tolist()
+    rows = np.fromiter(map(store.get, ids, repeat(-1)), np.int64, len(ids))
+    for i in np.flatnonzero(rows < 0).tolist():
+        level, slot = places[i]
+        key = ids[i]
         while key not in store and elems[level][slot].father is not None:  # up to a stored ancestor
             level, slot = level - 1, elems[level][slot].father
             key = elems[level][slot].id
         if key not in store:
             raise LifecycleError(
-                f"no stored data for element id {eid} or its ancestors "
+                f"no stored data for element id {ids[i]} or its ancestors "
                 "(was store_leaf_data called after pre_adapt?)"
             )
-        rows.append(store[key])
-    return {name: np.array([row[name] for row in rows], dtype=float) for name in names}
+        rows[i] = store[key]
+    return {name: store.columns[name][rows] for name in names}
 
 
 def boundary_vertex_ids_by_marker(view, markers):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -97,15 +99,7 @@ def read_gmsh(path, config):
             raise MshParseError(f"duplicate node id {nid}", line=line_no)
         coords[nid] = np.array(xyz)
 
-    factory = GridFactory(config)
     w = config.world_dim
-    node_index = {}
-
-    def vertex_index(nid):
-        if nid not in node_index:
-            node_index[nid] = factory.insert_vertex(_padded(coords[nid], w))
-        return node_index[nid]
-
     start, elem_lines = sections["Elements"]
     if not elem_lines:
         raise MshParseError("malformed element count", line=start + 1)
@@ -119,7 +113,8 @@ def read_gmsh(path, config):
             f"expected {n_elems} element lines, found {len(elem_lines) - 1}", line=count_no
         )
 
-    read = ignored = skipped = 0
+    staged = []  # (corner node ids, parametrization, marker) per element read
+    ignored = skipped = 0
     for line_no, text in elem_lines[1:]:
         parts = text.split()
         if len(parts) < 3:
@@ -144,20 +139,28 @@ def read_gmsh(path, config):
         for n in nodes:
             if n not in coords:
                 raise MshParseError(f"element references unknown node {n}", line=line_no)
-        # only corner nodes become vertices; mid-edge nodes shape the parametrization
-        idx = [vertex_index(n) for n in nodes[: kind.dim + 1]]
         phi = None
         if parametrization is not None:
             phi = parametrization(np.stack([_padded(coords[n], w) for n in nodes]))
-        factory.insert_element(kind, idx, parametrization=phi, marker=tags[0] if tags else None)
-        read += 1
+        staged.append((nodes[: kind.dim + 1], phi, tags[0] if tags else None))
 
-    if read == 0:
+    if not staged:
         raise MshParseError(f"no dimension-{config.dim} elements in file")
     logger.info(
         "read %d elements (%d other-dimensional ignored, %d unsupported skipped)",
-        read, ignored, skipped,
+        len(staged), ignored, skipped,
     )
+    # only corner nodes become vertices, in order of first use; mid-edge
+    # nodes shape the parametrization
+    used = dict.fromkeys(n for corners, _, _ in staged for n in corners)
+    node_index = dict(zip(used, range(len(used))))
+    factory = GridFactory(config)
+    factory.insert_vertices(np.array([_padded(coords[n], w) for n in used]))
+    kind = LINE if config.dim == 1 else TRIANGLE
+    # one call per run of elements sharing parametrization and marker
+    for (phi, marker), run in groupby(staged, key=itemgetter(1, 2)):
+        rows = [[node_index[n] for n in corners] for corners, _, _ in run]
+        factory.insert_elements(kind, rows, parametrization=phi, marker=marker)
     return factory.create_grid()
 
 

@@ -1,13 +1,25 @@
 """Runtime grid growth: queued insertion and removal of leaf elements.
 
-Insertions are staged (two-phase commit): ``queue_vertex`` hands out
-provisional indices that continue the current leaf-vertex index range,
-``queue_element`` mixes provisional and existing leaf-vertex indices,
-and ``grow`` resolves and commits everything at once.  An element's
-vertices must sit on one common level; when the given leaf copies
-disagree, coarser chain copies are substituted and the lowest common
-level wins.  Elements whose vertices reach no common level are skipped
-silently; the per-element outcome is retrievable from the growth report.
+Insertions are staged (two-phase commit) as whole arrays.
+``queue_vertices`` takes one provisional vertex per row of an
+``(n, world_dim)`` array and hands out provisional indices that continue
+the current leaf-vertex index range; ``queue_elements`` takes one element
+per row of an ``(m, dim + 1)`` integer array mixing provisional and
+existing leaf-vertex indices.  ``queue_vertex`` and ``queue_element`` are
+one-row calls of them.  Each call checks its rows in one numpy pass
+(``checked_coords`` and ``checked_element``, shared with the factory) and
+stages nothing when it refuses a row.  The queue keeps the arrays and the
+pre-grow leaf view's vertex places, which existing indices address.
+
+``grow`` commits in one pass over the queued rows, in queue order.  An
+element's vertices must sit on one common level.  A given vertex is
+taken at the place the pre-grow view has for it, and a provisional
+vertex is made at the level of its first user.  Only a row whose given
+copies sit on different levels walks the copy chains: coarser chain
+copies are substituted and the lowest common level wins.  Rows whose
+vertices reach no common level, or coincide after that resolution, are
+skipped; the per-row outcome is in the growth report.  Each row draws
+the ids of the vertices it makes, then its element's.
 
 The grid's phase runs idle -> queued -> grown -> idle; the first
 accepted queue call moves it to queued, and ``grow`` may also start from
@@ -19,6 +31,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import FactoryError
 from .topology import checked_coords, checked_element
@@ -35,35 +49,50 @@ class GrowthReport:
     removed: int = 0
 
 
-def _queue_leaf_vertices(grid):
-    """(level, slot) of each leaf-view vertex; provisional indices continue this range."""
-    if grid._queue_leaf_vertices is None:
-        grid._queue_leaf_vertices = grid.leaf_view().places(grid.dim)
-    return grid._queue_leaf_vertices
+class _Queue:
+    """The insertions one grow transaction has staged."""
+
+    def __init__(self, grid):
+        self.places = grid.leaf_view().places(grid.dim)  # existing vertex index -> (level, slot)
+        self.coords = []  # (n, world_dim) float arrays, one per queue_vertices call
+        self.n_vertices = len(self.places)  # the next provisional index
+        self.rows = []  # ((m, dim + 1) int64 array, parametrization), one per queue_elements call
+        self.n_rows = 0
 
 
-def queue_vertex(grid, coords):
-    """Stage a new vertex; returns its provisional index (fixed until grow)."""
-    grid._require("queue_vertex", "idle", "queued")
+def _open_queue(grid):
+    """The open queue, or a new one over the current leaf view.  Callers
+    store a new queue only once their input passed its check: a refused
+    call must not keep a view that a later adapt would make stale."""
+    return grid._queue if grid._queue is not None else _Queue(grid)
+
+
+def queue_vertices(grid, coords):
+    """Stage one new vertex per row of an ``(n, world_dim)`` array; returns
+    their provisional indices (fixed until grow) as an int64 array."""
+    grid._require("queue_vertices", "idle", "queued")
     coords = checked_coords(coords, grid.world_dim)
-    base = len(_queue_leaf_vertices(grid))
-    grid._queued_vertices.append(coords)
+    queue = grid._queue = _open_queue(grid)
+    first = queue.n_vertices
+    queue.coords.append(coords)
+    queue.n_vertices += len(coords)
     grid._phase = "queued"
-    return base + len(grid._queued_vertices) - 1
+    return np.arange(first, queue.n_vertices)
 
 
-def queue_element(grid, kind, vertex_indices, parametrization=None):
-    """Stage a new element over provisional and/or existing leaf vertex indices."""
-    grid._require("queue_element", "idle", "queued")
-    leaves = _queue_leaf_vertices(grid)
-    base = len(leaves)
-    idx = checked_element(
-        grid.dim, kind, vertex_indices, parametrization, base + len(grid._queued_vertices)
-    )
-    refs = tuple(("v",) + leaves[i] if i < base else ("q", i - base) for i in idx)
-    grid._queued_elements.append((refs, parametrization))
+def queue_elements(grid, kind, vertex_indices, parametrization=None):
+    """Stage one new element per row of an ``(m, dim + 1)`` integer array of
+    provisional and/or existing leaf vertex indices; returns their queue
+    positions as an int64 array.  Every row gets ``parametrization``."""
+    grid._require("queue_elements", "idle", "queued")
+    queue = _open_queue(grid)
+    rows = checked_element(grid.dim, kind, vertex_indices, parametrization, queue.n_vertices)
+    grid._queue = queue
+    first = queue.n_rows
+    queue.rows.append((rows, parametrization))
+    queue.n_rows += len(rows)
     grid._phase = "queued"
-    return len(grid._queued_elements) - 1
+    return np.arange(first, queue.n_rows)
 
 
 def remove_element(grid, element):
@@ -77,6 +106,38 @@ def remove_element(grid, element):
     grid._phase = "queued"
 
 
+def _insert(grid, queue, report):
+    """Commit the queued rows in queue order; see the module docstring."""
+    places, base = queue.places, len(queue.places)
+    coords = list(np.concatenate(queue.coords)) if queue.coords else []
+    rows = ((row, phi) for chunk, phi in queue.rows for row in chunk.tolist())
+    corners = grid.dim + 1
+    made = {}  # provisional index -> (level, slot) of the vertex its first user made
+    for q, (row, parametrization) in enumerate(rows):
+        given = [places[i] if i < base else made.get(i) for i in row]
+        levels = {place[0] for place in given if place is not None}
+        if len(levels) > 1:
+            chains = [None if place is None else dict(grid._vertex_chain(*place)) for place in given]
+            common = set.intersection(*(set(chain) for chain in chains if chain is not None))
+            if not common:
+                report.skipped.append((q, "vertices reach no common level"))
+                continue
+            level = min(common)
+            given = [None if chain is None else (level, chain[level]) for chain in chains]
+        else:
+            level = levels.pop() if levels else 0
+        vslots = []
+        for i, place in zip(row, given):
+            if place is None:
+                place = made[i] = (level, grid._add_vertex(level, coords[i - base].copy()))
+            vslots.append(place[1])
+        if len(set(vslots)) != corners:
+            report.skipped.append((q, "vertices coincide after level resolution"))
+            continue
+        slot = grid._add_element(level, tuple(vslots), parametrization=parametrization)
+        report.inserted.append((q, grid._elems[level][slot].id))
+
+
 def grow(grid):
     """Commit queued insertions and removals; returns True when the grid changed.
 
@@ -86,44 +147,8 @@ def grow(grid):
     grid._require("grow", "idle", "queued")
     grid._first_new_id = grid._next_id
     report = GrowthReport()
-
-    created = {}  # provisional queue slot -> (level, vertex slot)
-    for qidx, (refs, parametrization) in enumerate(grid._queued_elements):
-        chains = []  # per ref: level -> slot of its copies, None for a vertex not yet created
-        given_levels = set()
-        for ref in refs:
-            if ref[0] == "v":
-                chains.append(dict(grid._vertex_chain(ref[1], ref[2])))
-                given_levels.add(ref[1])
-            elif ref[1] in created:
-                lev, slot = created[ref[1]]
-                chains.append({lev: slot})
-                given_levels.add(lev)
-            else:
-                chains.append(None)
-        if len(given_levels) <= 1:
-            resolved = min(given_levels, default=0)
-        else:
-            common = set.intersection(*(set(c) for c in chains if c is not None))
-            if not common:
-                report.skipped.append((qidx, "vertices reach no common level"))
-                continue
-            resolved = min(common)
-
-        vslots = []
-        for ref, chain in zip(refs, chains):
-            if chain is not None:
-                vslots.append(chain[resolved])
-            else:
-                s = grid._add_vertex(resolved, grid._queued_vertices[ref[1]].copy())
-                created[ref[1]] = (resolved, s)
-                vslots.append(s)
-        if len(set(vslots)) != grid.dim + 1:
-            report.skipped.append((qidx, "vertices coincide after level resolution"))
-            continue
-
-        slot = grid._add_element(resolved, tuple(vslots), parametrization=parametrization)
-        report.inserted.append((qidx, grid._elems[resolved][slot].id))
+    if grid._queue is not None:
+        _insert(grid, grid._queue, report)
 
     if grid._queued_removals:
         from .compaction import remove_elements
@@ -134,10 +159,8 @@ def grow(grid):
     changed = bool(report.inserted or report.removed)
     for qidx, reason in report.skipped:
         logger.info("growth: skipped queued element %d (%s)", qidx, reason)
-    grid._queued_vertices = []
-    grid._queued_elements = []
+    grid._queue = None
     grid._queued_removals = []
-    grid._queue_leaf_vertices = None
     grid._growth_report = report
     grid._phase = "grown"
     grid._revision += 1

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .topology import EDGE_MIDPOINT_LOCAL
+from .topology import EDGE_MIDPOINT_LOCAL, checked_coords
 
 
 def local_in_root(grid, level, slot, local):
@@ -34,21 +34,20 @@ def local_in_root(grid, level, slot, local):
 def refined_vertex_position(grid, level, slot, edge_index):
     """Position for the midpoint vertex created when splitting a local edge.
 
-    ``(level, slot)`` addresses the element being refined.  Returns the
-    root parametrization evaluated at the composed local midpoint, or the
-    affine midpoint of the edge's endpoints when the root is unparametrized.
+    ``(level, slot)`` addresses the element being refined.  Returns a new
+    array: the root parametrization evaluated at the composed local
+    midpoint, or the affine midpoint of the edge's endpoints when the root
+    is unparametrized.  An image is checked as a queued vertex is
+    (``checked_coords``): one of the wrong length raises
+    :class:`DimensionMismatchError` and a non-finite one
+    :class:`FactoryError`, from within ``adapt``.
     """
     rec = grid._elems[level][slot]
     rl, rs = rec.root
     phi = grid._elems[rl][rs].parametrization
     if phi is not None:
         root_local = local_in_root(grid, level, slot, EDGE_MIDPOINT_LOCAL[grid.dim][edge_index])
-        pos = np.asarray(phi(root_local), dtype=float)
-        if pos.shape != (grid.world_dim,):
-            raise DimensionMismatchError(
-                f"parametrization returned shape {pos.shape}, expected ({grid.world_dim},)"
-            )
-        return pos
+        return checked_coords([phi(root_local)], grid.world_dim)[0]
     if grid.dim == 1:
         a, b = rec.v
     else:

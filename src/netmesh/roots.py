@@ -386,13 +386,16 @@ def grow_grid(grid, indicator, variables, step=0):
     """One growth round: the six-step insert/store/grow/reconstruct protocol.
 
     ``variables`` maps names to per-leaf-element arrays (aligned with the
-    current leaf index set).  Returns a :class:`GrowthRound`, which
-    unpacks as (report, new_variables); fresh segments inherit every
-    variable from the element whose indicator decision created them.
-    Tips of fresh segments are free boundary vertices and therefore
-    no-flow by construction.  Raises :class:`ScenarioError` before
-    queueing anything when the round would leave more than
-    :data:`MAX_ELEMENTS` leaf segments.
+    current leaf index set).  The round's new vertices and segments go
+    into the queue in one ``queue_vertices`` and one ``queue_elements``
+    call, ``grow`` commits them in one pass, and the variables cross the
+    transaction as a :class:`flow.LeafData`, to which each inserted
+    segment appends the row of the element whose indicator decision
+    created it.  Returns a :class:`GrowthRound`, which unpacks as
+    (report, new_variables).  Tips of fresh segments are free boundary
+    vertices and therefore no-flow by construction.  Raises
+    :class:`ScenarioError` before queueing anything when the round would
+    leave more than :data:`MAX_ELEMENTS` leaf segments.
     """
     # (1) indicator pass, over the whole view at once
     view = grid.leaf_view()
@@ -404,10 +407,9 @@ def grow_grid(grid, indicator, variables, step=0):
             f"more than the bound of {MAX_ELEMENTS}"
         )
 
-    # (2) queue the new segments: vertex from the indicator, one line each
-    for attach, xyz in zip(view.corner_indices()[positions, ends].tolist(), coords):
-        grid.queue_element(LINE, [attach, grid.queue_vertex(xyz)])
-    sources = view.ids(0)[positions].tolist()  # queue position -> originating element id
+    # (2) queue the new segments: vertices from the indicator, one line each
+    attach = view.corner_indices()[positions, ends]
+    grid.queue_elements(LINE, np.column_stack((attach, grid.queue_vertices(coords))))
 
     # (3) store variables by persistent id
     store = flow.store_leaf_data(grid, view, variables)
@@ -416,9 +418,11 @@ def grow_grid(grid, indicator, variables, step=0):
     grid.grow()
     report = grid.growth_report
 
-    # (5) resize and reconstruct: inherit from the originating neighbor
-    for q, eid in report.inserted:
-        store[eid] = store[sources[q]]
+    # (5) resize and reconstruct: a new segment inherits the row of the
+    # element it grew from, and store row i holds view element i
+    inserted = np.array(report.inserted, dtype=np.int64).reshape(-1, 2)
+    rows = positions[inserted[:, 0]]
+    store.add(inserted[:, 1].tolist(), {name: c[rows] for name, c in store.columns.items()})
     view = grid.leaf_view()
     out = flow.restore_leaf_data(view, store, tuple(variables))
 
@@ -558,12 +562,11 @@ def build_vertical_root(segments, segment_length, world_dim=3):
     from .topology import GridConfig, GridFactory
 
     f = GridFactory(GridConfig(1, world_dim))
-    for i in range(segments + 1):
-        coords = np.zeros(world_dim)
-        coords[-1] = -i * segment_length
-        f.insert_vertex(coords)
-    for i in range(segments):
-        f.insert_element(LINE, [i, i + 1])
+    coords = np.zeros((segments + 1, world_dim))
+    coords[:, -1] = -np.arange(segments + 1) * segment_length
+    f.insert_vertices(coords)
+    first = np.arange(segments)
+    f.insert_elements(LINE, np.column_stack((first, first + 1)))
     grid = f.create_grid()
     collar_id = grid._verts[0][0].id
     return grid, collar_id

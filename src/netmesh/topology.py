@@ -17,7 +17,9 @@ Records enter the arenas only through ``Grid._add_vertex``,
 ``Grid._add_element`` and ``Grid._get_or_make_edge`` (factory,
 refinement and growth alike) and leave only through
 ``compaction.remove_elements``.  Staged factory and growth input passes
-the same checks, ``checked_coords`` and ``checked_element``.  Records
+the same row-array checks, ``checked_coords`` and ``checked_element``,
+one numpy pass per call; the one-vertex and one-element calls are
+one-row calls of the batch ones.  Records
 link down (corners, edges) and across levels (father, children, finer)
 but store no incidence: ``incident_elements`` scans the level.
 
@@ -46,6 +48,7 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -176,11 +179,9 @@ class Grid:
         self._phase = "idle"
         self._first_new_id = math.inf  # ids from here on were made by the open adapt/grow
         self._vanishing = set()   # (level, slot) of the elements pre_adapt lets coarsen
-        self._queued_vertices = []
-        self._queued_elements = []
+        self._queue = None        # growth._Queue: the open grow transaction's insertions
         self._queued_removals = []
         self._growth_report = None
-        self._queue_leaf_vertices = None
         self._edge_lookup = [None]
         self._leaf_view = None    # weak reference: a strong one would tie grid and view in a cycle
 
@@ -273,15 +274,23 @@ class Grid:
 
     # -- growth lifecycle (implementation in growth module) ---------------
 
-    def queue_vertex(self, coords):
+    def queue_vertices(self, coords):
         from . import growth
 
-        return growth.queue_vertex(self, coords)
+        return growth.queue_vertices(self, coords)
+
+    def queue_elements(self, kind, vertex_indices, parametrization=None):
+        from . import growth
+
+        return growth.queue_elements(self, kind, vertex_indices, parametrization)
+
+    def queue_vertex(self, coords):
+        """Stage a new vertex; returns its provisional index (fixed until grow)."""
+        return int(self.queue_vertices([coords])[0])
 
     def queue_element(self, kind, vertex_indices, parametrization=None):
-        from . import growth
-
-        return growth.queue_element(self, kind, vertex_indices, parametrization)
+        """Stage a new element over provisional and/or existing leaf vertex indices."""
+        return int(self.queue_elements(kind, [vertex_indices], parametrization)[0])
 
     def remove_element(self, element):
         from . import growth
@@ -622,22 +631,35 @@ class GridFactory:
         self._coords = []
         self._elements = []  # (vertex tuple, parametrization, marker)
 
+    def insert_vertices(self, coords):
+        """Stage one vertex per row of an ``(n, world_dim)`` array; returns their insertion indices."""
+        coords = checked_coords(coords, self.config.world_dim)
+        first = len(self._coords)
+        self._coords.extend(coords)
+        return np.arange(first, first + len(coords))
+
     def insert_vertex(self, coords):
         """Stage a vertex; returns its insertion index."""
-        self._coords.append(checked_coords(coords, self.config.world_dim))
-        return len(self._coords) - 1
+        return int(self.insert_vertices([coords])[0])
 
-    def insert_element(self, kind, vertex_indices, parametrization=None, marker=None):
-        """Stage an element over previously inserted vertices.
+    def insert_elements(self, kind, vertex_indices, parametrization=None, marker=None):
+        """Stage one element per row of an ``(m, dim + 1)`` integer array over
+        previously inserted vertices; returns their insertion indices.
 
-        Degenerate (zero-measure) elements are accepted; geometry operations
-        on them raise :class:`SingularGeometryError` later.
+        Every row gets the same parametrization and marker.  Degenerate
+        (zero-measure) elements are accepted; geometry operations on them
+        raise :class:`SingularGeometryError` later.
         """
-        idx = checked_element(
+        rows = checked_element(
             self.config.dim, kind, vertex_indices, parametrization, len(self._coords)
         )
-        self._elements.append((idx, parametrization, marker))
-        return len(self._elements) - 1
+        first = len(self._elements)
+        self._elements.extend((tuple(row), parametrization, marker) for row in rows.tolist())
+        return np.arange(first, first + len(rows))
+
+    def insert_element(self, kind, vertex_indices, parametrization=None, marker=None):
+        """Stage an element over previously inserted vertices; returns its insertion index."""
+        return int(self.insert_elements(kind, [vertex_indices], parametrization, marker)[0])
 
     def create_grid(self):
         """Build the grid; the factory may be reused afterwards."""
@@ -654,32 +676,52 @@ class GridFactory:
 
 
 def checked_coords(coords, world_dim):
-    """Staged vertex coordinates as a new float array of length ``world_dim``."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (world_dim,):
+    """Staged vertex coordinates, one vertex per row, as a new ``(n, world_dim)`` float array.
+
+    A refusal names the first bad row by its values.
+    """
+    coords = np.array(coords, dtype=float)
+    if coords.shape[1:] != (world_dim,):
         raise DimensionMismatchError(
-            f"expected {world_dim} coordinates, got shape {coords.shape}"
+            f"expected {world_dim} coordinates, got shape {coords.shape[1:]}"
         )
-    if not all(map(math.isfinite, coords.tolist())):
-        raise FactoryError(f"vertex coordinates must be finite, got {coords.tolist()}")
-    return coords.copy()
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        raise FactoryError(
+            f"vertex coordinates must be finite, got {coords[finite.argmin()].tolist()}"
+        )
+    return coords
 
 
 def checked_element(dim, kind, vertex_indices, parametrization, n_vertices):
-    """Vertex index tuple of a staged element over indices ``0 .. n_vertices - 1``."""
+    """Staged elements, one row of ``dim + 1`` vertex indices each, over indices
+    ``0 .. n_vertices - 1``, as a new ``(m, dim + 1)`` int64 array.
+
+    A refusal names the first bad row: its repeated index or, failing
+    that, its first unknown one.
+    """
     if not isinstance(kind, SimplexKind) or kind.dim != dim:
         raise FactoryError(f"element kind {kind!r} does not match grid dimension {dim}")
-    idx = tuple(int(i) for i in vertex_indices)
-    if len(idx) != dim + 1:
-        raise FactoryError(f"need {dim + 1} vertex indices, got {len(idx)}")
-    if len(set(idx)) != len(idx):
-        raise FactoryError(f"repeated vertex index in {idx}")
-    for i in idx:
-        if not 0 <= i < n_vertices:
-            raise FactoryError(f"unknown vertex index {i}")
+    rows = np.asarray(vertex_indices)
+    if rows.ndim != 2:
+        raise FactoryError(f"need rows of {dim + 1} vertex indices, got shape {rows.shape}")
+    if rows.shape[1] != dim + 1:
+        raise FactoryError(f"need {dim + 1} vertex indices, got {rows.shape[1]}")
+    if rows.dtype.kind not in "iu":
+        raise FactoryError(f"vertex indices must be integers, got {rows.dtype}")
+    repeated = np.zeros(len(rows), dtype=bool)
+    for a, b in combinations(range(dim + 1), 2):
+        repeated |= rows[:, a] == rows[:, b]
+    bad = repeated | ((rows < 0) | (rows >= n_vertices)).any(axis=1)
+    if bad.any():
+        first = bad.argmax()
+        row = tuple(rows[first].tolist())
+        if repeated[first]:
+            raise FactoryError(f"repeated vertex index in {row}")
+        raise FactoryError(f"unknown vertex index {next(i for i in row if not 0 <= i < n_vertices)}")
     if parametrization is not None and not callable(parametrization):
         raise FactoryError("parametrization must be callable")
-    return idx
+    return rows.astype(np.int64)
 
 
 def _check_parametrization_corners(grid, slot, phi, tol=1e-9):

@@ -516,6 +516,105 @@ class TestStateTransfer:
         assert len(view.elements()) == 8
 
 
+class TestArrayTransfer:
+    """``store_leaf_data``/``restore_leaf_data`` gather stacked rows by id and
+    give the bits of the dict-per-leaf store of ``tests/leaf_data_dicts.py``."""
+
+    @staticmethod
+    def _curved_grid(shape):
+        """Macro elements with parametrizations that split them into children
+        of unequal measure, so sibling averages weigh their children."""
+        if shape == "chain":
+            def arc(local):
+                t = float(np.asarray(local).reshape(-1)[0])
+                return np.array([2.0 * t, t * t, 0.0])
+
+            return make_grid(1, 3, [(0, 0, 0), (2, 1, 0), (3, 1, 0)], [(0, 1), (1, 2)], [arc, None])
+        corners = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0]], dtype=float)
+
+        def bump(local):
+            x, y = np.asarray(local, dtype=float)
+            flat = corners[0] + (corners[1:] - corners[0]).T @ np.array([x, y])
+            return np.array([flat[0], flat[1], 0.9 * x * y * (1.0 - x - y) + 0.3 * x * x * y])
+
+        verts = [(0, 0, 0), (1, 0, 0), (0.5, 1, 0), (0.5, -1, 0)]
+        return make_grid(2, 3, verts, [(0, 1, 2), (0, 1, 3)], [bump, None])
+
+    @pytest.mark.parametrize("shape", ["chain", "surface"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adapt_round_with_coarsening(self, shape, seed):
+        from leaf_data_dicts import restore_by_dicts, store_by_dicts
+
+        rng = np.random.default_rng(seed)
+        grid = refine_all(self._curved_grid(shape), 2)
+        view = grid.leaf_view()
+        n = view.size(0)
+        arrays = {"p": rng.normal(size=n), "k": rng.integers(-9, 9, size=n)}
+        first = view.elements()[0].father()
+        siblings = {kid.id for kid in first.children()}
+        for el in view.elements():
+            mark = -1 if el.id in siblings else int(rng.choice([-1, -1, 0, 1]))
+            if mark:
+                grid.mark(mark, el)
+        grid.pre_adapt()
+        store = store_leaf_data(grid, view, arrays)
+        expected = store_by_dicts(grid, view, arrays)
+        assert first.id in store and len(store) == len(expected) > n
+        grid.adapt()
+        new_view = grid.leaf_view()
+        got = restore_leaf_data(new_view, store, ("p", "k"))
+        want = restore_by_dicts(new_view, expected, ("p", "k"))
+        grid.post_adapt()
+        for name in ("p", "k"):
+            assert got[name].dtype == want[name].dtype == np.float64
+            assert got[name].tobytes() == want[name].tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_growth_rounds_with_inherited_rows(self, seed):
+        """``grow_grid`` against the parent protocol: one queue call per row, the
+        dict store, ``store[new id] = store[source id]``, the dict restore."""
+        from leaf_data_dicts import restore_by_dicts, store_by_dicts
+        from netmesh import LINE
+        from netmesh.roots import GrowthIndicator, build_vertical_root, grow_grid, round_decisions
+
+        grids = [build_vertical_root(8, 0.0125) for _ in range(2)]
+        collar = grids[0][1]
+        rng = np.random.default_rng(seed)
+        values = {"k": rng.normal(size=8), "r": rng.uniform(1, 2, size=8)}
+        got = want = values
+        for step in range(4):
+            ind = GrowthIndicator(
+                seed=seed, branch_probability=0.4, elongation_probability=0.9,
+                segment_length=0.1, anchored_ids=(collar,),
+            )
+            got = grow_grid(grids[0][0], ind, got, step=step)[1]
+
+            grid = grids[1][0]
+            view = grid.leaf_view()
+            positions, ends, coords = round_decisions(ind, view, step)
+            for attach, xyz in zip(view.corner_indices()[positions, ends].tolist(), coords):
+                grid.queue_element(LINE, [attach, grid.queue_vertex(xyz)])
+            sources = view.ids(0)[positions].tolist()
+            store = store_by_dicts(grid, view, want)
+            grid.grow()
+            for q, eid in grid.growth_report.inserted:
+                store[eid] = store[sources[q]]
+            want = restore_by_dicts(grid.leaf_view(), store, tuple(want))
+            grid.post_grow()
+            assert len(grids[0][0].growth_report.inserted) > 0
+            for name in values:
+                assert got[name].tobytes() == want[name].tobytes()
+        ids = [grid.leaf_view().ids(0).tolist() for grid, _ in grids]
+        assert ids[0] == ids[1]
+
+    def test_misaligned_array_is_refused(self, chain4):
+        from netmesh import DimensionMismatchError
+
+        view = chain4.leaf_view()
+        with pytest.raises(DimensionMismatchError, match="c has 5 values for 4 leaf elements"):
+            store_leaf_data(chain4, view, {"c": np.zeros(5)})
+
+
 class TestProblemSetup:
     def test_validate_reports_each_violation(self):
         problem = VesselProblem(viscosity=-1.0, gamma=1.0, sigma_c=1.5)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmesh import LINE, audit_grid, intersections
+from netmesh import LINE, TRIANGLE, audit_grid, intersections
 from netmesh.errors import DimensionMismatchError, FactoryError, LifecycleError, StaleEntityError
 from netmesh.roots import leaf_degree
 
@@ -14,6 +14,15 @@ from conftest import (
     refine_all,
     vertex_or_edge,
 )
+from growth_rows import grow_by_rows, records
+
+
+def assert_staged_nothing(grid):
+    """After refused queue calls on a grid with nothing queued before them:
+    the next provisional index is the first one, and grow changes nothing."""
+    assert grid.queue_vertex(np.zeros(grid.world_dim)) == grid.leaf_view().size(grid.dim)
+    assert grid.grow() is False
+    grid.post_grow()
 
 
 def test_queue_vertex_indices_continue_leaf_range(chain4):
@@ -33,7 +42,7 @@ def test_queue_vertex_indices_continue_leaf_range(chain4):
 def test_queued_vertex_must_be_finite(chain4, bad):
     with pytest.raises(FactoryError, match="finite"):
         chain4.queue_vertex(np.array([5.0, bad, 0.0]))
-    assert chain4._queued_vertices == []
+    assert_staged_nothing(chain4)
 
 
 def test_grown_elements_carry_is_new_until_post_grow(chain4):
@@ -237,3 +246,209 @@ def test_vertex_chain_users_agree(transactions):
                 assert leaf_degree(grid, v) == 1 + grp.neighbor_count
                 chain = grid._vertex_chain(v.level, v.slot)
                 assert len({ix.index_of(grid.vertex(*copy)) for copy in chain}) == 1
+
+
+def test_refused_queue_call_keeps_no_view_across_an_adapt(chain4):
+    """A refused first queue call stages nothing, not even the leaf view its
+    indices would address: after an adapt they address the new one."""
+    with pytest.raises(FactoryError, match="unknown vertex index 99"):
+        chain4.queue_element(LINE, [0, 99])
+    refine_all(chain4)
+    view = chain4.leaf_view()
+    tip = next(v for v in view.vertices() if tuple(v.coords) == (4.0, 0.0, 0.0))
+    fresh = chain4.queue_vertex(np.array([5.0, 0.0, 0.0]))
+    assert fresh == view.size(1) == 9
+    chain4.queue_element(LINE, [view.index_set.index_of(tip), fresh])
+    assert chain4.grow() is True
+    chain4.post_grow()
+    grown = chain4.leaf_view().elements()[-1]
+    assert [tuple(v.coords) for v in grown.vertices()] == [(4.0, 0.0, 0.0), (5.0, 0.0, 0.0)]
+    assert audit_grid(chain4) == []
+
+
+class TestBatchQueue:
+    """``queue_vertices`` and ``queue_elements`` take whole arrays and refuse a
+    batch as a whole: a refused batch stages none of its rows."""
+
+    def test_batches_continue_the_index_ranges(self, chain4):
+        first = chain4.queue_vertices(np.array([[5.0, 0.0, 0.0], [6.0, 0.0, 0.0]]))
+        assert first.tolist() == [5, 6]
+        assert chain4.queue_vertex(np.array([7.0, 0.0, 0.0])) == 7
+        assert chain4.queue_elements(LINE, [[4, 5], [5, 6]]).tolist() == [0, 1]
+        assert chain4.queue_element(LINE, np.array([6, 7], dtype=np.uint8)) == 2
+        assert chain4.grow() is True
+        report = chain4.growth_report
+        assert [q for q, _ in report.inserted] == [0, 1, 2] and report.skipped == []
+        chain4.post_grow()
+        assert chain4.leaf_view().size(0) == 7
+        assert audit_grid(chain4) == []
+
+    def test_batch_arrays_are_copied(self, chain4):
+        coords = np.array([[5.0, 0.0, 0.0]])
+        rows = np.array([[4, 5]])
+        chain4.queue_vertices(coords)
+        chain4.queue_elements(LINE, rows)
+        coords[0, 0], rows[0, 0] = 99.0, 0
+        chain4.grow()
+        chain4.post_grow()
+        grown = chain4.leaf_view().elements()[-1]
+        assert [tuple(v.coords) for v in grown.vertices()] == [(4.0, 0.0, 0.0), (5.0, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row(self, chain4, bad):
+        with pytest.raises(FactoryError, match=r"finite, got \[6.0, (nan|inf|-inf), 0.0\]"):
+            chain4.queue_vertices(np.array([[5.0, 0.0, 0.0], [6.0, bad, 0.0]]))
+        assert_staged_nothing(chain4)
+
+    @pytest.mark.parametrize("coords", [np.zeros((2, 2)), np.zeros((2, 4)), np.zeros(3), np.zeros((1, 1, 3))])
+    def test_coordinates_of_the_wrong_width(self, chain4, coords):
+        with pytest.raises(DimensionMismatchError, match=r"expected 3 coordinates, got shape"):
+            chain4.queue_vertices(coords)
+        assert_staged_nothing(chain4)
+
+    def test_rows_of_the_wrong_width(self, chain4):
+        with pytest.raises(FactoryError, match="need 2 vertex indices, got 3"):
+            chain4.queue_elements(LINE, [[0, 1, 2], [2, 3, 4]])
+        with pytest.raises(FactoryError, match=r"need rows of 2 vertex indices, got shape \(2,\)"):
+            chain4.queue_elements(LINE, [0, 1])
+        assert_staged_nothing(chain4)
+
+    def test_index_out_of_range(self, chain4):
+        fresh = chain4.queue_vertices(np.zeros((1, 3)))
+        with pytest.raises(FactoryError, match="unknown vertex index 6"):
+            chain4.queue_elements(LINE, [[4, 5], [5, 6]])
+        with pytest.raises(FactoryError, match="unknown vertex index -1"):
+            chain4.queue_elements(LINE, [[4, 5], [-1, 0]])
+        assert fresh.tolist() == [5]
+        assert chain4.queue_vertex(np.zeros(3)) == 6  # the refused rows staged nothing
+        assert chain4.grow() is False
+        chain4.post_grow()
+
+    def test_repeated_index_within_a_row(self, chain4):
+        with pytest.raises(FactoryError, match=r"repeated vertex index in \(2, 2\)"):
+            chain4.queue_elements(LINE, [[0, 1], [2, 2], [3, 99]])
+        assert_staged_nothing(chain4)
+
+    def test_first_bad_row_is_named(self, chain4):
+        with pytest.raises(FactoryError, match="unknown vertex index 99"):
+            chain4.queue_elements(LINE, [[0, 1], [3, 99], [2, 2]])
+        assert_staged_nothing(chain4)
+
+    def test_wrong_kind(self, chain4):
+        with pytest.raises(FactoryError, match="does not match grid dimension 1"):
+            chain4.queue_elements(TRIANGLE, [[0, 1, 2]])
+        assert_staged_nothing(chain4)
+
+    @pytest.mark.parametrize("rows", [np.array([[0.0, 1.0]]), np.array([[True, False]]), [[0, 1.5]]])
+    def test_non_integer_indices(self, chain4, rows):
+        with pytest.raises(FactoryError, match="vertex indices must be integers"):
+            chain4.queue_elements(LINE, rows)
+        assert_staged_nothing(chain4)
+
+    def test_non_callable_parametrization(self, chain4):
+        with pytest.raises(FactoryError, match="parametrization must be callable"):
+            chain4.queue_elements(LINE, [[0, 1]], parametrization="curved")
+        assert_staged_nothing(chain4)
+
+    def test_empty_batch_is_accepted_and_stages_nothing(self, chain4):
+        """Zero rows of the right width queue nothing; they still need an open
+        queue phase, and ``[]`` (rows of no width) is refused as the wrong width."""
+        assert chain4.queue_vertices(np.empty((0, 3))).tolist() == []
+        assert chain4.queue_elements(LINE, np.empty((0, 2), dtype=np.int64)).tolist() == []
+        assert_staged_nothing(chain4)
+        with pytest.raises(DimensionMismatchError):
+            chain4.queue_vertices([])
+        with pytest.raises(FactoryError, match="need rows of 2"):
+            chain4.queue_elements(LINE, [])
+        refine_all(chain4)
+        chain4.mark(1, chain4.leaf_view().elements()[0])
+        chain4.pre_adapt()
+        with pytest.raises(LifecycleError, match="queue_vertices called during phase 'preadapted'"):
+            chain4.queue_vertices(np.empty((0, 3)))
+        chain4.adapt()
+        chain4.post_adapt()
+
+
+def _mixed_level_grid(shape, marks):
+    """A chain of four segments or a fan of four triangles, with the level-0
+    leaves flagged in ``marks`` refined once and then, of their children,
+    those flagged again refined a second time: vertices on up to three levels."""
+    if shape == "chain":
+        grid = make_grid(1, 3, [(float(i), 0.0, 0.0) for i in range(5)], [(i, i + 1) for i in range(4)])
+    else:
+        square = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0)]
+        grid = make_grid(2, 3, square, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)])
+    for level, flags in enumerate(marks):
+        leaves = [el for el in grid.leaf_view().elements() if el.level == level]
+        for el, flag in zip(leaves, flags):
+            if flag:
+                grid.mark(1, el)
+        grid.pre_adapt()
+        grid.adapt()
+        grid.post_adapt()
+    return grid
+
+
+def _chart(local):
+    return np.zeros(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["chain", "surface"]), st.data())
+def test_one_pass_grow_equals_per_row_loop(shape, data):
+    """On grids with leaf vertices on several levels, ``grow`` commits random
+    queues record for record as the per-row loop of ``tests/growth_rows.py``:
+    shared provisional vertices (made at their first user's level, also when
+    an earlier user was skipped), rows that reach no common level, rows that
+    resolve to coarser copies, two queue calls per kind, and removals."""
+    flags = st.lists(st.booleans(), min_size=8, max_size=8)
+    marks = [data.draw(flags), data.draw(flags)]
+    grids = [_mixed_level_grid(shape, marks), _mixed_level_grid(shape, marks)]
+    view = grids[0].leaf_view()
+    n_leaf, width = view.size(grids[0].dim), grids[0].dim + 1
+    n_fresh = data.draw(st.integers(0, 3))
+    some = st.integers(0, n_leaf + n_fresh - 1)
+    rows = data.draw(st.lists(st.lists(some, min_size=width, max_size=width, unique=True), max_size=10))
+    split = data.draw(st.integers(0, len(rows)))
+    removals = data.draw(st.lists(st.integers(0, view.size(0) - 1), unique=True, max_size=3))
+    coords = np.arange(3.0 * n_fresh).reshape(n_fresh, 3) + 0.1
+    kind = LINE if width == 2 else TRIANGLE
+    for grid in grids:
+        leaves = grid.leaf_view().elements()
+        grid.queue_vertices(coords[:1])
+        grid.queue_vertices(coords[1:])
+        grid.queue_elements(kind, np.array(rows[:split], dtype=np.int64).reshape(-1, width))
+        grid.queue_elements(kind, np.array(rows[split:], dtype=np.int64).reshape(-1, width), _chart)
+        for k in removals:
+            grid.remove_element(leaves[k])
+    changed = grids[0].grow(), grow_by_rows(grids[1])
+    assert changed[0] == changed[1]
+    assert records(grids[0]) == records(grids[1])
+    reports = [grid.growth_report for grid in grids]
+    assert reports[0].inserted == reports[1].inserted
+    assert reports[0].skipped == reports[1].skipped
+    assert reports[0].removed == reports[1].removed
+    for grid in grids:
+        grid.post_grow()
+        assert audit_grid(grid) == []
+
+
+def test_rows_that_coincide_after_resolution_are_skipped_as_by_the_loop():
+    """No public queue reaches this skip: distinct leaf indices are distinct
+    ids, whose copy chains are disjoint.  Pointing two indices at one copy in
+    the staged pre-grow places reaches it in both commits alike."""
+    grids = [_mixed_level_grid("chain", [[True] * 4, []]) for _ in range(2)]
+    for grid in grids:
+        fresh = grid.queue_vertices(np.array([[9.0, 0.0, 0.0]]))
+        grid.queue_elements(LINE, [[0, 1], [2, int(fresh[0])], [1, 3]])
+        places = list(grid._queue.places)
+        places[1] = places[0]
+        grid._queue.places = tuple(places)
+    grids[0].grow()
+    grow_by_rows(grids[1])
+    assert records(grids[0]) == records(grids[1])
+    report = grids[0].growth_report
+    assert report.skipped == [(0, "vertices coincide after level resolution")]
+    assert report.skipped == grids[1].growth_report.skipped
+    assert report.inserted == grids[1].growth_report.inserted
+    assert [q for q, _ in report.inserted] == [1, 2]

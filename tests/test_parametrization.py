@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netmesh import LINE, TRIANGLE, GridConfig, GridFactory
+from netmesh import LINE, TRIANGLE, FactoryError, GridConfig, GridFactory
 from netmesh.parametrization import (
     QuadraticLine,
     QuadraticTriangle,
@@ -138,3 +138,42 @@ def test_factory_warns_on_corner_mismatch():
     f.insert_element(LINE, [0, 1], parametrization=phi)
     with pytest.warns(UserWarning):
         f.create_grid()
+
+
+def _one_segment(phi, ends):
+    f = GridFactory(GridConfig(1, 3))
+    f.insert_vertices(ends)
+    f.insert_element(LINE, [0, 1], parametrization=phi)
+    return f.create_grid()
+
+
+def test_parametrization_that_reuses_its_buffer_moves_no_earlier_vertex():
+    """A phi that writes every image into one array it returns: each refined
+    vertex keeps the position it was made at."""
+    buffer = np.zeros(3)
+
+    def phi(local):
+        t = float(np.asarray(local).reshape(-1)[0])
+        buffer[:] = (t, t * t, 0.0)
+        return buffer
+
+    g = refine_all(_one_segment(phi, [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)]), 2)
+    coords = sorted(tuple(v.coords) for v in g.leaf_view().vertices())
+    assert coords == [(t, t * t, 0.0) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_parametrization_image_is_refused(bad):
+    """phi(t) = (t, nan, 0) refuses the midpoint as a queued vertex is refused,
+    instead of making the vertex [0.5, nan, 0]."""
+    corners = {0.0: (0.0, 0.0, 0.0), 1.0: (1.0, 0.0, 0.0)}
+
+    def phi(local):
+        t = float(np.asarray(local).reshape(-1)[0])
+        return np.array(corners.get(t, (t, bad, 0.0)))
+
+    g = _one_segment(phi, list(corners.values()))
+    g.mark(1, g.leaf_view().elements()[0])
+    g.pre_adapt()
+    with pytest.raises(FactoryError, match=r"finite, got \[0.5, (nan|inf), 0.0\]"):
+        g.adapt()
