@@ -349,7 +349,7 @@ class Grid:
     def _add_vertex(self, level, coords, vid=None, father=None):
         """Append a vertex record at ``level``; a new id unless ``vid`` is a chain's id."""
         verts = self._verts[level]
-        verts.append(VertexRec(coords=coords, id=self._new_id() if vid is None else vid, father=father))
+        verts.append(VertexRec(coords, self._new_id() if vid is None else vid, father))
         return len(verts) - 1
 
     def _add_element(self, level, v, father=None, parametrization=None, corners_in_father=None,
@@ -360,15 +360,12 @@ class Grid:
         father roots its own refinement tree; a child shares its father's.
         """
         edges = ()
-        if self.dim == 2:
+        if self.config.dim == 2:
             edges = tuple(self._get_or_make_edge(level, v[a], v[b]) for a, b in TRIANGLE_EDGES)
         elems = self._elems[level]
         slot = len(elems)
         elems.append(ElemRec(
-            v=v,
-            id=self._new_id(),
-            edges=edges,
-            father=father,
+            v, self._new_id(), edges, father,
             root=(level, slot) if father is None else self._elems[level - 1][father].root,
             parametrization=parametrization,
             corners_in_father=corners_in_father,
