@@ -97,6 +97,33 @@ class TestRefine:
         # the lifted center of the square sits at the wavelet peak
         assert "0 0 0.2" in out_path.read_text()
 
+    @pytest.mark.parametrize("mesh", ["tjunction", "square"])
+    def test_affine_refinement_matches_golden_bytes(self, capsys, tmp_path, mesh):
+        """Affine midpoints are exact IEEE means, so ids, order and bits are pinned."""
+        out_path = tmp_path / f"{mesh}.vtk"
+        code, _, _ = run(
+            capsys, "refine", ROOT / "meshes" / f"{mesh}.msh", "--steps", 3, "--out", out_path
+        )
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / "golden" / "refine" / f"{mesh}_3.vtk").read_bytes()
+
+    def test_wavelet_refinement_matches_golden_cells(self, capsys, tmp_path):
+        """The wavelet surface moves the points, not the cells: its connectivity
+        is the affine golden's.  Its coordinates go through BLAS and libm, so
+        only their count is pinned."""
+        out_path = tmp_path / "wavelet.vtk"
+        code, out, _ = run(
+            capsys,
+            "refine", ROOT / "meshes" / "square.msh",
+            "--steps", 3, "--parametrization", "wavelet", "--out", out_path,
+        )
+        assert code == 0
+        assert "128 cells, 81 points" in out
+        text = out_path.read_text()
+        golden = (DATA / "golden" / "refine" / "square_3.vtk").read_text()
+        assert "\nPOINTS 81 double\n" in text
+        assert text[text.index("\nCELLS "):] == golden[golden.index("\nCELLS "):]
+
 
 class TestErrorCategories:
     def test_parse_error_is_2(self, capsys, tmp_path):
