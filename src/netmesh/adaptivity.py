@@ -20,7 +20,7 @@ import logging
 import math
 
 from .parametrization import refined_vertex_position
-from .topology import CHILD_CORNERS_IN_FATHER, CHILD_VERTEX_SOURCES
+from .topology import CHILD_CORNERS_IN_FATHER, CHILDREN, LOCAL_EDGES
 
 logger = logging.getLogger(__name__)
 
@@ -56,10 +56,14 @@ def pre_adapt(grid):
 
 
 def adapt(grid):
-    """Execute coarsening then refinement; returns True iff anything was refined."""
+    """Execute coarsening then refinement; returns True iff anything was refined.
+
+    Every midpoint image is computed before the first element is refined, so
+    a refused image raises with nothing refined; earlier views are stale."""
     grid._require("adapt", "preadapted")
     grid._phase = "adapted"
     grid._first_new_id = grid._next_id
+    grid._revision += 1
 
     # coarsen what pre_adapt collected: marks cannot change in between
     dead, grid._vanishing = grid._vanishing, set()
@@ -69,22 +73,18 @@ def adapt(grid):
         remove_elements(grid, dead)
 
     # refine marked leaves, coarse levels first so order stays deterministic
-    refined = 0
-    lev = 0
-    while lev < len(grid._elems):
-        recs = grid._elems[lev]
-        for slot in range(len(recs)):
-            rec = recs[slot]
+    leaves = []
+    for lev, recs in enumerate(grid._elems):
+        for slot, rec in enumerate(recs):
             if rec.mark == 1 and not rec.children:
-                _refine_element(grid, lev, slot)
-                refined += 1
+                leaves.append((lev, slot))
             rec.mark = 0
-        lev += 1
+    images = _midpoint_images(grid, leaves)
+    for lev, slot in leaves:
+        _refine_element(grid, lev, slot, images)
 
-    grid._revision += 1
-    if dead or refined:
-        logger.debug("adapt: coarsened %d elements, refined %d", len(dead), refined)
-    return refined > 0
+    logger.debug("adapt: coarsened %d elements, refined %d", len(dead), len(leaves))
+    return bool(leaves)
 
 
 def post_adapt(grid):
@@ -97,54 +97,49 @@ def post_adapt(grid):
 # -- refinement internals -------------------------------------------------
 
 
-def _split_edge(grid, level, eslot, position):
-    """Split an edge into two halves with a midpoint at ``position``."""
-    erec = grid._edges[level][eslot]
-    c0 = grid._vertex_copy(level, erec.v[0])
-    c1 = grid._vertex_copy(level, erec.v[1])
+def _midpoint_images(grid, leaves):
+    """Position of every midpoint that refining ``leaves`` in order makes, by
+    the (level, slot, local edge) of the leaf that makes it."""
+    images, split = {}, set()
+    for lev, slot in leaves:
+        edges = grid._elems[lev][slot].edges
+        for k in range(len(LOCAL_EDGES[grid.dim])):
+            if edges:  # a triangle edge takes its image from the first leaf that splits it
+                if (lev, edges[k]) in split or grid._edges[lev][edges[k]].children:
+                    continue
+                split.add((lev, edges[k]))
+            images[lev, slot, k] = refined_vertex_position(grid, lev, slot, k)
+    return images
+
+
+def _midpoint(grid, level, slot, k, images):
+    """Slot at ``level + 1`` of the midpoint of local edge ``k``: a segment's
+    new vertex, or a triangle edge's, which splits the edge into two halves
+    the first time and is the halves' shared corner after."""
+    rec = grid._elems[level][slot]
     fine = level + 1
-    mid = grid._add_vertex(fine, position)
+    if not rec.edges:
+        return grid._add_vertex(fine, images[level, slot, k])
+    eslot = rec.edges[k]
+    erec = grid._edges[level][eslot]
+    if erec.children:
+        return grid._edges[fine][erec.children[0]].v[1]
+    c0, c1 = (grid._vertex_copy(level, v) for v in erec.v)
+    mid = grid._add_vertex(fine, images[level, slot, k])
     erec.children = (grid._get_or_make_edge(fine, c0, mid), grid._get_or_make_edge(fine, mid, c1))
     for half in erec.children:
         grid._edges[fine][half].father = eslot
     return mid
 
 
-def _edge_midpoint_slot(grid, level, eslot):
-    """Midpoint vertex slot of an already split edge (shared vertex of the halves)."""
-    erec = grid._edges[level][eslot]
-    first = grid._edges[level + 1][erec.children[0]]
-    return first.v[1]
-
-
-def _refine_element(grid, level, slot):
-    rec = grid._elems[level][slot]
-    fine = level + 1
-    d = grid.dim
-
-    if d == 1:
-        copies = (grid._vertex_copy(level, rec.v[0]), grid._vertex_copy(level, rec.v[1]))
-        mid = grid._add_vertex(fine, refined_vertex_position(grid, level, slot, 0))
-        corners = {("c", 0): copies[0], ("c", 1): copies[1], ("m", 0): mid}
-    else:
-        copies = tuple(grid._vertex_copy(level, v) for v in rec.v)
-        mids = []
-        for k, eslot in enumerate(rec.edges):
-            if not grid._edges[level][eslot].children:
-                mids.append(
-                    _split_edge(grid, level, eslot, refined_vertex_position(grid, level, slot, k))
-                )
-            else:
-                mids.append(_edge_midpoint_slot(grid, level, eslot))
-        corners = {("c", i): copies[i] for i in range(3)}
-        corners.update({("m", k): mids[k] for k in range(3)})
-
+def _refine_element(grid, level, slot, images):
+    """Red refinement: copies of the corners, then the midpoint of each
+    local edge, then the children ``CHILDREN`` lists over those points."""
+    rec, d = grid._elems[level][slot], grid.dim
+    points = [grid._vertex_copy(level, v) for v in rec.v]
+    points += [_midpoint(grid, level, slot, k, images) for k in range(len(LOCAL_EDGES[d]))]
     rec.children = tuple(
-        grid._add_element(
-            fine,
-            tuple(corners[tok] for tok in sources),
-            father=slot,
-            corners_in_father=CHILD_CORNERS_IN_FATHER[d][child_idx],
-        )
-        for child_idx, sources in enumerate(CHILD_VERTEX_SOURCES[d])
+        grid._add_element(level + 1, tuple(points[i] for i in child), father=slot,
+                          corners_in_father=corners)
+        for child, corners in zip(CHILDREN[d], CHILD_CORNERS_IN_FATHER[d])
     )

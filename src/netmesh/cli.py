@@ -78,16 +78,17 @@ def cmd_info(mesh_path):
 
 
 def _wavelet_grid(grid):
-    """Rebuild the macro grid with every element tied to the wavelet surface."""
+    """Rebuild the macro grid with every element tied to the wavelet surface
+    through a chart of its own."""
     if grid.dim != 2:
         raise MeshError("the wavelet parametrization needs a surface mesh (d=2)")
+    macro = grid.level_view(0)
+    coords = macro.coordinates()
     factory = GridFactory(GridConfig(2, 3))
-    for rec in grid._verts[0]:
-        factory.insert_vertex(lift_to_wavelet(rec.coords))
-    for rec in grid._elems[0]:
-        planar = [grid._verts[0][s].coords[:2] for s in rec.v]
+    factory.insert_vertices([lift_to_wavelet(x) for x in coords])
+    for corners, el in zip(macro.corner_indices(), macro.elements()):
         factory.insert_element(
-            TRIANGLE, list(rec.v), parametrization=WaveletGraph(planar), marker=rec.marker
+            TRIANGLE, corners, parametrization=WaveletGraph(coords[corners, :2]), marker=el.marker
         )
     return factory.create_grid()
 

@@ -67,10 +67,6 @@ def remove_elements(grid, dead):
                         setattr(rec, attr, tuple([m[x] for x in old if m[x] is not None]))
                     elif old is not None:
                         setattr(rec, attr, m[old])
-    for recs in elems:
-        for rec in recs:
-            rl, rs = rec.root
-            rec.root = (rl, maps["_elems"][rl][rs])
 
     # trim empty trailing levels
     while len(elems) > 1 and not elems[-1] and not edges[-1] and not verts[-1]:

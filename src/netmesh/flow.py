@@ -515,9 +515,9 @@ def boundary_vertex_ids_by_marker(view, markers):
     """Ids of boundary vertices whose adjacent element carries one of the markers."""
     wanted = set(markers)
     table = facet_table(view)
-    elems = view.grid._elems
-    roots = [elems[level][slot].root for level, slot in view.places(0)]
-    marked = np.array([elems[rl][rs].marker in wanted for rl, rs in roots], dtype=bool)
+    grid = view.grid
+    roots = [grid._root(level, slot) for level, slot in view.places(0)]
+    marked = np.array([grid._elems[rl][rs].marker in wanted for rl, rs in roots], dtype=bool)
     return set(table.facet[(table.outside < 0) & marked[table.inside]].tolist())
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .topology import EDGE_MIDPOINT_LOCAL, checked_coords
+from .topology import EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, checked_coords
 
 
 def local_in_root(grid, level, slot, local):
@@ -40,23 +40,16 @@ def refined_vertex_position(grid, level, slot, edge_index):
     is unparametrized.  An image is checked as a queued vertex is
     (``checked_coords``): one of the wrong length raises
     :class:`DimensionMismatchError` and a non-finite one
-    :class:`FactoryError`, from within ``adapt``.
+    :class:`FactoryError`, from ``adapt`` before it refines anything.
     """
-    rec = grid._elems[level][slot]
-    rl, rs = rec.root
+    rl, rs = grid._root(level, slot)
     phi = grid._elems[rl][rs].parametrization
     if phi is not None:
         root_local = local_in_root(grid, level, slot, EDGE_MIDPOINT_LOCAL[grid.dim][edge_index])
         return checked_coords([phi(root_local)], grid.world_dim)[0]
-    if grid.dim == 1:
-        a, b = rec.v
-    else:
-        from .topology import TRIANGLE_EDGES
-
-        ia, ib = TRIANGLE_EDGES[edge_index]
-        a, b = rec.v[ia], rec.v[ib]
-    verts = grid._verts[level]
-    return 0.5 * (verts[a].coords + verts[b].coords)
+    v, verts = grid._elems[level][slot].v, grid._verts[level]
+    a, b = LOCAL_EDGES[grid.dim][edge_index]
+    return 0.5 * (verts[v[a]].coords + verts[v[b]].coords)
 
 
 # -- quadratic Lagrange parametrizations (gmsh second-order input) --------

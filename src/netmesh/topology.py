@@ -21,7 +21,11 @@ the same row-array checks, ``checked_coords`` and ``checked_element``,
 one numpy pass per call; the one-vertex and one-element calls are
 one-row calls of the batch ones.  Records
 link down (corners, edges) and across levels (father, children, finer)
-but store no incidence: ``incident_elements`` scans the level.
+but store no incidence, which ``incident_elements`` finds by scanning the
+level, and no tree root, which ``Grid._root`` finds by walking fathers.
+Red refinement is one table: ``CHILDREN`` lists each child's corners
+over the father's corners and local-edge midpoints, and the reference
+coordinates of both are derived from it.
 
 The open adapt or grow transaction is grid state, not record state.
 ``Grid._require`` checks one phase (idle, queued, preadapted, adapted,
@@ -94,40 +98,21 @@ class GridConfig:
 # edge 0 = (0,1), edge 1 = (0,2), edge 2 = (1,2).
 TRIANGLE_EDGES = ((0, 1), (0, 2), (1, 2))
 
-# Children of a refined simplex: corner tokens ('c', i) are copies of the
-# father's corner i, ('m', k) the midpoint of the father's local edge k.
-CHILD_VERTEX_SOURCES = {
-    1: (
-        (("c", 0), ("m", 0)),
-        (("m", 0), ("c", 1)),
-    ),
-    2: (
-        (("c", 0), ("m", 0), ("m", 1)),
-        (("m", 0), ("c", 1), ("m", 2)),
-        (("m", 1), ("m", 2), ("c", 2)),
-        (("m", 0), ("m", 2), ("m", 1)),
-    ),
-}
+# Local edges of a simplex: a segment is its own edge.
+LOCAL_EDGES = {1: ((0, 1),), 2: TRIANGLE_EDGES}
 
-# Corner coordinates of each child inside the father's reference simplex.
-CHILD_CORNERS_IN_FATHER = {
-    1: (
-        np.array([[0.0], [0.5]]),
-        np.array([[0.5], [1.0]]),
-    ),
-    2: (
-        np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]),
-        np.array([[0.5, 0.0], [1.0, 0.0], [0.5, 0.5]]),
-        np.array([[0.0, 0.5], [0.5, 0.5], [0.0, 1.0]]),
-        np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]),
-    ),
-}
+# Red refinement: the corners of each child, as indices into the father's
+# corners followed by the midpoints of its local edges.
+CHILDREN = {1: ((0, 2), (2, 1)), 2: ((0, 3, 4), (3, 1, 5), (4, 5, 2), (3, 5, 4))}
 
+# The same points in the father's reference simplex (dyadic, so exact).
+_REFINEMENT_POINTS = {d: np.vstack([c] + [(c[a] + c[b]) / 2 for a, b in LOCAL_EDGES[d]])
+                      for d, c in REFERENCE_CORNERS.items() if d in CHILDREN}
 # Midpoint of local edge k in the element's own reference coordinates.
-EDGE_MIDPOINT_LOCAL = {
-    1: (np.array([0.5]),),
-    2: (np.array([0.5, 0.0]), np.array([0.0, 0.5]), np.array([0.5, 0.5])),
-}
+EDGE_MIDPOINT_LOCAL = {d: tuple(p[d + 1:]) for d, p in _REFINEMENT_POINTS.items()}
+# Corner coordinates of each child inside the father's reference simplex.
+CHILD_CORNERS_IN_FATHER = {d: tuple(p[list(child)] for child in CHILDREN[d])
+                           for d, p in _REFINEMENT_POINTS.items()}
 
 
 @dataclass
@@ -153,7 +138,6 @@ class ElemRec:
     edges: tuple = ()           # dim==2: 3 edge slots matching TRIANGLE_EDGES
     father: int | None = None
     children: tuple = ()
-    root: tuple = (0, 0)        # (level, slot) of the refinement-tree root
     mark: int = 0
     parametrization: object = None  # callable local -> R^w, tree roots only
     corners_in_father: np.ndarray | None = None
@@ -357,21 +341,28 @@ class Grid:
         """Append an element over vertex slots ``v`` at ``level``; returns its slot.
 
         Edge ids are drawn before the element id.  An element without a
-        father roots its own refinement tree; a child shares its father's.
+        father roots its own refinement tree; ``_root`` finds a child's.
         """
         edges = ()
         if self.config.dim == 2:
             edges = tuple(self._get_or_make_edge(level, v[a], v[b]) for a, b in TRIANGLE_EDGES)
         elems = self._elems[level]
-        slot = len(elems)
         elems.append(ElemRec(
             v, self._new_id(), edges, father,
-            root=(level, slot) if father is None else self._elems[level - 1][father].root,
             parametrization=parametrization,
             corners_in_father=corners_in_father,
             marker=marker,
         ))
-        return slot
+        return len(elems) - 1
+
+    def _root(self, level, slot):
+        """(level, slot) of the refinement-tree root of an element, by its fathers."""
+        elems = self._elems
+        father = elems[level][slot].father
+        while father is not None:
+            level, slot = level - 1, father
+            father = elems[level][slot].father
+        return level, slot
 
     def _get_or_make_edge(self, level, va, vb):
         lookup = self._edge_index(level)
@@ -544,8 +535,7 @@ class Element(_Simplex):
     @property
     def marker(self):
         """Insertion marker of the refinement-tree root (None if untagged)."""
-        rl, rs = self._rec().root
-        return self.grid._elems[rl][rs].marker
+        return self.root_element()._rec().marker
 
     def sub_entity(self, codim, i):
         """Subentity ``i`` of the given codimension (0 returns the element)."""
@@ -566,8 +556,8 @@ class Element(_Simplex):
         raise DimensionMismatchError(f"no codim {codim} subentity on a dim-{d} grid element")
 
     def root_element(self):
-        rl, rs = self._rec().root
-        return Element(self.grid, rl, rs)
+        self._rec()
+        return Element(self.grid, *self.grid._root(self.level, self.slot))
 
 
 class Edge(_Simplex):
@@ -786,12 +776,6 @@ def audit_grid(grid):
                         problems.append(f"{tag}: dangling child slot {c}")
                     elif grid._elems[level + 1][c].father != slot:
                         problems.append(f"{tag}: child {c} has wrong father")
-            rl, rs = rec.root
-            cur_level, cur_slot = level, slot
-            while grid._elems[cur_level][cur_slot].father is not None:
-                cur_level, cur_slot = cur_level - 1, grid._elems[cur_level][cur_slot].father
-            if (cur_level, cur_slot) != (rl, rs):
-                problems.append(f"{tag}: root link does not match father chain")
             if rec.mark not in (-1, 0, 1):
                 problems.append(f"{tag}: invalid mark {rec.mark}")
 

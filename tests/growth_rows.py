@@ -91,7 +91,7 @@ def records(grid):
     edges = [[(rec.v, rec.id, rec.father, rec.children) for rec in level] for level in grid._edges]
     elems = [
         [
-            (rec.v, rec.id, rec.edges, rec.father, rec.children, rec.root, rec.mark,
+            (rec.v, rec.id, rec.edges, rec.father, rec.children, rec.mark,
              id(rec.parametrization), rec.marker)
             for rec in level
         ]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from netmesh import LINE, audit_grid
+from netmesh import LINE, FactoryError, audit_grid
 from netmesh.errors import DimensionMismatchError, LifecycleError, StaleEntityError
+from netmesh.geometry import REFERENCE_CORNERS
+from netmesh.parametrization import local_in_root
 
-from conftest import make_grid, refine_all, vertex_or_edge
+from conftest import assert_leaf_view_is_brute_force, make_grid, refine_all, same_bits, vertex_or_edge
 
 
 def leaf_elements(grid):
@@ -167,6 +169,36 @@ def test_red_triangle_refinement_yields_four_congruent_children(single_triangle)
     assert sum(areas) == pytest.approx(0.5)
 
 
+def _orientation(el):
+    """Tangent of a segment, normal of a triangle."""
+    jt = el.geometry.jacobian_transposed()
+    return jt[0] if len(jt) == 1 else np.cross(jt[0], jt[1])
+
+
+@pytest.mark.parametrize(
+    "dim,corners",
+    [(1, [(1.0, 2.0, 0.5), (3.0, -2.0, 4.5)]), (2, [(1.0, 0.0, 0.5), (5.0, 1.0, 0.0), (2.0, 4.0, 2.0)])],
+)
+def test_children_sit_where_their_embeddings_say(dim, corners):
+    """The red-refinement table, checked against geometry on dyadic corners
+    (every point is exact): each leaf's corners are its root's map of the
+    leaf's reference corners composed into the root; child i keeps its
+    father's corner i as its own corner i; every child keeps its father's
+    orientation."""
+    grid = refine_all(make_grid(dim, 3, corners, [tuple(range(dim + 1))]), 2)
+    for el in grid.leaf_view().elements():
+        root = el.root_element().geometry
+        for v, ref in zip(el.vertices(), REFERENCE_CORNERS[dim]):
+            assert same_bits(v.coords, root.to_global(local_in_root(grid, el.level, el.slot, ref)))
+    for level in range(grid.max_level):
+        for father in grid.level_view(level).elements():
+            kids = father.children()
+            assert len(kids) == 2 ** dim
+            for i, corner in enumerate(father.vertices()):
+                assert same_bits(kids[i].vertices()[i].coords, corner.coords)
+            assert all(_orientation(kid) @ _orientation(father) > 0 for kid in kids)
+
+
 def test_shared_edge_split_once(two_triangles):
     refine_all(two_triangles)
     view = two_triangles.leaf_view()
@@ -263,3 +295,83 @@ def test_adapt_returns_false_without_refinement(chain4):
     g.pre_adapt()
     assert g.adapt() is False  # pure coarsening
     g.post_adapt()
+
+
+# -- a refused midpoint image refines nothing --------------------------------
+
+
+def _chain_with_curved_first_segment(bad_at):
+    """Two unit segments along x; the first has ``phi(t) = (t, 0, 0)`` except
+    ``(t, nan, 0)`` at the parameters in ``bad_at``."""
+    def phi(local):
+        t = float(np.asarray(local).reshape(-1)[0])
+        return np.array([t, np.nan if t in bad_at else 0.0, 0.0])
+
+    return make_grid(1, 3, [(0, 0, 0), (1, 0, 0), (2, 0, 0)], [(0, 1), (1, 2)], [phi, None])
+
+
+def test_refused_image_refines_nothing():
+    grid = _chain_with_curved_first_segment({0.5})
+    before = grid.leaf_view()
+    ids, coordinates = before.ids(0).tolist(), before.coordinates().copy()
+    for el in before.elements():
+        grid.mark(1, el)
+    grid.pre_adapt()
+    with pytest.raises(FactoryError, match=r"finite, got \[0.5, nan, 0.0\]"):
+        grid.adapt()
+    assert audit_grid(grid) == []
+    with pytest.raises(StaleEntityError):
+        before.ids(0)
+    grid.post_adapt()
+    after = grid.leaf_view()
+    assert grid.max_level == 0
+    assert after.ids(0).tolist() == ids
+    assert same_bits(after.coordinates(), coordinates)
+    assert not any(grid.get_mark(el) for el in after.elements())
+    assert_leaf_view_is_brute_force(grid)
+
+
+def test_refused_image_after_coarsening_leaves_no_stale_view():
+    """Coarsening ran and compacted the arenas before the refused image: the
+    leaf view made before the call is refused and a new one is built."""
+    grid = refine_all(_chain_with_curved_first_segment({0.25}))
+    before = grid.leaf_view()
+    curved, straight = grid.level_view(0).elements()
+    grid.mark(1, curved.children()[0])  # its midpoint is t = 0.25
+    for kid in straight.children():
+        grid.mark(-1, kid)
+    assert grid.pre_adapt() is True
+    with pytest.raises(FactoryError):
+        grid.adapt()
+    assert audit_grid(grid) == []
+    with pytest.raises(StaleEntityError):
+        before.places(0)
+    grid.post_adapt()
+    after = grid.leaf_view()
+    assert after is not before
+    assert [(el.level, el.slot) for el in after.elements()] == [(0, 1), (1, 0), (1, 1)]
+    assert_leaf_view_is_brute_force(grid)
+
+
+def test_shared_edge_takes_its_image_from_the_first_tree():
+    """Two trees share the diagonal; the second one's phi is NaN at its
+    midpoint.  The first tree in (level, slot) order places that midpoint,
+    so the second phi is never asked for it and refinement succeeds, with
+    no image evaluated twice."""
+    calls = []
+
+    def phi(local):
+        x, y = np.asarray(local, dtype=float)
+        calls.append((x, y))
+        # corners (0,0,0), (1,1,0), (0,1,0): local edge 0 is the shared diagonal
+        return np.array([x, x + y, np.nan if (x, y) == (0.5, 0.0) else 0.0])
+
+    grid = make_grid(
+        2, 3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 3)], [None, phi]
+    )
+    calls.clear()
+    refine_all(grid)
+    assert sorted(calls) == [(0.0, 0.5), (0.5, 0.5)]
+    assert audit_grid(grid) == []
+    coords = {tuple(v.coords) for v in grid.leaf_view().vertices()}
+    assert (0.5, 0.5, 0.0) in coords and len(coords) == 9

@@ -61,17 +61,10 @@ def duplicate_id(grid):
     return f"duplicate id {first.id}"
 
 
-def wrong_root_link(grid):
-    rec = grid._elems[1][0]
-    rec.root = (0, 1 - rec.root[1])
-    return "element (1,0): root link does not match father chain"
-
-
 @pytest.mark.parametrize("build", [two_triangles, grown_chain])
 @pytest.mark.parametrize(
     "corrupt",
-    [dangling_vertex_slot, child_with_wrong_father, unreferenced_vertex_copy, duplicate_id,
-     wrong_root_link],
+    [dangling_vertex_slot, child_with_wrong_father, unreferenced_vertex_copy, duplicate_id],
 )
 def test_audit_names_the_fault(build, corrupt):
     grid = build()
