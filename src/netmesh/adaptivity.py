@@ -5,8 +5,17 @@ the (possibly parametrized) midpoint, a marked triangle into four
 congruent children through its three edge midpoints.  No closure is
 performed, so hanging nodes of arbitrary depth are permitted.
 Coarsening removes a sibling group only when every sibling is a leaf
-marked -1.  Marks with magnitude greater than one are accepted but
-execute a single round.
+marked -1.
+
+A ref count is a Python or numpy integer; anything else, bool included,
+is refused with a ``FactoryError`` and stores nothing.  A mark stores
+its sign, so a count of any size executes a single round.  ``mark``
+stores one; ``mark_leaves`` stores one per element of the leaf view, in
+index order, zeros included, from an integer array checked as a whole.
+
+Refinement makes each triangle child's edges from the father's: the
+halves of the father edge at its corner, and the edges between two
+midpoints, which a triangle over the same corners may share.
 
 The grid's phase runs idle -> preadapted -> adapted -> idle.
 ``pre_adapt`` collects the places of vanishing sibling groups in
@@ -19,21 +28,50 @@ from __future__ import annotations
 import logging
 import math
 
-from .parametrization import refined_vertex_position
+import numpy as np
+
+from . import compaction, parametrization
+from .errors import DimensionMismatchError, FactoryError
 from .topology import CHILD_CORNERS_IN_FATHER, CHILDREN, LOCAL_EDGES
 
 logger = logging.getLogger(__name__)
+
+
+def _clamp(ref_count):
+    """The mark a Python int ref count stores: its sign, so any count is one round."""
+    return (ref_count > 0) - (ref_count < 0)
+
+
+def _refused(shown):
+    return FactoryError(f"ref counts must be integers, got {shown}")
 
 
 def mark(grid, ref_count, element):
     """Store a refinement mark; returns False (and stores nothing) on non-leaves."""
     grid._require("mark", "idle")
     rec = grid._own(element)
+    if isinstance(ref_count, bool) or not isinstance(ref_count, (int, np.integer)):
+        raise _refused(repr(ref_count))
     if rec.children:
         return False
-    ref_count = int(ref_count)
-    rec.mark = 1 if ref_count > 0 else (-1 if ref_count < 0 else 0)
+    rec.mark = _clamp(int(ref_count))
     return True
+
+
+def mark_leaves(grid, ref_counts):
+    """Store one mark per leaf-view element, in index order, as ``mark`` does."""
+    grid._require("mark_leaves", "idle")
+    places = grid._current_leaf_view().places(0)
+    counts = np.asarray(ref_counts)
+    if counts.dtype.kind not in "iu":
+        raise _refused(counts.dtype)
+    if counts.shape != (len(places),):
+        raise DimensionMismatchError(
+            f"ref counts have shape {counts.shape} for {len(places)} leaf elements"
+        )
+    elems = grid._elems
+    for (level, slot), ref_count in zip(places, counts.tolist()):
+        elems[level][slot].mark = _clamp(ref_count)
 
 
 def get_mark(grid, element):
@@ -68,9 +106,7 @@ def adapt(grid):
     # coarsen what pre_adapt collected: marks cannot change in between
     dead, grid._vanishing = grid._vanishing, set()
     if dead:
-        from .compaction import remove_elements
-
-        remove_elements(grid, dead)
+        compaction.remove_elements(grid, dead)
 
     # refine marked leaves, coarse levels first so order stays deterministic
     leaves = []
@@ -108,14 +144,33 @@ def _midpoint_images(grid, leaves):
                 if (lev, edges[k]) in split or grid._edges[lev][edges[k]].children:
                     continue
                 split.add((lev, edges[k]))
-            images[lev, slot, k] = refined_vertex_position(grid, lev, slot, k)
+            images[lev, slot, k] = parametrization.refined_vertex_position(grid, lev, slot, k)
     return images
+
+
+def _edge_source(p, q):
+    """Where a child's edge over refinement points ``p``, ``q`` comes from:
+    ``(p, q, k)`` with ``k`` the father's local edge that a corner and a
+    midpoint halve, or ``None`` for an edge between two midpoints."""
+    corner, mid = sorted((p, q))  # points 0-2 are the corners, 3-5 the edge midpoints
+    if corner >= 3:
+        return p, q, None
+    assert corner in LOCAL_EDGES[2][mid - 3], (p, q)
+    return p, q, mid - 3
+
+
+# per child, the source of each of its edges in TRIANGLE_EDGES order; a
+# segment child has no edge records
+_CHILD_EDGES = {1: (None,) * len(CHILDREN[1]),
+                2: tuple(tuple(_edge_source(child[a], child[b]) for a, b in LOCAL_EDGES[2])
+                         for child in CHILDREN[2])}
 
 
 def _midpoint(grid, level, slot, k, images):
     """Slot at ``level + 1`` of the midpoint of local edge ``k``: a segment's
     new vertex, or a triangle edge's, which splits the edge into two halves
-    the first time and is the halves' shared corner after."""
+    the first time and is the halves' shared corner after.  The halves are
+    new edges, since their shared corner is."""
     rec = grid._elems[level][slot]
     fine = level + 1
     if not rec.edges:
@@ -126,10 +181,22 @@ def _midpoint(grid, level, slot, k, images):
         return grid._edges[fine][erec.children[0]].v[1]
     c0, c1 = (grid._vertex_copy(level, v) for v in erec.v)
     mid = grid._add_vertex(fine, images[level, slot, k])
-    erec.children = (grid._get_or_make_edge(fine, c0, mid), grid._get_or_make_edge(fine, mid, c1))
-    for half in erec.children:
-        grid._edges[fine][half].father = eslot
+    erec.children = (grid._add_edge(fine, c0, mid, eslot), grid._add_edge(fine, mid, c1, eslot))
     return mid
+
+
+def _child_edges(grid, level, rec, points, sources):
+    """Edge slots at ``level + 1`` of one triangle child: the father edge's
+    half at the child's father corner, or the edge between two midpoints,
+    which a triangle over the same corners may have made already."""
+    edges, made = grid._edges[level], []
+    for p, q, k in sources:
+        if k is None:
+            made.append(grid._get_or_make_edge(level + 1, points[p], points[q]))
+        else:
+            erec = edges[rec.edges[k]]
+            made.append(erec.children[erec.v[0] != rec.v[min(p, q)]])
+    return tuple(made)
 
 
 def _refine_element(grid, level, slot, images):
@@ -139,7 +206,9 @@ def _refine_element(grid, level, slot, images):
     points = [grid._vertex_copy(level, v) for v in rec.v]
     points += [_midpoint(grid, level, slot, k, images) for k in range(len(LOCAL_EDGES[d]))]
     rec.children = tuple(
-        grid._add_element(level + 1, tuple(points[i] for i in child), father=slot,
-                          corners_in_father=corners)
-        for child, corners in zip(CHILDREN[d], CHILD_CORNERS_IN_FATHER[d])
+        grid._add_element(
+            level + 1, tuple(points[i] for i in child), father=slot, corners_in_father=corners,
+            edges=None if sources is None else _child_edges(grid, level, rec, points, sources),
+        )
+        for child, corners, sources in zip(CHILDREN[d], CHILD_CORNERS_IN_FATHER[d], _CHILD_EDGES[d])
     )

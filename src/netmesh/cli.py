@@ -104,8 +104,8 @@ def cmd_refine(mesh_path, steps, parametrization, out_path):
     if parametrization == "wavelet":
         grid = _wavelet_grid(grid)
     for _ in range(steps):
-        for el in grid.leaf_view().elements():
-            grid.mark(1, el)
+        view = grid.leaf_view()  # held, so mark_leaves reads the same view
+        grid.mark_leaves(np.ones(view.size(0), dtype=np.int64))
         grid.pre_adapt()
         grid.adapt()
         grid.post_adapt()

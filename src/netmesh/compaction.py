@@ -3,7 +3,8 @@
 Removing leaf elements can orphan edges, vertex copies and whole
 refinement-tree branches.  This module computes the surviving entity
 sets, gives the survivors of each level new contiguous slots in their old
-order, rewrites every slot reference and trims empty trailing levels.
+order, rewrites every slot reference into a level that lost a slot and
+trims empty trailing levels; a level that loses nothing keeps its list.
 The grid stores no incidence lists, so there is none to rebuild.  Slot
 handles are invalidated (the grid's structural revision is bumped);
 persistent ids are untouched.
@@ -39,7 +40,9 @@ def remove_elements(grid, dead):
     elems, edges, verts = grid._elems, grid._edges, grid._verts
     n_levels = len(elems)
 
-    elem_alive = [[(lev, s) not in dead for s in range(len(recs))] for lev, recs in enumerate(elems)]
+    elem_alive = [[True] * len(recs) for recs in elems]
+    for lev, s in dead:
+        elem_alive[lev][s] = False
     edge_alive = _used(edges, (elems, elem_alive, "edges"))
     _keep_fathers(edges, edge_alive)
     # keep half pairs together
@@ -58,10 +61,13 @@ def remove_elements(grid, dead):
     for name, links in _LINKS.items():
         arena = getattr(grid, name)
         for lev, recs in enumerate(arena):
-            arena[lev] = kept = [rec for rec, new in zip(recs, maps[name][lev]) if new is not None]
+            if maps[name][lev] is not None:
+                arena[lev] = recs = [rec for rec, new in zip(recs, maps[name][lev]) if new is not None]
             for attr, target, step in links:
-                m = maps[target][lev + step] if 0 <= lev + step < n_levels else ()
-                for rec in kept:
+                m = maps[target][lev + step] if 0 <= lev + step < n_levels else None
+                if m is None:  # the linked level keeps its slots
+                    continue
+                for rec in recs:
                     old = getattr(rec, attr)
                     if type(old) is tuple:  # dropped children vanish from the tuple
                         setattr(rec, attr, tuple([m[x] for x in old if m[x] is not None]))
@@ -102,6 +108,9 @@ def _keep_fathers(arena, alive):
 
 
 def _slot_map(alive):
-    """New slot of each old slot of one level, None for a slot that goes."""
+    """New slot of each old slot of one level, None for a slot that goes;
+    None for a level that loses nothing, whose slots stay."""
+    if all(alive):
+        return None
     new = count()
     return [next(new) if keep else None for keep in alive]

@@ -655,11 +655,11 @@ def run_scenario(scenario, out_dir, steps=None):
 def adapt_with_state(grid, marks, state, max_level=None):
     """Mark, adapt and transfer a FlowState; returns (new_view, new_state, changed)."""
     view = grid.leaf_view()
-    for m, (level, slot) in zip(marks, view.places(0), strict=True):  # marks follow the index set
-        if m > 0 and max_level is not None and level >= max_level:
-            continue
-        if m:
-            grid.mark(m, grid.element(level, slot))
+    marks = np.asarray(marks)  # one per leaf, in index order
+    if max_level is not None:  # a leaf at the level cap is not refined
+        levels = np.fromiter((level for level, _ in view.places(0)), np.int64, view.size(0))
+        marks = np.where((marks > 0) & (levels >= max_level), 0, marks)
+    grid.mark_leaves(marks)
     grid.pre_adapt()
     store = store_leaf_data(
         grid,

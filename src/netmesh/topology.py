@@ -14,9 +14,16 @@ logical vertex by that id; ``Grid._vertex_chain`` is the one walk over
 its copies, for ``roots.leaf_degree`` and growth.
 
 Records enter the arenas only through ``Grid._add_vertex``,
-``Grid._add_element`` and ``Grid._get_or_make_edge`` (factory,
-refinement and growth alike) and leave only through
-``compaction.remove_elements``.  Staged factory and growth input passes
+``Grid._add_edge`` and ``Grid._add_element`` (factory, refinement and
+growth alike) and leave only through ``compaction.remove_elements``.
+``Grid._get_or_make_edge`` adds an edge only when the level's lookup has
+none over its two vertices; refinement adds the halves of a split edge
+directly, since their midpoint is new, and hands each child its edges,
+so only the edges between midpoints are looked up.  An edge added while
+the lookup is built enters it too.  The records are slotted dataclasses:
+each holds exactly its declared fields, without a per-record dict, so it
+is smaller and quicker to read, and it takes no other attribute.
+Staged factory and growth input passes
 the same row-array checks, ``checked_coords`` and ``checked_element``,
 one numpy pass per call; the one-vertex and one-element calls are
 one-row calls of the batch ones.  Records
@@ -115,7 +122,7 @@ CHILD_CORNERS_IN_FATHER = {d: tuple(p[list(child)] for child in CHILDREN[d])
                            for d, p in _REFINEMENT_POINTS.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class VertexRec:
     coords: np.ndarray
     id: int
@@ -123,7 +130,7 @@ class VertexRec:
     finer: int | None = None    # slot one level up, same chain
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeRec:
     v: tuple  # two vertex slots at the same level, insertion order
     id: int
@@ -131,7 +138,7 @@ class EdgeRec:
     children: tuple = ()        # () or 2 slots: (v[0]-side half, v[1]-side half)
 
 
-@dataclass
+@dataclass(slots=True)
 class ElemRec:
     v: tuple                    # dim+1 vertex slots at the same level
     id: int
@@ -212,60 +219,51 @@ class Grid:
 
     def leaf_view(self):
         """The leaf view of the current revision, built once while anyone holds it."""
-        from .views import GridView
+        return self._current_leaf_view()
 
+    def _current_leaf_view(self):
+        """``leaf_view`` for calls made inside the library, which
+        ``bench/tracing.py`` leaves uncounted."""
         view = self._leaf_view() if self._leaf_view is not None else None
         if view is None or view._revision != self._revision:
             if view is not None:
                 view._release()
-            view = GridView(self, None)
+            view = views.GridView(self, None)
             self._leaf_view = weakref.ref(view)
         return view
 
     def level_view(self, level):
-        from .views import GridView
-
         if not 0 <= level <= self.max_level:
             raise StaleEntityError(f"no level {level} in grid with max level {self.max_level}")
-        return GridView(self, level)
+        return views.GridView(self, level)
 
     # -- adapt lifecycle (implementation in adaptivity module) ------------
 
     def mark(self, ref_count, element):
-        from . import adaptivity
-
         return adaptivity.mark(self, ref_count, element)
 
-    def get_mark(self, element):
-        from . import adaptivity
+    def mark_leaves(self, ref_counts):
+        """``mark(ref_counts[i], e)`` on every element ``e`` of ``leaf_view()``, ``i`` its index."""
+        adaptivity.mark_leaves(self, ref_counts)
 
+    def get_mark(self, element):
         return adaptivity.get_mark(self, element)
 
     def pre_adapt(self):
-        from . import adaptivity
-
         return adaptivity.pre_adapt(self)
 
     def adapt(self):
-        from . import adaptivity
-
         return adaptivity.adapt(self)
 
     def post_adapt(self):
-        from . import adaptivity
-
         adaptivity.post_adapt(self)
 
     # -- growth lifecycle (implementation in growth module) ---------------
 
     def queue_vertices(self, coords):
-        from . import growth
-
         return growth.queue_vertices(self, coords)
 
     def queue_elements(self, kind, vertex_indices, parametrization=None):
-        from . import growth
-
         return growth.queue_elements(self, kind, vertex_indices, parametrization)
 
     def queue_vertex(self, coords):
@@ -277,18 +275,12 @@ class Grid:
         return int(self.queue_elements(kind, [vertex_indices], parametrization)[0])
 
     def remove_element(self, element):
-        from . import growth
-
         growth.remove_element(self, element)
 
     def grow(self):
-        from . import growth
-
         return growth.grow(self)
 
     def post_grow(self):
-        from . import growth
-
         growth.post_grow(self)
 
     @property
@@ -337,15 +329,18 @@ class Grid:
         return len(verts) - 1
 
     def _add_element(self, level, v, father=None, parametrization=None, corners_in_father=None,
-                     marker=None):
+                     marker=None, edges=None):
         """Append an element over vertex slots ``v`` at ``level``; returns its slot.
 
-        Edge ids are drawn before the element id.  An element without a
-        father roots its own refinement tree; ``_root`` finds a child's.
+        A triangle takes the edge slots ``edges`` when given (refinement
+        knows them), else finds or makes the edge of each corner pair; edge
+        ids are drawn before the element id.  An element without a father
+        roots its own refinement tree; ``_root`` finds a child's.
         """
-        edges = ()
-        if self.config.dim == 2:
-            edges = tuple(self._get_or_make_edge(level, v[a], v[b]) for a, b in TRIANGLE_EDGES)
+        if edges is None:
+            edges = ()
+            if self.config.dim == 2:
+                edges = tuple(self._get_or_make_edge(level, v[a], v[b]) for a, b in TRIANGLE_EDGES)
         elems = self._elems[level]
         elems.append(ElemRec(
             v, self._new_id(), edges, father,
@@ -364,15 +359,20 @@ class Grid:
             father = elems[level][slot].father
         return level, slot
 
-    def _get_or_make_edge(self, level, va, vb):
-        lookup = self._edge_index(level)
-        key = frozenset((va, vb))
-        slot = lookup.get(key)
-        if slot is None:
-            slot = len(self._edges[level])
-            self._edges[level].append(EdgeRec(v=(va, vb), id=self._new_id()))
-            lookup[key] = slot
+    def _add_edge(self, level, va, vb, father=None):
+        """Append a new edge over vertex slots ``va``, ``vb``; returns its slot.
+        The caller knows no edge joins them yet; a built lookup learns it."""
+        edges = self._edges[level]
+        edges.append(EdgeRec((va, vb), self._new_id(), father))
+        slot = len(edges) - 1
+        lookup = self._edge_lookup[level]
+        if lookup is not None:
+            lookup[frozenset((va, vb))] = slot
         return slot
+
+    def _get_or_make_edge(self, level, va, vb):
+        slot = self._edge_index(level).get(frozenset((va, vb)))
+        return self._add_edge(level, va, vb) if slot is None else slot
 
     def _vertex_chain(self, level, slot):
         """(level, slot) of every copy of one logical vertex, coarsest first."""
@@ -779,10 +779,14 @@ def audit_grid(grid):
             if rec.mark not in (-1, 0, 1):
                 problems.append(f"{tag}: invalid mark {rec.mark}")
 
+        first_over = {}  # vertex pair -> the first edge slot over it
         for slot, rec in enumerate(edges):
             tag = f"edge ({level},{slot})"
             if any(not 0 <= s < len(verts) for s in rec.v):
                 problems.append(f"{tag}: dangling vertex slot")
+            first = first_over.setdefault(frozenset(rec.v), slot)
+            if first != slot:
+                problems.append(f"{tag}: same vertex pair as edge ({level},{first})")
             if len(rec.children) not in (0, 2):
                 problems.append(f"{tag}: children not absent-or-pair")
             for c in rec.children:
@@ -826,3 +830,8 @@ def audit_grid(grid):
                 problems.append(f"duplicate id {rec.id}")
             seen.add(rec.id)
     return problems
+
+
+# The transaction modules and views import names from this module, so they
+# load after it; Grid calls their functions through the module attributes.
+from . import adaptivity, growth, views  # noqa: E402

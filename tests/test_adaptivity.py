@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netmesh import LINE, FactoryError, audit_grid
+from netmesh import LINE, TRIANGLE, FactoryError, audit_grid, intersections
 from netmesh.errors import DimensionMismatchError, LifecycleError, StaleEntityError
 from netmesh.geometry import REFERENCE_CORNERS
 from netmesh.parametrization import local_in_root
@@ -11,6 +15,24 @@ from conftest import assert_leaf_view_is_brute_force, make_grid, refine_all, sam
 
 def leaf_elements(grid):
     return grid.leaf_view().elements()
+
+
+def _partly_refined(shape, rounds):
+    """A four-segment chain or a four-triangle fan whose first leaves are
+    refined, one round per list of flags."""
+    if shape == "chain":
+        grid = make_grid(1, 3, [(float(i), 0.0, 0.0) for i in range(5)], [(i, i + 1) for i in range(4)])
+    else:
+        square = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0.5, 0.5, 0)]
+        grid = make_grid(2, 3, square, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)])
+    for flags in rounds:
+        for el, flag in zip(grid.leaf_view().elements(), flags):
+            if flag:
+                grid.mark(1, el)
+        grid.pre_adapt()
+        grid.adapt()
+        grid.post_adapt()
+    return grid
 
 
 class TestMarking:
@@ -62,6 +84,72 @@ class TestMarking:
             chain4.get_mark(thing)
         assert chain4.pre_adapt() is False  # still idle, nothing marked
 
+    @pytest.mark.parametrize(
+        "count", [0.5, 1.0, float("nan"), np.float64(2.0), "1", None, True, np.bool_(False)]
+    )
+    def test_ref_count_must_be_an_integer(self, chain4, count):
+        el = leaf_elements(chain4)[0]
+        chain4.mark(-1, el)
+        message = f"ref counts must be integers, got {re.escape(repr(count))}$"
+        with pytest.raises(FactoryError, match=message):
+            chain4.mark(count, el)
+        assert chain4.get_mark(el) == -1  # a refused call stores nothing
+
+    @pytest.mark.parametrize(
+        "count, stored", [(np.int8(3), 1), (np.uint64(0), 0), (np.int64(-7), -1), (2**70, 1)]
+    )
+    def test_numpy_and_large_integers_are_ref_counts(self, chain4, count, stored):
+        el = leaf_elements(chain4)[0]
+        assert chain4.mark(count, el) is True
+        assert chain4.get_mark(el) == stored
+
+    def test_mark_leaves_marks_each_leaf_in_index_order(self, chain4):
+        refine_all(chain4)
+        view = chain4.leaf_view()
+        chain4.mark_leaves(np.array([5, 0, -2, 1, 0, 0, -1, 3], dtype=np.int8))
+        assert [chain4.get_mark(el) for el in view.elements()] == [1, 0, -1, 1, 0, 0, -1, 1]
+        chain4.mark_leaves(np.zeros(8, dtype=np.uint8))  # zeros clear earlier marks
+        assert not any(chain4.get_mark(el) for el in view.elements())
+
+    @pytest.mark.parametrize(
+        "counts, shown",
+        [([1.0, 0, 0, 0], "float64"), ([True, False, True, False], "bool"),
+         (["1", "0", "0", "0"], "<U1"), ([None, 1, 1, 1], "object")],
+    )
+    def test_mark_leaves_refuses_a_non_integer_dtype(self, chain4, counts, shown):
+        chain4.mark(-1, leaf_elements(chain4)[0])
+        with pytest.raises(FactoryError, match=f"ref counts must be integers, got {re.escape(shown)}$"):
+            chain4.mark_leaves(counts)
+        assert [chain4.get_mark(el) for el in leaf_elements(chain4)] == [-1, 0, 0, 0]
+
+    @pytest.mark.parametrize("counts", [[1, 1, 1], [1] * 5, [[1, 1, 1, 1]], 1])
+    def test_mark_leaves_refuses_a_count_per_leaf_of_the_wrong_shape(self, chain4, counts):
+        with pytest.raises(DimensionMismatchError, match="for 4 leaf elements"):
+            chain4.mark_leaves(np.array(counts))
+        assert chain4.pre_adapt() is False  # still idle, nothing marked
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["chain", "surface"]), st.data())
+    def test_mark_leaves_equals_the_per_element_loop(self, shape, data):
+        """On grids refined up to twice, with marks set before the call,
+        ``mark_leaves`` stores what ``mark`` on each leaf in index order stores."""
+        rounds = data.draw(st.lists(st.lists(st.booleans(), min_size=8, max_size=8), max_size=2))
+        grids = [_partly_refined(shape, rounds) for _ in range(2)]
+        n = grids[0].leaf_view().size(0)
+        earlier = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, 3)), max_size=4))
+        counts = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        for grid in grids:
+            leaves = grid.leaf_view().elements()
+            for i, count in earlier:
+                grid.mark(count, leaves[i])
+        grids[0].mark_leaves(np.array(counts))
+        for count, leaf in zip(counts, grids[1].leaf_view().elements()):
+            grids[1].mark(count, leaf)
+        marks = [[grid.get_mark(el) for el in grid.leaf_view().elements()] for grid in grids]
+        assert marks[0] == marks[1]
+        assert grids[0].pre_adapt() == grids[1].pre_adapt()
+        assert grids[0]._vanishing == grids[1]._vanishing
+
     def test_marks_cleared_after_adapt(self, chain4):
         el = leaf_elements(chain4)[0]
         chain4.mark(1, el)
@@ -104,13 +192,14 @@ class TestLifecycle:
         "grown": (("queue_vertex", "queue_element", "grow"), ("post_grow",)),
     }
     ACCEPTED = {
-        "idle": {"mark", "pre_adapt", "queue_vertex", "queue_element", "remove_element", "grow"},
+        "idle": {"mark", "mark_leaves", "pre_adapt", "queue_vertex", "queue_element",
+                 "remove_element", "grow"},
         "queued": {"queue_vertex", "queue_element", "remove_element", "grow"},
         "preadapted": {"adapt"},
         "adapted": {"post_adapt"},
         "grown": {"post_grow"},
     }
-    CALLS = ("mark", "pre_adapt", "adapt", "post_adapt", "queue_vertex",
+    CALLS = ("mark", "mark_leaves", "pre_adapt", "adapt", "post_adapt", "queue_vertex",
              "queue_element", "remove_element", "grow", "post_grow")
 
     @staticmethod
@@ -118,6 +207,8 @@ class TestLifecycle:
         leaf = leaf_elements(grid)[-1]
         if name == "mark":
             return grid.mark(1, leaf)
+        if name == "mark_leaves":
+            return grid.mark_leaves(np.ones(grid.leaf_view().size(0), dtype=np.int64))
         if name == "queue_vertex":
             return grid.queue_vertex(np.array([9.0, 0.0, 0.0]))
         if name == "queue_element":
@@ -207,6 +298,52 @@ def test_shared_edge_split_once(two_triangles):
     assert view.size(0) == 8
     assert view.size(1) == 16
     assert view.size(2) == 9  # 4 corners + 5 edge midpoints (diagonal shared)
+
+
+def _edge_ids(el):
+    """Edge id of a triangle by the ids of its two corners."""
+    edges = [el.sub_entity(1, k) for k in range(3)]
+    return {frozenset(v.id for v in e.vertices()): e.id for e in edges}
+
+
+def test_triangles_over_the_same_corners_share_their_interior_edges():
+    """The second triangle lists the corners in another order, so it finds
+    its halves on the other side of each father edge, and the edges between
+    midpoints that the first triangle made."""
+    grid = make_grid(2, 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2), (2, 0, 1)])
+    refine_all(grid)
+    assert audit_grid(grid) == []
+    view = grid.leaf_view()
+    assert view.size(1) == 9  # 6 halves + 3 interior edges, not 12
+    first, second = (father.children() for father in grid.level_view(0).elements())
+    for a, b in zip(first, [second[1], second[2], second[0], second[3]]):  # same corners
+        assert _edge_ids(a) == _edge_ids(b)
+    interior = [kids[3] for kids in (first, second)]
+    groups = intersections(view, interior[0])
+    assert len(groups) == 3
+    for grp in groups:
+        assert interior[1] in [grp.outside(k) for k in range(grp.neighbor_count)]
+
+
+def test_a_grown_triangle_shares_a_half_edge_with_a_child(two_triangles):
+    """The second triangle's unshared edges split after the first triangle's
+    children made the level-1 edge lookup; a triangle grown over one of those
+    halves finds it there."""
+    grid = refine_all(two_triangles)
+    view = grid.leaf_view()
+    ix = {tuple(v.coords): ix for ix, v in enumerate(view.vertices())}
+    fresh = grid.queue_vertex(np.array([0.25, 1.5, 0.0]))
+    grid.queue_element(TRIANGLE, [ix[0.5, 1.0, 0.0], ix[0.0, 1.0, 0.0], fresh])
+    grid.grow()
+    [(_, grown_id)] = grid.growth_report.inserted
+    grid.post_grow()
+    assert audit_grid(grid) == []
+    leaves = grid.leaf_view().elements()
+    grown = next(el for el in leaves if el.id == grown_id)
+    pair = frozenset(v.id for v in grown.vertices()[:2])
+    child = next(el for el in leaves if el.id != grown_id and pair in _edge_ids(el))
+    assert child.level == grown.level == 1
+    assert _edge_ids(grown)[pair] == _edge_ids(child)[pair]
 
 
 def test_is_new_flags_during_adapt_cycle(chain4):

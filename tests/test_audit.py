@@ -1,7 +1,8 @@
 """``audit_grid`` names what is broken, and derived incidence survives compaction.
 
 Every other test asserts that the audit finds nothing; here one record of
-a sound grid is corrupted at a time and the audit must name the fault.
+a sound grid is corrupted, or one is added, at a time and the audit must
+name the fault.
 The grid stores no incidence lists, so ``incident_elements`` scans the
 level; after a coarsening and after a growth removal (both compact the
 arenas and remap every slot) it must still list what it listed before,
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from netmesh import LINE, audit_grid
+from netmesh.topology import EdgeRec
 
 from conftest import make_grid, refine_all
 
@@ -61,10 +63,23 @@ def duplicate_id(grid):
     return f"duplicate id {first.id}"
 
 
+def duplicate_edge(grid):
+    """A second edge record, reversed, over the corners of a level-1 element's
+    first edge; a line grid keeps no edge records, so it gets both."""
+    edges = grid._edges[1]
+    pair = grid._elems[1][0].v[:2]
+    if not edges:
+        edges.append(EdgeRec(pair, grid._new_id()))
+    first = next(s for s, rec in enumerate(edges) if set(rec.v) == set(pair))
+    edges.append(EdgeRec(pair[::-1], grid._new_id()))
+    return f"edge (1,{len(edges) - 1}): same vertex pair as edge (1,{first})"
+
+
 @pytest.mark.parametrize("build", [two_triangles, grown_chain])
 @pytest.mark.parametrize(
     "corrupt",
-    [dangling_vertex_slot, child_with_wrong_father, unreferenced_vertex_copy, duplicate_id],
+    [dangling_vertex_slot, child_with_wrong_father, unreferenced_vertex_copy, duplicate_id,
+     duplicate_edge],
 )
 def test_audit_names_the_fault(build, corrupt):
     grid = build()
