@@ -14,19 +14,24 @@ index, the rule the facet table uses (copies of a vertex share one id).
 In 2D they are the view elements holding the facet edge, an ancestor of
 it or a finer edge below it in the edge refinement trees.
 
-A view walks its facets once.  The first :func:`intersections` call on
-a view builds one table for the whole view and keeps it on the view; a
-view refuses use after any grid change, so the table never goes stale,
-and an intersections call on a stale view raises StaleEntityError.  The
-table holds plain data: per group, every element on its fragment, the
-inside included, as (view element index, facet, fragment in that
-element), by (id, facet), where a fragment is the parameter interval on
-a reference facet, or the facet vertex in 1D.  In 2D
-one pass over the view's elements lists the elements holding each edge;
-an edge splits into its children where some finer edge below it is
-held, and every fragment leaf collects the holders of its chain of
-ancestors once, with each holder's fragment, which serves as that
-holder's inside fragment and as the outside fragment of the others.
+The first :func:`intersections` call on a view builds one table for the
+whole view in array passes and keeps it on the view; a view refuses use
+after any grid change, so the table never goes stale (a call on a stale
+view raises StaleEntityError).  The build lists one entry per group and
+holder: the group, the holder (view element and facet), the start ``a``
+of the fragment on that facet, and an integer code into the view's tuple
+of distinct fragments, each the parameter interval on a reference facet
+with the orientation flip of the holder's edge, (facet, a, b, flip), or
+the facet vertex in 1D.  In 1D the group is the view vertex of a segment
+end.  In 2D it is a fragment leaf: columns of the edges' fathers,
+children and first vertices, gathered once, say which edges are split
+(some finer edge below them is held) and which unsplit edges the held
+ones reach, and each leaf climbs its chain of ancestors one level per
+step, halving its interval and picking up the holders of each edge on
+the way.  Both dimensions share the rest: a sort by (group, id, facet)
+lists each group's members, flat (view element index, facet, fragment)
+triples, and each holder's position among them, and a sort by (element,
+facet, a) puts one row per entry in order.
 
 Each call makes fresh groups from the table, whose outsides are the
 view's own element wrappers.  A group builds ``geometry_in_inside``,
@@ -34,27 +39,23 @@ view's own element wrappers.  A group builds ``geometry_in_inside``,
 them; building them reads no grid state, so a group read after a later
 adapt returns the same geometries.  The first ``geometry`` read of any
 group maps the fragments of the whole view at once, ``c_0 + R @ E`` over
-the stacked reference corners ``R``, the inside corners ``c_0`` and the
-edge vectors ``E`` from the view's read-only array of element corners,
-the one its element wrappers read (vertex copies share their
-coordinates bit for bit), and an :class:`AffineStack` derives every
-fragment's det(A^T A) and corner scale in one more batched pass; each
-group then makes its own ``AffineGeometry`` with those two numbers when
-it is read, so its ``volume()`` costs no matmul.  The table and that
-stack hold arrays and plain data, never a group, a geometry or the
-view, so groups a reader drops are freed at once rather than left to
-the cyclic collector.  Fragment reference corners are
-computed in Python floats: the reference corners are 0 or 1 and the
-intervals are dyadic, and ``x * (1 - t) + y * t`` on floats rounds
-exactly as the numpy rows of ``REFERENCE_CORNERS`` did.  Fragments repeat
-from element to element, so their reference corners are kept, as
-read-only arrays.
+the reference corners ``R`` of each row's fragment code, the inside
+corners ``c_0`` and the edge vectors ``E`` from the view's read-only array
+of element corners, the one its element wrappers read (vertex copies
+share their coordinates bit for bit), and an :class:`AffineStack` derives
+every fragment's det(A^T A) and corner scale in one more batched pass;
+each group then makes its own ``AffineGeometry`` with those two numbers
+when it is read, so its ``volume()`` costs no matmul.  The table and that
+stack hold arrays and plain data, never a group, a geometry or the view,
+so groups a reader drops are freed at once rather than left to the
+cyclic collector.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -71,9 +72,6 @@ _FACET_ENDS = [
 
 # the fragment of a segment end: the facet vertex itself
 _POINTS = ((0,), (1,))
-
-# rows of fragments mapped per numpy pass when a view's stack is built
-_BLOCK = 256
 
 
 class IntersectionGroup:
@@ -253,16 +251,18 @@ def pairwise_intersections(view, element):
 
 
 class _ViewFragments:
-    """What all groups of one view share: each element's corners and the
-    table's rows, from which the first geometry read maps every fragment.
-    It holds arrays and plain data only, so it makes no reference cycle."""
+    """What all groups of one view share: each element's corners and, per
+    row of the table, its owner and the code of its inside fragment, from
+    which the first geometry read maps every fragment.  It holds arrays
+    only, so it makes no reference cycle."""
 
-    __slots__ = ("corners", "_rows", "_firsts", "_stack")
+    __slots__ = ("corners", "_owners", "_codes", "_local", "_stack")
 
-    def __init__(self, corners, rows, firsts):
+    def __init__(self, corners, owners, codes, local):
         self.corners = corners  # (n, dim + 1, world_dim), from the view's coordinates
-        self._rows = rows
-        self._firsts = firsts
+        self._owners = owners  # view element index per row
+        self._codes = codes  # fragment code per row
+        self._local = local  # reference corners per fragment code
         self._stack = None
 
     def geometry(self, row):
@@ -273,18 +273,12 @@ class _ViewFragments:
         return stack.geometry(row)
 
     def _map(self):
-        """``c_0 + R @ E`` for every fragment, in blocks of rows so that the
-        temporaries stay small, read-only, then one AffineStack over them all."""
-        c, rows = self.corners, self._rows
-        owners = np.repeat(np.arange(len(c)), np.diff(self._firsts))
-        stacked = np.empty((len(owners), c.shape[1] - 1, c.shape[2]))
-        for start in range(0, len(owners), _BLOCK):
-            stop = min(start + _BLOCK, len(owners))
-            local = np.array([
-                _reference_corners(rows[2 * r][3 * rows[2 * r + 1] + 2]) for r in range(start, stop)
-            ])
-            co = c[owners[start:stop]]
-            stacked[start:stop] = co[:, :1] + local @ (co[:, 1:] - co[:, :1])
+        """``c_0 + R @ E`` for every fragment in one pass, read-only, then one
+        AffineStack over them all.  ``c_0`` is added last, in place, which
+        saves temporaries and no bit: a float sum is the same either way."""
+        c, owners = self.corners, self._owners
+        stacked = self._local[self._codes] @ (c[:, 1:] - c[:, :1])[owners]
+        stacked += c[owners, :1]
         stacked.flags.writeable = False
         return AffineStack(stacked)
 
@@ -298,131 +292,137 @@ def _build(view):
     them.  The rows of element ``i`` are ``firsts[i]`` to
     ``firsts[i + 1]``, facets in local order and fragments in order.
     """
-    rows, firsts = _rows_1d(view) if view.grid.dim == 1 else _rows_2d(view)
-    return rows, firsts, _ViewFragments(view._element_corners(), rows, firsts)
+    if view.grid.dim == 2:
+        return _table(view, *_holdings_2d(view))
+    # a segment end is its own fragment, and its group the ends at its view vertex
+    element, facet = np.divmod(np.arange(2 * view.size(0)), 2)
+    vertex = view.corner_indices().ravel()
+    return _table(view, element, facet, vertex, np.zeros(len(facet)), facet, _POINTS)
 
 
-def _flat(found):
-    """Members found as (id, facet, element index, fragment), flat and by (id, facet)."""
-    found.sort()  # (id, facet) is unique, so fragments are never compared
-    flat = []
-    for _, facet, i, piece in found:
-        flat += (i, facet, piece)
-    return tuple(flat)
+def _table(view, element, facet, group, a, code, pieces):
+    """Rows, firsts and fragments from one entry per (group, holder).
 
-
-# -- dim 1: facets are vertices, junctions are segment ends of one vertex --
-
-
-def _rows_1d(view):
-    """One group per segment end, with every end at the same view vertex."""
-    ids = view.ids(0).tolist()
-    corners = view.corner_indices().tolist()
-    ends = {}
-    for i, element_corners in enumerate(corners):
-        for facet, v in enumerate(element_corners):
-            ends.setdefault(v, []).append((ids[i], facet, i, _POINTS[facet]))
-    members = {v: _flat(found) for v, found in ends.items()}
-    rows = []
-    for i, element_corners in enumerate(corners):
-        for v in element_corners:
-            rows += (members[v], members[v][::3].index(i))
-    return rows, array("q", range(0, 2 * len(corners) + 1, 2))
+    An entry is the view element holding the group's fragment on a facet,
+    the fragment's parameter start ``a`` on that facet and the fragment's
+    code into ``pieces``.  One sort by (group, id, facet) lists each
+    group's members, and an entry's rank there is its position; one sort
+    by (element, facet, a) puts the rows in order.
+    """
+    by_group = np.lexsort((facet, view.ids(0)[element], group))
+    g = group[by_group]
+    new = np.r_[True, g[1:] != g[:-1]]
+    starts = np.flatnonzero(new)
+    flat = [None] * (3 * len(g))
+    flat[0::3] = element[by_group].tolist()
+    flat[1::3] = facet[by_group].tolist()
+    flat[2::3] = map(pieces.__getitem__, code[by_group].tolist())
+    bounds = (3 * np.r_[starts, len(g)]).tolist()
+    members = [tuple(flat[s:e]) for s, e in zip(bounds, bounds[1:])]
+    place = np.empty_like(by_group)  # each entry's index in the member order
+    place[by_group] = np.arange(len(g))
+    number = np.cumsum(new)[place] - 1
+    order = np.lexsort((a, facet, element))
+    rows = [None] * (2 * len(g))
+    rows[0::2] = map(members.__getitem__, number[order].tolist())
+    rows[1::2] = (place - starts[number])[order].tolist()
+    firsts = array("q", np.r_[0, np.cumsum(np.bincount(element, minlength=view.size(0)))].tolist())
+    local = np.array([_reference_corners(piece) for piece in pieces])
+    return rows, firsts, _ViewFragments(view._element_corners(), element[order], code[order], local)
 
 
 # -- dim 2: facets are edges with refinement trees ------------------------
 
 
-def _rows_2d(view):
-    """One group per fragment leaf of each facet edge.
+def _holdings_2d(view):
+    """One entry per fragment leaf and view element holding an edge of its
+    chain of ancestors, as the columns ``_table`` takes.
 
-    The members of a fragment leaf are the view elements holding an edge of
-    its chain of ancestors.  An edge is split into its children wherever
-    some finer edge below it is held.
+    An edge is split where some finer edge below it is held (one pass per
+    level, finest first); the fragment leaves are the unsplit edges that a
+    held edge reaches through split ones (one pass per level, coarsest
+    first).  Every leaf then climbs, halving its interval ``(a, b)``
+    towards the side it came from, and picks up each holder of each edge
+    it passes, with flip telling whether the stored orientation of the
+    edge runs against the holder's corner order.
     """
-    grid = view.grid
-    places = view.places(0)
+    grid, places = view.grid, view.places(0)
     records = [grid._elems[level][slot] for level, slot in places]
-    forest = _EdgeForest(grid._edges, records)
-    held = forest.held
-    for i, ((level, _), rec) in enumerate(zip(places, records)):
-        at = held[level]
-        for facet, es in enumerate(rec.edges):
-            at[es] = (i, facet) if at[es] is None else at[es] + (i, facet)
-    rows, firsts = [], array("q", [0])
-    for i, ((level, _), rec) in enumerate(zip(places, records)):
-        for es in rec.edges:
-            for members in forest.leaves(level, es):
-                rows += (members, 0 if members[0] == i else members[::3].index(i))
-        firsts.append(len(rows) // 2)
-    return rows, firsts
+    level = np.fromiter((level for level, _ in places), np.int64, len(places))
+    lo = int(level.min())
+    first, father, children, start = _edge_columns(grid._edges[lo:int(level.max()) + 1])
+    # holding h = 3 i + facet: view element i holds edge held[h] as that facet
+    size = 3 * len(records)
+    held = np.fromiter(chain.from_iterable(rec.edges for rec in records), np.int64, size)
+    held += np.repeat(first[level - lo], 3)
+    corners = np.fromiter(chain.from_iterable(rec.v for rec in records), np.int64, size)
+    flips = start[held] != corners.reshape(-1, 3)[:, [0, 0, 1]].ravel()
+    count = np.bincount(held, minlength=len(start) + 1)  # index -1 is no edge, held by none
+    below, split = count > 0, np.zeros(len(count), dtype=bool)
+    for lev in reversed(range(len(first) - 2)):
+        span = slice(first[lev], first[lev + 1])
+        split[span] = below[children[span, 0]] | below[children[span, 1]]
+        below[span] |= split[span]
+    reached = count > 0
+    for lev in range(1, len(first) - 1):
+        up = father[first[lev]:first[lev + 1]]
+        reached[first[lev]:first[lev + 1]] |= reached[up] & split[up]
+    edge = np.flatnonzero(reached & ~split)
+    leaf, a, b = np.arange(len(edge)), np.zeros(len(edge)), np.ones(len(edge))
+    holders, starts = np.argsort(held, kind="stable"), np.cumsum(count) - count
+    found = []
+    while len(edge):
+        n = count[edge]
+        pick = np.repeat(np.arange(len(edge)), n)
+        h = holders[np.arange(len(pick)) + np.repeat(starts[edge] - np.cumsum(n) + n, n)]
+        found.append((leaf[pick], h, a[pick], b[pick]))
+        up = father[edge]
+        keep = up >= 0
+        side = children[up[keep], 0] != edge[keep]
+        edge, leaf = up[keep], leaf[keep]
+        a, b = (a[keep] + side) / 2.0, (b[keep] + side) / 2.0
+    leaf, h, a, b = (np.concatenate(column) for column in zip(*found))
+    element, facet = np.divmod(h, 3)
+    # one code per distinct fragment, by one sort of (2 facet + flip, a, b)
+    kinds = np.stack((2 * facet + flips[h], a, b))
+    order = np.lexsort(kinds[::-1])
+    kinds = kinds[:, order]
+    new = np.r_[True, (kinds[:, 1:] != kinds[:, :-1]).any(axis=0)]
+    code = np.empty(len(order), dtype=np.int64)
+    code[order] = np.cumsum(new) - 1
+    pieces = [(int(k) >> 1, x, y, bool(int(k) & 1)) for k, x, y in kinds[:, new].T.tolist()]
+    return element, facet, leaf, a, code, pieces
 
 
-class _EdgeForest:
-    """The edge refinement trees as the view's elements hold them, memoized per edge."""
-
-    def __init__(self, edges, records):
-        self.edges = edges
-        self.records = records  # element record per view element index
-        self.held = [[None] * len(level) for level in edges]  # flat (index, facet) pairs
-        self._split = [[None] * len(level) for level in edges]
-        self._leaves = [[None] * len(level) for level in edges]
-        self._pieces = {}  # one tuple per distinct fragment
-
-    def split(self, lev, es):
-        """Whether some strict descendant of the edge is held."""
-        got = self._split[lev][es]
-        if got is None:
-            children = self.edges[lev][es].children
-            got = self._split[lev][es] = any(
-                self.held[lev + 1][c] is not None or self.split(lev + 1, c) for c in children
-            )
-        return got
-
-    def leaves(self, lev, es):
-        """The members of each fragment leaf of the edge, in order."""
-        got = self._leaves[lev][es]
-        if got is None:
-            children = self.edges[lev][es].children
-            if children and self.split(lev, es):
-                got = tuple(leaf for c in children for leaf in self.leaves(lev + 1, c))
-            else:
-                got = (self._members(lev, es),)
-            self._leaves[lev][es] = got
-        return got
-
-    def _members(self, lev, es):
-        """Holders of the leaf and its ancestors, each with the fragment the
-        leaf is in it: the parameter interval of the leaf on the holder's
-        facet edge, halved once per level on the way up, and whether the
-        stored orientation of that edge runs against the holder's."""
-        edges, held, records, pieces = self.edges, self.held, self.records, self._pieces
-        found = []
-        a, b = 0.0, 1.0
-        while True:
-            erec = edges[lev][es]
-            pairs = held[lev][es]
-            if pairs is not None:
-                for k in range(0, len(pairs), 2):
-                    i, facet = pairs[k], pairs[k + 1]
-                    rec = records[i]
-                    piece = (facet, a, b, erec.v[0] != rec.v[TRIANGLE_EDGES[facet][0]])
-                    found.append((rec.id, facet, i, pieces.setdefault(piece, piece)))
-            if erec.father is None:
-                return _flat(found)
-            father = erec.father
-            side = 0 if edges[lev - 1][father].children[0] == es else 1
-            a, b = (a + side) / 2.0, (b + side) / 2.0
-            lev, es = lev - 1, father
+def _edge_columns(levels):
+    """``first``, ``father``, ``children`` and ``start`` (``v[0]``) of the
+    edges of consecutive levels under one index, level ``k`` from
+    ``first[k]`` on.  A link to no edge, or out of these levels, is -1."""
+    sizes = [len(edges) for edges in levels]
+    first = np.r_[0, np.cumsum(sizes)]
+    at = np.repeat(np.arange(len(sizes)), sizes)
+    edges = [e for es in levels for e in es]
+    father = np.fromiter((-1 if e.father is None else e.father for e in edges),
+                         np.int64, len(edges))
+    father = np.where((father >= 0) & (at > 0), father + first[at - 1], -1)
+    children = np.fromiter(chain.from_iterable(e.children or (-1, -1) for e in edges),
+                           np.int64, 2 * len(edges)).reshape(-1, 2)
+    inside = (children >= 0) & (at < len(sizes) - 1)[:, None]
+    children = np.where(inside, children + first[at + 1][:, None], -1)
+    start = np.fromiter((e.v[0] for e in edges), np.int64, len(edges))
+    return first, father, children, start
 
 
 @lru_cache(maxsize=1024)
 def _reference_corners(fragment):
     """Corners of a fragment in its element's reference coordinates.
 
-    Fragments repeat (whole facets, the halves of a refined facet), so the
-    arrays are kept, read-only, for the next element that has them; the
-    cache is bounded because refinement depth is not.
+    They are computed in Python floats: the reference corners are 0 or 1
+    and the intervals dyadic, so ``x * (1 - t) + y * t`` rounds exactly as
+    the numpy rows of ``REFERENCE_CORNERS`` did.  A view's table maps each
+    of its distinct fragments through here once, and the groups' local
+    geometries read the same arrays, kept read-only; the cache is bounded
+    because refinement depth is not.
     """
     if len(fragment) == 1:  # dim 1: the facet vertex
         corners = np.array([[float(fragment[0])]])

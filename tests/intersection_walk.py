@@ -6,12 +6,14 @@ each facet vertex, in 2D each facet edge's ancestors and the finer edges
 below it.  ``_groups_1d``, ``_groups_2d``, ``_fragments``,
 ``_interval_within`` and ``_edge_fragment`` are that walk; the grid
 stores no incidence, so the walk finds the elements holding a vertex or
-an edge by a scan of the level (``_holders``).  The group it makes is a
+an edge in a per-level index (``_holders``), made by one scan of the
+level and kept until the grid's next revision.  The group it makes is a
 plain record here.  ``walk(view, element)`` gives what it found per
 group: the facet, the fragment in the inside element and the outsides as
 (id, facet, fragment), by (id, facet).
 """
 
+import weakref
 from operator import itemgetter
 
 from netmesh import intersections
@@ -71,10 +73,28 @@ def assert_table_matches_walk(view):
         assert table(view, el) == walk(view, el), el
 
 
+# grid -> ((revision, slot revision), {(level, attr): {slot: holder slots}})
+_HOLDERS = weakref.WeakKeyDictionary()
+
+
 def _holders(grid, level, attr, slot):
     """Slots of the elements of ``level`` that list ``slot`` among their
-    corners (``attr`` "v") or edges ("edges"), ascending."""
-    return [t for t, rec in enumerate(grid._elems[level]) if slot in getattr(rec, attr)]
+    corners (``attr`` "v") or edges ("edges"), ascending.
+
+    The first call for a level and ``attr`` scans the level once and keeps
+    the index until an adapt or grow commit changes the grid's revision.
+    """
+    revision = (grid._revision, grid._srev)
+    kept = _HOLDERS.get(grid)
+    if kept is None or kept[0] != revision:
+        kept = _HOLDERS[grid] = (revision, {})
+    index = kept[1].get((level, attr))
+    if index is None:
+        index = kept[1][level, attr] = {}
+        for t, rec in enumerate(grid._elems[level]):
+            for s in set(getattr(rec, attr)):
+                index.setdefault(s, []).append(t)
+    return index.get(slot, [])
 
 
 # -- dim 1: facets are vertices, junctions are copy chains ----------------

@@ -82,6 +82,66 @@ def test_table_matches_walk_on_fixture_meshes(name):
         assert_intersections_agree(grid, contract="quadratic" not in name)
 
 
+def cubic_lattice(shape):
+    """Every unit square face of a block of ``shape`` unit cubes, cut into two
+    triangles.  An edge inside the block lies on four squares."""
+    corners = list(np.ndindex(*(n + 1 for n in shape)))
+    index = {p: i for i, p in enumerate(corners)}
+    steps = np.eye(3, dtype=int)
+    triangles = []
+    for normal in range(3):
+        a, b = (axis for axis in range(3) if axis != normal)
+        for p in map(np.array, corners):
+            if p[a] < shape[a] and p[b] < shape[b]:
+                square = [p, p + steps[a], p + steps[a] + steps[b], p + steps[b]]
+                v = [index[tuple(q.tolist())] for q in square]
+                triangles += [(v[0], v[1], v[2]), (v[0], v[2], v[3])]
+    return make_grid(2, 3, [tuple(map(float, p)) for p in corners], triangles)
+
+
+def chain_length(grid, level, slot):
+    """Edges from an edge up through its fathers, itself included."""
+    length = 1
+    while (slot := grid._edges[level][slot].father) is not None:
+        level, length = level - 1, length + 1
+    return length
+
+
+def test_table_matches_walk_behind_a_front_on_a_cubic_lattice():
+    """A spherical front moves over a 2 x 2 x 1 block of cubes in four rounds,
+    refining to level 3 near it and coarsening away from it.  Groups of
+    three and four elements then lie on several levels, on facet edges four
+    levels deep.  The front turns back once, so an element made later, and
+    with a larger id, can share a group with a finer one made before it."""
+    grid = cubic_lattice((2, 2, 1))
+    assert grid.leaf_view().size(0) == 40
+    sizes, deep = [], set()
+    for x in (1, 0, 1, 2):  # the centre runs along the middle of the block, turning back once
+        centre = np.array([2 * x / 3, 1.0, 0.5])
+        for el in grid.leaf_view().elements():
+            if abs(np.linalg.norm(el.geometry.center() - centre) - 0.6) >= 0.7 * 0.5**el.level:
+                grid.mark(-1, el)
+            elif el.level < 3:
+                grid.mark(1, el)
+        grid.pre_adapt()
+        grid.adapt()
+        grid.post_adapt()
+        assert_intersections_agree(grid)
+        view = grid.leaf_view()
+        sizes.append(view.size(0))
+        for el in view.elements():
+            for grp in intersections(view, el):
+                members = [(el, grp.index_in_inside)] + [
+                    (grp.outside(k), grp.index_in_outside(k)) for k in range(grp.neighbor_count)
+                ]
+                if len(members) > 2 and len({m.level for m, _ in members}) > 1:
+                    finest, facet = max(members, key=lambda member: member[0].level)
+                    edge = finest.sub_entity(1, facet)
+                    deep.add((len(members), chain_length(grid, edge.level, edge.slot)))
+    assert grid.max_level == 3 and sizes[-1] < max(sizes)
+    assert {(3, 4), (4, 4)} <= deep
+
+
 def test_intersections_on_a_stale_view_are_refused(chain4):
     old = chain4.leaf_view()
     chain4.mark(1, old.elements()[1])
