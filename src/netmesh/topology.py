@@ -437,11 +437,13 @@ class _Entity:
 
     def _rec(self):
         self.grid._check_alive(self._srev)
-        try:
-            return getattr(self.grid, self._arena)[self.level][self.slot]
-        except IndexError:
-            kind = type(self).__name__.lower()
-            raise StaleEntityError(f"no {kind} at level {self.level} slot {self.slot}")
+        if self.level >= 0 and self.slot >= 0:  # a negative index would read from the end
+            try:
+                return getattr(self.grid, self._arena)[self.level][self.slot]
+            except IndexError:
+                pass
+        kind = type(self).__name__.lower()
+        raise StaleEntityError(f"no {kind} at level {self.level} slot {self.slot}")
 
     @property
     def id(self):

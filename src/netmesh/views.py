@@ -35,8 +35,15 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from .errors import StaleEntityError
+from .errors import DimensionMismatchError, StaleEntityError
 from .topology import Edge, Element, Vertex
+
+
+def _codim(entity):
+    """Codimension of an entity handle, refusing anything else as ``Grid._own`` does."""
+    if not isinstance(entity, (Element, Edge, Vertex)):
+        raise DimensionMismatchError(f"expected an entity, got a {type(entity).__name__}")
+    return entity.codim
 
 
 class GridView:
@@ -167,7 +174,7 @@ class GridView:
     def contains(self, entity):
         """Whether ``entity`` itself, not merely a copy of it, is in this view."""
         self._check_fresh()
-        i = self._index.get(entity.codim, {}).get(entity.id)
+        i = self._index.get(_codim(entity), {}).get(entity.id)
         place = (entity.level, entity.slot)
         return i is not None and entity.grid is self.grid and self._places[entity.codim][i] == place
 
@@ -194,9 +201,10 @@ class IndexSet:
         right point.
         """
         view = self.view
+        codim = _codim(entity)
         if entity.grid is not view.grid:
             raise StaleEntityError("entity belongs to a different grid")
-        i = view._of(view._index, entity.codim).get(entity.id)
+        i = view._of(view._index, codim).get(entity.id)
         # vertex copies share their id, so a level view also matches the level
         if i is None or (view.level is not None and entity.level != view.level):
             raise StaleEntityError(f"{entity!r} is not part of this view")

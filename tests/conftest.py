@@ -1,10 +1,8 @@
-"""Shared grid builders for the test suite."""
+"""Shared grid builders for the test suite; ``gridcheck.check_grid`` checks what they build."""
 
 import numpy as np
 import pytest
 
-from gridcheck import check_intersections
-from intersection_walk import assert_table_matches_walk
 from netmesh import LINE, TRIANGLE, GridConfig, GridFactory
 
 
@@ -77,61 +75,3 @@ def refine_all(grid, rounds=1):
         grid.adapt()
         grid.post_adapt()
     return grid
-
-
-def brute_force_leaf_view(grid):
-    """(level, slot) of every leaf-view entity per codim, from the records alone.
-
-    Leaf elements; edges with a leaf triangle; and, per vertex id, the
-    finest copy that touches a leaf element. Each list is in (level, slot)
-    order.
-    """
-    elements, edges, finest = [], [], {}
-    for level, (elem_recs, vert_recs) in enumerate(zip(grid._elems, grid._verts)):
-        leaves = [t for t, rec in enumerate(elem_recs) if not rec.children]
-        elements += [(level, t) for t in leaves]
-        edges += [(level, s) for s in sorted({s for t in leaves for s in elem_recs[t].edges})]
-        for s in sorted({s for t in leaves for s in elem_recs[t].v}):
-            finest[vert_recs[s].id] = (level, s)  # a finer copy overwrites a coarser one
-    expected = {0: elements, grid.dim: sorted(finest.values())}
-    if grid.dim == 2:
-        expected[1] = edges
-    return expected
-
-
-def assert_view_arrays_match_entities(view):
-    """The arrays a view keeps say what its entity wrappers say.
-
-    Ids and places follow index order, each row of corner indices is the
-    index of that element's corner vertices, and each coordinate row has
-    the bits of that vertex's coordinates.
-    """
-    grid = view.grid
-    for codim in range(grid.dim + 1):
-        entities = view.entities(codim)
-        assert view.ids(codim).tolist() == [e.id for e in entities]
-        assert list(view.places(codim)) == [(e.level, e.slot) for e in entities]
-    ix = view.index_set
-    corners = [[ix.index_of(v) for v in el.vertices()] for el in view.elements()]
-    assert view.corner_indices().tolist() == corners
-    coordinates = view.coordinates()
-    assert coordinates.shape == (view.size(grid.dim), grid.world_dim)
-    assert [row.tobytes() for row in coordinates] == [v.coords.tobytes() for v in view.vertices()]
-
-
-def assert_leaf_view_is_brute_force(grid):
-    view = grid.leaf_view()
-    for codim, expected in brute_force_leaf_view(grid).items():
-        assert [(e.level, e.slot) for e in view.entities(codim)] == expected
-    assert_view_arrays_match_entities(view)
-    for level in range(grid.max_level + 1):
-        assert_view_arrays_match_entities(grid.level_view(level))
-
-
-def assert_intersections_agree(grid, contract=True):
-    """On the leaf view and every level view, the intersection table says what
-    the per-element walk says, and (with ``contract``) passes the gridcheck."""
-    for view in [grid.leaf_view()] + [grid.level_view(level) for level in range(grid.max_level + 1)]:
-        assert_table_matches_walk(view)
-        if contract:
-            check_intersections(view)

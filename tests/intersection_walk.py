@@ -7,33 +7,16 @@ below it.  ``_groups_1d``, ``_groups_2d``, ``_fragments``,
 ``_interval_within`` and ``_edge_fragment`` are that walk; the grid
 stores no incidence, so the walk finds the elements holding a vertex or
 an edge in a per-level index (``_holders``), made by one scan of the
-level and kept until the grid's next revision.  The group it makes is a
-plain record here.  ``walk(view, element)`` gives what it found per
-group: the facet, the fragment in the inside element and the outsides as
-(id, facet, fragment), by (id, facet).
+level and kept until the grid's next revision.  ``walk(view, element)``
+gives what it found per group: the facet, the fragment in the inside
+element and the outsides as (id, facet, fragment), by (id, facet).
 """
 
 import weakref
 from operator import itemgetter
 
 from netmesh import intersections
-from netmesh.topology import Element, TRIANGLE_EDGES
-
-
-class IntersectionGroup:
-    """What the walk made of one group."""
-
-    def __init__(self, inside, index_in_inside, frame, fragment, outsides):
-        self.index_in_inside = index_in_inside
-        self.fragment = fragment
-        self.outsides = [(el.id, facet, piece) for el, facet, piece in outsides]
-
-
-class _Frame:
-    """The walk's shared geometry frame; the reference builds no geometry."""
-
-    def __init__(self, grid, element, rec):
-        pass
+from netmesh.topology import TRIANGLE_EDGES
 
 
 def walk(view, element):
@@ -51,8 +34,7 @@ def walk(view, element):
 
     assert in_view(element.level, rec)
     walker = _groups_1d if grid.dim == 1 else _groups_2d
-    groups = walker(grid, element, rec, in_view)
-    return [(g.index_in_inside, g.fragment, g.outsides) for g in groups]
+    return walker(grid, element, rec, in_view)
 
 
 def table(view, element):
@@ -61,8 +43,8 @@ def table(view, element):
         (
             grp.index_in_inside,
             grp._fragment,
-            [(grp.outside(k).id, grp.index_in_outside(k), grp._outsides[k][2])
-             for k in range(grp.neighbor_count)],
+            [(grp.outside(k).id, grp.index_in_outside(k), piece)
+             for k, (_, _, piece) in enumerate(grp._outsides)],
         )
         for grp in intersections(view, element)
     ]
@@ -101,7 +83,6 @@ def _holders(grid, level, attr, slot):
 
 
 def _groups_1d(grid, element, rec, in_view):
-    frame = _Frame(grid, element, rec)
     groups = []
     for facet in (0, 1):
         neighbors = []
@@ -112,10 +93,9 @@ def _groups_1d(grid, element, rec, in_view):
                 if (clev, t) == (element.level, element.slot) or not in_view(clev, nrec):
                     continue
                 nfacet = 0 if grid._verts[clev][nrec.v[0]].id == chain_id else 1
-                neighbors.append((nrec.id, clev, t, nfacet))
+                neighbors.append((nrec.id, nfacet, (nfacet,)))
         neighbors.sort(key=itemgetter(0))
-        outsides = [(Element(grid, lev, t), nf, (nf,)) for _, lev, t, nf in neighbors]
-        groups.append(IntersectionGroup(element, facet, frame, (facet,), outsides))
+        groups.append((facet, (facet,), neighbors))
     return groups
 
 
@@ -123,7 +103,6 @@ def _groups_1d(grid, element, rec, in_view):
 
 
 def _groups_2d(grid, element, rec, in_view):
-    frame = _Frame(grid, element, rec)
     level, slot, elems = element.level, element.slot, grid._elems
     groups = []
     for facet in range(3):
@@ -142,13 +121,11 @@ def _groups_2d(grid, element, rec, in_view):
 
         for frag, partial in _fragments(grid, in_view, root, []):
             found = [
-                (nrec.id, nfacet, lev, t, _edge_fragment(grid, lev, nrec, nfacet, via, frag))
+                (nrec.id, nfacet, _edge_fragment(grid, lev, nrec, nfacet, via, frag))
                 for nrec, lev, t, via, nfacet in full + partial
             ]
             found.sort(key=itemgetter(0, 1))
-            outsides = [(Element(grid, lev, t), nf, piece) for _, nf, lev, t, piece in found]
-            piece = _edge_fragment(grid, level, rec, facet, root, frag)
-            groups.append(IntersectionGroup(element, facet, frame, piece, outsides))
+            groups.append((facet, _edge_fragment(grid, level, rec, facet, root, frag), found))
     return groups
 
 

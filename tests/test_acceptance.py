@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from conftest import make_grid, refine_all
+from gridcheck import check_grid
 from netmesh import (
     LINE,
     TRIANGLE,
     GridConfig,
     GridFactory,
-    audit_grid,
     intersections,
     pairwise_intersections,
     read_gmsh,
@@ -207,10 +207,7 @@ def test_5_index_and_id_contracts():
 
             view = grid.leaf_view()
             ix = view.index_set
-            assert audit_grid(grid) == []
-            for codim in (0, 1):
-                indices = sorted(ix.index_of(e) for e in view.entities(codim))
-                assert indices == list(range(view.size(codim)))
+            check_grid(grid)  # among much else, indices 0..n-1 per codim
             for el in view.elements():
                 if el.id in centers_before:
                     assert tuple(el.geometry.center()) == centers_before[el.id]
@@ -468,7 +465,7 @@ def test_10_growth_protocol():
         tri.grow()
         tri.post_grow()
         assert tri.leaf_view().size(0) == 3
-        assert audit_grid(tri) == []
+        check_grid(tri)
 
 
 def test_11_io_golden_files(tmp_path, two_triangles):

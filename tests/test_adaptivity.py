@@ -10,7 +10,8 @@ from netmesh.errors import DimensionMismatchError, LifecycleError, StaleEntityEr
 from netmesh.geometry import REFERENCE_CORNERS
 from netmesh.parametrization import local_in_root
 
-from conftest import assert_leaf_view_is_brute_force, make_grid, refine_all, same_bits, vertex_or_edge
+from conftest import make_grid, refine_all, same_bits, vertex_or_edge
+from gridcheck import check_grid
 
 
 def leaf_elements(grid):
@@ -231,9 +232,9 @@ class TestLifecycle:
             self._call(g, call)
         for name in closing:
             self._call(g, name)
-        assert audit_grid(g) == []
+        check_grid(g)
         refine_all(g)  # the grid is idle again: a whole adapt cycle runs
-        assert audit_grid(g) == []
+        check_grid(g)
 
 
 def test_refined_segment_children_halve_length(chain4):
@@ -247,7 +248,7 @@ def test_refined_segment_children_halve_length(chain4):
     assert len(kids) == 2
     for kid in kids:
         assert kid.geometry.volume() == pytest.approx(0.5)
-    assert audit_grid(g) == []
+    check_grid(g)
 
 
 def test_red_triangle_refinement_yields_four_congruent_children(single_triangle):
@@ -312,7 +313,7 @@ def test_triangles_over_the_same_corners_share_their_interior_edges():
     midpoints that the first triangle made."""
     grid = make_grid(2, 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2), (2, 0, 1)])
     refine_all(grid)
-    assert audit_grid(grid) == []
+    check_grid(grid)
     view = grid.leaf_view()
     assert view.size(1) == 9  # 6 halves + 3 interior edges, not 12
     first, second = (father.children() for father in grid.level_view(0).elements())
@@ -337,7 +338,7 @@ def test_a_grown_triangle_shares_a_half_edge_with_a_child(two_triangles):
     grid.grow()
     [(_, grown_id)] = grid.growth_report.inserted
     grid.post_grow()
-    assert audit_grid(grid) == []
+    check_grid(grid)
     leaves = grid.leaf_view().elements()
     grown = next(el for el in leaves if el.id == grown_id)
     pair = frozenset(v.id for v in grown.vertices()[:2])
@@ -376,7 +377,7 @@ def test_might_vanish_requires_unanimous_siblings(chain4):
     g.adapt()
     g.post_adapt()
     assert g.leaf_view().size(0) == 7
-    assert audit_grid(g) == []
+    check_grid(g)
 
 
 def test_coarsen_macro_elements_is_a_no_op(chain4):
@@ -402,7 +403,7 @@ def test_hanging_nodes_of_depth_two(two_triangles):
     g.pre_adapt(); g.adapt(); g.post_adapt()
     levels = sorted({el.level for el in g.leaf_view().elements()})
     assert levels == [0, 1, 2]
-    assert audit_grid(g) == []
+    check_grid(g)
 
 
 def test_coarsening_then_refining_same_transaction(chain4):
@@ -418,7 +419,7 @@ def test_coarsening_then_refining_same_transaction(chain4):
     g.pre_adapt()
     g.adapt()
     g.post_adapt()
-    assert audit_grid(g) == []
+    check_grid(g)
     # 8 - 2 + 1 (pair -> father) + 1 (split adds one leaf)
     assert g.leaf_view().size(0) == 8
 
@@ -465,7 +466,7 @@ def test_refused_image_refines_nothing():
     assert after.ids(0).tolist() == ids
     assert same_bits(after.coordinates(), coordinates)
     assert not any(grid.get_mark(el) for el in after.elements())
-    assert_leaf_view_is_brute_force(grid)
+    check_grid(grid)
 
 
 def test_refused_image_after_coarsening_leaves_no_stale_view():
@@ -487,7 +488,7 @@ def test_refused_image_after_coarsening_leaves_no_stale_view():
     after = grid.leaf_view()
     assert after is not before
     assert [(el.level, el.slot) for el in after.elements()] == [(0, 1), (1, 0), (1, 1)]
-    assert_leaf_view_is_brute_force(grid)
+    check_grid(grid)
 
 
 def test_shared_edge_takes_its_image_from_the_first_tree():
@@ -509,6 +510,6 @@ def test_shared_edge_takes_its_image_from_the_first_tree():
     calls.clear()
     refine_all(grid)
     assert sorted(calls) == [(0.0, 0.5), (0.5, 0.5)]
-    assert audit_grid(grid) == []
+    check_grid(grid)
     coords = {tuple(v.coords) for v in grid.leaf_view().vertices()}
     assert (0.5, 0.5, 0.0) in coords and len(coords) == 9

@@ -6,7 +6,7 @@ random to mixed levels.  Dense systems are then assembled straight from
 vessel and root solvers assemble; the refinement indicator is compared
 with a brute-force scan over all pairs of leaf elements.  The table
 itself, which groups segment ends by vertex id, is compared array by
-array with one written out over ``intersections``.
+array with one written out over ``intersections`` (in ``check_grid``).
 """
 
 import math
@@ -17,11 +17,13 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_intersections_agree, make_grid
-from netmesh import LINE, intersections
-from netmesh.errors import DimensionMismatchError, SingularGeometryError
+from conftest import make_grid
+from gridcheck import check_grid
+from netmesh import intersections
+from netmesh.errors import DimensionMismatchError
 from netmesh.flow import VesselProblem, assemble_pressure, facet_table, refinement_indicator
 from netmesh.roots import RootProblem, assemble_solve_root_pressure
+from transactions import network_round, rounds
 
 ARMS = {
     "Y": [(-1.0, 0.0), (0.5, 0.8), (0.5, -0.8)],
@@ -182,106 +184,22 @@ def test_refinement_indicator_matches_brute_force_neighbours(case):
     np.testing.assert_array_equal(marks, expected)
 
 
-def table_over_intersections(view):
-    """Every :class:`FacetTable` array, written out over the intersection groups.
-
-    A junction is numbered when the sweep first reaches its facet vertex,
-    and lists its members by ascending element id.
-    """
-    ix = view.index_set
-    ids, lengths, records, members, junctions = [], [], [], [], {}
-    for i, el in enumerate(view.elements()):
-        ids.append(el.id)
-        lengths.append(el.geometry.volume())
-        for grp in intersections(view, el):
-            vid = el.sub_entity(1, grp.index_in_inside).id
-            if grp.boundary:
-                records.append((i, -1, vid, -1))
-                continue
-            outsides = [grp.outside(k) for k in range(grp.neighbor_count)]
-            partners = [ix.index_of(other) for other in outsides]
-            if vid not in junctions:
-                junctions[vid] = len(junctions)
-                group = sorted([(el.id, i)] + [(o.id, j) for o, j in zip(outsides, partners)])
-                members += [(junctions[vid], m) for _, m in group]
-            records += [(i, j, vid, junctions[vid]) for j in partners]
-    inside, outside, facet, junction = np.array(records, dtype=np.int64).reshape(-1, 4).T
-    member_junction, member_element = np.array(members, dtype=np.int64).reshape(-1, 2).T
-    return {
-        "ids": np.array(ids, dtype=np.int64), "lengths": np.array(lengths),
-        "inside": inside, "outside": outside, "facet": facet, "junction": junction,
-        "member_junction": member_junction, "member_element": member_element,
-    }
-
-
-def assert_table_matches_intersections(view):
-    table = facet_table(view)
-    for name, expected in table_over_intersections(view).items():
-        got = getattr(table, name)
-        assert got.dtype == expected.dtype, name
-        np.testing.assert_array_equal(got, expected, err_msg=name)
-
-
-def has_zero_length_leaf(view):
-    corners = view.coordinates()[view.corner_indices()]
-    return bool((corners[:, 0] == corners[:, 1]).all(axis=1).any())
-
-
 @settings(max_examples=30, deadline=None)
-@given(
-    network,
-    st.lists(
-        st.tuples(st.sampled_from(["refine", "coarsen", "grow"]), st.integers(0, 2**32 - 1)),
-        max_size=5,
-    ),
-)
+@given(network, rounds(["refine", "coarsen", "grow"], min_size=0, max_size=5))
 # two grow rounds with one seed put two fresh vertices at one point, and a join links them
 @example(case=("T", 42196570),
          transactions=[("grow", 195), ("grow", 0), ("grow", 195), ("grow", 42196568)])
 def test_table_matches_intersections(case, transactions):
-    """Bit-identical arrays after random refine, coarsen and grow transactions.
-
-    Growth attaches fresh segments at leaf vertices and now and then joins
-    two leaf vertices of different levels, so ends from several levels
-    share one junction.  The factory and ``grow`` accept a zero-length
-    segment; once a round leaves one in the leaf view, the table and its
-    longhand both refuse the view with SingularGeometryError, and the
-    example ends there.
-    """
+    """Bit-identical arrays (``check_grid``) after random refine, coarsen and
+    grow transactions.  Growth joins leaf vertices of different levels, so
+    ends from several levels share one junction; a join can also make a
+    zero-length segment, which the table and its longhand both refuse."""
     kind, seed = case
     grid, _ = random_network(kind, np.random.default_rng(seed))
-    assert_table_matches_intersections(grid.leaf_view())
+    check_grid(grid)
     for transaction, seed in transactions:
-        rng = np.random.default_rng(seed)
-        view = grid.leaf_view()
-        if transaction == "grow":
-            ix = view.index_set
-            leaf_vertices = view.vertices()
-            for el in view.elements():
-                if rng.uniform() < 0.3:
-                    v = el.vertices()[int(rng.integers(2))]
-                    fresh = grid.queue_vertex(v.coords + rng.normal(size=3))
-                    grid.queue_element(LINE, [ix.index_of(v), fresh])
-            if rng.uniform() < 0.5:
-                a, b = rng.choice(len(leaf_vertices), size=2, replace=False)
-                grid.queue_element(LINE, [int(a), int(b)])
-            grid.grow()
-            grid.post_grow()
-        else:
-            for el in view.elements():
-                if rng.uniform() < 0.5:
-                    grid.mark(1 if transaction == "refine" else -1, el)
-            grid.pre_adapt()
-            grid.adapt()
-            grid.post_adapt()
-        view = grid.leaf_view()
-        if has_zero_length_leaf(view):
-            for build in (facet_table, table_over_intersections):
-                with pytest.raises(SingularGeometryError):
-                    build(view)
-            return
-        assert_table_matches_intersections(view)
-        assert_intersections_agree(grid)
+        network_round(grid, transaction, seed)
+        check_grid(grid)
 
 
 def test_two_segment_loop_keeps_one_junction_per_vertex():
@@ -293,9 +211,8 @@ def test_two_segment_loop_keeps_one_junction_per_vertex():
     transmissibilities t_i t_j / (t_i + t_j) = 0.75 on every record, agree.
     """
     grid = make_grid(1, 3, [(0, 0, 0), (1, 0, 0)], [(0, 1), (1, 0)])
-    view = grid.leaf_view()
-    assert_table_matches_intersections(view)
-    table = facet_table(view)
+    check_grid(grid)
+    table = facet_table(grid.leaf_view())
     np.testing.assert_array_equal(table.junction, [0, 1, 1, 0])
     np.testing.assert_array_equal(table.member_junction, [0, 0, 1, 1])
     np.testing.assert_array_equal(table.pair_transmissibilities([1.0, 3.0]), [0.75] * 4)

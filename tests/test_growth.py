@@ -3,18 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmesh import LINE, TRIANGLE, audit_grid, intersections
+from netmesh import LINE, TRIANGLE, intersections
 from netmesh.errors import DimensionMismatchError, FactoryError, LifecycleError, StaleEntityError
-from netmesh.roots import leaf_degree
 
-from conftest import (
-    assert_intersections_agree,
-    assert_leaf_view_is_brute_force,
-    make_grid,
-    refine_all,
-    vertex_or_edge,
-)
+from conftest import make_grid, refine_all, vertex_or_edge
+from gridcheck import check_grid
 from growth_rows import grow_by_rows, records
+from transactions import network_round, rounds
 
 
 def assert_staged_nothing(grid):
@@ -35,7 +30,7 @@ def test_queue_vertex_indices_continue_leaf_range(chain4):
     assert g.grow() is True
     g.post_grow()
     assert g.leaf_view().size(0) == 6
-    assert audit_grid(g) == []
+    check_grid(g)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -69,7 +64,7 @@ def test_remove_leaf_element(chain4):
     g.grow()
     g.post_grow()
     assert g.leaf_view().size(0) == 3
-    assert audit_grid(g) == []
+    check_grid(g)
 
 
 def test_remove_element_of_another_grid_is_refused(chain4):
@@ -112,7 +107,7 @@ def test_insertions_processed_before_removals(chain4):
     g.grow()
     g.post_grow()
     assert g.leaf_view().size(0) == 4
-    assert audit_grid(g) == []
+    check_grid(g)
 
 
 def test_growth_at_refined_tip_lands_on_tip_level(chain4):
@@ -133,7 +128,7 @@ def test_growth_at_refined_tip_lands_on_tip_level(chain4):
     new_id = report.inserted[0][1]
     new_el = next(el for el in g.leaf_view().elements() if el.id == new_id)
     assert new_el.level == end.level  # attaches at the copy's own level
-    assert audit_grid(g) == []
+    check_grid(g)
 
 
 def test_growth_report_lists_skipped_elements(chain4):
@@ -173,7 +168,7 @@ def test_removing_one_of_four_siblings_keeps_grid_consistent(two_triangles):
     g.grow()
     g.post_grow()
     assert g.leaf_view().size(0) == 7
-    assert audit_grid(g) == []
+    check_grid(g)
     # the surviving siblings are still coherent leaves of the same father
     father = g.level_view(0).elements()[0]
     assert len(father.children()) == 3
@@ -195,57 +190,18 @@ def test_same_vertex_used_by_two_queued_elements(chain4):
     el = next(e for e in view.elements() if tuple(e.geometry.center()) == (3.5, 0.0, 0.0))
     grp = next(x for x in intersections(view, el) if not x.boundary and x.geometry.center()[0] == 4.0)
     assert grp.neighbor_count == 2
-    assert audit_grid(g) == []
+    check_grid(g)
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["refine", "coarsen", "grow"]), st.integers(0, 2**32 - 1)),
-        min_size=1,
-        max_size=6,
-    )
-)
+@given(rounds(["refine", "coarsen", "grow"]))
 def test_vertex_chain_users_agree(transactions):
-    """leaf_degree, the intersection groups and the leaf index set see one chain.
-
-    Random refine, coarsen and grow transactions on a Y network; after each,
-    every facet vertex of every leaf element has leaf degree one more than
-    its group's neighbor count, every copy in its chain has one index, and
-    the leaf view holds what a brute-force pass over the records finds.
-    """
+    """leaf_degree, the intersection groups and the leaf index set see one
+    chain (``check_grid``) after random transactions on a Y network."""
     grid = make_grid(1, 3, [(0, 0, 0), (1, 0, 0), (2, 1, 0), (2, -1, 0)], [(0, 1), (1, 2), (1, 3)])
-    for kind, seed in transactions:
-        rng = np.random.default_rng(seed)
-        view = grid.leaf_view()
-        if kind == "grow":
-            ix = view.index_set
-            for el in view.elements():
-                if rng.uniform() < 0.3:
-                    v = el.vertices()[int(rng.integers(2))]
-                    fresh = grid.queue_vertex(v.coords + rng.normal(size=3))
-                    grid.queue_element(LINE, [ix.index_of(v), fresh])
-            grid.grow()
-            grid.post_grow()
-        else:
-            for el in view.elements():
-                if rng.uniform() < 0.5:
-                    grid.mark(1 if kind == "refine" else -1, el)
-            grid.pre_adapt()
-            grid.adapt()
-            grid.post_adapt()
-        assert audit_grid(grid) == []
-        assert_leaf_view_is_brute_force(grid)
-        assert_intersections_agree(grid)
-
-        view = grid.leaf_view()
-        ix = view.index_set
-        for el in view.elements():
-            for grp in intersections(view, el):
-                v = el.sub_entity(1, grp.index_in_inside)
-                assert leaf_degree(grid, v) == 1 + grp.neighbor_count
-                chain = grid._vertex_chain(v.level, v.slot)
-                assert len({ix.index_of(grid.vertex(*copy)) for copy in chain}) == 1
+    for transaction, seed in transactions:
+        network_round(grid, transaction, seed)
+        check_grid(grid)
 
 
 def test_refused_queue_call_keeps_no_view_across_an_adapt(chain4):
@@ -263,7 +219,7 @@ def test_refused_queue_call_keeps_no_view_across_an_adapt(chain4):
     chain4.post_grow()
     grown = chain4.leaf_view().elements()[-1]
     assert [tuple(v.coords) for v in grown.vertices()] == [(4.0, 0.0, 0.0), (5.0, 0.0, 0.0)]
-    assert audit_grid(chain4) == []
+    check_grid(chain4)
 
 
 class TestBatchQueue:
@@ -281,7 +237,7 @@ class TestBatchQueue:
         assert [q for q, _ in report.inserted] == [0, 1, 2] and report.skipped == []
         chain4.post_grow()
         assert chain4.leaf_view().size(0) == 7
-        assert audit_grid(chain4) == []
+        check_grid(chain4)
 
     def test_batch_arrays_are_copied(self, chain4):
         coords = np.array([[5.0, 0.0, 0.0]])
@@ -430,7 +386,7 @@ def test_one_pass_grow_equals_per_row_loop(shape, data):
     assert reports[0].removed == reports[1].removed
     for grid in grids:
         grid.post_grow()
-        assert audit_grid(grid) == []
+    check_grid(grids[0])  # the per-row grid holds the same records
 
 
 def test_rows_that_coincide_after_resolution_are_skipped_as_by_the_loop():

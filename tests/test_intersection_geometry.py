@@ -7,14 +7,15 @@ are the parameter interval of that edge on the element's facet edge,
 turned to the element's corner order, and its global corners are those
 local corners under the inside element's map.
 
-The last tests run random adapt, grow and remove rounds on the same fan.
-After each round they check that fragments tile every leaf facet, and that
-every corner, volume and centre has the bits of the numpy array
-expressions written out below, which the Python-float arithmetic and the
-shared per-element corners must reproduce.  The global geometries of a
-view's fragments take det(A^T A) and the corner scale from one batch;
-their measures, degeneracy and Jacobians must have the bits of a lone
-``AffineGeometry``.
+The last tests run random adapt, grow and remove rounds on the same fan
+(``transactions``).  After each round one runs ``gridcheck.check_grid``,
+which among much else finds that fragments tile every leaf facet; the
+other checks that every corner, volume and centre has the bits of the
+numpy array expressions written out below, which the Python-float
+arithmetic and the shared per-element corners must reproduce.  The
+global geometries of a view's fragments take det(A^T A) and the corner
+scale from one batch; their measures, degeneracy and Jacobians must have
+the bits of a lone ``AffineGeometry``.
 """
 
 import gc
@@ -25,37 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    assert_intersections_agree,
-    assert_leaf_view_is_brute_force,
-    make_grid,
-    same_bits,
-)
+from conftest import make_grid, same_bits
+from gridcheck import check_grid
 from netmesh import SingularGeometryError, intersections
 from netmesh.geometry import REFERENCE_CORNERS, AffineGeometry, AffineStack
-from netmesh.topology import TRIANGLE, TRIANGLE_EDGES, audit_grid
-
-# three triangles fanning around the edge (0, 1), one more on the edge (1, 2)
-FAN = (
-    [(0, 0, 0), (1, 0, 0), (0.5, 1, 0), (0.5, -1, 0), (0.5, 0, 1), (1.5, 1, 0)],
-    [(0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 5, 2)],
-)
-
-
-def fan_grid():
-    return make_grid(2, 3, *FAN)
-
-
-def adapt(grid, rng, refine=0.4, coarsen=0.3):
-    for el in grid.leaf_view().elements():
-        u = rng.uniform()
-        if u < refine and el.level < 3:
-            grid.mark(1, el)
-        elif u > 1.0 - coarsen:
-            grid.mark(-1, el)
-    grid.pre_adapt()
-    grid.adapt()
-    grid.post_adapt()
+from netmesh.topology import TRIANGLE_EDGES
+from transactions import adapt, fan_grid, grow, remove, rounds
 
 
 def eager_local(element, facet, frag):
@@ -228,72 +204,18 @@ def test_geometries_read_after_adapt_equal_those_before(seed):
         np.testing.assert_array_equal(grp.unit_outer_normal(), normals[i])
 
 
-def grow(grid, rng, share=0.3):
-    """Queue a triangle on a random edge of about ``share`` of the leaves, with a fresh apex."""
-    view = grid.leaf_view()
-    ix = view.index_set
-    for el in view.elements():
-        if rng.uniform() < share:
-            corners = el.vertices()
-            a, b = rng.choice(3, size=2, replace=False)
-            apex = grid.queue_vertex(corners[a].coords + rng.normal(size=3))
-            grid.queue_element(TRIANGLE, [ix.index_of(corners[a]), ix.index_of(corners[b]), apex])
-    grid.grow()
-    grid.post_grow()
-
-
-def remove(grid, rng, share=0.2):
-    """Remove about ``share`` of the leaves, always keeping the first."""
-    for el in grid.leaf_view().elements()[1:]:
-        if rng.uniform() < share:
-            grid.remove_element(el)
-    grid.grow()
-    grid.post_grow()
-
-
-def assert_partitioned(grid):
-    """Fragments tile each leaf facet, neighbours are mutual, and the audit is clean."""
-    assert audit_grid(grid) == []
-    view = grid.leaf_view()
-    ref = REFERENCE_CORNERS[2]
-    pairs = set()
-    for el in view.elements():
-        spans = {facet: [] for facet in range(3)}
-        for grp in intersections(view, el):
-            ia, ib = TRIANGLE_EDGES[grp.index_in_inside]
-            d = ref[ib] - ref[ia]
-            t = sorted(float((c - ref[ia]) @ d / (d @ d)) for c in grp.geometry_in_inside.corners)
-            spans[grp.index_in_inside].append(t)
-            pairs.update((el.id, grp.outside(k).id) for k in range(grp.neighbor_count))
-        for pieces in spans.values():
-            pieces.sort()
-            ends = [0.0] + [b for _, b in pieces]
-            starts = [a for a, _ in pieces] + [1.0]
-            np.testing.assert_allclose(starts, ends, rtol=0, atol=1e-12)
-    assert all((b, a) in pairs for a, b in pairs)
-
-
-transactions = st.lists(
-    st.tuples(st.sampled_from([adapt, grow, remove]), st.integers(0, 2**32 - 1)),
-    min_size=1,
-    max_size=6,
-)
+fan_rounds = rounds([adapt, grow, remove])
 
 
 @settings(max_examples=60, deadline=None)
-@given(transactions)
-def test_random_transactions_keep_facets_partitioned(rounds):
-    """Random adapt, grow and remove rounds on the fan keep every leaf facet partitioned.
-
-    The leaf view also holds exactly what a brute-force pass over the
-    records finds.
-    """
+@given(fan_rounds)
+def test_random_transactions_keep_facets_partitioned(transactions):
+    """Random adapt, grow and remove rounds on the fan keep every leaf facet
+    partitioned, and the grid passes ``check_grid`` after each."""
     grid = fan_grid()
-    for transaction, seed in rounds:
+    for transaction, seed in transactions:
         transaction(grid, np.random.default_rng(seed))
-        assert_leaf_view_is_brute_force(grid)
-        assert_partitioned(grid)
-        assert_intersections_agree(grid)
+        check_grid(grid)
 
 
 # -- bit identity with the numpy expressions -------------------------------
@@ -367,12 +289,12 @@ def assert_numpy_bits(grid):
 
 
 @settings(max_examples=30, deadline=None)
-@given(transactions)
-def test_random_transactions_keep_the_numpy_bits(rounds):
+@given(fan_rounds)
+def test_random_transactions_keep_the_numpy_bits(transactions):
     """Random adapt, grow and remove rounds on the fan leave every geometry bit as numpy made it."""
     grid = fan_grid()
     assert_numpy_bits(grid)
-    for transaction, seed in rounds:
+    for transaction, seed in transactions:
         transaction(grid, np.random.default_rng(seed))
         assert_numpy_bits(grid)
 

@@ -4,7 +4,8 @@ A view builds one intersection table on the first ``intersections`` call
 and keeps it; every group it hands out must equal what the per-element
 walk in ``intersection_walk`` finds (facet, fragment, outsides by id,
 facet and fragment) and pass ``gridcheck.check_intersections``, on the
-leaf view and every level view of the fixture meshes.
+leaf view and every level view of the fixture meshes; ``check_grid``
+checks both.
 """
 
 import gc
@@ -14,10 +15,12 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import assert_intersections_agree, make_grid, refine_all
+from conftest import make_grid, refine_all
+from gridcheck import check_grid
 from netmesh import GridConfig, intersections, pairwise_intersections, read_gmsh
 from netmesh.errors import StaleEntityError
 from netmesh.views import GridView
+from transactions import fan_grid
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MESHES = {
@@ -29,12 +32,6 @@ MESHES = {
     "tests/data/quadratic_surface.msh": 2,
     "tests/data/surface.msh": 2,
 }
-
-# three triangles fanning around the edge (0, 1), one more on the edge (1, 2)
-FAN = (
-    [(0, 0, 0), (1, 0, 0), (0.5, 1, 0), (0.5, -1, 0), (0.5, 0, 1), (1.5, 1, 0)],
-    [(0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 5, 2)],
-)
 
 
 def refine_first(grid):
@@ -57,7 +54,7 @@ FIXTURES = {
     "two_triangles": lambda: make_grid(
         2, 3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 3)]
     ),
-    "fan": lambda: make_grid(2, 3, *FAN),
+    "fan": fan_grid,
     **{
         name: (lambda name=name, dim=dim: read_gmsh(ROOT / name, GridConfig(dim, 3)))
         for name, dim in MESHES.items()
@@ -74,12 +71,12 @@ def test_table_matches_walk_on_fixture_meshes(name):
     geometry holds only while the grid is conforming.
     """
     grid = FIXTURES[name]()
-    assert_intersections_agree(grid)
+    check_grid(grid)
     refine_all(grid)
-    assert_intersections_agree(grid)
+    check_grid(grid)
     for _ in range(2):
         refine_first(grid)
-        assert_intersections_agree(grid, contract="quadratic" not in name)
+        check_grid(grid, contract="quadratic" not in name)
 
 
 def cubic_lattice(shape):
@@ -126,7 +123,7 @@ def test_table_matches_walk_behind_a_front_on_a_cubic_lattice():
         grid.pre_adapt()
         grid.adapt()
         grid.post_adapt()
-        assert_intersections_agree(grid)
+        check_grid(grid)
         view = grid.leaf_view()
         sizes.append(view.size(0))
         for el in view.elements():
@@ -197,7 +194,7 @@ def test_a_sweep_leaves_no_group_or_geometry_behind():
     """The table keeps nothing a sweep made: with the view still alive and
     the cyclic collector paused, dropping the groups frees every group and
     every geometry read from them."""
-    grid = make_grid(2, 3, *FAN)
+    grid = fan_grid()
     refine_first(grid)
     refine_first(grid)
     view = grid.leaf_view()

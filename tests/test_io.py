@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmesh import GridConfig, audit_grid, read_gmsh
+from netmesh import GridConfig, read_gmsh
 from netmesh.errors import MshParseError
 from netmesh.vtk_io import write_vtk
 
 from conftest import make_grid, refine_all
+from gridcheck import check_grid
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -62,7 +63,7 @@ class TestMshReading:
     def test_quadratic_mesh_keeps_only_corner_vertices(self, name, dim):
         # mid-edge nodes shape the parametrization and take no vertex or id
         g = read_gmsh(DATA / name, GridConfig(dim, 3))
-        assert audit_grid(g) == []
+        check_grid(g)
         assert len(g._verts[0]) == g.leaf_view().size(dim)
 
     def test_missing_file_raises_oserror(self):

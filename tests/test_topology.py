@@ -1,12 +1,14 @@
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netmesh import LINE, TRIANGLE, GridConfig, GridFactory, audit_grid, intersections, read_gmsh
+from netmesh import LINE, TRIANGLE, GridConfig, GridFactory, intersections, read_gmsh
 from netmesh.errors import DimensionMismatchError, FactoryError, StaleEntityError
 
 from conftest import make_grid, refine_all
+from gridcheck import check_grid
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,19 +111,29 @@ def test_nonmanifold_edge_incidence(t_junction):
 
 @pytest.mark.parametrize("kind", ["element", "edge", "vertex"])
 def test_handle_past_the_arena_is_stale(two_triangles, kind):
-    handle = getattr(two_triangles, kind)(0, 99)
-    with pytest.raises(StaleEntityError, match=f"no {kind} at level 0 slot 99"):
-        handle.id
+    """A slot past the arena, or a negative slot or level, addresses no
+    record: reading, looking up and marking the handle are refused."""
+    grid = refine_all(two_triangles)
+    view = grid.leaf_view()
+    calls = [lambda h: h.id, view.contains, view.index_set.index_of]
+    if kind == "element":
+        calls.append(partial(grid.mark, 1))
+    for level, slot in [(0, 99), (0, -1), (-1, 0)]:
+        handle = getattr(grid, kind)(level, slot)
+        for call in calls:
+            with pytest.raises(StaleEntityError, match=f"no {kind} at level {level} slot {slot}"):
+                call(handle)
+    assert not any(grid.get_mark(el) for el in view.elements())
 
 
 def test_audit_passes_on_fixtures(chain4, y_junction, two_triangles, t_junction):
     for g in (chain4, y_junction, two_triangles, t_junction):
-        assert audit_grid(g) == []
+        check_grid(g)
 
 
 def test_audit_passes_after_refinement(two_triangles):
     refine_all(two_triangles, 2)
-    assert audit_grid(two_triangles) == []
+    check_grid(two_triangles)
 
 
 def test_max_level_tracks_refinement(single_triangle):

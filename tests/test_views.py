@@ -6,21 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netmesh import GridConfig, audit_grid, cli, read_gmsh, topology
-from netmesh.errors import StaleEntityError
+from netmesh import GridConfig, cli, read_gmsh, topology
+from netmesh.errors import DimensionMismatchError, StaleEntityError
 
 from conftest import make_grid, refine_all, same_bits
+from gridcheck import check_grid
 
 ROOT = Path(__file__).parent.parent
 
 
 def test_leaf_indices_are_consecutive(two_triangles):
-    refine_all(two_triangles)
-    view = two_triangles.leaf_view()
-    for codim in (0, 1, 2):
-        ix = view.index_set
-        indices = sorted(ix.index_of(e) for e in view.entities(codim))
-        assert indices == list(range(view.size(codim)))
+    check_grid(refine_all(two_triangles))  # among much else, indices 0..n-1 per codim
 
 
 def test_level_view_contains_exactly_that_level(two_triangles):
@@ -121,7 +117,7 @@ def test_contains_matches_membership(two_triangles):
     assert not view.contains(refined_root)
     for child in refined_root.children():
         assert view.contains(child)
-    assert audit_grid(g) == []
+    check_grid(g)
 
 
 def test_stale_handle_is_refused_after_compaction(chain4):
@@ -145,6 +141,14 @@ def test_contains_refuses_foreign_entity(two_triangles, single_triangle):
     other = single_triangle.leaf_view().elements()[0]
     assert not view.contains(other)
     assert view.contains(view.elements()[0])
+
+
+@pytest.mark.parametrize("thing", [None, 3, "x"])
+def test_contains_and_index_of_refuse_a_non_entity(two_triangles, thing):
+    view = two_triangles.leaf_view()
+    for call in (view.contains, view.index_set.index_of):
+        with pytest.raises(DimensionMismatchError, match=f"expected an entity, got a {type(thing).__name__}$"):
+            call(thing)
 
 
 def test_vertex_copies_in_leaf_and_level_views(chain4):
