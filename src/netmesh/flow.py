@@ -38,7 +38,7 @@ import logging
 import math
 import pathlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -49,19 +49,12 @@ from .errors import DimensionMismatchError, LifecycleError, ScenarioError
 from .errors import SingularGeometryError, SingularSystemError
 # bench/tracing.py wraps intersections where a module holds it by name; held only for that
 from .intersections import intersections  # noqa: F401
+from .scenario import FILE_NAME, FINITE, NONNEGATIVE, POSITIVE, POSITIVE_FINITE, UNIT_INTERVAL
+from .scenario import broken_rules
 
 log = logging.getLogger(__name__)
 
 _TWO_PI = 2.0 * math.pi
-
-# every key a flow scenario may hold: run_scenario and problem_from_scenario
-SCENARIO_KEYS = (
-    "mesh", "radius", "initial_concentration", "dt", "steps", "eps_refine", "eps_coarsen",
-    "max_refinement_level", "adapt_every", "output_prefix",
-    "viscosity", "gamma", "l_p", "l_c", "sigma_c", "d_e", "tissue_pressure",
-    "tissue_concentration", "inflow_tags", "outflow_tags", "concentration_tags",
-    "inflow_velocity", "outflow_pressure", "concentration_value",
-)
 
 
 @dataclass
@@ -81,21 +74,11 @@ class VesselProblem:
     dirichlet_concentration: dict = field(default_factory=dict)  # vertex id -> c
 
     def validate(self):
-        scalars = ("viscosity", "gamma", "l_p", "l_c", "sigma_c", "d_e",
-                   "tissue_pressure", "tissue_concentration")
-        problems = [f"{name} must be finite" for name in scalars
-                    if not math.isfinite(getattr(self, name))]
+        """Raise ScenarioError naming every broken :data:`SCENARIO` rule and boundary fault."""
+        problems = broken_rules(SCENARIO, vars(self))
         boundary = (self.dirichlet_pressure, self.neumann_velocity, self.dirichlet_concentration)
         if not all(math.isfinite(v) for values in boundary for v in values.values()):
             problems.append("boundary values must be finite")
-        if self.viscosity <= 0.0:
-            problems.append("viscosity must be positive")
-        if self.gamma < 2.0:
-            problems.append("gamma must be at least 2 (blunt velocity profile)")
-        if not 0.0 <= self.sigma_c <= 1.0:
-            problems.append("sigma_c must lie in [0, 1]")
-        problems += [f"{name} must be nonnegative" for name in ("l_p", "l_c", "d_e")
-                     if getattr(self, name) < 0.0]
         extra = set(self.dirichlet_concentration) - set(self.neumann_velocity)
         if extra:
             problems.append(
@@ -511,47 +494,82 @@ def restore_leaf_data(view, store, names):
     return {name: store.columns[name][rows] for name in names}
 
 
+def boundary_markers(view):
+    """Boundary vertex id -> marker of the tree root of the one leaf at it."""
+    table = facet_table(view)
+    grid, places = view.grid, view.places(0)
+    out = {}
+    for r in np.flatnonzero(table.outside < 0).tolist():
+        level, slot = grid._root(*places[table.inside[r]])
+        out[int(table.facet[r])] = grid._elems[level][slot].marker
+    return out
+
+
 def boundary_vertex_ids_by_marker(view, markers):
     """Ids of boundary vertices whose adjacent element carries one of the markers."""
     wanted = set(markers)
-    table = facet_table(view)
-    grid = view.grid
-    roots = [grid._root(level, slot) for level, slot in view.places(0)]
-    marked = np.array([grid._elems[rl][rs].marker in wanted for rl, rs in roots], dtype=bool)
-    return set(table.facet[(table.outside < 0) & marked[table.inside]].tolist())
+    return {vid for vid, marker in boundary_markers(view).items() if marker in wanted}
 
 
-def problem_from_scenario(scenario, view):
-    """Build a VesselProblem from a key-value scenario, BCs assigned by element marker."""
+# every key a flow scenario may hold, as Scenario.read takes it; the physics keys and
+# thresholds default as VesselProblem and refinement_indicator do
+SCENARIO = {
+    "mesh": ("str", None),
+    "radius": ("float", 2.0e-3, POSITIVE_FINITE),
+    "initial_concentration": ("float", 0.0, FINITE),
+    "dt": ("float", 0.1, POSITIVE_FINITE),
+    "steps": ("int", 10, NONNEGATIVE),
+    "eps_refine": ("float", refinement_indicator.__defaults__[0]),
+    "eps_coarsen": ("float", refinement_indicator.__defaults__[1]),
+    "max_refinement_level": ("int", 2, NONNEGATIVE),
+    "adapt_every": ("int", 1, NONNEGATIVE),
+    "output_prefix": ("str", "flow", FILE_NAME),
+    "viscosity": ("float", VesselProblem.viscosity, FINITE, POSITIVE),
+    "gamma": ("float", VesselProblem.gamma, FINITE,
+              (lambda v: v >= 2.0, "be at least 2 (blunt velocity profile)")),
+    "l_p": ("float", VesselProblem.l_p, FINITE, NONNEGATIVE),
+    "l_c": ("float", VesselProblem.l_c, FINITE, NONNEGATIVE),
+    "sigma_c": ("float", VesselProblem.sigma_c, FINITE, UNIT_INTERVAL),
+    "d_e": ("float", VesselProblem.d_e, FINITE, NONNEGATIVE),
+    "tissue_pressure": ("float", VesselProblem.tissue_pressure, FINITE),
+    "tissue_concentration": ("float", VesselProblem.tissue_concentration, FINITE),
+    "inflow_tags": ("int_list", ()),
+    "outflow_tags": ("int_list", ()),
+    "concentration_tags": ("int_list", ()),
+    "inflow_velocity": ("float", 0.0, FINITE),
+    "outflow_pressure": ("float", 0.0, FINITE),
+    "concentration_value": ("float", 0.0, FINITE),
+}
+SCENARIO_KEYS = tuple(SCENARIO)
+
+
+def read_scenario(scenario, steps=None):
+    """Every :data:`SCENARIO` value, ``steps`` overriding the file's; one ScenarioError
+    names every bad or unknown key and every broken rule between keys."""
     s = scenario
-    prob = VesselProblem(
-        viscosity=s.get_float("viscosity", 3.0e-3),
-        gamma=s.get_float("gamma", 2.0),
-        l_p=s.get_float("l_p", 0.0),
-        l_c=s.get_float("l_c", 0.0),
-        sigma_c=s.get_float("sigma_c", 0.0),
-        d_e=s.get_float("d_e", 0.0),
-        tissue_pressure=s.get_float("tissue_pressure", 0.0),
-        tissue_concentration=s.get_float("tissue_concentration", 0.0),
-    )
-    inflow_tags = s.get_int_list("inflow_tags", [])
-    outflow_tags = s.get_int_list("outflow_tags", [])
-    concentration_tags = s.get_int_list("concentration_tags", [])
-    inflow_velocity = s.get_float("inflow_velocity", 0.0)
-    outflow_pressure = s.get_float("outflow_pressure", 0.0)
-    concentration_value = s.get_float("concentration_value", 0.0)
-    s.check()
-    if not set(concentration_tags) <= set(inflow_tags):
-        raise ScenarioError(
-            "concentration_tags must be a subset of inflow_tags "
-            f"(offending tags: {sorted(set(concentration_tags) - set(inflow_tags))})"
-        )
-    for vid in boundary_vertex_ids_by_marker(view, outflow_tags):
-        prob.dirichlet_pressure[vid] = outflow_pressure
-    for vid in boundary_vertex_ids_by_marker(view, inflow_tags):
-        prob.neumann_velocity[vid] = inflow_velocity
-    for vid in boundary_vertex_ids_by_marker(view, concentration_tags):
-        prob.dirichlet_concentration[vid] = concentration_value
+    v = s.read(SCENARIO)
+    if steps is not None:
+        v["steps"] = steps
+    s.require(0.0 <= v["eps_coarsen"] < v["eps_refine"] <= 1.0,
+              "thresholds must satisfy 0 <= eps_coarsen < eps_refine <= 1")
+    s.require(math.isfinite(v["dt"] * v["steps"]), "dt * steps must be finite")
+    extra = sorted(set(v["concentration_tags"]) - set(v["inflow_tags"]))
+    s.require(not extra, "concentration_tags must be a subset of inflow_tags "
+              f"(offending tags: {extra})")
+    s.check(known=SCENARIO)
+    return v
+
+
+def problem_from_scenario(values, view):
+    """A VesselProblem from :func:`read_scenario` values, BCs assigned by element marker."""
+    prob = VesselProblem(**{f.name: values[f.name] for f in fields(VesselProblem) if f.name in values})
+    for vid, marker in boundary_markers(view).items():
+        if marker in values["outflow_tags"]:
+            prob.dirichlet_pressure[vid] = values["outflow_pressure"]
+        if marker in values["inflow_tags"]:
+            prob.neumann_velocity[vid] = values["inflow_velocity"]
+        if marker in values["concentration_tags"]:
+            prob.dirichlet_concentration[vid] = values["concentration_value"]
     prob.validate()
     return prob
 
@@ -571,51 +589,18 @@ def run_scenario(scenario, out_dir, steps=None):
     from .topology import GridConfig
     from .vtk_io import write_vtk
 
-    s = scenario
-    mesh = s.get_str("mesh")
-    radius_value = s.get_float("radius", 2.0e-3)
-    initial_c = s.get_float("initial_concentration", 0.0)
-    dt = s.get_float("dt", 0.1)
-    n_steps = s.get_int("steps", 10)
-    eps_refine = s.get_float("eps_refine", 0.3)
-    eps_coarsen = s.get_float("eps_coarsen", 0.05)
-    max_level = s.get_int("max_refinement_level", 2)
-    adapt_every = s.get_int("adapt_every", 1)
-    prefix = s.get_str("output_prefix", "flow")
-    s.check(known=SCENARIO_KEYS)
-    problems = []
-    if not 0.0 < radius_value < math.inf:
-        problems.append("radius must be positive and finite")
-    if not math.isfinite(initial_c):
-        problems.append("initial_concentration must be finite")
-    if not 0.0 < dt < math.inf:
-        problems.append("dt must be positive and finite")
-    if not 0.0 <= eps_coarsen < eps_refine <= 1.0:
-        problems.append("thresholds must satisfy 0 <= eps_coarsen < eps_refine <= 1")
-    if n_steps < 0:
-        problems.append("steps must be nonnegative")
-    problems += [f"{name} must be nonnegative"
-                 for name, v in (("adapt_every", adapt_every), ("max_refinement_level", max_level))
-                 if v < 0]
-    if problems:
-        raise ScenarioError(f"{s.source}: " + "; ".join(problems))
-    if steps is not None:
-        n_steps = steps
-    if not math.isfinite(dt * n_steps):
-        raise ScenarioError(f"{s.source}: dt * steps must be finite")
-
-    mesh_path = pathlib.Path(mesh)
-    if not mesh_path.is_absolute() and s.source is not None:
-        mesh_path = pathlib.Path(s.source).parent / mesh_path
-    grid = read_gmsh(mesh_path, GridConfig(1, 3))
+    v = read_scenario(scenario, steps)
+    dt, adapt_every, prefix = v["dt"], v["adapt_every"], v["output_prefix"]
+    # a relative mesh path is relative to the scenario file; an absolute one replaces the parent
+    grid = read_gmsh(pathlib.Path(scenario.source).parent / v["mesh"], GridConfig(1, 3))
     view = grid.leaf_view()
-    problem = problem_from_scenario(s, view)
+    problem = problem_from_scenario(v, view)
 
     n = view.size(0)
     state = FlowState(
         pressure=np.zeros(n),
-        concentration=np.full(n, initial_c),
-        radius=np.full(n, radius_value),
+        concentration=np.full(n, v["initial_concentration"]),
+        radius=np.full(n, v["radius"]),
     )
     state.pressure = solve_pressure(view, problem, state.radius)
 
@@ -639,12 +624,13 @@ def run_scenario(scenario, out_dir, steps=None):
         log.info(line)
 
     snapshot(0)
-    for step_no in range(1, n_steps + 1):
+    for step_no in range(1, v["steps"] + 1):
         state.concentration = transport_step(view, problem, state, dt)
         state.time += dt
         if adapt_every > 0 and step_no % adapt_every == 0:
-            marks = refinement_indicator(view, state.concentration, eps_refine, eps_coarsen)
-            view, state, _ = adapt_with_state(grid, marks, state, max_level=max_level)
+            eps = v["eps_refine"], v["eps_coarsen"]
+            marks = refinement_indicator(view, state.concentration, *eps)
+            view, state, _ = adapt_with_state(grid, marks, state, v["max_refinement_level"])
             state.pressure = solve_pressure(view, problem, state.radius)
         snapshot(step_no)
 

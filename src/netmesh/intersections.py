@@ -153,9 +153,11 @@ class IntersectionGroup:
         A degenerate inside element has no tangent plane to point out of:
         SingularGeometryError, by the test ``volume`` applies.
         """
-        corners = self._fragments.corners[self._members[3 * self._position]]
-        AffineGeometry(corners)._require_regular()
-        return _outer_normal(corners, self.index_in_inside)
+        fragments, inside = self._fragments, self._members[3 * self._position]
+        if inside not in fragments.regular:  # one test per element and view
+            AffineGeometry(fragments.corners[inside])._require_regular()
+            fragments.regular.add(inside)
+        return _outer_normal(fragments.corners[inside], self.index_in_inside)
 
     def __repr__(self):
         kind = "boundary" if self.boundary else f"{self.neighbor_count} neighbors"
@@ -254,9 +256,9 @@ class _ViewFragments:
     """What all groups of one view share: each element's corners and, per
     row of the table, its owner and the code of its inside fragment, from
     which the first geometry read maps every fragment.  It holds arrays
-    only, so it makes no reference cycle."""
+    and integers only, so it makes no reference cycle."""
 
-    __slots__ = ("corners", "_owners", "_codes", "_local", "_stack")
+    __slots__ = ("corners", "_owners", "_codes", "_local", "_stack", "regular")
 
     def __init__(self, corners, owners, codes, local):
         self.corners = corners  # (n, dim + 1, world_dim), from the view's coordinates
@@ -264,6 +266,7 @@ class _ViewFragments:
         self._codes = codes  # fragment code per row
         self._local = local  # reference corners per fragment code
         self._stack = None
+        self.regular = set()  # view element indices found regular
 
     def geometry(self, row):
         """Global geometry of one fragment; the first read maps them all."""

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+import pathlib
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,16 +37,10 @@ from .errors import ScenarioError, SingularSystemError
 from .flow import checked_solve, facet_table, squared_norms, two_point_system
 from .flow import junction_two_point_transmissibilities  # noqa: F401
 from .intersections import intersections  # noqa: F401
+from .scenario import FILE_NAME, FINITE, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, broken_rules
 from .topology import LINE
 
 log = logging.getLogger(__name__)
-
-# every key a roots scenario may hold
-SCENARIO_KEYS = (
-    "seed", "steps", "branch_probability", "elongation_probability", "gravity_bias",
-    "segment_length", "initial_segments", "k_x", "k_r", "radius", "soil_pressure",
-    "collar_pressure", "output_prefix",
-)
 
 # Growth bound: the most leaf segments a growth round may leave.  Growth is
 # exponential: at branch probability 0.3 a root of 8 segments has 24,992
@@ -311,18 +306,34 @@ class RootProblem:
     collar_vertex_id: int = 0
 
     def validate(self):
-        scalars = ("axial_conductance", "radial_conductivity", "root_radius",
-                   "soil_pressure", "collar_pressure")
-        problems = [f"{name} must be finite" for name in scalars
-                    if not math.isfinite(getattr(self, name))]
-        if self.axial_conductance <= 0.0:
-            problems.append("axial conductance K_x must be positive")
-        if self.radial_conductivity < 0.0:
-            problems.append("radial conductivity K_r must be nonnegative")
-        if self.root_radius <= 0.0:
-            problems.append("root radius must be positive")
+        """Raise ScenarioError naming, by scenario key, every parameter that breaks its rule."""
+        problems = broken_rules(SCENARIO, {k: getattr(self, f) for f, k in _PROBLEM_KEYS.items()})
         if problems:
             raise ScenarioError("; ".join(problems))
+
+
+# the scenario key of each RootProblem parameter
+_PROBLEM_KEYS = {"axial_conductance": "k_x", "radial_conductivity": "k_r", "root_radius": "radius",
+                 "soil_pressure": "soil_pressure", "collar_pressure": "collar_pressure"}
+
+# every key a roots scenario may hold, as Scenario.read takes it
+SCENARIO = {
+    "seed": ("int", GrowthIndicator.seed),
+    "steps": ("int", 5, NONNEGATIVE),
+    "branch_probability": ("float", GrowthIndicator.branch_probability, FINITE, UNIT_INTERVAL),
+    "elongation_probability":
+        ("float", GrowthIndicator.elongation_probability, FINITE, UNIT_INTERVAL),
+    "gravity_bias": ("float", GrowthIndicator.gravity_bias, FINITE),
+    "segment_length": ("float", GrowthIndicator.segment_length, FINITE, POSITIVE),
+    "initial_segments": ("int", 8, (lambda n: n >= 1, "be at least 1")),
+    "k_x": ("float", RootProblem.axial_conductance, FINITE, POSITIVE),
+    "k_r": ("float", RootProblem.radial_conductivity, FINITE, NONNEGATIVE),
+    "radius": ("float", RootProblem.root_radius, FINITE, POSITIVE),
+    "soil_pressure": ("float", RootProblem.soil_pressure, FINITE),
+    "collar_pressure": ("float", RootProblem.collar_pressure, FINITE),
+    "output_prefix": ("str", "roots", FILE_NAME),
+}
+SCENARIO_KEYS = tuple(SCENARIO)
 
 
 def assemble_solve_root_pressure(problem, view, k_x=None, k_r=None, radius=None):
@@ -451,82 +462,32 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     network with the seeded indicator.  Per-element conductances and the
     radius travel with the grid as inherited variables.
     """
-    import pathlib
-
     # imported at call time on purpose: bench/tracing.py wraps write_vtk in
     # vtk_io, and a module-level import would hide the VTK layer from it
     from .vtk_io import write_vtk
 
-    s = scenario
-    rng_seed = s.get_int("seed", 0)
-    n_steps = s.get_int("steps", 5)
-    branch_p = s.get_float("branch_probability", 0.05)
-    elongation_p = s.get_float("elongation_probability", 0.5)
-    gravity = s.get_float("gravity_bias", 1.0)
-    seg_len = s.get_float("segment_length", 0.01)
-    segments = s.get_int("initial_segments", 8)
-    k_x = s.get_float("k_x", 4.32e-2)
-    k_r = s.get_float("k_r", 1.73e-4)
-    radius = s.get_float("radius", 2.0e-3)
-    soil_p = s.get_float("soil_pressure", -2.9429e-2)
-    collar_p = s.get_float("collar_pressure", -1.2e6)
-    prefix = s.get_str("output_prefix", "roots")
-    s.check(known=SCENARIO_KEYS)
-    floats = {
-        "branch_probability": branch_p, "elongation_probability": elongation_p,
-        "gravity_bias": gravity, "segment_length": seg_len, "k_x": k_x, "k_r": k_r,
-        "radius": radius, "soil_pressure": soil_p, "collar_pressure": collar_p,
-    }
-    problems = [f"{name} must be finite" for name, v in floats.items() if not math.isfinite(v)]
-    problems += [f"{name} must be positive" for name in ("segment_length", "radius", "k_x")
-                 if floats[name] <= 0.0]
-    if k_r < 0.0:
-        problems.append("k_r must be nonnegative")
-    problems += [f"{name} must lie in [0, 1]"
-                 for name in ("branch_probability", "elongation_probability")
-                 if not 0.0 <= floats[name] <= 1.0]
-    if segments < 1:
-        problems.append("initial_segments must be at least 1")
-    if segments > MAX_ELEMENTS:
-        problems.append(f"initial_segments must be at most {MAX_ELEMENTS}")
-    if n_steps < 0:
-        problems.append("steps must be nonnegative")
-    if problems:
-        raise ScenarioError(f"{s.source}: " + "; ".join(problems))
+    v = scenario.read(SCENARIO)
+    scenario.require(v["initial_segments"] <= MAX_ELEMENTS,
+                     f"initial_segments must be at most {MAX_ELEMENTS}")
+    scenario.check(known=SCENARIO)
     if steps is not None:
-        n_steps = steps
+        v["steps"] = steps
     if seed is not None:
-        rng_seed = seed
+        v["seed"] = seed
 
-    grid, collar = build_vertical_root(segments, seg_len)
-    indicator = GrowthIndicator(
-        seed=rng_seed,
-        branch_probability=branch_p,
-        elongation_probability=elongation_p,
-        gravity_bias=gravity,
-        segment_length=seg_len,
-        anchored_ids=(collar,),
-    )
-    problem = RootProblem(
-        axial_conductance=k_x,
-        radial_conductivity=k_r,
-        root_radius=radius,
-        soil_pressure=soil_p,
-        collar_pressure=collar_p,
-        collar_vertex_id=collar,
-    )
-    variables = {
-        "k_x": np.full(segments, k_x),
-        "k_r": np.full(segments, k_r),
-        "radius": np.full(segments, radius),
-        "pressure": np.zeros(segments),
-    }
+    segments, prefix = v["initial_segments"], v["output_prefix"]
+    grid, collar = build_vertical_root(segments, v["segment_length"])
+    own = {f.name: v[f.name] for f in fields(GrowthIndicator) if f.name in v}
+    indicator = GrowthIndicator(**own, anchored_ids=(collar,))
+    problem = RootProblem(**{f: v[k] for f, k in _PROBLEM_KEYS.items()}, collar_vertex_id=collar)
+    variables = {name: np.full(segments, v[name]) for name in ("k_x", "k_r", "radius")}
+    variables["pressure"] = np.zeros(segments)
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
     view = grid.leaf_view()
-    for step in range(n_steps):
+    for step in range(v["steps"]):
         p = assemble_solve_root_pressure(
             problem, view, k_x=variables["k_x"], k_r=variables["k_r"], radius=variables["radius"]
         )
@@ -568,5 +529,4 @@ def build_vertical_root(segments, segment_length, world_dim=3):
     first = np.arange(segments)
     f.insert_elements(LINE, np.column_stack((first, first + 1)))
     grid = f.create_grid()
-    collar_id = grid._verts[0][0].id
-    return grid, collar_id
+    return grid, grid._verts[0][0].id

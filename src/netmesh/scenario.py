@@ -1,15 +1,34 @@
 """Flat ``key = value`` scenario files with ``#`` comments.
 
-Values stay strings until a typed getter pulls them out; validation
-errors name every offending key at once so a scenario can be fixed in
-one pass.
+Values stay strings until a typed getter pulls them out.  A demo declares
+its keys in one table, ``name -> (kind, default, *rules)``: ``kind`` names
+the getter, a ``None`` default makes the key required, and a rule is a
+``(test, phrase)`` pair.  Every bad or unknown key is reported at once.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ScenarioError
+
+FINITE = (math.isfinite, "be finite")
+POSITIVE = (lambda v: v > 0, "be positive")
+NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
+POSITIVE_FINITE = (lambda v: 0.0 < v < math.inf, "be positive and finite")
+UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+# an output prefix names a file inside the output directory, never a path out of it
+FILE_NAME = (lambda p: Path(p).name == p and p not in (".", ".."), "be a file name")
+
+
+def broken_rules(table, values):
+    """``"<key> must <phrase>"`` for the first rule each value breaks, in table order."""
+    problems = []
+    for key, (_, _, *rules) in table.items():
+        broken = [phrase for test, phrase in rules if key in values and not test(values[key])]
+        problems += [f"{key} must {phrase}" for phrase in broken[:1]]
+    return problems
 
 
 class Scenario:
@@ -45,10 +64,9 @@ class Scenario:
 
     def _get(self, key, default, convert, kind):
         if key not in self.values:
-            if default is not None or kind == "optional":
-                return default
-            self._errors.append(f"missing key {key!r}")
-            return None
+            if default is None:
+                self._errors.append(f"missing key {key!r}")
+            return default
         try:
             return convert(self.values[key])
         except ValueError:
@@ -69,6 +87,19 @@ class Scenario:
             return tuple(int(p) for p in text.replace(",", " ").split())
 
         return self._get(key, tuple(default), convert, "int list")
+
+    def read(self, table):
+        """Every key of ``table`` by its getter, held to the key's rules."""
+        values = {key: getattr(self, f"get_{kind}")(key, default)
+                  for key, (kind, default, *_) in table.items()}
+        # a value that fails to parse reads as its default, which keeps the rules
+        self._errors += broken_rules(table, {k: v for k, v in values.items() if v is not None})
+        return values
+
+    def require(self, holds, problem):
+        """Record ``problem`` unless ``holds``: a rule over several keys."""
+        if not holds:
+            self._errors.append(problem)
 
     def check(self, known=None):
         """Raise with all accumulated validation problems.

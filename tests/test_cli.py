@@ -22,15 +22,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _scenario_with(tmp_path, name, key, value):
-    """Copy of a bundled scenario with ``key`` set to ``value``."""
+def _scenario_with(tmp_path, name, **edits):
+    """Copy of a bundled scenario with each key of ``edits`` set to its value."""
     lines = [
         line.replace("../meshes", str(ROOT / "meshes"))
         for line in (ROOT / "scenarios" / name).read_text().splitlines()
-        if line.partition("=")[0].strip() != key
+        if line.partition("=")[0].strip() not in edits
     ]
     scen = tmp_path / "bad.txt"
-    scen.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    scen.write_text("\n".join(lines + [f"{k} = {v}" for k, v in edits.items()]) + "\n")
     return scen
 
 
@@ -212,11 +212,13 @@ class TestErrorCategories:
             ("dt", "1e308", "dt * steps must be finite"),
             ("adapt_every", "-1", "adapt_every must be nonnegative"),
             ("max_refinement_level", "-1", "max_refinement_level must be nonnegative"),
+            ("output_prefix", "../escaped", "output_prefix must be a file name"),
+            ("output_prefix", "..", "output_prefix must be a file name"),
         ],
     )
     @pytest.mark.filterwarnings("error")
     def test_bad_flow_scenario_is_3(self, capsys, tmp_path, key, value, message):
-        scen = _scenario_with(tmp_path, "vessels.txt", key, value)
+        scen = _scenario_with(tmp_path, "vessels.txt", **{key: value})
         code, out, err = run(capsys, "flow", scen, "--out", tmp_path / "out", "--steps", 2)
         assert code == 3
         assert err.startswith("scenario-error:")
@@ -239,18 +241,38 @@ class TestErrorCategories:
             ("k_r", "1e308", "out of floating-point range"),
             ("radius", "1e308", "out of floating-point range"),
             ("gravity_bias", "1e200", "out of floating-point range"),
+            ("output_prefix", "../escaped", "output_prefix must be a file name"),
+            ("output_prefix", "sub/x", "output_prefix must be a file name"),
         ],
     )
     @pytest.mark.filterwarnings("error")
     def test_bad_roots_scenario_is_3(self, capsys, tmp_path, key, value, message):
         # --steps 3: the solves and growth rounds where overflowing values show
         # (gravity_bias in the first branch); other inputs are refused before step 0
-        scen = _scenario_with(tmp_path, "roots.txt", key, value)
+        scen = _scenario_with(tmp_path, "roots.txt", **{key: value})
         code, out, err = run(capsys, "roots", scen, "--out", tmp_path / "out", "--steps", 3)
         assert code == 3
         assert err.startswith("scenario-error:")
         assert message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,name,edits",
+        [
+            ("flow", "vessels.txt", {"dt": "abc", "radius": "-1", "viscosity": "xyz", "gamma": "1.0"}),
+            ("roots", "roots.txt", {"steps": "abc", "initial_segments": "0", "k_r": "xyz", "radius": "-1"}),
+        ],
+    )
+    def test_every_bad_key_in_one_line(self, capsys, tmp_path, command, name, edits):
+        # a parse failure and a broken rule, each in a run key and a physics key
+        scen = _scenario_with(tmp_path, name, **edits)
+        code, out, err = run(capsys, command, scen, "--out", tmp_path / "out")
+        assert code == 3
+        assert err.startswith(f"scenario-error: {scen}: ")
+        assert err.count("\n") == 1
+        for key in edits:
+            assert f"{key} must" in err or f"key '{key}': cannot parse" in err
+        assert not (tmp_path / "out").exists()
 
     def test_growth_past_the_bound_is_3(self, capsys, tmp_path, monkeypatch):
         # the bundled root has 8 segments and 9 after step 0; step 1 would leave 10
@@ -263,7 +285,7 @@ class TestErrorCategories:
     def test_initial_root_past_the_bound_is_3(self, capsys, tmp_path, monkeypatch):
         # the bound holds before the first segment is built, not only in a growth round
         monkeypatch.setattr(roots, "MAX_ELEMENTS", 10)
-        scen = _scenario_with(tmp_path, "roots.txt", "initial_segments", "11")
+        scen = _scenario_with(tmp_path, "roots.txt", initial_segments="11")
         code, out, err = run(capsys, "roots", scen, "--out", tmp_path / "out", "--steps", 0)
         assert code == 3
         assert err.startswith("scenario-error:")
@@ -272,7 +294,7 @@ class TestErrorCategories:
 
     @pytest.mark.parametrize("command,name", [("flow", "vessels.txt"), ("roots", "roots.txt")])
     def test_negative_scenario_steps_is_3(self, capsys, tmp_path, command, name):
-        scen = _scenario_with(tmp_path, name, "steps", "-1")
+        scen = _scenario_with(tmp_path, name, steps="-1")
         code, out, err = run(capsys, command, scen, "--out", tmp_path / "out")
         assert code == 3
         assert "steps must be nonnegative" in err
@@ -284,7 +306,7 @@ class TestErrorCategories:
         assert code == 2
         assert err.startswith("parse-error:")
         assert "node 7 has a non-finite coordinate" in err
-        scen = _scenario_with(tmp_path, "vessels.txt", "mesh", mesh)
+        scen = _scenario_with(tmp_path, "vessels.txt", mesh=mesh)
         code, out, err = run(capsys, "flow", scen, "--out", tmp_path / "out")
         assert code == 2
         assert "node 7 has a non-finite coordinate" in err
@@ -293,7 +315,7 @@ class TestErrorCategories:
     def test_degenerate_segment_is_4_and_alone_on_stderr(self, tmp_path, coords):
         # node 3 onto node 2 (zero length) or out to 1e308 (squared length overflows)
         mesh = _vessels_with_node(tmp_path, 3, coords)
-        scen = _scenario_with(tmp_path, "vessels.txt", "mesh", mesh)
+        scen = _scenario_with(tmp_path, "vessels.txt", mesh=mesh)
         proc = subprocess.run(
             [sys.executable, "-m", "netmesh", "flow", str(scen), "--out", str(tmp_path / "out")],
             capture_output=True,

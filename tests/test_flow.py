@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import make_grid, refine_all
 from netmesh import LifecycleError, ScenarioError, SingularSystemError, topology
 from netmesh.flow import (
+    SCENARIO,
     FlowState,
     VesselProblem,
     adapt_with_state,
@@ -23,6 +24,7 @@ from netmesh.flow import (
     element_transmissibility,
     junction_two_point_transmissibilities,
     problem_from_scenario,
+    read_scenario,
     refinement_indicator,
     restore_leaf_data,
     solve_pressure,
@@ -694,7 +696,7 @@ class TestProblemSetup:
                 "concentration_value": "1.0",
             }
         )
-        problem = problem_from_scenario(scenario, view)
+        problem = problem_from_scenario(scenario.read(SCENARIO), view)
         assert problem.viscosity == 4e-3
         assert problem.neumann_velocity == {0: 2.5}
         assert problem.dirichlet_pressure == {3: 0.5}
@@ -706,4 +708,4 @@ class TestProblemSetup:
             {"inflow_tags": "1", "concentration_tags": "2", "concentration_value": "1"}
         )
         with pytest.raises(ScenarioError, match=r"\[2\]"):
-            problem_from_scenario(scenario, view)
+            problem_from_scenario(read_scenario(scenario), view)
