@@ -15,7 +15,11 @@ index order, zeros included, from an integer array checked as a whole.
 
 Refinement makes each triangle child's edges from the father's: the
 halves of the father edge at its corner, and the edges between two
-midpoints, which a triangle over the same corners may share.
+midpoints, which a triangle over the same corners may share.  A new
+midpoint sits where ``refined_vertex_position`` puts it: on the tree
+root's parametrization (the charts of ``parametrization``) at the
+midpoint composed into the root by ``local_in_root``, composed only when
+the root has one, else at the affine midpoint of the edge.
 
 The grid's phase runs idle -> preadapted -> adapted -> idle.
 ``pre_adapt`` collects the places of vanishing sibling groups in
@@ -30,9 +34,9 @@ import math
 
 import numpy as np
 
-from . import compaction, parametrization
+from . import compaction
 from .errors import DimensionMismatchError, FactoryError
-from .topology import CHILD_CORNERS_IN_FATHER, CHILDREN, LOCAL_EDGES
+from .topology import CHILD_CORNERS_IN_FATHER, CHILDREN, EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, checked_coords
 
 logger = logging.getLogger(__name__)
 
@@ -144,8 +148,38 @@ def _midpoint_images(grid, leaves):
                 if (lev, edges[k]) in split or grid._edges[lev][edges[k]].children:
                     continue
                 split.add((lev, edges[k]))
-            images[lev, slot, k] = parametrization.refined_vertex_position(grid, lev, slot, k)
+            images[lev, slot, k] = refined_vertex_position(grid, lev, slot, k)
     return images
+
+
+def local_in_root(grid, level, slot, local):
+    """Map element-local reference coordinates to the tree root's reference."""
+    local = np.asarray(local, dtype=float)
+    for level, slot in grid._father_chain(level, slot)[:-1]:
+        corners = grid._elems[level][slot].corners_in_father
+        local = corners[0] + (corners[1:] - corners[0]).T @ local
+    return local
+
+
+def refined_vertex_position(grid, level, slot, edge_index):
+    """Position for the midpoint vertex created when splitting a local edge.
+
+    ``(level, slot)`` addresses the element being refined.  Returns a new
+    array: the root parametrization evaluated at the composed local
+    midpoint, or the affine midpoint of the edge's endpoints when the root
+    is unparametrized.  An image is checked as a queued vertex is
+    (``checked_coords``): one of the wrong length raises
+    :class:`DimensionMismatchError` and a non-finite one
+    :class:`FactoryError`, from ``adapt`` before it refines anything.
+    """
+    rl, rs = grid._root(level, slot)
+    phi = grid._elems[rl][rs].parametrization
+    if phi is not None:
+        root_local = local_in_root(grid, level, slot, EDGE_MIDPOINT_LOCAL[grid.dim][edge_index])
+        return checked_coords([phi(root_local)], grid.world_dim)[0]
+    v, verts = grid._elems[level][slot].v, grid._verts[level]
+    a, b = LOCAL_EDGES[grid.dim][edge_index]
+    return 0.5 * (verts[v[a]].coords + verts[v[b]].coords)
 
 
 def _edge_source(p, q):

@@ -45,12 +45,17 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from . import gmsh_io, vtk_io
 from .errors import DimensionMismatchError, LifecycleError, ScenarioError
 from .errors import SingularGeometryError, SingularSystemError
-# bench/tracing.py wraps intersections where a module holds it by name; held only for that
+from .geometry import AffineGeometry
+# bench/tracing.py wraps a function where a module holds it by name: run_scenario calls
+# the MSH reader and the VTK writer through their modules, and intersections is held
+# here only to be wrapped
 from .intersections import intersections  # noqa: F401
 from .scenario import FILE_NAME, FINITE, NONNEGATIVE, POSITIVE, POSITIVE_FINITE, UNIT_INTERVAL
 from .scenario import broken_rules
+from .topology import GridConfig
 
 log = logging.getLogger(__name__)
 
@@ -327,6 +332,10 @@ class FlowState:
     radius: np.ndarray
     time: float = 0.0
 
+    def _arrays(self):
+        """The per-element arrays by name, in the order a snapshot writes them."""
+        return {"pressure": self.pressure, "concentration": self.concentration, "radius": self.radius}
+
 
 def transport_step(view, problem, state, dt):
     """One implicit Euler step; returns the new concentration array."""
@@ -442,7 +451,9 @@ def store_leaf_data(grid, view, arrays):
     Returns a :class:`LeafData` over float copies of the arrays, which
     must be aligned with the view's element index set.  Sibling groups
     flagged to vanish also store a volume-weighted average onto their
-    father's id so coarsening can restore sensible values.
+    father's id so coarsening can restore sensible values.  The weights
+    are the volumes of the view's element corners; a group's rows are
+    summed in view order, which is the order of the father's children.
     """
     ids = view.ids(0).tolist()
     columns = {name: np.array(a, dtype=float) for name, a in arrays.items()}
@@ -453,15 +464,14 @@ def store_leaf_data(grid, view, arrays):
             )
     store = LeafData(ids, columns)
     vanishing = grid._vanishing
+    families = {}  # father id -> the view rows of its children, all vanishing together
+    for row, place in enumerate(view.places(0)):
+        if place in vanishing:
+            families.setdefault(grid._id(0, *grid._father_chain(*place)[1]), []).append(row)
     averaged = {}  # father id -> {name: volume-weighted average of its children}
-    for level, slot in [place for place in view.places(0) if place in vanishing]:
-        father = grid.element(level, slot).father()
-        if father is None or father.id in averaged:
-            continue
-        kids = father.children()
-        weights = np.array([k.geometry.volume() for k in kids])
-        rows = [store[k.id] for k in kids]
-        averaged[father.id] = {
+    for father, rows in families.items():
+        weights = np.array([AffineGeometry(c).volume() for c in view._element_corners()[rows]])
+        averaged[father] = {
             name: float(np.sum(weights * column[rows]) / np.sum(weights))
             for name, column in columns.items()
         }
@@ -476,16 +486,13 @@ def restore_leaf_data(view, store, names):
     Each element's row is gathered by its id; only an element whose id is
     not stored walks up its fathers to the nearest stored one.
     """
-    elems, places = view.grid._elems, view.places(0)
+    grid, places = view.grid, view.places(0)
     ids = view.ids(0).tolist()
     rows = np.fromiter(map(store.get, ids, repeat(-1)), np.int64, len(ids))
     for i in np.flatnonzero(rows < 0).tolist():
-        level, slot = places[i]
-        key = ids[i]
-        while key not in store and elems[level][slot].father is not None:  # up to a stored ancestor
-            level, slot = level - 1, elems[level][slot].father
-            key = elems[level][slot].id
-        if key not in store:
+        fathers = (grid._id(0, *place) for place in grid._father_chain(*places[i])[1:])
+        key = next((key for key in fathers if key in store), None)  # the nearest stored ancestor
+        if key is None:
             raise LifecycleError(
                 f"no stored data for element id {ids[i]} or its ancestors "
                 "(was store_leaf_data called after pre_adapt?)"
@@ -498,23 +505,14 @@ def boundary_markers(view):
     """Boundary vertex id -> marker of the tree root of the one leaf at it."""
     table = facet_table(view)
     grid, places = view.grid, view.places(0)
-    out = {}
-    for r in np.flatnonzero(table.outside < 0).tolist():
-        level, slot = grid._root(*places[table.inside[r]])
-        out[int(table.facet[r])] = grid._elems[level][slot].marker
-    return out
-
-
-def boundary_vertex_ids_by_marker(view, markers):
-    """Ids of boundary vertices whose adjacent element carries one of the markers."""
-    wanted = set(markers)
-    return {vid for vid, marker in boundary_markers(view).items() if marker in wanted}
+    return {int(table.facet[r]): grid._marker(*places[table.inside[r]])
+            for r in np.flatnonzero(table.outside < 0).tolist()}
 
 
 # every key a flow scenario may hold, as Scenario.read takes it; the physics keys and
 # thresholds default as VesselProblem and refinement_indicator do
 SCENARIO = {
-    "mesh": ("str", None),
+    "mesh": ("str", None, (lambda p: "\0" not in p, "hold no NUL byte")),
     "radius": ("float", 2.0e-3, POSITIVE_FINITE),
     "initial_concentration": ("float", 0.0, FINITE),
     "dt": ("float", 0.1, POSITIVE_FINITE),
@@ -582,17 +580,10 @@ def run_scenario(scenario, out_dir, steps=None):
     lines.  Purely deterministic: identical scenarios produce identical
     bytes.
     """
-    # read_gmsh and write_vtk are imported here, at call time, on purpose:
-    # bench/tracing.py wraps them in their home modules, and a module-level
-    # import would bind the unwrapped functions and hide both layers
-    from .gmsh_io import read_gmsh
-    from .topology import GridConfig
-    from .vtk_io import write_vtk
-
     v = read_scenario(scenario, steps)
     dt, adapt_every, prefix = v["dt"], v["adapt_every"], v["output_prefix"]
     # a relative mesh path is relative to the scenario file; an absolute one replaces the parent
-    grid = read_gmsh(pathlib.Path(scenario.source).parent / v["mesh"], GridConfig(1, 3))
+    grid = gmsh_io.read_gmsh(pathlib.Path(scenario.source).parent / v["mesh"], GridConfig(1, 3))
     view = grid.leaf_view()
     problem = problem_from_scenario(v, view)
 
@@ -609,13 +600,8 @@ def run_scenario(scenario, out_dir, steps=None):
     summary = []
 
     def snapshot(step_no):
-        data = {
-            "pressure": state.pressure,
-            "concentration": state.concentration,
-            "radius": state.radius,
-        }
         with open(out / f"{prefix}_{step_no:04d}.vtk", "w") as sink:
-            write_vtk(view, sink, cell_data=data, title="vessel network state")
+            vtk_io.write_vtk(view, sink, cell_data=state._arrays(), title="vessel network state")
         line = (
             f"step {step_no}: t={state.time:.6g} leaf_elements={view.size(0)} "
             f"mass={total_amount(view, state):.12e}"
@@ -647,19 +633,10 @@ def adapt_with_state(grid, marks, state, max_level=None):
         marks = np.where((marks > 0) & (levels >= max_level), 0, marks)
     grid.mark_leaves(marks)
     grid.pre_adapt()
-    store = store_leaf_data(
-        grid,
-        view,
-        {"pressure": state.pressure, "concentration": state.concentration, "radius": state.radius},
-    )
+    arrays = state._arrays()
+    store = store_leaf_data(grid, view, arrays)
     changed = grid.adapt()
     new_view = grid.leaf_view()
-    data = restore_leaf_data(new_view, store, ("pressure", "concentration", "radius"))
+    new_state = FlowState(**restore_leaf_data(new_view, store, tuple(arrays)), time=state.time)
     grid.post_adapt()
-    new_state = FlowState(
-        pressure=data["pressure"],
-        concentration=data["concentration"],
-        radius=data["radius"],
-        time=state.time,
-    )
     return new_view, new_state, changed

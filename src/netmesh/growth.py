@@ -98,7 +98,8 @@ def queue_elements(grid, kind, vertex_indices, parametrization=None):
 def remove_element(grid, element):
     """Stage removal of a leaf element (a strict subset of siblings is fine)."""
     grid._require("remove_element", "idle", "queued")
-    if grid._own(element).children:
+    grid._own_id(element)
+    if not element.is_leaf:
         raise FactoryError("only leaf elements can be removed")
     key = (element.level, element.slot)
     if key not in grid._queued_removals:
@@ -135,7 +136,7 @@ def _insert(grid, queue, report):
             report.skipped.append((q, "vertices coincide after level resolution"))
             continue
         slot = grid._add_element(level, tuple(vslots), parametrization=parametrization)
-        report.inserted.append((q, grid._elems[level][slot].id))
+        report.inserted.append((q, grid._id(0, level, slot)))
 
 
 def grow(grid):

@@ -1,4 +1,4 @@
-"""Element parametrizations: curved positions for refined vertices.
+"""Element parametrizations: the charts that curve refined vertices.
 
 A parametrization is any callable ``phi(local) -> R^w`` attached to a
 refinement-tree root element.  When a descendant element is refined, the
@@ -6,7 +6,9 @@ new edge-midpoint vertex is placed at ``phi`` evaluated at the midpoint's
 local coordinates in the root, obtained by composing the child-in-father
 embeddings along the tree.  Unparametrized trees fall back to the affine
 edge midpoint, so hanging vertices on curved trees need not coincide
-with the straight-edge midpoints of coarser neighbors.
+with the straight-edge midpoints of coarser neighbors.  That placement
+is ``adaptivity.refined_vertex_position``; this module holds only the
+charts and reads no grid.
 """
 
 from __future__ import annotations
@@ -16,40 +18,6 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .topology import EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, checked_coords
-
-
-def local_in_root(grid, level, slot, local):
-    """Map element-local reference coordinates to the tree root's reference."""
-    local = np.asarray(local, dtype=float)
-    rec = grid._elems[level][slot]
-    while rec.father is not None:
-        corners = rec.corners_in_father
-        local = corners[0] + (corners[1:] - corners[0]).T @ local
-        level, slot = level - 1, rec.father
-        rec = grid._elems[level][slot]
-    return local
-
-
-def refined_vertex_position(grid, level, slot, edge_index):
-    """Position for the midpoint vertex created when splitting a local edge.
-
-    ``(level, slot)`` addresses the element being refined.  Returns a new
-    array: the root parametrization evaluated at the composed local
-    midpoint, or the affine midpoint of the edge's endpoints when the root
-    is unparametrized.  An image is checked as a queued vertex is
-    (``checked_coords``): one of the wrong length raises
-    :class:`DimensionMismatchError` and a non-finite one
-    :class:`FactoryError`, from ``adapt`` before it refines anything.
-    """
-    rl, rs = grid._root(level, slot)
-    phi = grid._elems[rl][rs].parametrization
-    if phi is not None:
-        root_local = local_in_root(grid, level, slot, EDGE_MIDPOINT_LOCAL[grid.dim][edge_index])
-        return checked_coords([phi(root_local)], grid.world_dim)[0]
-    v, verts = grid._elems[level][slot].v, grid._verts[level]
-    a, b = LOCAL_EDGES[grid.dim][edge_index]
-    return 0.5 * (verts[v[a]].coords + verts[v[b]].coords)
 
 
 # -- quadratic Lagrange parametrizations (gmsh second-order input) --------

@@ -30,15 +30,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 # bench/tracing.py wraps a function where a module holds it by name: grow_grid
-# calls the leaf-data transfer as flow.*, where it is wrapped, and the two names
-# marked F401 are held here only to be wrapped
-from . import flow
+# calls the leaf-data transfer as flow.* and run_scenario the VTK writer as
+# vtk_io.*, where they are wrapped, and the two names marked F401 are held here
+# only to be wrapped
+from . import flow, vtk_io
 from .errors import ScenarioError, SingularSystemError
 from .flow import checked_solve, facet_table, squared_norms, two_point_system
 from .flow import junction_two_point_transmissibilities  # noqa: F401
 from .intersections import intersections  # noqa: F401
 from .scenario import FILE_NAME, FINITE, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, broken_rules
-from .topology import LINE
+from .topology import LINE, GridConfig, GridFactory
 
 log = logging.getLogger(__name__)
 
@@ -188,7 +189,7 @@ class GrowthDecision:
 def leaf_degree(grid, vertex):
     """Number of leaf elements meeting the vertex, over its whole copy chain."""
     chain = grid._vertex_chain(vertex.level, vertex.slot)
-    return sum(not rec.children and slot in rec.v for level, slot in chain for rec in grid._elems[level])
+    return sum(e.is_leaf for place in chain for e in grid.vertex(*place).incident_elements())
 
 
 def indicator_evaluate(indicator, grid, element, step):
@@ -462,10 +463,6 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     network with the seeded indicator.  Per-element conductances and the
     radius travel with the grid as inherited variables.
     """
-    # imported at call time on purpose: bench/tracing.py wraps write_vtk in
-    # vtk_io, and a module-level import would hide the VTK layer from it
-    from .vtk_io import write_vtk
-
     v = scenario.read(SCENARIO)
     scenario.require(v["initial_segments"] <= MAX_ELEMENTS,
                      f"initial_segments must be at most {MAX_ELEMENTS}")
@@ -495,12 +492,8 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
         flux = collar_flux(problem, view, p, k_x=variables["k_x"])
         uptake = total_uptake(problem, view, p, k_r=variables["k_r"], radius=variables["radius"])
         with open(out / f"{prefix}_{step:04d}.vtk", "w") as sink:
-            write_vtk(
-                view,
-                sink,
-                cell_data={"pressure": p, "radius": variables["radius"]},
-                title="root network state",
-            )
+            cell_data = {"pressure": p, "radius": variables["radius"]}
+            vtk_io.write_vtk(view, sink, cell_data=cell_data, title="root network state")
         line = (
             f"step {step}: elements={view.size(0)} collar_flux={flux:.12e} "
             f"uptake={uptake:.12e}"
@@ -520,8 +513,6 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
 
 def build_vertical_root(segments, segment_length, world_dim=3):
     """Straight downward chain from the origin; returns (grid, collar vertex id)."""
-    from .topology import GridConfig, GridFactory
-
     f = GridFactory(GridConfig(1, world_dim))
     coords = np.zeros((segments + 1, world_dim))
     coords[:, -1] = -np.arange(segments + 1) * segment_length
@@ -529,4 +520,4 @@ def build_vertical_root(segments, segment_length, world_dim=3):
     first = np.arange(segments)
     f.insert_elements(LINE, np.column_stack((first, first + 1)))
     grid = f.create_grid()
-    return grid, grid._verts[0][0].id
+    return grid, grid._id(grid.dim, 0, 0)

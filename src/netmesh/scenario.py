@@ -18,8 +18,8 @@ POSITIVE = (lambda v: v > 0, "be positive")
 NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
 POSITIVE_FINITE = (lambda v: 0.0 < v < math.inf, "be positive and finite")
 UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
-# an output prefix names a file inside the output directory, never a path out of it
-FILE_NAME = (lambda p: Path(p).name == p and p not in (".", ".."), "be a file name")
+# an output prefix names a file inside the output directory: no path out of it, no NUL byte
+FILE_NAME = (lambda p: "\0" not in p and Path(p).name == p and p not in (".", ".."), "be a file name")
 
 
 def broken_rules(table, values):

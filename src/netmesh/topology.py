@@ -11,7 +11,15 @@ copies are linked through ``father``/``finer`` and share one persistent
 id, so they act as a single logical vertex across the hierarchy.
 Views, index sets, the facet table and the 1D intersection table name a
 logical vertex by that id; ``Grid._vertex_chain`` is the one walk over
-its copies, for ``roots.leaf_degree`` and growth.
+its copies, for growth and for ``roots.leaf_degree``, which counts the
+leaf elements incident to each copy.
+
+Only the storage core reads record fields: this module, ``views``,
+``adaptivity``, ``compaction`` and ``intersections``.  Other modules use
+views, handles and three ``Grid`` reads that build no wrapper: ``_id``
+at a codim, level and slot; ``_father_chain``, the one father walk, from
+an element up to its tree root (``_root``); and ``_marker``, that root's
+insertion marker (``Element.marker``).
 
 Records enter the arenas only through ``Grid._add_vertex``,
 ``Grid._add_edge`` and ``Grid._add_element`` (factory, refinement and
@@ -22,14 +30,13 @@ directly, since their midpoint is new, and hands each child its edges,
 so only the edges between midpoints are looked up.  An edge added while
 the lookup is built enters it too.  The records are slotted dataclasses:
 each holds exactly its declared fields, without a per-record dict, so it
-is smaller and quicker to read, and it takes no other attribute.
-Staged factory and growth input passes
-the same row-array checks, ``checked_coords`` and ``checked_element``,
-one numpy pass per call; the one-vertex and one-element calls are
-one-row calls of the batch ones.  Records
-link down (corners, edges) and across levels (father, children, finer)
-but store no incidence, which ``incident_elements`` finds by scanning the
-level, and no tree root, which ``Grid._root`` finds by walking fathers.
+is smaller and quicker to read, and it takes no other attribute.  Staged
+factory and growth input passes the same row-array checks,
+``checked_coords`` and ``checked_element``, one numpy pass per call; the
+one-vertex and one-element calls are one-row calls of the batch ones.
+Records link down (corners, edges) and across levels (father, children,
+finer) but store no incidence, which ``incident_elements`` finds by
+scanning the level, and no tree root, where ``Grid._father_chain`` ends.
 Red refinement is one table: ``CHILDREN`` lists each child's corners
 over the father's corners and local-edge midpoints, and the reference
 coordinates of both are derived from it.
@@ -350,14 +357,27 @@ class Grid:
         ))
         return len(elems) - 1
 
-    def _root(self, level, slot):
-        """(level, slot) of the refinement-tree root of an element, by its fathers."""
-        elems = self._elems
-        father = elems[level][slot].father
-        while father is not None:
+    def _id(self, codim, level, slot):
+        """Persistent id of the record of one codim at (level, slot), read without a wrapper."""
+        arena = self._elems if codim == 0 else self._verts if codim == self.dim else self._edges
+        return arena[level][slot].id
+
+    def _father_chain(self, level, slot):
+        """(level, slot) of an element and of each of its fathers, up to its tree root."""
+        chain = [(level, slot)]
+        while (father := self._elems[level][slot].father) is not None:
             level, slot = level - 1, father
-            father = elems[level][slot].father
-        return level, slot
+            chain.append((level, slot))
+        return chain
+
+    def _root(self, level, slot):
+        """(level, slot) of the refinement-tree root of an element."""
+        return self._father_chain(level, slot)[-1]
+
+    def _marker(self, level, slot):
+        """Insertion marker of an element's tree root, read without a wrapper."""
+        level, slot = self._root(level, slot)
+        return self._elems[level][slot].marker
 
     def _add_edge(self, level, va, vb, father=None):
         """Append a new edge over vertex slots ``va``, ``vb``; returns its slot.
@@ -537,7 +557,8 @@ class Element(_Simplex):
     @property
     def marker(self):
         """Insertion marker of the refinement-tree root (None if untagged)."""
-        return self.root_element()._rec().marker
+        self._rec()
+        return self.grid._marker(self.level, self.slot)
 
     def sub_entity(self, codim, i):
         """Subentity ``i`` of the given codimension (0 returns the element)."""

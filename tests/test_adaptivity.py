@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from netmesh import LINE, TRIANGLE, FactoryError, audit_grid, intersections
 from netmesh.errors import DimensionMismatchError, LifecycleError, StaleEntityError
 from netmesh.geometry import REFERENCE_CORNERS
-from netmesh.parametrization import local_in_root
+from netmesh.adaptivity import local_in_root
 
 from conftest import make_grid, refine_all, same_bits, vertex_or_edge
 from gridcheck import check_grid

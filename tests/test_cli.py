@@ -214,6 +214,8 @@ class TestErrorCategories:
             ("max_refinement_level", "-1", "max_refinement_level must be nonnegative"),
             ("output_prefix", "../escaped", "output_prefix must be a file name"),
             ("output_prefix", "..", "output_prefix must be a file name"),
+            ("output_prefix", "a\0b", "output_prefix must be a file name"),
+            ("mesh", "/x\0y.msh", "mesh must hold no NUL byte"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -243,6 +245,7 @@ class TestErrorCategories:
             ("gravity_bias", "1e200", "out of floating-point range"),
             ("output_prefix", "../escaped", "output_prefix must be a file name"),
             ("output_prefix", "sub/x", "output_prefix must be a file name"),
+            ("output_prefix", "a\0b", "output_prefix must be a file name"),
         ],
     )
     @pytest.mark.filterwarnings("error")

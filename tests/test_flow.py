@@ -20,7 +20,7 @@ from netmesh.flow import (
     VesselProblem,
     adapt_with_state,
     assemble_pressure,
-    boundary_vertex_ids_by_marker,
+    boundary_markers,
     element_transmissibility,
     junction_two_point_transmissibilities,
     problem_from_scenario,
@@ -40,6 +40,11 @@ def chain_order(view):
     ix = view.index_set
     pairs = sorted((el.geometry.center()[0], ix.index_of(el)) for el in view.elements())
     return [i for _, i in pairs]
+
+
+def ids_with_marker(view, markers):
+    """Ids of the boundary vertices whose tree-root marker is one of ``markers``."""
+    return {vid for vid, marker in boundary_markers(view).items() if marker in markers}
 
 
 class TestTransmissibility:
@@ -651,10 +656,10 @@ class TestProblemSetup:
             markers=[1, 2, 3],
         )
         view = grid.leaf_view()
-        assert boundary_vertex_ids_by_marker(view, [1]) == {0}
-        assert boundary_vertex_ids_by_marker(view, [3]) == {3}
-        assert boundary_vertex_ids_by_marker(view, [2]) == set()
-        assert boundary_vertex_ids_by_marker(view, [1, 3]) == {0, 3}
+        assert ids_with_marker(view, [1]) == {0}
+        assert ids_with_marker(view, [3]) == {3}
+        assert ids_with_marker(view, [2]) == set()
+        assert ids_with_marker(view, [1, 3]) == {0, 3}
 
     def test_boundary_vertices_by_marker_make_no_entity_wrapper(self, monkeypatch):
         grid = make_grid(
@@ -673,8 +678,8 @@ class TestProblemSetup:
             init(entity, grid, level, slot)
 
         monkeypatch.setattr(topology._Entity, "__init__", counting)
-        assert boundary_vertex_ids_by_marker(view, [1, 3]) == {0, 3}
-        assert boundary_vertex_ids_by_marker(view, [2]) == set()
+        assert ids_with_marker(view, [1, 3]) == {0, 3}
+        assert ids_with_marker(view, [2]) == set()
         assert built == []
 
     def test_problem_from_scenario_maps_tags_to_vertices(self):

@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import re
 from functools import partial
 from pathlib import Path
 
@@ -212,3 +215,19 @@ def test_vertex_coordinates_and_shared_corners_are_read_only():
         for grp in intersections(view, el):
             with pytest.raises(ValueError, match="read-only"):
                 grp.geometry.corners[0, 0] = 99.0
+
+
+@pytest.mark.parametrize(
+    "module", ["flow", "roots", "growth", "parametrization", "cli", "gmsh_io", "vtk_io", "scenario"]
+)
+def test_only_the_storage_core_reads_records(module):
+    """These modules go through views, handles and the ``Grid`` reads; none
+    names a record arena, so a change of the record storage leaves them be."""
+    source = inspect.getsource(importlib.import_module(f"netmesh.{module}"))
+    assert re.findall(r"\._(elems|verts|edges)\b", source) == []
+
+
+def test_parametrization_imports_no_topology():
+    """The charts read no grid: midpoint placement lives in ``adaptivity``."""
+    source = inspect.getsource(importlib.import_module("netmesh.parametrization"))
+    assert re.findall(r"^\s*(?:from|import)\s+\S*topology", source, re.M) == []

@@ -174,18 +174,28 @@ def test_arrays_of_a_stale_view_are_refused(chain4):
             read()
 
 
-def test_roots_demo_builds_no_entity_wrapper(monkeypatch, tmp_path):
+def wrappers_built_by_demo(monkeypatch, tmp_path, demo, scenario):
+    """Names of the entity wrapper types one bundled demo run builds, in order."""
     built = []
     init = topology._Entity.__init__
 
-    def counting(entity, grid, level, slot):
+    def counting(entity, grid, level, slot, id=None):
         built.append(type(entity).__name__)
-        init(entity, grid, level, slot)
+        init(entity, grid, level, slot, id)
 
     monkeypatch.setattr(topology._Entity, "__init__", counting)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["roots", str(ROOT / "scenarios" / "roots.txt"), "--out", str(tmp_path)]) == 0
-    assert built == []
+        assert cli.main([demo, str(ROOT / "scenarios" / scenario), "--out", str(tmp_path)]) == 0
+    return built
+
+
+def test_roots_demo_builds_no_entity_wrapper(monkeypatch, tmp_path):
+    assert wrappers_built_by_demo(monkeypatch, tmp_path, "roots", "roots.txt") == []
+
+
+def test_flow_demo_builds_no_entity_wrapper(monkeypatch, tmp_path):
+    # the leaf-data transfer weighs a vanishing family by the view's corner array
+    assert wrappers_built_by_demo(monkeypatch, tmp_path, "flow", "vessels.txt") == []
 
 
 def assert_wrappers_match_handles(grid, wrappers):
