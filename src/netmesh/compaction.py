@@ -35,8 +35,6 @@ _LINKS = {
 
 def remove_elements(grid, dead):
     """Remove the (level, slot) element set ``dead`` and compact the arenas."""
-    if not dead:
-        return
     elems, edges, verts = grid._elems, grid._edges, grid._verts
     n_levels = len(elems)
 

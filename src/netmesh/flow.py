@@ -624,13 +624,12 @@ def run_scenario(scenario, out_dir, steps=None):
     return summary
 
 
-def adapt_with_state(grid, marks, state, max_level=None):
+def adapt_with_state(grid, marks, state, max_level):
     """Mark, adapt and transfer a FlowState; returns (new_view, new_state, changed)."""
     view = grid.leaf_view()
-    marks = np.asarray(marks)  # one per leaf, in index order
-    if max_level is not None:  # a leaf at the level cap is not refined
-        levels = np.fromiter((level for level, _ in view.places(0)), np.int64, view.size(0))
-        marks = np.where((marks > 0) & (levels >= max_level), 0, marks)
+    marks = np.asarray(marks)  # one per leaf, in index order; none refines at max_level
+    levels = np.fromiter((level for level, _ in view.places(0)), np.int64, view.size(0))
+    marks = np.where((marks > 0) & (levels >= max_level), 0, marks)
     grid.mark_leaves(marks)
     grid.pre_adapt()
     arrays = state._arrays()

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import MshParseError
 from .parametrization import QuadraticLine, QuadraticTriangle
-from .topology import GridConfig, GridFactory, LINE, TRIANGLE
+from .topology import GridFactory, LINE, TRIANGLE
 
 logger = logging.getLogger(__name__)
 
@@ -39,11 +39,9 @@ _ELEMENT_TYPES = {
 def read_gmsh(path, config):
     """Read ``path`` into a new grid; returns the grid.
 
-    ``config`` fixes grid and world dimension; coordinates beyond the
-    world dimension are discarded (the usual case is w=2 dropping z).
+    ``config`` (a ``GridConfig``) fixes grid and world dimension; coordinates
+    beyond the world dimension are discarded (the usual case is w=2 dropping z).
     """
-    if not isinstance(config, GridConfig):
-        config = GridConfig(*config)
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as err:

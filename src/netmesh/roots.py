@@ -299,23 +299,16 @@ def round_decisions(indicator, view, step):
 class RootProblem:
     """Darcy-type root hydraulics; one collar Dirichlet value, no-flow tips."""
 
-    axial_conductance: float = 4.32e-2  # K_x
-    radial_conductivity: float = 1.73e-4  # K_r
-    root_radius: float = 2.0e-3
     soil_pressure: float = -2.9429e-2
     collar_pressure: float = -1.2e6
     collar_vertex_id: int = 0
 
     def validate(self):
-        """Raise ScenarioError naming, by scenario key, every parameter that breaks its rule."""
-        problems = broken_rules(SCENARIO, {k: getattr(self, f) for f, k in _PROBLEM_KEYS.items()})
+        """Raise ScenarioError naming every :data:`SCENARIO` rule the parameters break."""
+        problems = broken_rules(SCENARIO, vars(self))
         if problems:
             raise ScenarioError("; ".join(problems))
 
-
-# the scenario key of each RootProblem parameter
-_PROBLEM_KEYS = {"axial_conductance": "k_x", "radial_conductivity": "k_r", "root_radius": "radius",
-                 "soil_pressure": "soil_pressure", "collar_pressure": "collar_pressure"}
 
 # every key a roots scenario may hold, as Scenario.read takes it
 SCENARIO = {
@@ -327,9 +320,9 @@ SCENARIO = {
     "gravity_bias": ("float", GrowthIndicator.gravity_bias, FINITE),
     "segment_length": ("float", GrowthIndicator.segment_length, FINITE, POSITIVE),
     "initial_segments": ("int", 8, (lambda n: n >= 1, "be at least 1")),
-    "k_x": ("float", RootProblem.axial_conductance, FINITE, POSITIVE),
-    "k_r": ("float", RootProblem.radial_conductivity, FINITE, NONNEGATIVE),
-    "radius": ("float", RootProblem.root_radius, FINITE, POSITIVE),
+    "k_x": ("float", 4.32e-2, FINITE, POSITIVE),
+    "k_r": ("float", 1.73e-4, FINITE, NONNEGATIVE),
+    "radius": ("float", 2.0e-3, FINITE, POSITIVE),
     "soil_pressure": ("float", RootProblem.soil_pressure, FINITE),
     "collar_pressure": ("float", RootProblem.collar_pressure, FINITE),
     "output_prefix": ("str", "roots", FILE_NAME),
@@ -337,21 +330,30 @@ SCENARIO = {
 SCENARIO_KEYS = tuple(SCENARIO)
 
 
-def assemble_solve_root_pressure(problem, view, k_x=None, k_r=None, radius=None):
+def _worst(values):
+    """The first non-finite entry, else the least entry or 1.0 if that is less: it
+    breaks a rule of finiteness or lower bound exactly when some entry does."""
+    bad = values[~np.isfinite(values)]
+    return bad[0] if len(bad) else values.min(initial=1.0)
+
+
+def assemble_solve_root_pressure(problem, view, k_x, k_r, radius):
     """Xylem pressure per leaf segment.
 
-    Axial two-point fluxes use the junction splitting with per-element
-    coefficient K_x; the radial source K_r * 2 pi r l * (p_S - p) enters
-    the diagonal.  Only the collar facet is Dirichlet (half-cell
-    coupling with the element's own coefficient); everything else is
-    no-flow.
+    ``k_x``, ``k_r`` and ``radius`` hold one value per element of
+    ``view``, in index order; each is held to its :data:`SCENARIO` rules
+    before anything is assembled.  Axial two-point fluxes use the
+    junction splitting with per-element coefficient K_x; the radial
+    source K_r * 2 pi r l * (p_S - p) enters the diagonal.  Only the
+    collar facet is Dirichlet (half-cell coupling with the element's own
+    coefficient); everything else is no-flow.
     """
     problem.validate()
+    t, kr, r = arrays = [np.asarray(v, dtype=float) for v in (k_x, k_r, radius)]
+    problems = broken_rules(SCENARIO, dict(zip(("k_x", "k_r", "radius"), map(_worst, arrays))))
+    if problems:
+        raise ScenarioError("; ".join(problems))
     table = facet_table(view)
-    n = table.size
-    t = np.full(n, problem.axial_conductance) if k_x is None else np.asarray(k_x, float)
-    kr = np.full(n, problem.radial_conductivity) if k_r is None else np.asarray(k_r, float)
-    r = np.full(n, problem.root_radius) if radius is None else np.asarray(radius, float)
     soil = kr * 2.0 * math.pi * r * table.lengths
     collar = table.boundary_values({problem.collar_vertex_id: problem.collar_pressure})
     pinned = np.any(soil != 0) or not np.all(np.isnan(collar))
@@ -364,14 +366,10 @@ def assemble_solve_root_pressure(problem, view, k_x=None, k_r=None, radius=None)
     return checked_solve(a, b, "root pressure", " (collar not on the network?)")
 
 
-def total_uptake(problem, view, p, k_r=None, radius=None):
-    """Sum of radial source terms K_r A_r (p_S - p_i) over the leaf segments."""
-    table = facet_table(view)
-    n = table.size
-    kr = np.full(n, problem.radial_conductivity) if k_r is None else np.asarray(k_r, float)
-    r = np.full(n, problem.root_radius) if radius is None else np.asarray(radius, float)
-    a_r = 2.0 * math.pi * r * table.lengths
-    return _running_sum(kr * a_r * (problem.soil_pressure - np.asarray(p, float)))
+def total_uptake(problem, view, p, k_r, radius):
+    """Sum of radial source terms K_r A_r (p_S - p_i) over the elements of ``view``."""
+    a_r = 2.0 * math.pi * np.asarray(radius, float) * facet_table(view).lengths
+    return _running_sum(np.asarray(k_r, float) * a_r * (problem.soil_pressure - np.asarray(p, float)))
 
 
 def _running_sum(terms):
@@ -446,13 +444,16 @@ def grow_grid(grid, indicator, variables, step=0):
     return GrowthRound(report, out, view)
 
 
-def collar_flux(problem, view, p, k_x=None):
-    """Water flux through the collar facet, positive towards the collar."""
+def collar_flux(problem, view, p, k_x):
+    """Water flux through the collar facet, positive towards the collar.
+
+    ``p`` and ``k_x`` hold one value per element of ``view``, as the
+    ``k_r`` and ``radius`` of :func:`total_uptake` do.
+    """
     table = facet_table(view)
-    t = np.full(table.size, problem.axial_conductance) if k_x is None else np.asarray(k_x, float)
     collar = table.boundary_values({problem.collar_vertex_id: problem.collar_pressure})
     i = table.inside[~np.isnan(collar)]
-    return _running_sum(t[i] * (np.asarray(p, float)[i] - problem.collar_pressure))
+    return _running_sum(np.asarray(k_x, float)[i] * (np.asarray(p, float)[i] - problem.collar_pressure))
 
 
 def run_scenario(scenario, out_dir, steps=None, seed=None):
@@ -460,8 +461,9 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
 
     Starts from a straight downward chain, solves the uptake pressure,
     writes a VTK snapshot and a summary line per step, then grows the
-    network with the seeded indicator.  Per-element conductances and the
-    radius travel with the grid as inherited variables.
+    network with the seeded indicator.  ``k_x``, ``k_r`` and ``radius``
+    are per-element arrays that travel with the grid as inherited
+    variables; the scenario sets only their initial value.
     """
     v = scenario.read(SCENARIO)
     scenario.require(v["initial_segments"] <= MAX_ELEMENTS,
@@ -476,7 +478,7 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     grid, collar = build_vertical_root(segments, v["segment_length"])
     own = {f.name: v[f.name] for f in fields(GrowthIndicator) if f.name in v}
     indicator = GrowthIndicator(**own, anchored_ids=(collar,))
-    problem = RootProblem(**{f: v[k] for f, k in _PROBLEM_KEYS.items()}, collar_vertex_id=collar)
+    problem = RootProblem(v["soil_pressure"], v["collar_pressure"], collar_vertex_id=collar)
     variables = {name: np.full(segments, v[name]) for name in ("k_x", "k_r", "radius")}
     variables["pressure"] = np.zeros(segments)
 
@@ -485,12 +487,11 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     summary = []
     view = grid.leaf_view()
     for step in range(v["steps"]):
-        p = assemble_solve_root_pressure(
-            problem, view, k_x=variables["k_x"], k_r=variables["k_r"], radius=variables["radius"]
-        )
+        k_x, k_r, radius = variables["k_x"], variables["k_r"], variables["radius"]
+        p = assemble_solve_root_pressure(problem, view, k_x, k_r, radius)
         variables["pressure"] = p
-        flux = collar_flux(problem, view, p, k_x=variables["k_x"])
-        uptake = total_uptake(problem, view, p, k_r=variables["k_r"], radius=variables["radius"])
+        flux = collar_flux(problem, view, p, k_x)
+        uptake = total_uptake(problem, view, p, k_r, radius)
         with open(out / f"{prefix}_{step:04d}.vtk", "w") as sink:
             cell_data = {"pressure": p, "radius": variables["radius"]}
             vtk_io.write_vtk(view, sink, cell_data=cell_data, title="root network state")

@@ -635,8 +635,6 @@ class GridFactory:
     """Collects macro vertices and elements, then builds a level-0 grid."""
 
     def __init__(self, config):
-        if not isinstance(config, GridConfig):
-            config = GridConfig(*config)
         self.config = config
         self._coords = []
         self._elements = []  # (vertex tuple, parametrization, marker)
@@ -734,13 +732,13 @@ def checked_element(dim, kind, vertex_indices, parametrization, n_vertices):
     return rows.astype(np.int64)
 
 
-def _check_parametrization_corners(grid, slot, phi, tol=1e-9):
+def _check_parametrization_corners(grid, slot, phi):
     """Warn when phi at the reference corners disagrees with stored coordinates."""
     rec = grid._elems[0][slot]
     for local, vslot in zip(REFERENCE_CORNERS[grid.dim], rec.v):
         stored = grid._verts[0][vslot].coords
         image = np.asarray(phi(np.asarray(local, dtype=float)), dtype=float)
-        if image.shape != stored.shape or np.max(np.abs(image - stored)) > tol:
+        if image.shape != stored.shape or np.max(np.abs(image - stored)) > 1e-9:
             warnings.warn(
                 f"parametrization of element {slot} maps corner {local.tolist()} to "
                 f"{np.asarray(image).tolist()}, but the inserted vertex sits at "

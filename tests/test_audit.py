@@ -76,11 +76,153 @@ def duplicate_edge(grid):
     return f"edge (1,{len(edges) - 1}): same vertex pair as edge (1,{first})"
 
 
-@pytest.mark.parametrize("build", [two_triangles, grown_chain])
+def extra_edge_level(grid):
+    grid._edges.append([])
+    return "arena level counts differ between codims"
+
+
+def wrong_vertex_count(grid):
+    rec = grid._elems[1][0]
+    rec.v = rec.v + rec.v[:1]
+    return "element (1,0): wrong vertex count"
+
+
+def repeated_vertex(grid):
+    rec = grid._elems[1][0]
+    rec.v = rec.v[:1] * len(rec.v)
+    return "element (1,0): repeated vertex"
+
+
+def dangling_element_father(grid):
+    grid._elems[1][0].father = len(grid._elems[0]) + 5
+    return "element (1,0): dangling father"
+
+
+def father_without_the_child(grid):
+    grid._elems[1][0].father = next(s for s, rec in enumerate(grid._elems[0]) if 0 not in rec.children)
+    return "element (1,0): father does not list it as child"
+
+
+def child_without_embedding(grid):
+    grid._elems[1][0].corners_in_father = None
+    return "element (1,0): has father but no embedding in it"
+
+
+def too_many_children(grid):
+    rec = grid._elems[0][0]
+    rec.children = rec.children * 3
+    return f"element (0,0): {len(rec.children)} children"
+
+
+def dangling_child_slot(grid):
+    rec = grid._elems[0][0]
+    bad = len(grid._elems[1]) + 5
+    rec.children = rec.children[:-1] + (bad,)
+    return f"element (0,0): dangling child slot {bad}"
+
+
+def invalid_mark(grid):
+    grid._elems[0][0].mark = 2
+    return "element (0,0): invalid mark 2"
+
+
+def wrong_coordinate_length(grid):
+    grid._verts[0][0].coords = grid._verts[0][0].coords[:-1]
+    return "vertex (0,0): wrong coordinate length"
+
+
+def _copy_with_father(grid):
+    return next(s for s, rec in enumerate(grid._verts[1]) if rec.father is not None)
+
+
+def dangling_vertex_father(grid):
+    s = _copy_with_father(grid)
+    grid._verts[1][s].father = len(grid._verts[0]) + 5
+    return f"vertex (1,{s}): dangling father"
+
+
+def father_copy_without_link(grid):
+    s = _copy_with_father(grid)
+    grid._verts[0][grid._verts[1][s].father].finer = None
+    return f"vertex (1,{s}): father does not link back"
+
+
+def chain_id_differs(grid):
+    s = _copy_with_father(grid)
+    grid._verts[1][s].id = grid._new_id()
+    return f"vertex (1,{s}): chain id differs from father"
+
+
+def dangling_finer_copy(grid):
+    grid._verts[0][0].finer = len(grid._verts[1]) + 5
+    return "vertex (0,0): dangling finer copy"
+
+
+# a line grid keeps no edge records: these corrupt a surface's
+def bad_edge_slots(grid):
+    rec = grid._elems[1][0]
+    rec.edges = rec.edges[:2]
+    return "element (1,0): bad edge slots"
+
+
+def edges_out_of_order(grid):
+    rec = grid._elems[1][0]
+    rec.edges = rec.edges[1::-1] + rec.edges[2:]
+    return "element (1,0): edge 0 does not match its corner pair"
+
+
+def dangling_edge_vertex(grid):
+    rec = grid._edges[1][0]
+    rec.v = (rec.v[0], len(grid._verts[1]) + 5)
+    return "edge (1,0): dangling vertex slot"
+
+
+def lone_edge_child(grid):
+    rec = grid._edges[0][0]
+    rec.children = rec.children[:1]
+    return "edge (0,0): children not absent-or-pair"
+
+
+def dangling_edge_child(grid):
+    rec = grid._edges[0][0]
+    rec.children = (rec.children[0], len(grid._edges[1]) + 5)
+    return "edge (0,0): dangling child"
+
+
+def edge_child_with_wrong_father(grid):
+    child = grid._edges[0][0].children[0]
+    grid._edges[1][child].father = 1
+    return f"edge (0,0): child {child} has wrong father"
+
+
+def dangling_edge_father(grid):
+    child = grid._edges[0][0].children[0]
+    grid._edges[1][child].father = len(grid._edges[0]) + 5
+    return f"edge (1,{child}): dangling father"
+
+
+def edge_father_without_the_child(grid):
+    first, second = grid._edges[0][:2]
+    child = first.children[0]
+    first.children = second.children
+    return f"edge (1,{child}): father does not list it"
+
+
+ON_BOTH = [dangling_vertex_slot, child_with_wrong_father, unreferenced_vertex_copy, duplicate_id,
+           duplicate_edge, extra_edge_level, wrong_vertex_count, repeated_vertex,
+           dangling_element_father, father_without_the_child, child_without_embedding,
+           too_many_children, dangling_child_slot, invalid_mark, wrong_coordinate_length,
+           dangling_vertex_father, father_copy_without_link, chain_id_differs, dangling_finer_copy]
+ON_SURFACE = [bad_edge_slots, edges_out_of_order, dangling_edge_vertex, lone_edge_child,
+              dangling_edge_child, edge_child_with_wrong_father, dangling_edge_father,
+              edge_father_without_the_child]
+
+
 @pytest.mark.parametrize(
-    "corrupt",
-    [dangling_vertex_slot, child_with_wrong_father, unreferenced_vertex_copy, duplicate_id,
-     duplicate_edge],
+    "build, corrupt",
+    [pytest.param(build, corrupt, id=f"{corrupt.__name__}-{build.__name__}")
+     for corrupt in ON_BOTH + ON_SURFACE
+     for build in ([two_triangles] if corrupt in ON_SURFACE else [two_triangles, grown_chain])],
 )
 def test_audit_names_the_fault(build, corrupt):
     grid = build()

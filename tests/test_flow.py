@@ -498,7 +498,8 @@ class TestStateTransfer:
         )
         marks = np.zeros(4, dtype=int)
         marks[order[0]] = 1
-        new_view, new_state, changed = adapt_with_state(chain4, marks, state)
+        cap = chain4.max_level + 1
+        new_view, new_state, changed = adapt_with_state(chain4, marks, state, max_level=cap)
         assert changed
         assert len(new_view.elements()) == 5
         assert new_state.time == 3.5
@@ -673,9 +674,9 @@ class TestProblemSetup:
         built = []
         init = topology._Entity.__init__
 
-        def counting(entity, grid, level, slot):
+        def counting(entity, grid, level, slot, id=None):
             built.append(type(entity).__name__)
-            init(entity, grid, level, slot)
+            init(entity, grid, level, slot, id)
 
         monkeypatch.setattr(topology._Entity, "__init__", counting)
         assert ids_with_marker(view, [1, 3]) == {0, 3}

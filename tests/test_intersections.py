@@ -233,6 +233,46 @@ def test_group_geometry_matches_subentity(two_triangles):
         )
 
 
+def same_corners(a, b):
+    return np.array_equal(a.corners, b.corners)
+
+
+@pytest.mark.parametrize("fixture, shared", [("t_junction", 3), ("y_junction", 3), ("chain4", 2)])
+def test_pairwise_accessors_read_the_group_and_neighbor_they_came_from(request, fixture, shared):
+    """One pairwise intersection per neighbour ``k`` of each group, one per
+    boundary group; each accessor answers what the group answers for ``k``."""
+    view = request.getfixturevalue(fixture).leaf_view()
+    sizes = set()
+    for el in view.elements():
+        pairs = pairwise_intersections(view, el)
+        expected = [(group, k) for group in intersections(view, el)
+                    for k in range(max(group.neighbor_count, 1))]
+        assert len(pairs) == len(expected)
+        for pair, (group, k) in zip(pairs, expected):
+            assert pair.inside is group.inside is el
+            assert pair.index_in_inside == group.index_in_inside
+            assert pair.boundary == group.boundary
+            assert pair.neighbor_count == group.neighbor_count
+            sizes.add(pair.neighbor_count + 1)
+            assert same_corners(pair.geometry_in_inside, group.geometry_in_inside)
+            assert same_corners(pair.geometry, group.geometry)
+            assert np.array_equal(pair.unit_outer_normal(), group.unit_outer_normal())
+            if group.boundary:
+                for read in (pair.outside, pair.index_in_outside, lambda: pair.geometry_in_outside):
+                    with pytest.raises(NeighborIndexError):
+                        read()
+                continue
+            assert pair.outside() is group.outside(k)
+            assert pair.outside() is not el and view.contains(pair.outside())
+            assert pair.index_in_outside() == group.index_in_outside(k)
+            assert same_corners(pair.geometry_in_outside, group.geometry_in_outside(k))
+            # the neighbour's local fragment maps onto the same world points
+            outside = pair.outside().geometry
+            world = [outside.to_global(x) for x in pair.geometry_in_outside.corners]
+            assert np.allclose(sorted(map(tuple, world)), sorted(map(tuple, pair.geometry.corners)), atol=1e-14)
+    assert max(sizes) == shared and 1 in sizes  # a junction (or interior facet) and a boundary facet
+
+
 class TestRefusals:
     """Only an element the view keeps has intersections in that view."""
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmesh import GridConfig, read_gmsh
+from netmesh.cli import main
 from netmesh.errors import MshParseError
 from netmesh.vtk_io import write_vtk
 
@@ -162,6 +163,59 @@ class TestMshErrors:
         assert any("type 26" in rec.message for rec in caplog.records)
 
 
+HEADER = "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"  # lines 1-3
+NODES = "$Nodes\n2\n1 0 0 0\n2 1 0 0\n$EndNodes\n"  # lines 4-8
+ELEMENTS = "$Elements\n1\n1 1 2 0 0 1 2\n$EndElements\n"  # lines 9-12
+
+# a broken MSH text -> (the line it names or None, the message)
+BROKEN_MSH = {
+    "short_format_line": ("$MeshFormat\n2.2 0\n$EndMeshFormat\n" + NODES + ELEMENTS,
+                          2, "malformed $MeshFormat line"),
+    "no_elements_section": (HEADER + NODES, None, "missing $Elements section"),
+    "empty_nodes": (HEADER + "$Nodes\n$EndNodes\n" + ELEMENTS, 4, "malformed node count"),
+    "empty_elements": (HEADER + NODES + "$Elements\n$EndElements\n", 9, "malformed element count"),
+    "short_node_line": (HEADER + "$Nodes\n2\n1 0 0 0\n2 1 0\n$EndNodes\n" + ELEMENTS,
+                        7, "node line needs 'id x y z'"),
+    "short_element_line": (HEADER + NODES + "$Elements\n1\n1 1\n$EndElements\n",
+                           11, "element line too short"),
+    # a blank line is skipped, but it still counts as a line
+    "blank_line_in_section": (HEADER + "$Nodes\n2\n\n1 0 0 0\n2 1 0\n$EndNodes\n" + ELEMENTS,
+                              8, "node line needs 'id x y z'"),
+    # cli tries the surface, then the network, and reports the first failure
+    "no_elements_at_all": (HEADER + NODES + "$Elements\n0\n$EndElements\n",
+                           None, "no dimension-2 elements in file"),
+}
+
+
+class TestMshErrorMessages:
+    @pytest.fixture(params=list(BROKEN_MSH))
+    def broken(self, request, tmp_path):
+        """(path, line, the whole message) of one broken file."""
+        text, line, message = BROKEN_MSH[request.param]
+        path = tmp_path / "bad.msh"
+        path.write_text(text)
+        return path, line, message if line is None else f"line {line}: {message}"
+
+    def test_message_and_line_number(self, broken):
+        path, line, message = broken
+        with pytest.raises(MshParseError) as err:
+            read_gmsh(path, GridConfig(2, 3))  # what the cli tries first
+        assert (str(err.value), err.value.line) == (message, line)
+
+    def test_ends_the_cli_as_parse_error(self, broken, capsys):
+        path, _, message = broken
+        assert main(["info", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"parse-error: {message}\n")
+
+    def test_blank_lines_inside_sections_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.msh"
+        path.write_text(HEADER + "$Nodes\n\n2\n1 0 0 0\n\n2 1 0 0\n$EndNodes\n"
+                        "$Elements\n1\n\n1 1 2 0 0 1 2\n\n$EndElements\n")
+        view = read_gmsh(path, GridConfig(1, 3)).leaf_view()
+        assert view.size(0) == 1
+        assert view.coordinates().tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+
+
 class TestVtkWriting:
     def test_surface_golden_bytes(self, two_triangles):
         buf = io.StringIO()
@@ -193,6 +247,14 @@ class TestVtkWriting:
         start = lines.index("POINTS 3 double") + 1
         parsed = [tuple(float(t) for t in lines[start + i].split()) for i in range(3)]
         assert parsed == [tuple(map(float, c)) for c in coords]
+
+    def test_path_sink_holds_what_a_stream_gets(self, two_triangles, tmp_path):
+        view = two_triangles.leaf_view()
+        path = tmp_path / "surface.vtk"
+        text = write_vtk(view, path, title="two triangles")
+        assert path.read_text() == text == (DATA / "expected_surface.vtk").read_text()
+        write_vtk(view, str(path), cell_data={"p": [1.0, 2.0]})  # a str path, overwritten
+        assert path.read_text() == write_vtk(view, io.StringIO(), cell_data={"p": [1.0, 2.0]})
 
     def test_cell_data_length_must_match(self, two_triangles):
         with pytest.raises(ValueError):

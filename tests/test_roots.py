@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from netmesh import ScenarioError, SingularSystemError
 from netmesh.flow import facet_table
 from netmesh.roots import (
+    SCENARIO,
     GrowthIndicator,
     RootProblem,
     Xoshiro256StarStar,
@@ -32,6 +33,11 @@ from netmesh.roots import (
     stream_seed,
     total_uptake,
 )
+
+
+def coefficients(n, **values):
+    """``k_x``, ``k_r`` and ``radius`` for ``n`` elements: ``values``, else the scenario defaults."""
+    return {key: np.full(n, values.get(key, SCENARIO[key][1])) for key in ("k_x", "k_r", "radius")}
 
 
 def depth_order(view):
@@ -179,18 +185,18 @@ class TestGrowthDecisions:
             anchored_ids=(collar,),
         )
         problem = RootProblem(collar_vertex_id=collar)
-        variables = {"k_x": np.full(4, problem.axial_conductance)}
+        variables = coefficients(4)
         for step in range(3):
             for el in grid.leaf_view().elements():
                 d = indicator_evaluate(ind, grid, el, step)
                 assert d is None or d.attach.id != collar
             _, variables = grow_grid(grid, ind, variables, step=step)
         view = grid.leaf_view()
-        p = assemble_solve_root_pressure(problem, view, k_x=variables["k_x"])
+        p = assemble_solve_root_pressure(problem, view, **variables)
         # the collar flux t (p_0 - p_collar) subtracts two pressures near
         # -1.2e6 that differ by about 20, so it loses about five digits
-        assert collar_flux(problem, view, p, k_x=variables["k_x"]) == pytest.approx(
-            total_uptake(problem, view, p), rel=1e-9
+        assert collar_flux(problem, view, p, variables["k_x"]) == pytest.approx(
+            total_uptake(problem, view, p, variables["k_r"], variables["radius"]), rel=1e-9
         )
 
     def test_decisions_are_reproducible(self):
@@ -220,14 +226,14 @@ class TestGrowthDecisions:
 class TestRootPressure:
     def test_no_radial_conductivity_means_collar_pressure(self):
         grid, collar = build_vertical_root(6, 0.02)
-        problem = RootProblem(radial_conductivity=0.0, collar_vertex_id=collar)
-        p = assemble_solve_root_pressure(problem, grid.leaf_view())
+        problem = RootProblem(collar_vertex_id=collar)
+        p = assemble_solve_root_pressure(problem, grid.leaf_view(), **coefficients(6, k_r=0.0))
         np.testing.assert_allclose(p, problem.collar_pressure, rtol=1e-12)
 
     def test_pressure_between_collar_and_soil(self):
         grid, collar = build_vertical_root(8, 0.025)
         problem = RootProblem(collar_vertex_id=collar)
-        p = assemble_solve_root_pressure(problem, grid.leaf_view())
+        p = assemble_solve_root_pressure(problem, grid.leaf_view(), **coefficients(8))
         assert np.all(p > problem.collar_pressure)
         assert np.all(p < problem.soil_pressure)
 
@@ -237,13 +243,9 @@ class TestRootPressure:
         view = grid.leaf_view()
         order = depth_order(view)
         problem = RootProblem(collar_vertex_id=collar)
-        p = assemble_solve_root_pressure(problem, view)[order]
+        p = assemble_solve_root_pressure(problem, view, **coefficients(segments))[order]
 
-        kx, kr, r = (
-            problem.axial_conductance,
-            problem.radial_conductivity,
-            problem.root_radius,
-        )
+        kx, kr, r = (SCENARIO[key][1] for key in ("k_x", "k_r", "radius"))
         half = kx / 2.0  # equal-coefficient junction: kx*kx / (kx + kx)
         soil = kr * 2.0 * math.pi * r * length
         a = np.zeros((segments, segments))
@@ -265,9 +267,10 @@ class TestRootPressure:
         grid, collar = build_vertical_root(10, 0.02)
         view = grid.leaf_view()
         problem = RootProblem(collar_vertex_id=collar)
-        p = assemble_solve_root_pressure(problem, view)
-        inflow = collar_flux(problem, view, p)
-        uptake = total_uptake(problem, view, p)
+        c = coefficients(10)
+        p = assemble_solve_root_pressure(problem, view, **c)
+        inflow = collar_flux(problem, view, p, c["k_x"])
+        uptake = total_uptake(problem, view, p, c["k_r"], c["radius"])
         assert inflow == pytest.approx(uptake, rel=1e-10)
         assert uptake > 0.0  # soil is wetter than the xylem
 
@@ -276,18 +279,18 @@ class TestRootPressure:
         view = grid.leaf_view()
         order = depth_order(view)
         problem = RootProblem(collar_vertex_id=collar)
-        kr = np.zeros(6)
-        kr[order[3:]] = problem.radial_conductivity  # only the lower half takes up water
-        p = assemble_solve_root_pressure(problem, view, k_r=kr)
-        assert collar_flux(problem, view, p) == pytest.approx(
-            total_uptake(problem, view, p, k_r=kr), rel=1e-10
+        c = coefficients(6)
+        c["k_r"][order[:3]] = 0.0  # only the lower half takes up water
+        p = assemble_solve_root_pressure(problem, view, **c)
+        assert collar_flux(problem, view, p, c["k_x"]) == pytest.approx(
+            total_uptake(problem, view, p, c["k_r"], c["radius"]), rel=1e-10
         )
 
     def test_detached_collar_is_singular(self):
         grid, collar = build_vertical_root(4, 0.01)
-        problem = RootProblem(radial_conductivity=0.0, collar_vertex_id=999)
+        problem = RootProblem(collar_vertex_id=999)
         with pytest.raises(SingularSystemError):
-            assemble_solve_root_pressure(problem, grid.leaf_view())
+            assemble_solve_root_pressure(problem, grid.leaf_view(), **coefficients(4, k_r=0.0))
 
     @pytest.mark.parametrize("error", [1e-5, np.nan])
     def test_rejects_a_solution_that_misses_the_system(self, monkeypatch, error):
@@ -298,22 +301,40 @@ class TestRootPressure:
         spsolve = scipy.sparse.linalg.spsolve
         monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda a, b: spsolve(a, b) + error)
         with pytest.raises(SingularSystemError):
-            assemble_solve_root_pressure(problem, grid.leaf_view())
+            assemble_solve_root_pressure(problem, grid.leaf_view(), **coefficients(8))
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"axial_conductance": 0.0},
-            {"radial_conductivity": -1.0},
-            {"root_radius": 0.0},
-            {"axial_conductance": math.nan},
+            {"k_x": 0.0},
+            {"k_r": -1.0},
+            {"radius": 0.0},
+            {"k_x": math.nan},
             {"collar_pressure": math.nan},
             {"soil_pressure": math.inf},
+            {"k_x": -1.0},
         ],
     )
     def test_validate_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ScenarioError):
-            RootProblem(**kwargs).validate()
+        # the coefficients are per-element arrays of the solve, the pressures problem fields;
+        # each ends as ScenarioError before assembly, so no RuntimeWarning (an error here) comes first
+        key, = kwargs
+        grid, collar = build_vertical_root(4, 0.01)
+        if key in ("k_x", "k_r", "radius"):
+            problem, arrays = RootProblem(collar_vertex_id=collar), coefficients(4, **kwargs)
+        else:
+            problem, arrays = RootProblem(**kwargs, collar_vertex_id=collar), coefficients(4)
+        with pytest.raises(ScenarioError, match=f"^{key} must"):
+            assemble_solve_root_pressure(problem, grid.leaf_view(), **arrays)
+
+    def test_every_bad_coefficient_is_named_by_its_rule_at_once(self):
+        grid, collar = build_vertical_root(4, 0.01)
+        arrays = coefficients(4, radius=0.0)
+        arrays["k_x"][1] = -1.0  # one bad entry among good ones
+        arrays["k_r"][2] = math.inf
+        with pytest.raises(ScenarioError) as err:
+            assemble_solve_root_pressure(RootProblem(collar_vertex_id=collar), grid.leaf_view(), **arrays)
+        assert str(err.value) == "k_x must be positive; k_r must be finite; radius must be positive"
 
 
 def vectorized_decisions(indicator, view, step):
@@ -533,21 +554,13 @@ class TestGrowGrid:
             segment_length=0.01, anchored_ids=(collar,),
         )
         problem = RootProblem(collar_vertex_id=collar)
-        variables = {
-            "k_x": np.full(6, problem.axial_conductance),
-            "k_r": np.full(6, problem.radial_conductivity),
-            "radius": np.full(6, problem.root_radius),
-        }
+        variables = coefficients(6)
         for step in range(5):
             _, variables = grow_grid(grid, ind, variables, step=step)
         view = grid.leaf_view()
         assert len(view.elements()) > 6
-        p = assemble_solve_root_pressure(
-            problem, view,
-            k_x=variables["k_x"], k_r=variables["k_r"], radius=variables["radius"],
-        )
+        p = assemble_solve_root_pressure(problem, view, **variables)
         assert np.all(np.isfinite(p))
-        assert collar_flux(problem, view, p, k_x=variables["k_x"]) == pytest.approx(
-            total_uptake(problem, view, p, k_r=variables["k_r"], radius=variables["radius"]),
-            rel=1e-10,
+        assert collar_flux(problem, view, p, variables["k_x"]) == pytest.approx(
+            total_uptake(problem, view, p, variables["k_r"], variables["radius"]), rel=1e-10
         )
