@@ -46,7 +46,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import gmsh_io, vtk_io
-from .errors import DimensionMismatchError, LifecycleError, ScenarioError
+from .errors import DimensionMismatchError, LifecycleError
 from .errors import SingularGeometryError, SingularSystemError
 from .geometry import AffineGeometry
 # bench/tracing.py wraps a function where a module holds it by name: run_scenario calls
@@ -54,7 +54,7 @@ from .geometry import AffineGeometry
 # here only to be wrapped
 from .intersections import intersections  # noqa: F401
 from .scenario import FILE_NAME, FINITE, NONNEGATIVE, POSITIVE, POSITIVE_FINITE, UNIT_INTERVAL
-from .scenario import broken_rules
+from .scenario import refuse_broken
 from .topology import GridConfig
 
 log = logging.getLogger(__name__)
@@ -80,29 +80,18 @@ class VesselProblem:
 
     def validate(self):
         """Raise ScenarioError naming every broken :data:`SCENARIO` rule and boundary fault."""
-        problems = broken_rules(SCENARIO, vars(self))
         boundary = (self.dirichlet_pressure, self.neumann_velocity, self.dirichlet_concentration)
-        if not all(math.isfinite(v) for values in boundary for v in values.values()):
-            problems.append("boundary values must be finite")
-        extra = set(self.dirichlet_concentration) - set(self.neumann_velocity)
-        if extra:
-            problems.append(
-                "concentration boundaries must be inflow boundaries "
-                f"(vertex ids {sorted(extra)} carry c but no inflow velocity)"
-            )
-        if problems:
-            raise ScenarioError("; ".join(problems))
+        finite = all(math.isfinite(v) for values in boundary for v in values.values())
+        stray = sorted(set(self.dirichlet_concentration) - set(self.neumann_velocity))
+        refuse_broken(SCENARIO, vars(self), not finite and "boundary values must be finite",
+                      stray and "concentration boundaries must be inflow boundaries "
+                      f"(vertex ids {stray} carry c but no inflow velocity)")
 
 
 def element_transmissibility(radius, viscosity, gamma):
-    """t = pi R^4 / (2 mu (2 + gamma)); vectorized over ``radius``."""
+    """t = pi R^4 / (2 mu (2 + gamma)), vectorized over ``radius``; held to :data:`SCENARIO`."""
     radius = np.asarray(radius, dtype=float)
-    if not np.all(radius > 0.0):
-        raise ScenarioError("vessel radius must be positive")
-    if not viscosity > 0.0:
-        raise ScenarioError("viscosity must be positive")
-    if gamma <= -2.0:
-        raise ScenarioError("gamma must exceed -2")
+    refuse_broken(SCENARIO, {"radius": radius, "viscosity": viscosity, "gamma": gamma})
     return math.pi * radius**4 / (2.0 * viscosity * (2.0 + gamma))
 
 
@@ -286,10 +275,22 @@ def two_point_system(table, t, sink, sink_value, dirichlet, inflow):
     )
 
 
+def element_arrays(view, /, **arrays):
+    """The named arrays as float arrays, in order; DimensionMismatchError names the first
+    that does not hold one value per element of ``view``."""
+    n = view.size(0)
+    out = [np.asarray(a, dtype=float) for a in arrays.values()]
+    for name, a in zip(arrays, out):
+        if a.shape != (n,):
+            got = f"{a.size} values" if a.ndim == 1 else f"shape {a.shape}"
+            raise DimensionMismatchError(f"{name} has {got} for {n} leaf elements")
+    return out
+
+
 def assemble_pressure(view, problem, radius):
     """Sparse system (A, b) for the leaf pressures."""
     table = facet_table(view)
-    radius = np.asarray(radius, dtype=float)
+    radius, = element_arrays(view, radius=radius)
     t = element_transmissibility(radius, problem.viscosity, problem.gamma)
     g = 2.0 * t / table.lengths
     leak = _TWO_PI * radius * problem.l_p * table.lengths
@@ -344,8 +345,8 @@ def transport_step(view, problem, state, dt):
     table = facet_table(view)
     i, j = table.inside, table.outside
     lengths = table.lengths
-    radius = state.radius
-    p = state.pressure
+    radius, p, c = element_arrays(view, radius=state.radius, pressure=state.pressure,
+                                  concentration=state.concentration)
     g = 2.0 * element_transmissibility(radius, problem.viscosity, problem.gamma) / lengths
     area = math.pi * radius**2
     storage = area * lengths / dt
@@ -382,7 +383,7 @@ def transport_step(view, problem, state, dt):
             (j, -problem.d_e * area[j] / dist, diffuse),
         ],
     )
-    source = storage * state.concentration + wall * problem.l_c * problem.tissue_concentration
+    source = storage * c + wall * problem.l_c * problem.tissue_concentration
     rhs = ([(source, every)], [(i, -(q * c_in), fed & ~(q >= 0.0))])
     a, b = _system(table, matrix, rhs)
     return checked_solve(a, b, "transport")
@@ -391,7 +392,8 @@ def transport_step(view, problem, state, dt):
 def total_amount(view, state):
     """Conserved solute amount sum A_i l_i c_i over the leaf elements."""
     lengths = facet_table(view).lengths
-    return float(np.sum(math.pi * state.radius**2 * lengths * state.concentration))
+    radius, c = element_arrays(view, radius=state.radius, concentration=state.concentration)
+    return float(np.sum(math.pi * radius**2 * lengths * c))
 
 
 # -- adaptivity driver ----------------------------------------------------
@@ -411,7 +413,7 @@ def refinement_indicator(view, concentration, eps_refine=0.3, eps_coarsen=0.05):
     n = table.size
     inner = table.outside >= 0
     i, j = table.inside[inner], table.outside[inner]
-    c = np.asarray(concentration, dtype=float)
+    c, = element_arrays(view, concentration=concentration)
     jump = np.zeros(n)
     np.maximum.at(jump, i, np.abs(c[i] - c[j]))
     lo, hi = float(np.min(jump)), float(np.max(jump))
@@ -455,14 +457,8 @@ def store_leaf_data(grid, view, arrays):
     are the volumes of the view's element corners; a group's rows are
     summed in view order, which is the order of the father's children.
     """
-    ids = view.ids(0).tolist()
-    columns = {name: np.array(a, dtype=float) for name, a in arrays.items()}
-    for name, column in columns.items():
-        if len(column) != len(ids):
-            raise DimensionMismatchError(
-                f"{name} has {len(column)} values for {len(ids)} leaf elements"
-            )
-    store = LeafData(ids, columns)
+    columns = {name: a.copy() for name, a in zip(arrays, element_arrays(view, **arrays))}
+    store = LeafData(view.ids(0).tolist(), columns)
     vanishing = grid._vanishing
     families = {}  # father id -> the view rows of its children, all vanishing together
     for row, place in enumerate(view.places(0)):
@@ -538,7 +534,6 @@ SCENARIO = {
     "outflow_pressure": ("float", 0.0, FINITE),
     "concentration_value": ("float", 0.0, FINITE),
 }
-SCENARIO_KEYS = tuple(SCENARIO)
 
 
 def read_scenario(scenario, steps=None):

@@ -6,18 +6,12 @@ K_x, the radial exchange with the soil is a solution-dependent source
 K_r * 2 pi r l * (p_soil - p), the collar vertex carries the only
 Dirichlet condition and every tip is no-flow.
 
-Growth decisions are drawn from per-element xoshiro256** streams seeded
-by hashing (seed, element id, step), so results do not depend on
-iteration order and whole runs are bit-reproducible.  Tip segments may
-elongate straight ahead; other segments may sprout a lateral branch in a
-random direction pulled downwards by the gravity bias.  Gravity enters
-the geometry only, never the flow operator.
-
-A growth round draws the decisions of all its segments in one vectorized
-pass (:func:`round_decisions`), with the streams held as numpy ``uint64``
-arrays.  The scalar generator :class:`Xoshiro256StarStar` and
-:func:`indicator_evaluate` are the reference that pass matches bit for
-bit: the same elements, attach vertices and coordinates.
+Tip segments may elongate straight ahead; other segments may sprout a
+lateral branch in a random direction pulled downwards by the gravity
+bias.  Gravity enters the geometry only, never the flow operator.  A
+growth round draws the decisions of all its segments in one vectorized
+pass from per-element streams (:func:`round_decisions` states the draw
+contract), so whole runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -35,10 +29,10 @@ import numpy as np
 # only to be wrapped
 from . import flow, vtk_io
 from .errors import ScenarioError, SingularSystemError
-from .flow import checked_solve, facet_table, squared_norms, two_point_system
+from .flow import checked_solve, element_arrays, facet_table, squared_norms, two_point_system
 from .flow import junction_two_point_transmissibilities  # noqa: F401
 from .intersections import intersections  # noqa: F401
-from .scenario import FILE_NAME, FINITE, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, broken_rules
+from .scenario import FILE_NAME, FINITE, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, refuse_broken
 from .topology import LINE, GridConfig, GridFactory
 
 log = logging.getLogger(__name__)
@@ -200,8 +194,8 @@ def indicator_evaluate(indicator, grid, element, step):
     may sprout a lateral branch at a randomly picked end vertex, in a
     random direction tilted downwards by the gravity bias.  A branch
     picked at an anchored vertex attaches at the other end instead, so
-    the collar stays a boundary facet.  The draw order (elongate, branch,
-    vertex pick, direction) is part of the reproducibility contract.
+    the collar stays a boundary facet.  The scalar reference of the draw
+    contract of :func:`round_decisions`.
     """
     rng = Xoshiro256StarStar(stream_seed(indicator.seed, element.id, step))
     r_elongate = rng.uniform()
@@ -237,15 +231,20 @@ def indicator_evaluate(indicator, grid, element, step):
 
 
 def round_decisions(indicator, view, step):
-    """The decisions of :func:`indicator_evaluate` for every element of ``view``.
+    """The growth decisions of one round for every element of ``view``.
 
     Returns ``(positions, ends, coords)``: the ascending view indices of
     the elements that grow, the end (0 or 1) each new segment attaches
     to, and the new vertex coordinates, one row per decision.  End ids,
-    leaf degrees and corners come from the view's facet table.  All
-    streams draw together; a draw advances only the streams that make it
-    at that point, and the cube rejection and the norm retry of a branch
-    direction run as rounds over the streams still pending.
+    leaf degrees and corners come from the view's facet table.
+
+    The draw contract fixes every bit: each element draws from its own
+    xoshiro256** stream, seeded by :func:`stream_seed` from (seed,
+    element id, step), in the order elongate, branch, vertex pick,
+    direction.  All streams draw together; a draw advances only the
+    streams that make it at that point, and the direction's cube
+    rejection and norm retry run as rounds over the streams still
+    pending, so each stream sees the draws of :func:`indicator_evaluate`.
     """
     table = facet_table(view)
     w = view.grid.world_dim
@@ -305,9 +304,7 @@ class RootProblem:
 
     def validate(self):
         """Raise ScenarioError naming every :data:`SCENARIO` rule the parameters break."""
-        problems = broken_rules(SCENARIO, vars(self))
-        if problems:
-            raise ScenarioError("; ".join(problems))
+        refuse_broken(SCENARIO, vars(self))
 
 
 # every key a roots scenario may hold, as Scenario.read takes it
@@ -327,32 +324,22 @@ SCENARIO = {
     "collar_pressure": ("float", RootProblem.collar_pressure, FINITE),
     "output_prefix": ("str", "roots", FILE_NAME),
 }
-SCENARIO_KEYS = tuple(SCENARIO)
-
-
-def _worst(values):
-    """The first non-finite entry, else the least entry or 1.0 if that is less: it
-    breaks a rule of finiteness or lower bound exactly when some entry does."""
-    bad = values[~np.isfinite(values)]
-    return bad[0] if len(bad) else values.min(initial=1.0)
 
 
 def assemble_solve_root_pressure(problem, view, k_x, k_r, radius):
     """Xylem pressure per leaf segment.
 
     ``k_x``, ``k_r`` and ``radius`` hold one value per element of
-    ``view``, in index order; each is held to its :data:`SCENARIO` rules
-    before anything is assembled.  Axial two-point fluxes use the
-    junction splitting with per-element coefficient K_x; the radial
+    ``view``, in index order (else DimensionMismatchError); each is held
+    to its :data:`SCENARIO` rules before anything is assembled.  Axial
+    two-point fluxes use the junction splitting with per-element coefficient K_x; the radial
     source K_r * 2 pi r l * (p_S - p) enters the diagonal.  Only the
     collar facet is Dirichlet (half-cell coupling with the element's own
     coefficient); everything else is no-flow.
     """
     problem.validate()
-    t, kr, r = arrays = [np.asarray(v, dtype=float) for v in (k_x, k_r, radius)]
-    problems = broken_rules(SCENARIO, dict(zip(("k_x", "k_r", "radius"), map(_worst, arrays))))
-    if problems:
-        raise ScenarioError("; ".join(problems))
+    t, kr, r = element_arrays(view, k_x=k_x, k_r=k_r, radius=radius)
+    refuse_broken(SCENARIO, {"k_x": t, "k_r": kr, "radius": r})
     table = facet_table(view)
     soil = kr * 2.0 * math.pi * r * table.lengths
     collar = table.boundary_values({problem.collar_vertex_id: problem.collar_pressure})
@@ -368,8 +355,9 @@ def assemble_solve_root_pressure(problem, view, k_x, k_r, radius):
 
 def total_uptake(problem, view, p, k_r, radius):
     """Sum of radial source terms K_r A_r (p_S - p_i) over the elements of ``view``."""
-    a_r = 2.0 * math.pi * np.asarray(radius, float) * facet_table(view).lengths
-    return _running_sum(np.asarray(k_r, float) * a_r * (problem.soil_pressure - np.asarray(p, float)))
+    p, k_r, radius = element_arrays(view, p=p, k_r=k_r, radius=radius)
+    a_r = 2.0 * math.pi * radius * facet_table(view).lengths
+    return _running_sum(k_r * a_r * (problem.soil_pressure - p))
 
 
 def _running_sum(terms):
@@ -450,10 +438,11 @@ def collar_flux(problem, view, p, k_x):
     ``p`` and ``k_x`` hold one value per element of ``view``, as the
     ``k_r`` and ``radius`` of :func:`total_uptake` do.
     """
+    p, k_x = element_arrays(view, p=p, k_x=k_x)
     table = facet_table(view)
     collar = table.boundary_values({problem.collar_vertex_id: problem.collar_pressure})
     i = table.inside[~np.isnan(collar)]
-    return _running_sum(np.asarray(k_x, float)[i] * (np.asarray(p, float)[i] - problem.collar_pressure))
+    return _running_sum(k_x[i] * (p[i] - problem.collar_pressure))
 
 
 def run_scenario(scenario, out_dir, steps=None, seed=None):

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_grid, refine_all
-from netmesh import LifecycleError, ScenarioError, SingularSystemError, topology
+from netmesh import DimensionMismatchError, LifecycleError, ScenarioError, SingularSystemError
+from netmesh import roots, topology
 from netmesh.flow import (
     SCENARIO,
     FlowState,
@@ -78,6 +79,23 @@ class TestTransmissibility:
     def test_invalid_parameters(self, radius, mu, gamma):
         with pytest.raises(ScenarioError):
             element_transmissibility(radius, mu, gamma)
+
+    @pytest.mark.parametrize(
+        "radius,gamma,message",
+        [
+            (1e-3, 1.0, "gamma must be at least 2 (blunt velocity profile)"),
+            (math.inf, 2.0, "radius must be positive and finite"),
+            (math.nan, 2.0, "radius must be positive and finite"),
+            (np.array([1e-3, -1e-3, 2e-3]), 2.0, "radius must be positive and finite"),
+            (math.nan, -1.0,
+             "radius must be positive and finite; gamma must be at least 2 (blunt velocity profile)"),
+        ],
+    )
+    def test_refuses_what_the_scenario_refuses_in_its_words(self, radius, gamma, message):
+        """The Python API holds radius, viscosity and gamma to ``flow.SCENARIO``, as the CLI does."""
+        with pytest.raises(ScenarioError) as err:
+            element_transmissibility(radius, 3e-3, gamma)
+        assert str(err.value) == message
 
 
 class TestJunctionTransmissibilities:
@@ -621,6 +639,61 @@ class TestArrayTransfer:
         view = chain4.leaf_view()
         with pytest.raises(DimensionMismatchError, match="c has 5 values for 4 leaf elements"):
             store_leaf_data(chain4, view, {"c": np.zeros(5)})
+
+
+def call_array_taker(function, grid, collar, a):
+    """Call ``function``, one of the eight that take per-element arrays, with the arrays ``a``."""
+    view, problem = grid.leaf_view(), VesselProblem()
+    root = roots.RootProblem(collar_vertex_id=collar)
+    state = FlowState(a["pressure"], a["concentration"], a["radius"])
+    calls = {
+        "assemble_pressure": lambda: assemble_pressure(view, problem, a["radius"]),
+        "transport_step": lambda: transport_step(view, problem, state, 0.1),
+        "total_amount": lambda: total_amount(view, state),
+        "refinement_indicator": lambda: refinement_indicator(view, a["concentration"]),
+        "store_leaf_data": lambda: store_leaf_data(grid, view, {"pressure": a["pressure"]}),
+        "assemble_solve_root_pressure":
+            lambda: roots.assemble_solve_root_pressure(root, view, a["k_x"], a["k_r"], a["radius"]),
+        "total_uptake": lambda: roots.total_uptake(root, view, a["p"], a["k_r"], a["radius"]),
+        "collar_flux": lambda: roots.collar_flux(root, view, a["p"], a["k_x"]),
+    }
+    return calls[function]()
+
+
+class TestElementArrays:
+    VALUES = {"radius": 1e-3, "pressure": 0.0, "concentration": 0.5, "p": -1e5,
+              "k_x": 4.32e-2, "k_r": 1.73e-4}
+
+    @pytest.mark.parametrize("size", [3, 5, 1], ids=["n-1", "n+1", "1"])
+    @pytest.mark.parametrize(
+        "function,name",
+        [
+            ("assemble_pressure", "radius"),
+            ("transport_step", "radius"),
+            ("transport_step", "pressure"),
+            ("transport_step", "concentration"),
+            ("total_amount", "radius"),
+            ("total_amount", "concentration"),
+            ("refinement_indicator", "concentration"),
+            ("store_leaf_data", "pressure"),
+            ("assemble_solve_root_pressure", "k_x"),
+            ("assemble_solve_root_pressure", "k_r"),
+            ("assemble_solve_root_pressure", "radius"),
+            ("total_uptake", "p"),
+            ("total_uptake", "k_r"),
+            ("total_uptake", "radius"),
+            ("collar_flux", "p"),
+            ("collar_flux", "k_x"),
+        ],
+    )
+    def test_misaligned_array_is_refused_by_name(self, function, name, size):
+        grid, collar = roots.build_vertical_root(4, 0.01)
+        arrays = {key: np.full(4, value) for key, value in self.VALUES.items()}
+        call_array_taker(function, grid, collar, arrays)  # aligned, the call returns
+        arrays[name] = np.full(size, self.VALUES[name])
+        with pytest.raises(DimensionMismatchError) as err:
+            call_array_taker(function, grid, collar, arrays)
+        assert str(err.value) == f"{name} has {size} values for 4 leaf elements"
 
 
 class TestProblemSetup:

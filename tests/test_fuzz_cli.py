@@ -25,7 +25,7 @@ from netmesh.cli import main
 ROOT = Path(__file__).parent.parent
 MESH_LINES = (ROOT / "meshes" / "vessels.msh").read_text().splitlines()
 VALUES = ["0", "-1", "1e308", "-1e308", "1e-300", "1e-320", "nan", "inf", "-inf", "x", ""]
-DEMOS = {"flow": ("vessels.txt", flow.SCENARIO_KEYS), "roots": ("roots.txt", roots.SCENARIO_KEYS)}
+DEMOS = {"flow": ("vessels.txt", tuple(flow.SCENARIO)), "roots": ("roots.txt", tuple(roots.SCENARIO))}
 
 mutations = st.lists(
     st.tuples(

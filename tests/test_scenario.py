@@ -1,4 +1,4 @@
-"""Scenario file parsing and typed-getter validation."""
+"""Scenario file parsing, typed reads and the rules of a table."""
 
 import pytest
 
@@ -40,25 +40,24 @@ class TestParsing:
 
 
 class TestTypedGetters:
+    """Each kind of a table, as ``Scenario.read`` converts it."""
+
     def test_conversions(self):
         s = Scenario({"a": "2.5", "b": "7", "c": "hello", "tags": "1, 2  3"})
-        assert s.get_float("a") == 2.5
-        assert s.get_int("b") == 7
-        assert s.get_str("c") == "hello"
-        assert s.get_int_list("tags") == (1, 2, 3)
+        table = {"a": ("float", None), "b": ("int", None), "c": ("str", None),
+                 "tags": ("int_list", None)}
+        assert s.read(table) == {"a": 2.5, "b": 7, "c": "hello", "tags": (1, 2, 3)}
         s.check()
 
     def test_defaults_apply_when_missing(self):
         s = Scenario({})
-        assert s.get_float("a", 1.25) == 1.25
-        assert s.get_int_list("tags", (4,)) == (4,)
+        assert s.read({"a": ("float", 1.25), "tags": ("int_list", (4,))}) == {"a": 1.25, "tags": (4,)}
         s.check()
 
     def test_errors_accumulate_and_name_every_key(self):
         s = Scenario({"a": "not-a-number", "tags": "1 x 3"}, source="case.txt")
-        assert s.get_float("a", 0.0) == 0.0  # falls back, remembers the failure
-        s.get_int("missing")
-        s.get_int_list("tags")
+        values = s.read({"a": ("float", 0.0), "missing": ("int", None), "tags": ("int_list", ())})
+        assert values["a"] == 0.0  # falls back, remembers the failure
         with pytest.raises(ScenarioError) as err:
             s.check()
         message = str(err.value)
@@ -66,6 +65,8 @@ class TestTypedGetters:
         assert "'a'" in message
         assert "'missing'" in message
         assert "'tags'" in message
+        assert "cannot parse 'not-a-number' as float" in message  # the name KINDS gives
+        assert "cannot parse '1 x 3' as int list" in message
 
     def test_check_passes_with_no_errors(self):
         Scenario({"a": "1"}).check()
@@ -77,7 +78,7 @@ class TestTypedGetters:
 
     def test_check_with_known_keys_names_every_unknown_one(self):
         s = Scenario({"a": "1", "zeta": "2", "beta": "x"}, source="case.txt")
-        s.get_float("beta", 0.0)
+        s.read({"beta": ("float", 0.0)})
         with pytest.raises(ScenarioError, match="'beta'.*unknown key 'zeta'"):
             s.check(known={"a", "beta"})
         Scenario({"a": "1"}).check(known={"a", "b"})
