@@ -86,10 +86,13 @@ def _wavelet_grid(grid):
     coords = macro.coordinates()
     factory = GridFactory(GridConfig(2, 3))
     factory.insert_vertices([lift_to_wavelet(x) for x in coords])
-    for corners, el in zip(macro.corner_indices(), macro.elements()):
-        factory.insert_element(
-            TRIANGLE, corners, parametrization=WaveletGraph(coords[corners, :2]), marker=el.marker
-        )
+    corners = macro.corner_indices()
+    factory.insert_elements(
+        TRIANGLE,
+        corners,
+        parametrization=[WaveletGraph(coords[c, :2]) for c in corners],
+        marker=[el.marker for el in macro.elements()],
+    )
     return factory.create_grid()
 
 

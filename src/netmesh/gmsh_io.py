@@ -6,15 +6,26 @@ Second-order elements become affine elements over their corner nodes
 plus a quadratic Lagrange parametrization through all nodes.  Elements
 whose dimension does not match the grid dimension are ignored; other
 element types are skipped with a warning.  Node ids may be sparse and
-unordered.  The first physical tag of an element is retained as its
-insertion marker.
+unordered.  An element line is ``id type n_tags tag... node...``: its id
+is not read, a negative tag count is refused as a malformed line, and
+the first physical tag is retained as the element's insertion marker.
+A file holds one ``$MeshFormat``, ``$Nodes`` and ``$Elements`` section
+each; a second one is refused at its header.  Other sections may repeat
+and are ignored.
+
+Each section is read in array passes: one split per line, one pass of
+Python's ``int`` or ``float`` over its tokens, and every check as a mask
+over the whole section.  Only when a check fails does a loop over the
+section's lines find the first bad one, so each refusal names its line.
+The elements enter the factory in one ``insert_elements`` call, with a
+marker and a parametrization per row.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from itertools import groupby
+from itertools import chain, count
 from operator import itemgetter
 from pathlib import Path
 
@@ -34,6 +45,8 @@ _ELEMENT_TYPES = {
     8: (LINE, 3, QuadraticLine),
     9: (TRIANGLE, 6, QuadraticTriangle),
 }
+_SINGLE_SECTIONS = ("MeshFormat", "Nodes", "Elements")
+_AFTER_ID = itemgetter(slice(1, None))
 
 
 def read_gmsh(path, config):
@@ -51,11 +64,11 @@ def read_gmsh(path, config):
 
     if "MeshFormat" not in sections:
         raise MshParseError("missing $MeshFormat section")
-    start, fmt_lines = sections["MeshFormat"]
-    if not fmt_lines:
+    start, numbers, texts = sections["MeshFormat"]
+    if not texts:
         raise MshParseError("empty $MeshFormat section", line=start + 1)
-    fmt_no, fmt_text = fmt_lines[0]
-    parts = fmt_text.split()
+    fmt_no = numbers[0]
+    parts = texts[0].split()
     if len(parts) != 3:
         raise MshParseError("malformed $MeshFormat line", line=fmt_no)
     version, file_type = parts[0], parts[1]
@@ -68,22 +81,52 @@ def read_gmsh(path, config):
         raise MshParseError("missing $Nodes section")
     if "Elements" not in sections:
         raise MshParseError("missing $Elements section")
+    xyz, row_of = _read_nodes(*sections["Nodes"])
+    corners, curved, markers = _read_elements(*sections["Elements"], row_of, config.dim)
 
-    start, node_lines = sections["Nodes"]
-    if not node_lines:
-        raise MshParseError("malformed node count", line=start + 1)
-    count_no, count_text = node_lines[0]
-    try:
-        n_nodes = int(count_text)
-    except ValueError:
-        raise MshParseError("malformed node count", line=count_no)
-    if len(node_lines) - 1 != n_nodes:
-        raise MshParseError(
-            f"expected {n_nodes} node lines, found {len(node_lines) - 1}", line=count_no
-        )
-    coords = {}
-    for line_no, text in node_lines[1:]:
-        parts = text.split()
+    w = config.world_dim
+    padded = np.zeros((len(xyz), w))
+    padded[:, : min(w, 3)] = xyz[:, : min(w, 3)]
+    # only corner nodes become vertices, in order of first use; mid-edge
+    # nodes shape the parametrization
+    corner_rows = corners.ravel().tolist()
+    vertex_of = dict(zip(dict.fromkeys(corner_rows), count()))
+    parametrizations = [None] * len(corners)
+    for element, parametrization, nodes in curved:
+        parametrizations[element] = parametrization(padded[nodes])
+    factory = GridFactory(config)
+    factory.insert_vertices(padded[list(vertex_of)])
+    factory.insert_elements(
+        LINE if config.dim == 1 else TRIANGLE,
+        np.reshape(list(map(vertex_of.__getitem__, corner_rows)), corners.shape),
+        parametrization=parametrizations,
+        marker=markers,
+    )
+    return factory.create_grid()
+
+
+def _read_nodes(start, numbers, texts):
+    """The ``(n, 3)`` coordinates of the nodes in file order, and a map
+    from each node id to its row."""
+    n = _count(start, numbers, texts, "node")
+    rows = list(map(str.split, texts[1:]))
+    if set(map(len, rows)) <= {4}:
+        tokens = list(chain.from_iterable(rows))
+        try:
+            row_of = dict(zip(map(int, tokens[::4]), range(n)))
+            del tokens[::4]
+            xyz = np.array(list(map(float, tokens))).reshape(n, 3)
+        except ValueError:
+            pass
+        else:
+            if len(row_of) == n and np.isfinite(xyz).all():
+                return xyz, row_of
+    _raise_at_first_bad_node_line(numbers[1:], rows)
+
+
+def _raise_at_first_bad_node_line(numbers, rows):
+    seen = set()
+    for line_no, parts in zip(numbers, rows):
         if len(parts) != 4:
             raise MshParseError("node line needs 'id x y z'", line=line_no)
         try:
@@ -93,105 +136,161 @@ def read_gmsh(path, config):
             raise MshParseError("malformed node line", line=line_no)
         if not all(map(math.isfinite, xyz)):
             raise MshParseError(f"node {nid} has a non-finite coordinate", line=line_no)
-        if nid in coords:
+        if nid in seen:
             raise MshParseError(f"duplicate node id {nid}", line=line_no)
-        coords[nid] = np.array(xyz)
+        seen.add(nid)
+    raise AssertionError("a node check failed on no line")
 
-    w = config.world_dim
-    start, elem_lines = sections["Elements"]
-    if not elem_lines:
-        raise MshParseError("malformed element count", line=start + 1)
-    count_no, count_text = elem_lines[0]
+
+def _read_elements(start, numbers, texts, row_of, dim):
+    """The elements of dimension ``dim`` in file order: the node rows of
+    their corners as an ``(m, dim + 1)`` array, (element, parametrization
+    class, node rows) of each curved one, and their markers."""
+    n = _count(start, numbers, texts, "element")
+    numbers = numbers[1:]
+    rows = list(map(str.split, texts[1:]))
+    table = _element_table(rows, row_of, dim)
+    if table is None:
+        _raise_at_first_bad_element_line(numbers, rows, row_of, dim)
+    etype, supported, n_tags, kept, first_tag, nodes, node_counts = table
+    skipped = np.flatnonzero(~supported)
+    for t, i in zip(etype[skipped].tolist(), skipped.tolist()):
+        _warn_unsupported(t, numbers[i])
+    if not len(kept):
+        raise MshParseError(f"no dimension-{dim} elements in file")
+    logger.info(
+        "read %d elements (%d other-dimensional ignored, %d unsupported skipped)",
+        len(kept), n - len(kept) - len(skipped), len(skipped),
+    )
+    ends = np.cumsum(node_counts)
+    corners = nodes[(ends - node_counts)[:, None] + np.arange(dim + 1)]
+    curved = [
+        (row, _ELEMENT_TYPES[etype[kept[row]]][2], nodes[ends[row] - node_counts[row] : ends[row]])
+        for row in np.flatnonzero(node_counts > dim + 1).tolist()
+    ]
+    markers = [
+        tag if has_tags else None
+        for tag, has_tags in zip(first_tag.tolist(), (n_tags[kept] > 0).tolist())
+    ]
+    return corners, curved, markers
+
+
+def _element_table(rows, row_of, dim):
+    """Per-line columns of an element section, or None when a line breaks
+    a rule: each line's type, whether it is supported, and its tag count;
+    the lines of the kept elements (those of dimension ``dim``), their
+    first token after the tag count, the rows of all their nodes, one
+    element after the other, and their node counts."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    if (lens < 3).any():
+        return None
     try:
-        n_elems = int(count_text)
+        flat = _int_array(list(map(int, chain.from_iterable(map(_AFTER_ID, rows)))))
     except ValueError:
-        raise MshParseError("malformed element count", line=count_no)
-    if len(elem_lines) - 1 != n_elems:
-        raise MshParseError(
-            f"expected {n_elems} element lines, found {len(elem_lines) - 1}", line=count_no
-        )
+        return None
+    width = lens - 1
+    first = np.cumsum(width) - width
+    etype, n_tags = flat[first], flat[first + 1]
+    if (n_tags < 0).any():
+        return None
+    need = np.zeros(len(rows), dtype=np.int64)
+    kind_dim = np.zeros(len(rows), dtype=np.int64)
+    for t, (kind, k, _) in _ELEMENT_TYPES.items():
+        is_t = etype == t
+        need[is_t] = k
+        kind_dim[is_t] = kind.dim
+    fits = np.maximum(width - 2 - n_tags, 0) == need
+    if (~fits & (need > 0)).any():
+        return None
+    kept = np.flatnonzero(fits & (kind_dim == dim))
+    node_counts = need[kept]
+    node_first = (first + 2 + n_tags)[kept].astype(np.int64)
+    starts = np.cumsum(node_counts) - node_counts
+    refs = flat[np.repeat(node_first - starts, node_counts) + np.arange(node_counts.sum())]
+    nodes = list(map(row_of.get, refs.tolist()))
+    if None in nodes:
+        return None
+    first_tag = flat[first[kept] + 2]
+    return etype, need > 0, n_tags, kept, first_tag, np.array(nodes, dtype=np.int64), node_counts
 
-    staged = []  # (corner node ids, parametrization, marker) per element read
-    ignored = skipped = 0
-    for line_no, text in elem_lines[1:]:
-        parts = text.split()
+
+def _raise_at_first_bad_element_line(numbers, rows, row_of, dim):
+    for line_no, parts in zip(numbers, rows):
         if len(parts) < 3:
             raise MshParseError("element line too short", line=line_no)
         try:
-            etype = int(parts[1])
-            n_tags = int(parts[2])
-            tags = [int(t) for t in parts[3 : 3 + n_tags]]
-            nodes = [int(t) for t in parts[3 + n_tags :]]
+            etype, n_tags, *rest = map(int, parts[1:])
         except ValueError:
             raise MshParseError("malformed element line", line=line_no)
+        if n_tags < 0:
+            raise MshParseError("malformed element line", line=line_no)
         if etype not in _ELEMENT_TYPES:
-            skipped += 1
-            logger.warning("skipping unsupported element type %d (line %d)", etype, line_no)
+            _warn_unsupported(etype, line_no)
             continue
-        kind, n_nodes, parametrization = _ELEMENT_TYPES[etype]
+        kind, n_nodes, _ = _ELEMENT_TYPES[etype]
+        nodes = rest[n_tags:]
         if n_nodes != len(nodes):
             raise MshParseError(f"type {etype} needs {n_nodes} nodes, got {len(nodes)}", line=line_no)
-        if kind.dim != config.dim:
-            ignored += 1
+        if kind.dim != dim:
             continue
-        for n in nodes:
-            if n not in coords:
-                raise MshParseError(f"element references unknown node {n}", line=line_no)
-        phi = None
-        if parametrization is not None:
-            phi = parametrization(np.stack([_padded(coords[n], w) for n in nodes]))
-        staged.append((nodes[: kind.dim + 1], phi, tags[0] if tags else None))
-
-    if not staged:
-        raise MshParseError(f"no dimension-{config.dim} elements in file")
-    logger.info(
-        "read %d elements (%d other-dimensional ignored, %d unsupported skipped)",
-        len(staged), ignored, skipped,
-    )
-    # only corner nodes become vertices, in order of first use; mid-edge
-    # nodes shape the parametrization
-    used = dict.fromkeys(n for corners, _, _ in staged for n in corners)
-    node_index = dict(zip(used, range(len(used))))
-    factory = GridFactory(config)
-    factory.insert_vertices(np.array([_padded(coords[n], w) for n in used]))
-    kind = LINE if config.dim == 1 else TRIANGLE
-    # one call per run of elements sharing parametrization and marker
-    for (phi, marker), run in groupby(staged, key=itemgetter(1, 2)):
-        rows = [[node_index[n] for n in corners] for corners, _, _ in run]
-        factory.insert_elements(kind, rows, parametrization=phi, marker=marker)
-    return factory.create_grid()
+        for node in nodes:
+            if node not in row_of:
+                raise MshParseError(f"element references unknown node {node}", line=line_no)
+    raise AssertionError("an element check failed on no line")
 
 
-def _padded(xyz, w):
-    out = np.zeros(w)
-    out[: min(w, 3)] = xyz[: min(w, 3)]
-    return out
+def _warn_unsupported(etype, line_no):
+    logger.warning("skipping unsupported element type %d (line %d)", etype, line_no)
+
+
+def _count(start, numbers, texts, what):
+    """The count on the first line of a node or element section, checked
+    against the number of lines after it."""
+    if not texts:
+        raise MshParseError(f"malformed {what} count", line=start + 1)
+    try:
+        n = int(texts[0])
+    except ValueError:
+        raise MshParseError(f"malformed {what} count", line=numbers[0])
+    if len(texts) - 1 != n:
+        raise MshParseError(f"expected {n} {what} lines, found {len(texts) - 1}", line=numbers[0])
+    return n
+
+
+def _int_array(values):
+    """Python ints as an int64 array, or an object array when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _split_sections(lines):
-    """Map section name -> (start line index, [(line_no, text), ...])."""
+    """Map section name -> (header line index, line numbers, stripped texts)
+    of the section's non-blank lines."""
+    texts = list(map(str.strip, lines))
     sections = {}
     current = None
-    content = []
-    start = 0
-    for i, raw in enumerate(lines):
-        text = raw.strip()
-        if not text:
-            continue
+    for i in [i for i, text in enumerate(texts) if text.startswith("$")]:
+        text = texts[i]
         if text.startswith("$End"):
             name = text[4:]
             if current != name:
                 raise MshParseError(f"unexpected $End{name}", line=i + 1)
-            sections[current] = (start, content)
-            current, content = None, []
-        elif text.startswith("$"):
+            body = texts[start + 1 : i]
+            numbers = range(start + 2, i + 1)
+            if not all(body):  # a blank line is skipped, but it still counts as a line
+                numbers = [k for k, text in zip(numbers, body) if text]
+                body = list(filter(None, body))
+            sections[current] = (start, numbers, body)
+            current = None
+        else:
             if current is not None:
                 raise MshParseError(f"section {current} not closed", line=i + 1)
             current = text[1:]
+            if current in _SINGLE_SECTIONS and current in sections:
+                raise MshParseError(f"duplicate ${current} section", line=i + 1)
             start = i
-            content = []
-        elif current is not None:
-            content.append((i + 1, text))
     if current is not None:
         raise MshParseError(f"section {current} not closed", line=len(lines))
     return sections

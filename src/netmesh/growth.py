@@ -7,9 +7,10 @@ the current leaf-vertex index range; ``queue_elements`` takes one element
 per row of an ``(m, dim + 1)`` integer array mixing provisional and
 existing leaf-vertex indices.  ``queue_vertex`` and ``queue_element`` are
 one-row calls of them.  Each call checks its rows in one numpy pass
-(``checked_coords`` and ``checked_element``, shared with the factory) and
-stages nothing when it refuses a row.  The queue keeps the arrays and the
-pre-grow leaf view's vertex places, which existing indices address.
+(``checked_coords``, ``checked_element`` and ``checked_parametrizations``,
+shared with the factory) and stages nothing when it refuses a row.  The
+queue keeps the arrays and the pre-grow leaf view's vertex places, which
+existing indices address.
 
 ``grow`` commits in one pass over the queued rows, in queue order.  An
 element's vertices must sit on one common level.  A given vertex is
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FactoryError
-from .topology import checked_coords, checked_element
+from .topology import checked_coords, checked_element, checked_parametrizations
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +87,8 @@ def queue_elements(grid, kind, vertex_indices, parametrization=None):
     positions as an int64 array.  Every row gets ``parametrization``."""
     grid._require("queue_elements", "idle", "queued")
     queue = _open_queue(grid)
-    rows = checked_element(grid.dim, kind, vertex_indices, parametrization, queue.n_vertices)
+    rows = checked_element(grid.dim, kind, vertex_indices, queue.n_vertices)
+    checked_parametrizations([parametrization])
     grid._queue = queue
     first = queue.n_rows
     queue.rows.append((rows, parametrization))

@@ -22,8 +22,12 @@ an element up to its tree root (``_root``); and ``_marker``, that root's
 insertion marker (``Element.marker``).
 
 Records enter the arenas only through ``Grid._add_vertex``,
-``Grid._add_edge`` and ``Grid._add_element`` (factory, refinement and
-growth alike) and leave only through ``compaction.remove_elements``.
+``Grid._add_edge`` and ``Grid._add_element`` (refinement and growth) or
+the factory's level-0 batch appends, and leave only through
+``compaction.remove_elements``.  ``Grid._add_vertices`` appends the
+vertex records in one pass, ids in row order; ``Grid._add_elements``
+does the same for lines, while each triangle still goes through
+``_add_element``, so its new edges take their ids before it does.
 ``Grid._get_or_make_edge`` adds an edge only when the level's lookup has
 none over its two vertices; refinement adds the halves of a split edge
 directly, since their midpoint is new, and hands each child its edges,
@@ -32,8 +36,10 @@ the lookup is built enters it too.  The records are slotted dataclasses:
 each holds exactly its declared fields, without a per-record dict, so it
 is smaller and quicker to read, and it takes no other attribute.  Staged
 factory and growth input passes the same row-array checks,
-``checked_coords`` and ``checked_element``, one numpy pass per call; the
-one-vertex and one-element calls are one-row calls of the batch ones.
+``checked_coords``, ``checked_element`` and ``checked_parametrizations``,
+one pass per call; the one-vertex and one-element calls are one-row
+calls of the batch ones.  The factory also takes a parametrization and
+a marker per row.
 Records link down (corners, edges) and across levels (father, children,
 finer) but store no incidence, which ``incident_elements`` finds by
 scanning the level, and no tree root, where ``Grid._father_chain`` ends.
@@ -334,6 +340,29 @@ class Grid:
         verts = self._verts[level]
         verts.append(VertexRec(coords, self._new_id() if vid is None else vid, father))
         return len(verts) - 1
+
+    def _add_vertices(self, level, coords):
+        """Append one vertex record per row of ``coords`` at ``level``, each
+        with a new id in row order; the records hold views of its rows."""
+        first = self._next_id
+        self._next_id += len(coords)
+        self._verts[level].extend(map(VertexRec, coords, range(first, self._next_id)))
+
+    def _add_elements(self, level, staged):
+        """Append one element per (vertex slots, parametrization, marker) of
+        ``staged`` at ``level``, with ids in order.  A triangle draws its new
+        edges' ids before its own, one ``_add_element`` each; lines have no
+        edge records, so they are appended in one pass."""
+        if self.config.dim == 2:
+            for v, parametrization, marker in staged:
+                self._add_element(level, v, parametrization=parametrization, marker=marker)
+            return
+        first = self._next_id
+        self._next_id += len(staged)
+        self._elems[level].extend(
+            ElemRec(v, i, parametrization=parametrization, marker=marker)
+            for i, (v, parametrization, marker) in enumerate(staged, first)
+        )
 
     def _add_element(self, level, v, father=None, parametrization=None, corners_in_father=None,
                      marker=None, edges=None):
@@ -636,15 +665,17 @@ class GridFactory:
 
     def __init__(self, config):
         self.config = config
-        self._coords = []
+        self._coords = []  # staged (n, world_dim) blocks
+        self._n_vertices = 0
         self._elements = []  # (vertex tuple, parametrization, marker)
 
     def insert_vertices(self, coords):
         """Stage one vertex per row of an ``(n, world_dim)`` array; returns their insertion indices."""
         coords = checked_coords(coords, self.config.world_dim)
-        first = len(self._coords)
-        self._coords.extend(coords)
-        return np.arange(first, first + len(coords))
+        first = self._n_vertices
+        self._coords.append(coords)
+        self._n_vertices += len(coords)
+        return np.arange(first, self._n_vertices)
 
     def insert_vertex(self, coords):
         """Stage a vertex; returns its insertion index."""
@@ -654,33 +685,44 @@ class GridFactory:
         """Stage one element per row of an ``(m, dim + 1)`` integer array over
         previously inserted vertices; returns their insertion indices.
 
-        Every row gets the same parametrization and marker.  Degenerate
+        ``parametrization`` and ``marker`` are each one value for every row
+        or a list, tuple or array of one value per row.  Degenerate
         (zero-measure) elements are accepted; geometry operations on them
         raise :class:`SingularGeometryError` later.
         """
-        rows = checked_element(
-            self.config.dim, kind, vertex_indices, parametrization, len(self._coords)
-        )
+        rows = checked_element(self.config.dim, kind, vertex_indices, self._n_vertices)
+        parametrizations = _per_row(parametrization, len(rows), "parametrization")
+        checked_parametrizations(parametrizations)
+        markers = _per_row(marker, len(rows), "marker")
         first = len(self._elements)
-        self._elements.extend((tuple(row), parametrization, marker) for row in rows.tolist())
+        self._elements.extend(zip(map(tuple, rows.tolist()), parametrizations, markers))
         return np.arange(first, first + len(rows))
 
     def insert_element(self, kind, vertex_indices, parametrization=None, marker=None):
         """Stage an element over previously inserted vertices; returns its insertion index."""
-        return int(self.insert_elements(kind, [vertex_indices], parametrization, marker)[0])
+        return int(self.insert_elements(kind, [vertex_indices], [parametrization], [marker])[0])
 
     def create_grid(self):
         """Build the grid; the factory may be reused afterwards."""
         if not self._elements:
             raise FactoryError("cannot create a grid without elements")
         grid = Grid(self.config)
-        for coords in self._coords:
-            grid._add_vertex(0, coords.copy())
-        for idx, parametrization, marker in self._elements:
-            slot = grid._add_element(0, idx, parametrization=parametrization, marker=marker)
+        grid._add_vertices(0, np.concatenate(self._coords))
+        grid._add_elements(0, self._elements)
+        for slot, (_, parametrization, _) in enumerate(self._elements):
             if parametrization is not None:
                 _check_parametrization_corners(grid, slot, parametrization)
         return grid
+
+
+def _per_row(value, m, name):
+    """``value`` as a list of ``m`` entries: a list, tuple or array holds one
+    entry per row, anything else is every row's."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return [value] * m
+    if len(value) != m:
+        raise FactoryError(f"{name} has {len(value)} entries for {m} rows")
+    return value.tolist() if isinstance(value, np.ndarray) else list(value)
 
 
 def checked_coords(coords, world_dim):
@@ -701,7 +743,7 @@ def checked_coords(coords, world_dim):
     return coords
 
 
-def checked_element(dim, kind, vertex_indices, parametrization, n_vertices):
+def checked_element(dim, kind, vertex_indices, n_vertices):
     """Staged elements, one row of ``dim + 1`` vertex indices each, over indices
     ``0 .. n_vertices - 1``, as a new ``(m, dim + 1)`` int64 array.
 
@@ -727,9 +769,13 @@ def checked_element(dim, kind, vertex_indices, parametrization, n_vertices):
         if repeated[first]:
             raise FactoryError(f"repeated vertex index in {row}")
         raise FactoryError(f"unknown vertex index {next(i for i in row if not 0 <= i < n_vertices)}")
-    if parametrization is not None and not callable(parametrization):
-        raise FactoryError("parametrization must be callable")
     return rows.astype(np.int64)
+
+
+def checked_parametrizations(parametrizations):
+    """Refuse any entry that is neither None nor callable."""
+    if not all(phi is None or callable(phi) for phi in parametrizations):
+        raise FactoryError("parametrization must be callable")
 
 
 def _check_parametrization_corners(grid, slot, phi):

@@ -184,6 +184,14 @@ BROKEN_MSH = {
     # cli tries the surface, then the network, and reports the first failure
     "no_elements_at_all": (HEADER + NODES + "$Elements\n0\n$EndElements\n",
                            None, "no dimension-2 elements in file"),
+    # a negative tag count would make the tag-count token a node id
+    "negative_tag_count": (HEADER + NODES + "$Elements\n1\n1 1 -1 2\n$EndElements\n",
+                           11, "malformed element line"),
+    # a second section would replace the first one's nodes or elements
+    "second_format_section": (HEADER + HEADER + NODES + ELEMENTS, 4, "duplicate $MeshFormat section"),
+    "second_nodes_section": (HEADER + NODES + "$Nodes\n2\n1 0 0 0\n2 0 1 0\n$EndNodes\n" + ELEMENTS,
+                             9, "duplicate $Nodes section"),
+    "second_elements_section": (HEADER + NODES + ELEMENTS + ELEMENTS, 13, "duplicate $Elements section"),
 }
 
 
@@ -206,6 +214,13 @@ class TestMshErrorMessages:
         path, _, message = broken
         assert main(["info", str(path)]) == 2
         assert capsys.readouterr() == ("", f"parse-error: {message}\n")
+
+    def test_other_sections_may_repeat(self, tmp_path):
+        path = tmp_path / "data.msh"
+        data = "$NodeData\n1\n$EndNodeData\n"
+        path.write_text(HEADER + data + NODES + data + ELEMENTS + data)
+        view = read_gmsh(path, GridConfig(1, 3)).leaf_view()
+        assert view.coordinates().tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
     def test_blank_lines_inside_sections_are_skipped(self, tmp_path):
         path = tmp_path / "blank.msh"

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import re
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from netmesh import LINE, TRIANGLE, GridConfig, GridFactory, intersections, read_gmsh
 from netmesh.errors import DimensionMismatchError, FactoryError, StaleEntityError
+from netmesh.parametrization import QuadraticLine, QuadraticTriangle
 
 from conftest import make_grid, refine_all
 from gridcheck import check_grid
@@ -67,6 +69,68 @@ class TestFactoryValidation:
         f.insert_vertex([1, 0, 0])
         with pytest.raises(FactoryError):
             f.insert_element(LINE, [0, 1], parametrization="not callable")
+
+
+def staged_records(grid):
+    """(coordinate bits, id) of each vertex record and (corners, id, edges,
+    parametrization, marker) of each element record at level 0."""
+    return (
+        [(r.coords.tobytes(), r.id) for r in grid._verts[0]],
+        [(r.v, r.id, r.edges, r.parametrization, r.marker) for r in grid._elems[0]],
+    )
+
+
+class TestFactoryPerRowStaging:
+    """``insert_elements`` takes a parametrization and a marker per row."""
+
+    CASES = {
+        1: (LINE, [[0, 0, 0], [1, 0, 0], [2, 0.5, 0], [3, 0, 0]], [[0, 1], [1, 2], [3, 2]]),
+        2: (TRIANGLE, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1, 2], [1, 3, 2], [3, 1, 0]]),
+    }
+
+    def factory(self, dim):
+        kind, coords, rows = self.CASES[dim]
+        f = GridFactory(GridConfig(dim, 3))
+        f.insert_vertices(coords)
+        return f, kind, rows
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("sequence", [list, tuple, np.array])
+    def test_one_call_makes_the_records_and_ids_of_the_per_row_calls(self, dim, sequence):
+        f, kind, rows = self.factory(dim)
+        coords = np.array(self.CASES[dim][1], dtype=float)
+        phi = QuadraticTriangle if dim == 2 else QuadraticLine
+        corners = coords[rows[1]]
+        mids = (corners + np.roll(corners, -1, axis=0)) / 2  # edges 01, 12, 20
+        parametrizations = [None, phi(np.vstack([corners, mids[:1] if dim == 1 else mids])), None]
+        markers = [7, 8, 7]
+        per_row = [f.insert_element(kind, row, parametrization=p, marker=m)
+                   for row, p, m in zip(rows, parametrizations, markers)]
+        one, _, _ = self.factory(dim)
+        staged = one.insert_elements(kind, rows, parametrization=sequence(parametrizations),
+                                     marker=sequence(markers))
+        assert staged.tolist() == per_row == [0, 1, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grids = f.create_grid(), one.create_grid()
+        assert staged_records(grids[0]) == staged_records(grids[1])
+        assert [type(r.marker) for r in grids[1]._elems[0]] == [int] * 3
+
+    @pytest.mark.parametrize("name", ["parametrization", "marker"])
+    @pytest.mark.parametrize("entries", [2, 4])
+    def test_a_sequence_of_the_wrong_length_is_refused(self, name, entries):
+        f, kind, rows = self.factory(1)
+        with pytest.raises(FactoryError, match=f"^{name} has {entries} entries for 3 rows$"):
+            f.insert_elements(kind, rows, **{name: [None] * entries})
+        with pytest.raises(FactoryError, match="without elements"):
+            f.create_grid()
+
+    def test_an_entry_that_is_not_callable_is_refused(self):
+        f, kind, rows = self.factory(1)
+        with pytest.raises(FactoryError, match="^parametrization must be callable$"):
+            f.insert_elements(kind, rows, parametrization=[None, "not callable", None])
+        with pytest.raises(FactoryError, match="without elements"):
+            f.create_grid()
 
 
 def test_single_triangle_entities(single_triangle):
