@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import MeshError, MshParseError, ScenarioError
-from .gmsh_io import read_gmsh
+from .gmsh_io import logger as gmsh_log, read_gmsh
 from .intersections import intersections
 from .parametrization import BUILTIN_PARAMETRIZATIONS, WaveletGraph, lift_to_wavelet
 from .scenario import Scenario
@@ -29,17 +29,27 @@ log = logging.getLogger(__name__)
 
 
 def _load_mesh(path):
-    """Read an MSH file, trying surface (d=2) then network (d=1) elements."""
-    first_error = None
-    for dim in (2, 1):
-        try:
-            return read_gmsh(path, GridConfig(dim, 3))
-        except MshParseError as err:
-            if "no dimension" in str(err):
-                first_error = first_error or err
-                continue
+    """Read an MSH file as a surface (d=2), or else as a network (d=1).
+    Only the read that is kept logs, so each warning appears once."""
+    held = []
+    gmsh_log.addFilter(held.append)  # a filter that returns None holds every record
+    try:
+        return read_gmsh(path, GridConfig(2, 3))
+    except MshParseError as err:
+        if "no dimension" not in str(err):
             raise
-    raise first_error
+        held.clear()
+        surface_error = err
+    finally:
+        gmsh_log.removeFilter(held.append)
+        for record in held:
+            gmsh_log.handle(record)
+    try:
+        return read_gmsh(path, GridConfig(1, 3))
+    except MshParseError as err:
+        if "no dimension" in str(err):
+            raise surface_error from None
+        raise
 
 
 def cmd_info(mesh_path):

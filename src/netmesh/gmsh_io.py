@@ -11,13 +11,11 @@ is not read, a negative tag count is refused as a malformed line, and
 the first physical tag is retained as the element's insertion marker.
 A file holds one ``$MeshFormat``, ``$Nodes`` and ``$Elements`` section
 each; a second one is refused at its header.  Other sections may repeat
-and are ignored.
+and are ignored.  Lines are numbered by ``\\n`` alone.
 
-Each section is read in array passes: one split per line, one pass of
-Python's ``int`` or ``float`` over its tokens, and every check as a mask
-over the whole section.  Only when a check fails does a loop over the
-section's lines find the first bad one, so each refusal names its line.
-The elements enter the factory in one ``insert_elements`` call, with a
+Each section is read in one loop over its lines, which checks each rule
+once and refuses the first line that breaks one, naming that line.  The
+elements enter the factory in one ``insert_elements`` call, with a
 marker and a parametrization per row.
 """
 
@@ -25,8 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from itertools import chain, count
-from operator import itemgetter
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +43,6 @@ _ELEMENT_TYPES = {
     9: (TRIANGLE, 6, QuadraticTriangle),
 }
 _SINGLE_SECTIONS = ("MeshFormat", "Nodes", "Elements")
-_AFTER_ID = itemgetter(slice(1, None))
 
 
 def read_gmsh(path, config):
@@ -56,11 +52,11 @@ def read_gmsh(path, config):
     beyond the world dimension are discarded (the usual case is w=2 dropping z).
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         line = err.object[: err.start].count(b"\n") + 1
         raise MshParseError(f"not UTF-8 text ({err.reason} at byte {err.start})", line=line)
-    sections = _split_sections(lines)
+    sections = _split_sections(text.removesuffix("\n").split("\n"))
 
     if "MeshFormat" not in sections:
         raise MshParseError("missing $MeshFormat section")
@@ -81,141 +77,60 @@ def read_gmsh(path, config):
         raise MshParseError("missing $Nodes section")
     if "Elements" not in sections:
         raise MshParseError("missing $Elements section")
-    xyz, row_of = _read_nodes(*sections["Nodes"])
-    corners, curved, markers = _read_elements(*sections["Elements"], row_of, config.dim)
+    coords, row_of = _read_nodes(*sections["Nodes"], config.world_dim)
+    corner_rows, parametrizations, markers = _read_elements(
+        *sections["Elements"], row_of, coords, config.dim
+    )
 
-    w = config.world_dim
-    padded = np.zeros((len(xyz), w))
-    padded[:, : min(w, 3)] = xyz[:, : min(w, 3)]
     # only corner nodes become vertices, in order of first use; mid-edge
     # nodes shape the parametrization
-    corner_rows = corners.ravel().tolist()
     vertex_of = dict(zip(dict.fromkeys(corner_rows), count()))
-    parametrizations = [None] * len(corners)
-    for element, parametrization, nodes in curved:
-        parametrizations[element] = parametrization(padded[nodes])
     factory = GridFactory(config)
-    factory.insert_vertices(padded[list(vertex_of)])
+    factory.insert_vertices(coords[list(vertex_of)])
     factory.insert_elements(
         LINE if config.dim == 1 else TRIANGLE,
-        np.reshape(list(map(vertex_of.__getitem__, corner_rows)), corners.shape),
+        np.reshape(list(map(vertex_of.__getitem__, corner_rows)), (-1, config.dim + 1)),
         parametrization=parametrizations,
         marker=markers,
     )
     return factory.create_grid()
 
 
-def _read_nodes(start, numbers, texts):
-    """The ``(n, 3)`` coordinates of the nodes in file order, and a map
-    from each node id to its row."""
-    n = _count(start, numbers, texts, "node")
-    rows = list(map(str.split, texts[1:]))
-    if set(map(len, rows)) <= {4}:
-        tokens = list(chain.from_iterable(rows))
-        try:
-            row_of = dict(zip(map(int, tokens[::4]), range(n)))
-            del tokens[::4]
-            xyz = np.array(list(map(float, tokens))).reshape(n, 3)
-        except ValueError:
-            pass
-        else:
-            if len(row_of) == n and np.isfinite(xyz).all():
-                return xyz, row_of
-    _raise_at_first_bad_node_line(numbers[1:], rows)
-
-
-def _raise_at_first_bad_node_line(numbers, rows):
-    seen = set()
-    for line_no, parts in zip(numbers, rows):
+def _read_nodes(start, numbers, texts, w):
+    """The ``(n, w)`` coordinates of the nodes in file order, cut or padded
+    with zeros to the world dimension ``w``, and a map from each node id
+    to its row."""
+    _count(start, numbers, texts, "node")
+    points, row_of = [], {}
+    for line_no, text in zip(numbers[1:], texts[1:]):
+        parts = text.split()
         if len(parts) != 4:
             raise MshParseError("node line needs 'id x y z'", line=line_no)
         try:
             nid = int(parts[0])
-            xyz = [float(p) for p in parts[1:]]
+            xyz = [float(parts[1]), float(parts[2]), float(parts[3])]
         except ValueError:
             raise MshParseError("malformed node line", line=line_no)
         if not all(map(math.isfinite, xyz)):
             raise MshParseError(f"node {nid} has a non-finite coordinate", line=line_no)
-        if nid in seen:
+        if nid in row_of:
             raise MshParseError(f"duplicate node id {nid}", line=line_no)
-        seen.add(nid)
-    raise AssertionError("a node check failed on no line")
+        row_of[nid] = len(row_of)
+        points += xyz
+    coords = np.zeros((len(row_of), w))
+    coords[:, : min(w, 3)] = np.reshape(points, (-1, 3))[:, : min(w, 3)]
+    return coords, row_of
 
 
-def _read_elements(start, numbers, texts, row_of, dim):
+def _read_elements(start, numbers, texts, row_of, coords, dim):
     """The elements of dimension ``dim`` in file order: the node rows of
-    their corners as an ``(m, dim + 1)`` array, (element, parametrization
-    class, node rows) of each curved one, and their markers."""
+    their corners, one element after the other, and the parametrization
+    (over the rows of ``coords``) and marker of each."""
     n = _count(start, numbers, texts, "element")
-    numbers = numbers[1:]
-    rows = list(map(str.split, texts[1:]))
-    table = _element_table(rows, row_of, dim)
-    if table is None:
-        _raise_at_first_bad_element_line(numbers, rows, row_of, dim)
-    etype, supported, n_tags, kept, first_tag, nodes, node_counts = table
-    skipped = np.flatnonzero(~supported)
-    for t, i in zip(etype[skipped].tolist(), skipped.tolist()):
-        _warn_unsupported(t, numbers[i])
-    if not len(kept):
-        raise MshParseError(f"no dimension-{dim} elements in file")
-    logger.info(
-        "read %d elements (%d other-dimensional ignored, %d unsupported skipped)",
-        len(kept), n - len(kept) - len(skipped), len(skipped),
-    )
-    ends = np.cumsum(node_counts)
-    corners = nodes[(ends - node_counts)[:, None] + np.arange(dim + 1)]
-    curved = [
-        (row, _ELEMENT_TYPES[etype[kept[row]]][2], nodes[ends[row] - node_counts[row] : ends[row]])
-        for row in np.flatnonzero(node_counts > dim + 1).tolist()
-    ]
-    markers = [
-        tag if has_tags else None
-        for tag, has_tags in zip(first_tag.tolist(), (n_tags[kept] > 0).tolist())
-    ]
-    return corners, curved, markers
-
-
-def _element_table(rows, row_of, dim):
-    """Per-line columns of an element section, or None when a line breaks
-    a rule: each line's type, whether it is supported, and its tag count;
-    the lines of the kept elements (those of dimension ``dim``), their
-    first token after the tag count, the rows of all their nodes, one
-    element after the other, and their node counts."""
-    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    if (lens < 3).any():
-        return None
-    try:
-        flat = _int_array(list(map(int, chain.from_iterable(map(_AFTER_ID, rows)))))
-    except ValueError:
-        return None
-    width = lens - 1
-    first = np.cumsum(width) - width
-    etype, n_tags = flat[first], flat[first + 1]
-    if (n_tags < 0).any():
-        return None
-    need = np.zeros(len(rows), dtype=np.int64)
-    kind_dim = np.zeros(len(rows), dtype=np.int64)
-    for t, (kind, k, _) in _ELEMENT_TYPES.items():
-        is_t = etype == t
-        need[is_t] = k
-        kind_dim[is_t] = kind.dim
-    fits = np.maximum(width - 2 - n_tags, 0) == need
-    if (~fits & (need > 0)).any():
-        return None
-    kept = np.flatnonzero(fits & (kind_dim == dim))
-    node_counts = need[kept]
-    node_first = (first + 2 + n_tags)[kept].astype(np.int64)
-    starts = np.cumsum(node_counts) - node_counts
-    refs = flat[np.repeat(node_first - starts, node_counts) + np.arange(node_counts.sum())]
-    nodes = list(map(row_of.get, refs.tolist()))
-    if None in nodes:
-        return None
-    first_tag = flat[first[kept] + 2]
-    return etype, need > 0, n_tags, kept, first_tag, np.array(nodes, dtype=np.int64), node_counts
-
-
-def _raise_at_first_bad_element_line(numbers, rows, row_of, dim):
-    for line_no, parts in zip(numbers, rows):
+    corner_rows, parametrizations, markers = [], [], []
+    skipped = 0
+    for line_no, text in zip(numbers[1:], texts[1:]):
+        parts = text.split()
         if len(parts) < 3:
             raise MshParseError("element line too short", line=line_no)
         try:
@@ -225,22 +140,29 @@ def _raise_at_first_bad_element_line(numbers, rows, row_of, dim):
         if n_tags < 0:
             raise MshParseError("malformed element line", line=line_no)
         if etype not in _ELEMENT_TYPES:
-            _warn_unsupported(etype, line_no)
+            logger.warning("skipping unsupported element type %d (line %d)", etype, line_no)
+            skipped += 1
             continue
-        kind, n_nodes, _ = _ELEMENT_TYPES[etype]
+        kind, n_nodes, parametrization = _ELEMENT_TYPES[etype]
         nodes = rest[n_tags:]
-        if n_nodes != len(nodes):
+        if len(nodes) != n_nodes:
             raise MshParseError(f"type {etype} needs {n_nodes} nodes, got {len(nodes)}", line=line_no)
         if kind.dim != dim:
             continue
-        for node in nodes:
-            if node not in row_of:
-                raise MshParseError(f"element references unknown node {node}", line=line_no)
-    raise AssertionError("an element check failed on no line")
-
-
-def _warn_unsupported(etype, line_no):
-    logger.warning("skipping unsupported element type %d (line %d)", etype, line_no)
+        try:
+            rows = list(map(row_of.__getitem__, nodes))
+        except KeyError as err:
+            raise MshParseError(f"element references unknown node {err.args[0]}", line=line_no)
+        corner_rows += rows[: dim + 1]
+        parametrizations.append(parametrization(coords[rows]) if parametrization else None)
+        markers.append(rest[0] if n_tags else None)
+    if not markers:
+        raise MshParseError(f"no dimension-{dim} elements in file")
+    logger.info(
+        "read %d elements (%d other-dimensional ignored, %d unsupported skipped)",
+        len(markers), n - len(markers) - skipped, skipped,
+    )
+    return corner_rows, parametrizations, markers
 
 
 def _count(start, numbers, texts, what):
@@ -255,14 +177,6 @@ def _count(start, numbers, texts, what):
     if len(texts) - 1 != n:
         raise MshParseError(f"expected {n} {what} lines, found {len(texts) - 1}", line=numbers[0])
     return n
-
-
-def _int_array(values):
-    """Python ints as an int64 array, or an object array when one does not fit."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _split_sections(lines):

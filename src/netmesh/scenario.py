@@ -71,7 +71,8 @@ class Scenario:
             line = err.object[: err.start].count(b"\n") + 1
             raise ScenarioError(f"{path}:{line}: not UTF-8 text ({err.reason} at byte {err.start})")
         values = {}
-        for i, raw in enumerate(text.splitlines(), start=1):
+        # numbered by \n alone, as an editor or grep -n numbers them
+        for i, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

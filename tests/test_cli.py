@@ -66,6 +66,26 @@ class TestInfo:
         assert "junction facets (3 or more incident elements): 1" in out
         assert "multiplicity 3: 1" in out
 
+    @pytest.mark.parametrize("command", ["info", "refine"])
+    def test_network_mesh_logs_each_warning_once(self, tmp_path, command):
+        # the surface read finds no triangles; only the network read that follows logs
+        mesh = tmp_path / "points.msh"
+        mesh.write_text("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n2\n1 0 0 0\n2 1 0 0\n$EndNodes\n"
+                        "$Elements\n3\n1 15 0 1\n2 1 0 1 2\n3 15 0 2\n$EndElements\n")
+        out = ["--out", str(tmp_path / "refined.vtk")] if command == "refine" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "netmesh", "-v", command, str(mesh), *out],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+        )
+        assert proc.returncode == 0
+        assert [line for line in proc.stderr.splitlines() if "netmesh.gmsh_io" in line] == [
+            "WARNING netmesh.gmsh_io: skipping unsupported element type 15 (line 11)",
+            "WARNING netmesh.gmsh_io: skipping unsupported element type 15 (line 13)",
+            "INFO netmesh.gmsh_io: read 1 elements (0 other-dimensional ignored, 2 unsupported skipped)",
+        ]
+
 
 class TestRefine:
     def test_zero_steps_copies_the_mesh(self, capsys, tmp_path):

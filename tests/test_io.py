@@ -195,6 +195,10 @@ BROKEN_MSH = {
 }
 
 
+# str.splitlines() also breaks at each of these; a line ends at \n alone
+NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 class TestMshErrorMessages:
     @pytest.fixture(params=list(BROKEN_MSH))
     def broken(self, request, tmp_path):
@@ -214,6 +218,15 @@ class TestMshErrorMessages:
         path, _, message = broken
         assert main(["info", str(path)]) == 2
         assert capsys.readouterr() == ("", f"parse-error: {message}\n")
+
+    @pytest.mark.parametrize("char", NOT_NEWLINES, ids=lambda c: f"U+{ord(c):04X}")
+    def test_lines_are_numbered_by_newline_alone(self, tmp_path, char):
+        path = tmp_path / "bad.msh"
+        path.write_text(HEADER + f"$Nodes\n2\n1 0 0 0{char}\n2 1 0\n$EndNodes\n" + ELEMENTS,
+                        encoding="utf-8")
+        with pytest.raises(MshParseError) as err:
+            read_gmsh(path, GridConfig(1, 3))
+        assert (str(err.value), err.value.line) == ("line 7: node line needs 'id x y z'", 7)
 
     def test_other_sections_may_repeat(self, tmp_path):
         path = tmp_path / "data.msh"

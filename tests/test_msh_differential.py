@@ -144,6 +144,14 @@ def msh_path(tmp_path_factory):
 # a short last element line, past which no column may be read
 @example(("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n2\n1 0 0 0\n2 1 0 0\n$EndNodes\n"
           "$Elements\n2\n1 1 0 1 2\n2 1\n$EndElements\n", GridConfig(1, 3)))
+# the rules of one line in their order: token count before conversion,
+# finiteness before a repeated id, node count before an unknown node
+@example(("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n2\n1 0 0 0\n2 x 0\n$EndNodes\n"
+          "$Elements\n1\n1 1 0 1 2\n$EndElements\n", GridConfig(1, 3)))
+@example(("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n2\n1 0 0 0\n1 nan 0 0\n$EndNodes\n"
+          "$Elements\n1\n1 1 0 1 1\n$EndElements\n", GridConfig(1, 3)))
+@example(("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n2\n1 0 0 0\n2 1 0 0\n$EndNodes\n"
+          "$Elements\n1\n1 1 0 9\n$EndElements\n", GridConfig(1, 3)))
 def test_same_records_error_and_log_as_the_line_reader(msh_path, case):
     text, config = case
     msh_path.write_text(text)

@@ -28,6 +28,15 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=rf"{path.name}:2"):
             Scenario.load(path)
 
+    # str.splitlines() also breaks at each of these; a line ends at \n alone
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                             ids=lambda c: f"U+{ord(c):04X}")
+    def test_lines_are_numbered_by_newline_alone(self, tmp_path, char):
+        path = tmp_path / "case.txt"
+        path.write_text(f"alpha = 1\nbeta = 2{char}\nbogus\n", encoding="utf-8")
+        with pytest.raises(ScenarioError, match=rf"{path.name}:3: expected 'key = value', got 'bogus'"):
+            Scenario.load(path)
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write(tmp_path, "alpha = 1\nalpha = 2\n")
         with pytest.raises(ScenarioError, match="duplicate key 'alpha'"):
