@@ -22,7 +22,7 @@ from .gmsh_io import logger as gmsh_log, read_gmsh
 from .intersections import intersections
 from .parametrization import BUILTIN_PARAMETRIZATIONS, WaveletGraph, lift_to_wavelet
 from .scenario import Scenario
-from .topology import TRIANGLE, GridConfig, GridFactory
+from .topology import MAX_ELEMENTS, TRIANGLE, GridConfig, GridFactory
 from .vtk_io import write_vtk
 
 log = logging.getLogger(__name__)
@@ -114,6 +114,16 @@ def cmd_refine(mesh_path, steps, parametrization, out_path):
             f"builtins: {', '.join(BUILTIN_PARAMETRIZATIONS)}"
         )
     grid = _load_mesh(mesh_path)
+    # refused before refining: each step splits a leaf into 2**dim, and past the leaf
+    # bound the loop stops, so no power of a huge step count is formed
+    leaves, allowed = grid.leaf_view().size(0), 0
+    while leaves * 2 ** (grid.dim * (allowed + 1)) <= MAX_ELEMENTS:
+        allowed += 1
+    if steps > allowed:
+        raise ScenarioError(
+            f"--steps {steps} would refine {leaves} elements to more than the bound of "
+            f"{MAX_ELEMENTS} leaves; this mesh allows at most {allowed} steps"
+        )
     if parametrization == "wavelet":
         grid = _wavelet_grid(grid)
     for _ in range(steps):

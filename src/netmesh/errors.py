@@ -48,3 +48,10 @@ class MshParseError(MeshError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def undecodable_line(err):
+    """The 1-based line of a ``UnicodeDecodeError``'s bad byte, with lines ended
+    by ``\\n``, ``\\r\\n`` or a lone ``\\r``, as ``Path.read_text`` ends them."""
+    before = err.object[: err.start]
+    return before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1

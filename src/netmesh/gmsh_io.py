@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MshParseError
+from .errors import MshParseError, undecodable_line
 from .parametrization import QuadraticLine, QuadraticTriangle
 from .topology import GridFactory, LINE, TRIANGLE
 
@@ -54,7 +54,7 @@ def read_gmsh(path, config):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
-        line = err.object[: err.start].count(b"\n") + 1
+        line = undecodable_line(err)
         raise MshParseError(f"not UTF-8 text ({err.reason} at byte {err.start})", line=line)
     sections = _split_sections(text.removesuffix("\n").split("\n"))
 

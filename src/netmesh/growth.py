@@ -1,16 +1,14 @@
 """Runtime grid growth: queued insertion and removal of leaf elements.
 
-Insertions are staged (two-phase commit) as whole arrays.
-``queue_vertices`` takes one provisional vertex per row of an
-``(n, world_dim)`` array and hands out provisional indices that continue
-the current leaf-vertex index range; ``queue_elements`` takes one element
-per row of an ``(m, dim + 1)`` integer array mixing provisional and
-existing leaf-vertex indices.  ``queue_vertex`` and ``queue_element`` are
-one-row calls of them.  Each call checks its rows in one numpy pass
-(``checked_coords``, ``checked_element`` and ``checked_parametrizations``,
-shared with the factory) and stages nothing when it refuses a row.  The
-queue keeps the arrays and the pre-grow leaf view's vertex places, which
-existing indices address.
+Insertions are staged (two-phase commit) in a ``GridFactory``, so growth
+takes its input as the level-0 build does: ``queue_vertices`` and
+``queue_elements`` stage through ``insert_vertices`` and
+``insert_elements``, with their checks and their per-row
+parametrizations, and stage nothing when the factory refuses a row.
+The queue's vertex indices start after the pre-grow leaf view's
+vertices, whose places it keeps: an element row mixes provisional and
+existing leaf-vertex indices.  ``queue_vertex`` and ``queue_element``
+are one-row calls.  Grown elements get no marker.
 
 ``grow`` commits in one pass over the queued rows, in queue order.  An
 element's vertices must sit on one common level.  A given vertex is
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FactoryError
-from .topology import checked_coords, checked_element, checked_parametrizations
+from .topology import GridFactory
 
 logger = logging.getLogger(__name__)
 
@@ -50,51 +48,39 @@ class GrowthReport:
     removed: int = 0
 
 
-class _Queue:
-    """The insertions one grow transaction has staged."""
+class _Queue(GridFactory):
+    """The insertions one grow transaction has staged: a factory whose vertex
+    indices continue the pre-grow leaf view's."""
 
     def __init__(self, grid):
+        super().__init__(grid.config)
         self.places = grid.leaf_view().places(grid.dim)  # existing vertex index -> (level, slot)
-        self.coords = []  # (n, world_dim) float arrays, one per queue_vertices call
-        self.n_vertices = len(self.places)  # the next provisional index
-        self.rows = []  # ((m, dim + 1) int64 array, parametrization), one per queue_elements call
-        self.n_rows = 0
+        self._n_vertices = len(self.places)
 
 
-def _open_queue(grid):
-    """The open queue, or a new one over the current leaf view.  Callers
-    store a new queue only once their input passed its check: a refused
-    call must not keep a view that a later adapt would make stale."""
-    return grid._queue if grid._queue is not None else _Queue(grid)
+def _stage(grid, call, insert, *args):
+    """``insert(queue, *args)`` on the open queue, or on a new one over the
+    current leaf view, which the grid keeps only once ``insert`` accepted its
+    input: a refused call must not keep a view that a later adapt would make stale."""
+    grid._require(call, "idle", "queued")
+    queue = grid._queue if grid._queue is not None else _Queue(grid)
+    indices = insert(queue, *args)
+    grid._queue, grid._phase = queue, "queued"
+    return indices
 
 
 def queue_vertices(grid, coords):
     """Stage one new vertex per row of an ``(n, world_dim)`` array; returns
     their provisional indices (fixed until grow) as an int64 array."""
-    grid._require("queue_vertices", "idle", "queued")
-    coords = checked_coords(coords, grid.world_dim)
-    queue = grid._queue = _open_queue(grid)
-    first = queue.n_vertices
-    queue.coords.append(coords)
-    queue.n_vertices += len(coords)
-    grid._phase = "queued"
-    return np.arange(first, queue.n_vertices)
+    return _stage(grid, "queue_vertices", GridFactory.insert_vertices, coords)
 
 
 def queue_elements(grid, kind, vertex_indices, parametrization=None):
     """Stage one new element per row of an ``(m, dim + 1)`` integer array of
     provisional and/or existing leaf vertex indices; returns their queue
-    positions as an int64 array.  Every row gets ``parametrization``."""
-    grid._require("queue_elements", "idle", "queued")
-    queue = _open_queue(grid)
-    rows = checked_element(grid.dim, kind, vertex_indices, queue.n_vertices)
-    checked_parametrizations([parametrization])
-    grid._queue = queue
-    first = queue.n_rows
-    queue.rows.append((rows, parametrization))
-    queue.n_rows += len(rows)
-    grid._phase = "queued"
-    return np.arange(first, queue.n_rows)
+    positions as an int64 array.  ``parametrization`` is one value for every
+    row or a list, tuple or array of one value per row."""
+    return _stage(grid, "queue_elements", GridFactory.insert_elements, kind, vertex_indices, parametrization)
 
 
 def remove_element(grid, element):
@@ -112,11 +98,10 @@ def remove_element(grid, element):
 def _insert(grid, queue, report):
     """Commit the queued rows in queue order; see the module docstring."""
     places, base = queue.places, len(queue.places)
-    coords = list(np.concatenate(queue.coords)) if queue.coords else []
-    rows = ((row, phi) for chunk, phi in queue.rows for row in chunk.tolist())
+    coords = list(np.concatenate(queue._coords)) if queue._coords else []
     corners = grid.dim + 1
     made = {}  # provisional index -> (level, slot) of the vertex its first user made
-    for q, (row, parametrization) in enumerate(rows):
+    for q, (row, parametrization, _) in enumerate(queue._elements):
         given = [places[i] if i < base else made.get(i) for i in row]
         levels = {place[0] for place in given if place is not None}
         if len(levels) > 1:

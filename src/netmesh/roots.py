@@ -33,15 +33,9 @@ from .flow import checked_solve, element_arrays, facet_table, squared_norms, two
 from .flow import junction_two_point_transmissibilities  # noqa: F401
 from .intersections import intersections  # noqa: F401
 from .scenario import FILE_NAME, FINITE, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, refuse_broken
-from .topology import LINE, GridConfig, GridFactory
+from .topology import LINE, MAX_ELEMENTS, GridConfig, GridFactory
 
 log = logging.getLogger(__name__)
-
-# Growth bound: the most leaf segments a growth round may leave.  Growth is
-# exponential: at branch probability 0.3 a root of 8 segments has 24,992
-# after 20 steps (peak memory 143 MB), and 30 steps do not finish in ten
-# minutes.  The bound is four times that count.
-MAX_ELEMENTS = 100_000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

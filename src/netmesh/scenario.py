@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ScenarioError, undecodable_line
 
 FINITE = (math.isfinite, "be finite")
 POSITIVE = (lambda v: v > 0, "be positive")
@@ -68,7 +68,7 @@ class Scenario:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as err:
-            line = err.object[: err.start].count(b"\n") + 1
+            line = undecodable_line(err)
             raise ScenarioError(f"{path}:{line}: not UTF-8 text ({err.reason} at byte {err.start})")
         values = {}
         # numbered by \n alone, as an editor or grep -n numbers them

@@ -23,11 +23,10 @@ def grow_by_rows(grid):
     if grid._queue is not None:
         leaves = grid._queue.places
         base = len(leaves)
-        queued_vertices = list(np.concatenate(grid._queue.coords)) if grid._queue.coords else []
-        for rows, parametrization in grid._queue.rows:
-            for idx in rows.tolist():
-                refs = tuple(("v",) + leaves[i] if i < base else ("q", i - base) for i in idx)
-                queued_elements.append((refs, parametrization))
+        queued_vertices = list(np.concatenate(grid._queue._coords)) if grid._queue._coords else []
+        for idx, parametrization, _ in grid._queue._elements:
+            refs = tuple(("v",) + leaves[i] if i < base else ("q", i - base) for i in idx)
+            queued_elements.append((refs, parametrization))
 
     created = {}  # provisional queue slot -> (level, vertex slot)
     for qidx, (refs, parametrization) in enumerate(queued_elements):

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netmesh import roots
+from netmesh import ScenarioError, cli, roots
 from netmesh.cli import main
+from netmesh.topology import Grid
 from netmesh.views import GridView
 
 DATA = Path(__file__).parent / "data"
@@ -143,6 +144,32 @@ class TestRefine:
         golden = (DATA / "golden" / "refine" / "square_3.vtk").read_text()
         assert "\nPOINTS 81 double\n" in text
         assert text[text.index("\nCELLS "):] == golden[golden.index("\nCELLS "):]
+
+    def test_steps_past_the_leaf_bound_are_refused_before_refining(self, capsys, tmp_path, monkeypatch):
+        """2 triangles times 4**8 leaves pass the bound of 100,000; 4**7 do not.
+        A huge count is refused as fast, since no power of it is formed."""
+        monkeypatch.setattr(Grid, "pre_adapt", None)  # refining would raise TypeError
+        for steps in (8, 1_000_000_000):
+            out_path = tmp_path / "big.vtk"
+            code, out, err = run(
+                capsys, "refine", ROOT / "meshes" / "square.msh", "--steps", steps, "--out", out_path
+            )
+            assert (code, out) == (3, "")
+            assert err == (f"scenario-error: --steps {steps} would refine 2 elements to more than "
+                           "the bound of 100000 leaves; this mesh allows at most 7 steps\n")
+            assert not out_path.exists()
+
+    @pytest.mark.parametrize("mesh,allowed", [("square", 2), ("network", 3)])
+    def test_the_leaf_bound_admits_exactly_its_count(self, capsys, tmp_path, monkeypatch, mesh, allowed):
+        """Under a bound of 32, 2 triangles reach it in 2 steps and 3 segments
+        (24 leaves after 3) pass it in 4."""
+        monkeypatch.setattr(cli, "MAX_ELEMENTS", 32)
+        path = ROOT / "meshes" / "square.msh" if mesh == "square" else DATA / "network.msh"
+        out_path = tmp_path / "ok.vtk"
+        code, out, _ = run(capsys, "refine", path, "--steps", allowed, "--out", out_path)
+        assert code == 0 and out.startswith(f"wrote {out_path}: ")
+        with pytest.raises(ScenarioError, match=f"allows at most {allowed} steps$"):
+            cli.cmd_refine(path, allowed + 1, None, tmp_path / "big.vtk")
 
 
 class TestErrorCategories:

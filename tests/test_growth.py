@@ -306,6 +306,38 @@ class TestBatchQueue:
             chain4.queue_elements(LINE, [[0, 1]], parametrization="curved")
         assert_staged_nothing(chain4)
 
+    @pytest.mark.parametrize("sequence", [list, tuple, np.array])
+    def test_one_call_stages_as_the_per_row_calls(self, sequence):
+        """As ``insert_elements``, ``queue_elements`` takes a parametrization
+        per row: one call commits the records, ids and report of one call per row."""
+        grids = [make_grid(1, 3, [(float(i), 0.0, 0.0) for i in range(5)], [(i, i + 1) for i in range(4)])
+                 for _ in range(2)]
+        rows, parametrizations = [[4, 5], [5, 6], [0, 6]], [None, _chart, None]
+        for grid in grids:
+            grid.queue_vertices(np.array([[5.0, 0.0, 0.0], [6.0, 0.0, 0.0]]))
+        per_row = [grids[0].queue_element(LINE, row, p) for row, p in zip(rows, parametrizations)]
+        staged = grids[1].queue_elements(LINE, rows, sequence(parametrizations))
+        assert staged.tolist() == per_row == [0, 1, 2]
+        assert (grids[0].grow(), grids[1].grow()) == (True, True)
+        assert records(grids[0]) == records(grids[1])
+        assert grids[0].growth_report == grids[1].growth_report
+        assert [rec.parametrization for rec in grids[1]._elems[0][4:]] == parametrizations
+        for grid in grids:
+            grid.post_grow()
+            check_grid(grid)
+
+    @pytest.mark.parametrize("entries", [2, 4])
+    def test_a_parametrization_sequence_of_the_wrong_length_is_refused(self, chain4, entries):
+        rows = [[0, 1], [1, 2], [2, 3]]
+        with pytest.raises(FactoryError, match=f"^parametrization has {entries} entries for 3 rows$"):
+            chain4.queue_elements(LINE, rows, [None] * entries)
+        assert (chain4._phase, chain4._queue) == ("idle", None)
+        assert chain4.queue_vertex(np.zeros(3)) == 5
+        with pytest.raises(FactoryError, match=f"^parametrization has {entries} entries for 3 rows$"):
+            chain4.queue_elements(LINE, rows, (_chart,) * entries)
+        assert chain4._phase == "queued"
+        assert chain4.queue_element(LINE, [4, 5]) == 0  # the refused rows staged nothing
+
     def test_empty_batch_is_accepted_and_stages_nothing(self, chain4):
         """Zero rows of the right width queue nothing; they still need an open
         queue phase, and ``[]`` (rows of no width) is refused as the wrong width."""

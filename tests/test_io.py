@@ -228,6 +228,17 @@ class TestMshErrorMessages:
             read_gmsh(path, GridConfig(1, 3))
         assert (str(err.value), err.value.line) == ("line 7: node line needs 'id x y z'", 7)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_an_undecodable_byte_names_its_line(self, tmp_path, end):
+        """A lone \\r ends a line in the count as it does in ``read_text``."""
+        head = end.join(["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", ""]).encode()
+        path = tmp_path / "bad.msh"
+        path.write_bytes(head + b"\377" + end.encode())
+        with pytest.raises(MshParseError) as err:
+            read_gmsh(path, GridConfig(1, 3))
+        message = f"line 5: not UTF-8 text (invalid start byte at byte {len(head)})"
+        assert (str(err.value), err.value.line) == (message, 5)
+
     def test_other_sections_may_repeat(self, tmp_path):
         path = tmp_path / "data.msh"
         data = "$NodeData\n1\n$EndNodeData\n"

@@ -37,6 +37,17 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=rf"{path.name}:3: expected 'key = value', got 'bogus'"):
             Scenario.load(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_an_undecodable_byte_names_its_line(self, tmp_path, end):
+        """A lone \\r ends a line in the count as it does in ``read_text``."""
+        head = f"alpha = 1{end}beta = 2{end}".encode()
+        path = tmp_path / "case.txt"
+        path.write_bytes(head + b"\377 = 3" + end.encode())
+        message = f"{path}:3: not UTF-8 text (invalid start byte at byte {len(head)})"
+        with pytest.raises(ScenarioError) as err:
+            Scenario.load(path)
+        assert str(err.value) == message
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write(tmp_path, "alpha = 1\nalpha = 2\n")
         with pytest.raises(ScenarioError, match="duplicate key 'alpha'"):
