@@ -23,8 +23,10 @@ the root has one, else at the affine midpoint of the edge.
 
 The grid's phase runs idle -> preadapted -> adapted -> idle.
 ``pre_adapt`` collects the places of vanishing sibling groups in
-``Grid._vanishing`` and ``adapt`` removes exactly that set; the elements
-``adapt`` makes are new by id until ``post_adapt`` (see ``topology``).
+``Grid._vanishing`` and ``adapt`` removes exactly that set; ``pre_adapt``
+refuses, before it changes anything, an adapt that would leave more than
+``topology.MAX_ELEMENTS`` leaves.  The elements ``adapt`` makes are new
+by id until ``post_adapt`` (see ``topology``).
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ import math
 import numpy as np
 
 from . import compaction
-from .errors import DimensionMismatchError, FactoryError
-from .topology import CHILD_CORNERS_IN_FATHER, CHILDREN, EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, checked_coords
+from .errors import DimensionMismatchError, FactoryError, ScenarioError
+from .topology import (
+    CHILD_CORNERS_IN_FATHER, CHILDREN, EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, MAX_ELEMENTS, checked_coords,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -83,18 +87,33 @@ def get_mark(grid, element):
 
 
 def pre_adapt(grid):
-    """Collect the places of sibling groups that vanish; returns True when any do."""
+    """Collect the places of sibling groups that vanish; returns True when any do.
+
+    Raises :class:`ScenarioError`, with the phase and every record as they
+    were, when the adapt would leave more than :data:`MAX_ELEMENTS` leaves:
+    each refined leaf adds 2**dim - 1, and each vanishing sibling group
+    takes its siblings away and leaves its father (a removal may have left
+    a group short of 2**dim)."""
     grid._require("pre_adapt", "idle")
-    grid._phase = "preadapted"
-    elems = grid._elems
+    elems, vanishing = grid._elems, set()
+    leaves = refined = groups = 0
     for lev, recs in enumerate(elems):
         for rec in recs:
             if not rec.children:
+                leaves += 1
+                refined += rec.mark == 1
                 continue
             kids = [elems[lev + 1][c] for c in rec.children]
             if all(not k.children and k.mark == -1 for k in kids):
-                grid._vanishing.update((lev + 1, c) for c in rec.children)
-    return bool(grid._vanishing)
+                vanishing.update((lev + 1, c) for c in rec.children)
+                groups += 1
+    count = leaves + refined * (2**grid.dim - 1) - len(vanishing) + groups
+    if count > MAX_ELEMENTS:
+        raise ScenarioError(
+            f"adapt would leave {count} leaf elements, more than the bound of {MAX_ELEMENTS}"
+        )
+    grid._phase, grid._vanishing = "preadapted", vanishing
+    return bool(vanishing)
 
 
 def adapt(grid):

@@ -61,7 +61,8 @@ only in a compaction, so a handle keeps its id once read: a view hands
 its wrappers the ids it holds, any other handle reads its record once.
 Element wrappers made by a view also read their corners from the view's
 shared array instead of the vertex records.  ``Vertex.coords`` is
-read-only, so no reader can move a record's coordinates.
+read-only, so no reader can move a record's coordinates; the VTK writer
+relies on that when it reuses a vertex's ``POINTS`` line by its id.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from .geometry import REFERENCE_CORNERS, AffineGeometry
 
 logger = logging.getLogger(__name__)
 
-# The most leaf elements a command may make (root growth, uniform refinement).
+# The most leaf elements a command may make (root growth, refinement, adaptation).
 # Both are exponential: at branch probability 0.3 a root of 8 segments has
 # 24,992 after 20 steps (peak memory 143 MB), and 30 steps do not finish in
 # ten minutes.  The bound is four times that count.

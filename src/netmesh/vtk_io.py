@@ -14,17 +14,34 @@ per value.  ``x + 0.0`` turns ``-0.0`` into ``0.0``.  Below 1e16,
 never ends in ``.0``), so replacing ``.0`` where a token ends, before
 ``" "`` or ``"\\n"``, drops exactly the ``.0`` of integral values.
 Tokens hold no space or newline, so the replaces touch nothing else.
+
+A vertex keeps its coordinates under its persistent id (ids are never
+reused, ``Vertex.coords`` is read-only and the copies of a vertex share
+their coordinate bits), so its ``POINTS`` line is the same in every view
+and snapshot of its grid.  For each grid the writer keeps the ``POINTS``
+text of the last view it wrote and that view's vertex ids, in a weak
+mapping that goes with the grid, and formats only the vertices that view
+did not hold.  Between writes a vertex so costs the characters of its
+line plus 8 bytes, where a dict of one string per vertex would hold
+about 180 bytes for the grid's life; the dict is built only while a
+write runs.  The lookups and the merge run in ``map``, ``zip`` and
+``compress``, so this adds no Python call per vertex either.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
+from itertools import compress
+from operator import not_
 from pathlib import Path
 
 import numpy as np
 
 VTK_LINE = 3
 VTK_TRIANGLE = 5
+
+_point_lines = weakref.WeakKeyDictionary()  # grid -> (vertex ids, POINTS text) of its last write
 
 
 def _floats(values, row):
@@ -38,7 +55,15 @@ def write_vtk(view, sink, point_data=None, cell_data=None, title="netmesh output
 
     ``point_data`` and ``cell_data`` map field names to sequences aligned
     with the view's vertex/element index sets; each becomes a SCALARS array.
+    A title must be one line of at most 256 characters and a field name a
+    non-empty word without whitespace, else ``ValueError`` is raised before
+    anything is written.
     """
+    if "".join(title.splitlines()) != title or len(title) > 256:
+        raise ValueError(f"title {title!r} must be one line of at most 256 characters")
+    for name in (*(point_data or ()), *(cell_data or ())):
+        if str(name).split() != [str(name)]:
+            raise ValueError(f"field name {name!r} must be non-empty and hold no whitespace")
     coordinates = view.coordinates()
     corners = view.corner_indices()
     d = view.grid.dim
@@ -47,9 +72,21 @@ def write_vtk(view, sink, point_data=None, cell_data=None, title="netmesh output
     w = min(view.grid.world_dim, 3)
     points[:, :w] = coordinates[:, :w]
 
+    ids, last, row = view.ids(d), _point_lines.get(view.grid), "%r %r %r\n"
+    if last is None:  # the grid's first write
+        text = _floats(points, row)
+    else:
+        kept = dict(zip(last[0].tolist(), last[1].splitlines(keepends=True)))
+        keys = ids.tolist()
+        lines = dict(zip(keys, map(kept.get, keys)))  # None where the last view had no such vertex
+        fresh = list(map(not_, lines.values()))
+        lines.update(zip(compress(keys, fresh), _floats(points[fresh], row).splitlines(keepends=True)))
+        text = "".join(lines.values())
+    _point_lines[view.grid] = ids, text
+
     parts = [
         f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
-        f"POINTS {n_points} double\n", _floats(points, "%r %r %r\n"),
+        f"POINTS {n_points} double\n", text,
         f"CELLS {n_cells} {n_cells * (d + 2)}\n",
         (f"{d + 1}" + " %d" * (d + 1) + "\n") * n_cells % tuple(corners.ravel().tolist()),
         f"CELL_TYPES {n_cells}\n", f"{VTK_LINE if d == 1 else VTK_TRIANGLE}\n" * n_cells,

@@ -1,17 +1,19 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmesh import LINE, TRIANGLE, FactoryError, audit_grid, intersections
+from netmesh import LINE, TRIANGLE, FactoryError, ScenarioError, adaptivity, audit_grid, intersections
 from netmesh.errors import DimensionMismatchError, LifecycleError, StaleEntityError
 from netmesh.geometry import REFERENCE_CORNERS
 from netmesh.adaptivity import local_in_root
 
 from conftest import make_grid, refine_all, same_bits, vertex_or_edge
 from gridcheck import check_grid
+from transactions import FAN_TRANSACTIONS, NETWORK_TRANSACTIONS, embedded_grid, play, rounds
 
 
 def leaf_elements(grid):
@@ -513,3 +515,47 @@ def test_shared_edge_takes_its_image_from_the_first_tree():
     check_grid(grid)
     coords = {tuple(v.coords) for v in grid.leaf_view().vertices()}
     assert (0.5, 0.5, 0.0) in coords and len(coords) == 9
+
+
+# -- the leaf bound ------------------------------------------------------------
+
+def _marked_after(shape, transactions, seed):
+    """The fan or the Y network after ``transactions``, its leaves marked
+    -1 (three in five), 0 or 1 from ``seed``."""
+    grid = embedded_grid(shape, 3)
+    for transaction in transactions:
+        play(grid, *transaction)
+    grid.mark_leaves(np.random.default_rng(seed).choice([-1, -1, -1, 0, 1], size=grid.leaf_view().size(0)))
+    return grid
+
+
+@pytest.mark.parametrize("shape,names", [("fan", FAN_TRANSACTIONS), ("y", NETWORK_TRANSACTIONS)])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_adapt_bound_admits_exactly_its_count(shape, names, data):
+    """``pre_adapt`` counts the leaves the adapt leaves, refined leaves and
+    vanishing sibling groups included: a bound one below refuses with
+    nothing changed, so the same marks pass the bound itself."""
+    transactions = data.draw(rounds(names, min_size=0, max_size=4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    free = _marked_after(shape, transactions, seed)
+    free.pre_adapt()
+    free.adapt()
+    free.post_adapt()
+    count = free.leaf_view().size(0)
+
+    grid = _marked_after(shape, transactions, seed)
+    leaves = grid.leaf_view().elements()
+    marks = [grid.get_mark(el) for el in leaves]
+    with mock.patch.object(adaptivity, "MAX_ELEMENTS", count - 1):
+        with pytest.raises(ScenarioError, match=f"^adapt would leave {count} leaf elements, "
+                                                f"more than the bound of {count - 1}$"):
+            grid.pre_adapt()
+    assert [grid.get_mark(el) for el in leaves] == marks
+    assert not any(el.might_vanish for el in leaves)
+    with mock.patch.object(adaptivity, "MAX_ELEMENTS", count):
+        grid.pre_adapt()  # the phase is still idle
+    grid.adapt()
+    grid.post_adapt()
+    assert grid.leaf_view().size(0) == count
+    check_grid(grid)

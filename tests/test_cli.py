@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netmesh import ScenarioError, cli, roots
+from netmesh import ScenarioError, adaptivity, cli, roots
 from netmesh.cli import main
 from netmesh.topology import Grid
 from netmesh.views import GridView
@@ -332,6 +332,22 @@ class TestErrorCategories:
         assert code == 3
         assert err == "scenario-error: growth step 1 would grow the root to 10 segments, more than the bound of 9\n"
 
+    @pytest.mark.parametrize("bound,step,leaves", [(17, 8, 18), (18, 12, 19), (19, None, None)])
+    def test_adapt_past_the_bound_is_3(self, capsys, tmp_path, monkeypatch, bound, step, leaves):
+        """The demo adapts at every second step to 10, 16, 16, 18, 18 and 19
+        leaves: the first adapt past the bound ends the run before its step's
+        snapshot, and a bound of 19 admits all 12 steps."""
+        monkeypatch.setattr(adaptivity, "MAX_ELEMENTS", bound)
+        code, out, err = run(capsys, "flow", ROOT / "scenarios" / "vessels.txt", "--out", tmp_path)
+        if step is None:
+            assert (code, err) == (0, "") and (tmp_path / "flow_0012.vtk").exists()
+            return
+        assert (code, out) == (3, "")
+        assert err == (f"scenario-error: adapt would leave {leaves} leaf elements, "
+                       f"more than the bound of {bound}\n")
+        assert (tmp_path / f"flow_{step - 1:04d}.vtk").exists()
+        assert not (tmp_path / f"flow_{step:04d}.vtk").exists()
+
     def test_initial_root_past_the_bound_is_3(self, capsys, tmp_path, monkeypatch):
         # the bound holds before the first segment is built, not only in a growth round
         monkeypatch.setattr(roots, "MAX_ELEMENTS", 10)
@@ -444,14 +460,17 @@ class TestDemos:
         [("flow", "scenarios/vessels.txt"), ("roots", "scenarios/roots.txt", "--seed", 2024)],
     )
     def test_demo_output_matches_golden_bytes(self, capsys, tmp_path, argv):
+        """Twice in one process, as the benchmark runs it: what one run's writes
+        keep must not reach the next run's output."""
         command, scenario, *options = argv
-        code, _, _ = run(capsys, command, ROOT / scenario, "--out", tmp_path, *options)
-        assert code == 0
         golden = DATA / "golden" / command
         names = sorted(p.name for p in golden.iterdir())
-        assert sorted(p.name for p in tmp_path.iterdir()) == names
-        for name in names:
-            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+        for out in (tmp_path / "first", tmp_path / "second"):
+            code, _, _ = run(capsys, command, ROOT / scenario, "--out", out, *options)
+            assert code == 0
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
     def test_roots_summary_reports_flux(self, capsys, tmp_path):
         scenario = ROOT / "scenarios" / "roots.txt"

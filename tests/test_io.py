@@ -1,18 +1,22 @@
+import gc
 import io
 import pathlib
+import weakref
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmesh import GridConfig, read_gmsh
+from netmesh import GridConfig, read_gmsh, vtk_io
 from netmesh.cli import main
 from netmesh.errors import MshParseError
 from netmesh.vtk_io import write_vtk
 
 from conftest import make_grid, refine_all
 from gridcheck import check_grid
+from transactions import FAN_TRANSACTIONS, NETWORK_TRANSACTIONS, embedded_grid, play, rounds
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -308,6 +312,33 @@ class TestVtkWriting:
         with pytest.raises(ValueError, match="field 'p' has the non-finite value .* at index 1"):
             write_vtk(two_triangles.leaf_view(), io.StringIO(), cell_data={"p": np.array([1.0, bad])})
 
+    @pytest.mark.parametrize(
+        "title", ["two\nlines", "ends\n", "cr\rline", "sep\u2028line", pytest.param("x" * 257, id="257-chars")]
+    )
+    def test_a_title_that_breaks_the_header_is_refused_before_writing(self, two_triangles, tmp_path, title):
+        view, path, buf = two_triangles.leaf_view(), tmp_path / "bad.vtk", io.StringIO()
+        for sink in (path, buf):
+            with pytest.raises(ValueError, match="^title .* must be one line of at most 256 characters$"):
+                write_vtk(view, sink, title=title)
+        assert not path.exists() and buf.getvalue() == ""
+
+    def test_a_title_of_256_characters_is_written(self, two_triangles):
+        view = two_triangles.leaf_view()
+        text = write_vtk(view, io.StringIO(), title="x" * 256)
+        assert text == reference_vtk(view, title="x" * 256)
+
+    @pytest.mark.parametrize("where", ["point_data", "cell_data"])
+    @pytest.mark.parametrize("name", ["", "my field", "tab\tname", "line\n", "\xa0", "a\u2028b"])
+    def test_a_field_name_that_breaks_its_line_is_refused_before_writing(self, two_triangles, tmp_path, where, name):
+        view, path, buf = two_triangles.leaf_view(), tmp_path / "bad.vtk", io.StringIO()
+        fields = {"ok": [1.0] * view.size(0), name: [2.0] * view.size(0)}
+        if where == "point_data":
+            fields = {key: [1.0] * view.size(2) for key in fields}
+        for sink in (path, buf):
+            with pytest.raises(ValueError, match="^field name .* must be non-empty and hold no whitespace$"):
+                write_vtk(view, sink, **{where: fields})
+        assert not path.exists() and buf.getvalue() == ""
+
     def test_two_dim_world_coordinates_padded(self):
         g = make_grid(1, 2, [(0, 0), (1, 0)], [(0, 1)])
         buf = io.StringIO()
@@ -432,3 +463,37 @@ class TestVtkByteRule:
     def test_value_that_is_not_a_real_number_is_refused(self, two_triangles, bad):
         with pytest.raises(TypeError):
             write_vtk(two_triangles.leaf_view(), io.StringIO(), cell_data={"p": [1.0, bad]})
+
+
+class TestPointLinesOfTheLastWrite:
+    """``write_vtk`` keeps, per grid, the ``POINTS`` lines of the last view it
+    wrote by vertex id, and formats only the vertices that view lacked."""
+
+    @staticmethod
+    def _write_leaf_and_level_view(grid, seed):
+        for view in (grid.leaf_view(), grid.level_view(seed % (grid.max_level + 1))):
+            assert write_vtk(view, io.StringIO()) == reference_vtk(view)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), rounds(FAN_TRANSACTIONS), rounds(NETWORK_TRANSACTIONS))
+    def test_interleaved_grids_write_the_reference_after_every_round(self, world_dim, fan_rounds, y_rounds):
+        """Two grids whose vertex ids overlap, written in turn: a line kept by
+        view index, or for another grid, would land on the wrong vertex."""
+        fan, y = embedded_grid("fan", max(world_dim, 2)), embedded_grid("y", world_dim)
+        self._write_leaf_and_level_view(fan, 0)
+        self._write_leaf_and_level_view(y, 0)
+        for turn in zip_longest(fan_rounds, y_rounds):
+            for grid, transaction in zip((fan, y), turn):
+                if transaction:
+                    play(grid, *transaction)
+                    self._write_leaf_and_level_view(grid, transaction[1])
+
+    def test_the_lines_go_with_their_grid(self):
+        grid = chain([(0.5, 1.0), (2.0, 0.25)])
+        write_vtk(grid.leaf_view(), io.StringIO())
+        assert [ref() for ref in vtk_io._point_lines.keyrefs()].count(grid) == 1
+        dropped = weakref.ref(grid)
+        del grid
+        gc.collect()
+        assert dropped() is None
+        assert all(ref() is not None for ref in vtk_io._point_lines.keyrefs())
