@@ -37,9 +37,9 @@ import math
 import numpy as np
 
 from . import compaction
-from .errors import DimensionMismatchError, FactoryError, ScenarioError
+from .errors import DimensionMismatchError, FactoryError
 from .topology import (
-    CHILD_CORNERS_IN_FATHER, CHILDREN, EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, MAX_ELEMENTS, checked_coords,
+    CHILD_CORNERS_IN_FATHER, CHILDREN, EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, _refuse_leaves, checked_coords,
 )
 
 logger = logging.getLogger(__name__)
@@ -90,7 +90,7 @@ def pre_adapt(grid):
     """Collect the places of sibling groups that vanish; returns True when any do.
 
     Raises :class:`ScenarioError`, with the phase and every record as they
-    were, when the adapt would leave more than :data:`MAX_ELEMENTS` leaves:
+    were, when the adapt would leave more than ``topology.MAX_ELEMENTS`` leaves:
     each refined leaf adds 2**dim - 1, and each vanishing sibling group
     takes its siblings away and leaves its father (a removal may have left
     a group short of 2**dim)."""
@@ -107,11 +107,7 @@ def pre_adapt(grid):
             if all(not k.children and k.mark == -1 for k in kids):
                 vanishing.update((lev + 1, c) for c in rec.children)
                 groups += 1
-    count = leaves + refined * (2**grid.dim - 1) - len(vanishing) + groups
-    if count > MAX_ELEMENTS:
-        raise ScenarioError(
-            f"adapt would leave {count} leaf elements, more than the bound of {MAX_ELEMENTS}"
-        )
+    _refuse_leaves(leaves + refined * (2**grid.dim - 1) - len(vanishing) + groups, "adapt")
     grid._phase, grid._vanishing = "preadapted", vanishing
     return bool(vanishing)
 

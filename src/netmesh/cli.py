@@ -17,12 +17,13 @@ from collections import Counter
 
 import numpy as np
 
+from . import topology
 from .errors import MeshError, MshParseError, ScenarioError
 from .gmsh_io import logger as gmsh_log, read_gmsh
 from .intersections import intersections
 from .parametrization import BUILTIN_PARAMETRIZATIONS, WaveletGraph, lift_to_wavelet
 from .scenario import Scenario
-from .topology import MAX_ELEMENTS, TRIANGLE, GridConfig, GridFactory
+from .topology import TRIANGLE, GridConfig, GridFactory
 from .vtk_io import write_vtk
 
 log = logging.getLogger(__name__)
@@ -65,24 +66,17 @@ def cmd_info(mesh_path):
         lines.append(f"edges: {view.size(1)}")
     lines.append(f"vertices: {view.size(grid.dim)}")
 
-    boundary = 0
-    junction_multiplicity = Counter()  # facet key -> number of sharing elements
-    seen = set()
+    boundary, multiplicity = 0, {}  # facet id -> number of sharing elements
     for el in view.elements():
         for grp in intersections(view, el):
-            facet = el.sub_entity(1, grp.index_in_inside)
-            key = facet.id
             if grp.boundary:
                 boundary += 1
-                continue
-            if key in seen:
-                continue
-            seen.add(key)
-            junction_multiplicity[key] = grp.neighbor_count + 1
-    junctions = {k: m for k, m in junction_multiplicity.items() if m >= 3}
+            else:
+                multiplicity.setdefault(el.sub_entity(1, grp.index_in_inside).id, grp.neighbor_count + 1)
+    junctions = Counter(m for m in multiplicity.values() if m >= 3)
     lines.append(f"boundary facets: {boundary}")
-    lines.append(f"junction facets (3 or more incident elements): {len(junctions)}")
-    for mult, count in sorted(Counter(junctions.values()).items()):
+    lines.append(f"junction facets (3 or more incident elements): {junctions.total()}")
+    for mult, count in sorted(junctions.items()):
         lines.append(f"  multiplicity {mult}: {count}")
     return "\n".join(lines)
 
@@ -117,12 +111,12 @@ def cmd_refine(mesh_path, steps, parametrization, out_path):
     # refused before refining: each step splits a leaf into 2**dim, and past the leaf
     # bound the loop stops, so no power of a huge step count is formed
     leaves, allowed = grid.leaf_view().size(0), 0
-    while leaves * 2 ** (grid.dim * (allowed + 1)) <= MAX_ELEMENTS:
+    while leaves * 2 ** (grid.dim * (allowed + 1)) <= topology.MAX_ELEMENTS:
         allowed += 1
     if steps > allowed:
         raise ScenarioError(
             f"--steps {steps} would refine {leaves} elements to more than the bound of "
-            f"{MAX_ELEMENTS} leaves; this mesh allows at most {allowed} steps"
+            f"{topology.MAX_ELEMENTS} leaves; this mesh allows at most {allowed} steps"
         )
     if parametrization == "wavelet":
         grid = _wavelet_grid(grid)

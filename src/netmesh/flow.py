@@ -311,9 +311,9 @@ def checked_solve(a, b, what, hint=""):
         x = scipy.sparse.linalg.spsolve(a, b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"{what} system is singular{hint}")
-    entries = np.max(np.abs(a.data)) if a.nnz else 0.0
-    scale = max(np.max(np.abs(b)), entries * np.max(np.abs(x)))
-    if np.max(np.abs(a @ x - b)) > 1e-12 * scale:
+    entries = np.max(np.abs(a.data), initial=0.0)
+    scale = max(np.max(np.abs(b), initial=0.0), entries * np.max(np.abs(x), initial=0.0))
+    if np.max(np.abs(a @ x - b), initial=0.0) > 1e-12 * scale:
         raise SingularSystemError(f"{what} solve did not converge to a solution")
     return x
 
@@ -416,7 +416,7 @@ def refinement_indicator(view, concentration, eps_refine=0.3, eps_coarsen=0.05):
     c, = element_arrays(view, concentration=concentration)
     jump = np.zeros(n)
     np.maximum.at(jump, i, np.abs(c[i] - c[j]))
-    lo, hi = float(np.min(jump)), float(np.max(jump))
+    lo, hi = float(np.min(jump, initial=np.inf)), float(np.max(jump, initial=-np.inf))
     if hi <= lo:
         return np.full(n, -1, dtype=int)
     ratio = (jump - lo) / (hi - lo)
@@ -624,7 +624,8 @@ def adapt_with_state(grid, marks, state, max_level):
     view = grid.leaf_view()
     marks = np.asarray(marks)  # one per leaf, in index order; none refines at max_level
     levels = np.fromiter((level for level, _ in view.places(0)), np.int64, view.size(0))
-    marks = np.where((marks > 0) & (levels >= max_level), 0, marks)
+    if marks.shape == levels.shape:  # else mark_leaves refuses it, with nothing marked
+        marks = np.where((marks > 0) & (levels >= max_level), 0, marks)
     grid.mark_leaves(marks)
     grid.pre_adapt()
     arrays = state._arrays()

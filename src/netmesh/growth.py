@@ -5,10 +5,14 @@ takes its input as the level-0 build does: ``queue_vertices`` and
 ``queue_elements`` stage through ``insert_vertices`` and
 ``insert_elements``, with their checks and their per-row
 parametrizations, and stage nothing when the factory refuses a row.
-The queue's vertex indices start after the pre-grow leaf view's
-vertices, whose places it keeps: an element row mixes provisional and
-existing leaf-vertex indices.  ``queue_vertex`` and ``queue_element``
-are one-row calls.  Grown elements get no marker.
+``queue_elements`` also refuses, staging nothing, rows that would leave
+more than ``topology.MAX_ELEMENTS`` leaves, as ``pre_adapt`` does: the
+pre-grow view's leaves, less the queued removals, plus every queued
+row, also one that ``grow`` skips.  The queue's vertex indices start
+after the pre-grow leaf view's vertices, whose places it keeps: an
+element row mixes provisional and existing leaf-vertex indices.
+``queue_vertex`` and ``queue_element`` are one-row calls.  Grown
+elements get no marker.
 
 ``grow`` commits in one pass over the queued rows, in queue order.  An
 element's vertices must sit on one common level.  A given vertex is
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FactoryError
-from .topology import GridFactory
+from .topology import GridFactory, _refuse_leaves, checked_element
 
 logger = logging.getLogger(__name__)
 
@@ -54,8 +58,9 @@ class _Queue(GridFactory):
 
     def __init__(self, grid):
         super().__init__(grid.config)
-        self.places = grid.leaf_view().places(grid.dim)  # existing vertex index -> (level, slot)
-        self._n_vertices = len(self.places)
+        view = grid.leaf_view()
+        self.places = view.places(grid.dim)  # existing vertex index -> (level, slot)
+        self._n_vertices, self.leaves = len(self.places), view.size(0)
 
 
 def _stage(grid, call, insert, *args):
@@ -80,7 +85,11 @@ def queue_elements(grid, kind, vertex_indices, parametrization=None):
     provisional and/or existing leaf vertex indices; returns their queue
     positions as an int64 array.  ``parametrization`` is one value for every
     row or a list, tuple or array of one value per row."""
-    return _stage(grid, "queue_elements", GridFactory.insert_elements, kind, vertex_indices, parametrization)
+    def insert(queue):
+        rows = checked_element(grid.dim, kind, vertex_indices, queue._n_vertices)
+        _refuse_leaves(queue.leaves - len(grid._queued_removals) + len(queue._elements) + len(rows), "grow")
+        return queue.insert_elements(kind, rows, parametrization)
+    return _stage(grid, "queue_elements", insert)
 
 
 def remove_element(grid, element):

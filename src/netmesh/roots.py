@@ -27,13 +27,13 @@ import numpy as np
 # calls the leaf-data transfer as flow.* and run_scenario the VTK writer as
 # vtk_io.*, where they are wrapped, and the two names marked F401 are held here
 # only to be wrapped
-from . import flow, vtk_io
-from .errors import ScenarioError, SingularSystemError
+from . import flow, topology, vtk_io
+from .errors import SingularSystemError
 from .flow import checked_solve, element_arrays, facet_table, squared_norms, two_point_system
 from .flow import junction_two_point_transmissibilities  # noqa: F401
 from .intersections import intersections  # noqa: F401
 from .scenario import FILE_NAME, FINITE, NONNEGATIVE, POSITIVE, UNIT_INTERVAL, refuse_broken
-from .topology import LINE, MAX_ELEMENTS, GridConfig, GridFactory
+from .topology import LINE, GridConfig, GridFactory
 
 log = logging.getLogger(__name__)
 
@@ -385,19 +385,14 @@ def grow_grid(grid, indicator, variables, step=0):
     segment appends the row of the element whose indicator decision
     created it.  Returns a :class:`GrowthRound`, which unpacks as
     (report, new_variables).  Tips of fresh segments are free boundary
-    vertices and therefore no-flow by construction.  Raises
-    :class:`ScenarioError` before queueing anything when the round would
-    leave more than :data:`MAX_ELEMENTS` leaf segments.
+    vertices and therefore no-flow by construction.  A round past the
+    leaf bound ends in the :class:`ScenarioError` of ``queue_elements``,
+    with the round's vertices staged; a later ``grow`` makes none of
+    them, since a provisional vertex is made only by its first row.
     """
     # (1) indicator pass, over the whole view at once
     view = grid.leaf_view()
     positions, ends, coords = round_decisions(indicator, view, step)
-    count = view.size(0) + len(positions)
-    if count > MAX_ELEMENTS:
-        raise ScenarioError(
-            f"growth step {step} would grow the root to {count} segments, "
-            f"more than the bound of {MAX_ELEMENTS}"
-        )
 
     # (2) queue the new segments: vertices from the indicator, one line each
     attach = view.corner_indices()[positions, ends]
@@ -449,8 +444,8 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     variables; the scenario sets only their initial value.
     """
     v = scenario.read(SCENARIO)
-    scenario.require(v["initial_segments"] <= MAX_ELEMENTS,
-                     f"initial_segments must be at most {MAX_ELEMENTS}")
+    scenario.require(v["initial_segments"] <= topology.MAX_ELEMENTS,
+                     f"initial_segments must be at most {topology.MAX_ELEMENTS}")
     scenario.check(known=SCENARIO)
     if steps is not None:
         v["steps"] = steps

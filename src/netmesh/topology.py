@@ -76,21 +76,23 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    FactoryError,
-    LifecycleError,
-    StaleEntityError,
-)
+from .errors import DimensionMismatchError, FactoryError, LifecycleError, ScenarioError, StaleEntityError
 from .geometry import REFERENCE_CORNERS, AffineGeometry
 
 logger = logging.getLogger(__name__)
 
-# The most leaf elements a command may make (root growth, refinement, adaptation).
-# Both are exponential: at branch probability 0.3 a root of 8 segments has
-# 24,992 after 20 steps (peak memory 143 MB), and 30 steps do not finish in
-# ten minutes.  The bound is four times that count.
+# The most leaf elements an adapt or a grow may leave (``_refuse_leaves``).  Both are
+# exponential: at branch probability 0.3 a root of 8 segments has 24,992 after 20
+# growth steps (peak memory 143 MB), and 30 steps do not finish in ten minutes.
+# The bound is four times that count.
 MAX_ELEMENTS = 100_000
+
+
+def _refuse_leaves(count, transaction):
+    """Raise :class:`ScenarioError` when ``transaction`` would leave ``count`` > MAX_ELEMENTS leaves."""
+    if count > MAX_ELEMENTS:
+        raise ScenarioError(f"{transaction} would leave {count} leaf elements, "
+                            f"more than the bound of {MAX_ELEMENTS}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmesh import LINE, TRIANGLE, FactoryError, ScenarioError, adaptivity, audit_grid, intersections
+from netmesh import LINE, TRIANGLE, FactoryError, ScenarioError, audit_grid, intersections, topology
 from netmesh.errors import DimensionMismatchError, LifecycleError, StaleEntityError
 from netmesh.geometry import REFERENCE_CORNERS
 from netmesh.adaptivity import local_in_root
@@ -547,13 +547,13 @@ def test_the_adapt_bound_admits_exactly_its_count(shape, names, data):
     grid = _marked_after(shape, transactions, seed)
     leaves = grid.leaf_view().elements()
     marks = [grid.get_mark(el) for el in leaves]
-    with mock.patch.object(adaptivity, "MAX_ELEMENTS", count - 1):
+    with mock.patch.object(topology, "MAX_ELEMENTS", count - 1):
         with pytest.raises(ScenarioError, match=f"^adapt would leave {count} leaf elements, "
                                                 f"more than the bound of {count - 1}$"):
             grid.pre_adapt()
     assert [grid.get_mark(el) for el in leaves] == marks
     assert not any(el.might_vanish for el in leaves)
-    with mock.patch.object(adaptivity, "MAX_ELEMENTS", count):
+    with mock.patch.object(topology, "MAX_ELEMENTS", count):
         grid.pre_adapt()  # the phase is still idle
     grid.adapt()
     grid.post_adapt()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netmesh import ScenarioError, adaptivity, cli, roots
+from netmesh import ScenarioError, cli, topology
 from netmesh.cli import main
 from netmesh.topology import Grid
 from netmesh.views import GridView
@@ -163,7 +163,7 @@ class TestRefine:
     def test_the_leaf_bound_admits_exactly_its_count(self, capsys, tmp_path, monkeypatch, mesh, allowed):
         """Under a bound of 32, 2 triangles reach it in 2 steps and 3 segments
         (24 leaves after 3) pass it in 4."""
-        monkeypatch.setattr(cli, "MAX_ELEMENTS", 32)
+        monkeypatch.setattr(topology, "MAX_ELEMENTS", 32)
         path = ROOT / "meshes" / "square.msh" if mesh == "square" else DATA / "network.msh"
         out_path = tmp_path / "ok.vtk"
         code, out, _ = run(capsys, "refine", path, "--steps", allowed, "--out", out_path)
@@ -326,18 +326,18 @@ class TestErrorCategories:
 
     def test_growth_past_the_bound_is_3(self, capsys, tmp_path, monkeypatch):
         # the bundled root has 8 segments and 9 after step 0; step 1 would leave 10
-        monkeypatch.setattr(roots, "MAX_ELEMENTS", 9)
+        monkeypatch.setattr(topology, "MAX_ELEMENTS", 9)
         scen = ROOT / "scenarios" / "roots.txt"
         code, out, err = run(capsys, "roots", scen, "--out", tmp_path / "out", "--steps", 3)
         assert code == 3
-        assert err == "scenario-error: growth step 1 would grow the root to 10 segments, more than the bound of 9\n"
+        assert err == "scenario-error: grow would leave 10 leaf elements, more than the bound of 9\n"
 
     @pytest.mark.parametrize("bound,step,leaves", [(17, 8, 18), (18, 12, 19), (19, None, None)])
     def test_adapt_past_the_bound_is_3(self, capsys, tmp_path, monkeypatch, bound, step, leaves):
         """The demo adapts at every second step to 10, 16, 16, 18, 18 and 19
         leaves: the first adapt past the bound ends the run before its step's
         snapshot, and a bound of 19 admits all 12 steps."""
-        monkeypatch.setattr(adaptivity, "MAX_ELEMENTS", bound)
+        monkeypatch.setattr(topology, "MAX_ELEMENTS", bound)
         code, out, err = run(capsys, "flow", ROOT / "scenarios" / "vessels.txt", "--out", tmp_path)
         if step is None:
             assert (code, err) == (0, "") and (tmp_path / "flow_0012.vtk").exists()
@@ -350,7 +350,7 @@ class TestErrorCategories:
 
     def test_initial_root_past_the_bound_is_3(self, capsys, tmp_path, monkeypatch):
         # the bound holds before the first segment is built, not only in a growth round
-        monkeypatch.setattr(roots, "MAX_ELEMENTS", 10)
+        monkeypatch.setattr(topology, "MAX_ELEMENTS", 10)
         scen = _scenario_with(tmp_path, "roots.txt", initial_segments="11")
         code, out, err = run(capsys, "roots", scen, "--out", tmp_path / "out", "--steps", 0)
         assert code == 3

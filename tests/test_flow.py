@@ -450,6 +450,28 @@ class TestRefinementIndicator:
             refinement_indicator(view, np.zeros(4), eps_refine=hi, eps_coarsen=lo)
 
 
+class TestElementFreeView:
+    """Removing every leaf and growing leaves a grid with no element, which
+    ``audit_grid`` accepts; its leaf view gives empty marks and solutions."""
+
+    @pytest.fixture
+    def view(self, chain4):
+        for el in chain4.leaf_view().elements():
+            chain4.remove_element(el)
+        chain4.grow()
+        chain4.post_grow()
+        topology.audit_grid(chain4)
+        return chain4.leaf_view()
+
+    def test_indicator_marks_nothing(self, view):
+        assert refinement_indicator(view, np.zeros(0)).shape == (0,)
+
+    def test_pressure_and_transport_solve_to_nothing(self, view):
+        problem, none = VesselProblem(), np.zeros(0)
+        assert solve_pressure(view, problem, none).shape == (0,)
+        assert transport_step(view, problem, FlowState(none, none, none), 1.0).shape == (0,)
+
+
 class TestStateTransfer:
     def test_children_inherit_on_refinement(self, chain4):
         view = chain4.leaf_view()
@@ -540,6 +562,16 @@ class TestStateTransfer:
         view, state, changed = adapt_with_state(chain4, marks, state, max_level=1)
         assert not changed
         assert len(view.elements()) == 8
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_adapt_with_state_refuses_misaligned_marks(self, chain4, n):
+        """A mark array of another length is refused as ``mark_leaves`` refuses
+        it, before the level cap could broadcast it, with nothing marked."""
+        state = FlowState(pressure=np.zeros(4), concentration=np.zeros(4), radius=np.full(4, 1e-3))
+        with pytest.raises(DimensionMismatchError, match=rf"^ref counts have shape \({n},\) for 4 leaf elements$"):
+            adapt_with_state(chain4, np.ones(n, dtype=int), state, max_level=1)
+        assert [chain4.get_mark(el) for el in chain4.leaf_view().elements()] == [0] * 4
+        chain4.pre_adapt()  # the phase is still idle
 
 
 class TestArrayTransfer:

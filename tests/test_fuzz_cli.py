@@ -7,7 +7,7 @@ list and run through ``flow``/``roots --steps 2``.  Warnings are errors.
 Every run must end with exit 0 or a categorized error (2-5) and raise no
 exception; after exit 0, ``summary.txt`` holds no nan or inf.
 
-Not covered: the growth bound ``roots.MAX_ELEMENTS``.  It is a constant,
+Not covered: the leaf bound ``topology.MAX_ELEMENTS``.  It is a constant,
 not a scenario key; ``test_cli.py`` lowers it to reach it.  Root growth
 is exponential, so a roots run is kept to two steps here.
 """

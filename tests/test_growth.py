@@ -1,15 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmesh import LINE, TRIANGLE, intersections
-from netmesh.errors import DimensionMismatchError, FactoryError, LifecycleError, StaleEntityError
+from netmesh import LINE, TRIANGLE, intersections, topology
+from netmesh.errors import DimensionMismatchError, FactoryError, LifecycleError, ScenarioError, StaleEntityError
 
 from conftest import make_grid, refine_all, vertex_or_edge
 from gridcheck import check_grid
 from growth_rows import grow_by_rows, records
-from transactions import network_round, rounds
+from transactions import FAN_TRANSACTIONS, NETWORK_TRANSACTIONS, embedded_grid, network_round, play, rounds
 
 
 def assert_staged_nothing(grid):
@@ -220,6 +222,47 @@ def test_refused_queue_call_keeps_no_view_across_an_adapt(chain4):
     grown = chain4.leaf_view().elements()[-1]
     assert [tuple(v.coords) for v in grown.vertices()] == [(4.0, 0.0, 0.0), (5.0, 0.0, 0.0)]
     check_grid(chain4)
+
+
+@pytest.mark.parametrize("shape,names", [("fan", FAN_TRANSACTIONS), ("y", NETWORK_TRANSACTIONS)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_the_grow_bound_admits_exactly_its_count(shape, names, data):
+    """``queue_elements`` counts the pre-grow leaves, less the queued removals,
+    plus the rows staged before it and its own: a bound one below refuses the
+    call with the queue, the phase and the grid unchanged, the count itself
+    is admitted, and a queued removal lowers the count by one."""
+    grid = embedded_grid(shape, 3)
+    for transaction, seed in data.draw(rounds(names, min_size=0, max_size=3)):
+        play(grid, transaction, seed)
+    view = grid.leaf_view()
+    kind, corners, count = LINE if grid.dim == 1 else TRIANGLE, view.corner_indices(), view.size(0) + 3
+
+    def over(bound, rows):
+        """``queue_elements(rows)`` under ``bound``, refused as leaving ``bound + 1`` leaves."""
+        staged, before, phase = list(getattr(grid._queue, "_elements", [])), records(grid), grid._phase
+        with mock.patch.object(topology, "MAX_ELEMENTS", bound):
+            with pytest.raises(ScenarioError, match=f"^grow would leave {bound + 1} leaf elements, "
+                                                    f"more than the bound of {bound}$"):
+                grid.queue_elements(kind, rows)
+        assert list(getattr(grid._queue, "_elements", [])) == staged
+        assert (records(grid), grid._phase) == (before, phase)
+
+    over(view.size(0), corners[:1])  # a refused first call keeps the phase idle
+    assert grid._queue is None
+    fresh = grid.queue_vertices(5.0 + np.arange(12.0).reshape(4, 3))
+    rows = np.column_stack((np.repeat(corners[:1, 1:], 4, axis=0), fresh))
+    grid.queue_elements(kind, rows[:1])
+    over(count - 1, rows[1:3])
+    with mock.patch.object(topology, "MAX_ELEMENTS", count):
+        assert grid.queue_elements(kind, rows[1:3]).tolist() == [1, 2]
+        over(count, rows[3:])
+        grid.remove_element(view.elements()[-1])
+        assert grid.queue_elements(kind, rows[3:]).tolist() == [3]
+    assert grid.grow() is True
+    grid.post_grow()
+    assert grid.leaf_view().size(0) == count
+    check_grid(grid)
 
 
 class TestBatchQueue:
