@@ -66,17 +66,24 @@ def cmd_info(mesh_path):
         lines.append(f"edges: {view.size(1)}")
     lines.append(f"vertices: {view.size(grid.dim)}")
 
-    boundary, multiplicity = 0, {}  # facet id -> number of sharing elements
+    boundary = 0
+    junction_multiplicity = Counter()  # facet key -> number of sharing elements
+    seen = set()
     for el in view.elements():
         for grp in intersections(view, el):
+            facet = el.sub_entity(1, grp.index_in_inside)
+            key = facet.id
             if grp.boundary:
                 boundary += 1
-            else:
-                multiplicity.setdefault(el.sub_entity(1, grp.index_in_inside).id, grp.neighbor_count + 1)
-    junctions = Counter(m for m in multiplicity.values() if m >= 3)
+                continue
+            if key in seen:
+                continue
+            seen.add(key)
+            junction_multiplicity[key] = grp.neighbor_count + 1
+    junctions = {k: m for k, m in junction_multiplicity.items() if m >= 3}
     lines.append(f"boundary facets: {boundary}")
-    lines.append(f"junction facets (3 or more incident elements): {junctions.total()}")
-    for mult, count in sorted(junctions.items()):
+    lines.append(f"junction facets (3 or more incident elements): {len(junctions)}")
+    for mult, count in sorted(Counter(junctions.values()).items()):
         lines.append(f"  multiplicity {mult}: {count}")
     return "\n".join(lines)
 

@@ -5,10 +5,11 @@ takes its input as the level-0 build does: ``queue_vertices`` and
 ``queue_elements`` stage through ``insert_vertices`` and
 ``insert_elements``, with their checks and their per-row
 parametrizations, and stage nothing when the factory refuses a row.
-``queue_elements`` also refuses, staging nothing, rows that would leave
-more than ``topology.MAX_ELEMENTS`` leaves, as ``pre_adapt`` does: the
-pre-grow view's leaves, less the queued removals, plus every queued
-row, also one that ``grow`` skips.  The queue's vertex indices start
+``queue_elements`` also refuses, keeping none of its rows, rows that
+would leave more than ``topology.MAX_ELEMENTS`` leaves, as ``pre_adapt``
+does: the pre-grow view's leaves, less the queued removals, plus each
+father whose remaining children are all queued for removal, plus every
+queued row, also one that ``grow`` skips.  The queue's vertex indices start
 after the pre-grow leaf view's vertices, whose places it keeps: an
 element row mixes provisional and existing leaf-vertex indices.
 ``queue_vertex`` and ``queue_element`` are one-row calls.  Grown
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FactoryError
-from .topology import GridFactory, _refuse_leaves, checked_element
+from .errors import FactoryError, ScenarioError
+from .topology import GridFactory, _refuse_leaves
 
 logger = logging.getLogger(__name__)
 
@@ -86,10 +87,22 @@ def queue_elements(grid, kind, vertex_indices, parametrization=None):
     positions as an int64 array.  ``parametrization`` is one value for every
     row or a list, tuple or array of one value per row."""
     def insert(queue):
-        rows = checked_element(grid.dim, kind, vertex_indices, queue._n_vertices)
-        _refuse_leaves(queue.leaves - len(grid._queued_removals) + len(queue._elements) + len(rows), "grow")
-        return queue.insert_elements(kind, rows, parametrization)
+        positions = queue.insert_elements(kind, vertex_indices, parametrization)
+        try:
+            _refuse_leaves(queue.leaves - _removed_leaves(grid) + len(queue._elements), "grow")
+        except ScenarioError:
+            del queue._elements[len(queue._elements) - len(positions):]
+            raise
+        return positions
     return _stage(grid, "queue_elements", insert)
+
+
+def _removed_leaves(grid):
+    """How many fewer leaves the queued removals leave: one each, less one per
+    father all of whose remaining children go, since it is a leaf again."""
+    removals = grid._queued_removals
+    fathers = {grid.element(*key).father() for key in removals} - {None}
+    return len(removals) - sum(all((c.level, c.slot) in removals for c in f.children()) for f in fathers)
 
 
 def remove_element(grid, element):
@@ -98,9 +111,7 @@ def remove_element(grid, element):
     grid._own_id(element)
     if not element.is_leaf:
         raise FactoryError("only leaf elements can be removed")
-    key = (element.level, element.slot)
-    if key not in grid._queued_removals:
-        grid._queued_removals.append(key)
+    grid._queued_removals.add((element.level, element.slot))
     grid._phase = "queued"
 
 
@@ -151,13 +162,13 @@ def grow(grid):
         from .compaction import remove_elements
 
         report.removed = len(grid._queued_removals)
-        remove_elements(grid, set(grid._queued_removals))
+        remove_elements(grid, grid._queued_removals)
 
     changed = bool(report.inserted or report.removed)
     for qidx, reason in report.skipped:
         logger.info("growth: skipped queued element %d (%s)", qidx, reason)
     grid._queue = None
-    grid._queued_removals = []
+    grid._queued_removals = set()
     grid._growth_report = report
     grid._phase = "grown"
     grid._revision += 1

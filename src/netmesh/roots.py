@@ -387,8 +387,9 @@ def grow_grid(grid, indicator, variables, step=0):
     (report, new_variables).  Tips of fresh segments are free boundary
     vertices and therefore no-flow by construction.  A round past the
     leaf bound ends in the :class:`ScenarioError` of ``queue_elements``,
-    with the round's vertices staged; a later ``grow`` makes none of
-    them, since a provisional vertex is made only by its first row.
+    with the round's vertices staged and the grid ``queued``: ``grow`` and
+    ``post_grow`` must run before any adapt, and make none of those
+    vertices, since a provisional vertex is made only by its first row.
     """
     # (1) indicator pass, over the whole view at once
     view = grid.leaf_view()
@@ -444,8 +445,8 @@ def run_scenario(scenario, out_dir, steps=None, seed=None):
     variables; the scenario sets only their initial value.
     """
     v = scenario.read(SCENARIO)
-    scenario.require(v["initial_segments"] <= topology.MAX_ELEMENTS,
-                     f"initial_segments must be at most {topology.MAX_ELEMENTS}")
+    bound = topology.MAX_ELEMENTS
+    scenario.require(v["initial_segments"] <= bound, f"initial_segments must be at most {bound}")
     scenario.check(known=SCENARIO)
     if steps is not None:
         v["steps"] = steps

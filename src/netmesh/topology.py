@@ -192,7 +192,7 @@ class Grid:
         self._first_new_id = math.inf  # ids from here on were made by the open adapt/grow
         self._vanishing = set()   # (level, slot) of the elements pre_adapt lets coarsen
         self._queue = None        # growth._Queue: the open grow transaction's insertions
-        self._queued_removals = []
+        self._queued_removals = set()  # (level, slot) of the leaves the open grow removes
         self._growth_report = None
         self._edge_lookup = [None]
         self._leaf_view = None    # weak reference: a strong one would tie grid and view in a cycle

@@ -74,7 +74,7 @@ def grow_by_rows(grid):
 
     changed = bool(report.inserted or report.removed)
     grid._queue = None
-    grid._queued_removals = []
+    grid._queued_removals = set()
     grid._growth_report = report
     grid._phase = "grown"
     grid._revision += 1

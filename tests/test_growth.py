@@ -231,7 +231,8 @@ def test_the_grow_bound_admits_exactly_its_count(shape, names, data):
     """``queue_elements`` counts the pre-grow leaves, less the queued removals,
     plus the rows staged before it and its own: a bound one below refuses the
     call with the queue, the phase and the grid unchanged, the count itself
-    is admitted, and a queued removal lowers the count by one."""
+    is admitted, and a queued removal lowers the count by one unless it
+    takes its father's last child."""
     grid = embedded_grid(shape, 3)
     for transaction, seed in data.draw(rounds(names, min_size=0, max_size=3)):
         play(grid, transaction, seed)
@@ -257,12 +258,38 @@ def test_the_grow_bound_admits_exactly_its_count(shape, names, data):
     with mock.patch.object(topology, "MAX_ELEMENTS", count):
         assert grid.queue_elements(kind, rows[1:3]).tolist() == [1, 2]
         over(count, rows[3:])
-        grid.remove_element(view.elements()[-1])
-        assert grid.queue_elements(kind, rows[3:]).tolist() == [3]
+        last = view.elements()[-1]
+        grid.remove_element(last)
+        if last.father() is not None and len(last.father().children()) == 1:
+            over(count, rows[3:])  # its father is a leaf again: the count stays
+        else:
+            assert grid.queue_elements(kind, rows[3:]).tolist() == [3]
     assert grid.grow() is True
     grid.post_grow()
     assert grid.leaf_view().size(0) == count
     check_grid(grid)
+
+
+def test_a_father_whose_children_are_all_removed_counts_as_a_leaf(chain4):
+    """Refined once, chain4 has 8 leaves; removing both children of one
+    father leaves that father a leaf again, so two more rows leave
+    8 - 2 + 1 + 2 = 9 leaves: refused under a bound of 8, and grown to
+    exactly 9 under a bound of 9."""
+    view = refine_all(chain4).leaf_view()
+    for child in view.elements()[0].father().children():
+        chain4.remove_element(child)
+    fresh = chain4.queue_vertices([[5.0, 1.0, 0.0], [6.0, 1.0, 0.0]])
+    rows = [[view.corner_indices()[-1, 1], fresh[0]], fresh]
+    with mock.patch.object(topology, "MAX_ELEMENTS", 8):
+        with pytest.raises(ScenarioError, match="^grow would leave 9 leaf elements, more than the bound of 8$"):
+            chain4.queue_elements(LINE, rows)
+    assert chain4._queue._elements == []
+    with mock.patch.object(topology, "MAX_ELEMENTS", 9):
+        assert chain4.queue_elements(LINE, rows).tolist() == [0, 1]
+    assert chain4.grow() is True
+    chain4.post_grow()
+    assert chain4.leaf_view().size(0) == 9
+    check_grid(chain4)
 
 
 class TestBatchQueue:
