@@ -15,15 +15,18 @@ element row mixes provisional and existing leaf-vertex indices.
 ``queue_vertex`` and ``queue_element`` are one-row calls.  Grown
 elements get no marker.
 
-``grow`` commits in one pass over the queued rows, in queue order.  An
+``grow`` commits the queued rows in queue order, in array passes.  An
 element's vertices must sit on one common level.  A given vertex is
 taken at the place the pre-grow view has for it, and a provisional
-vertex is made at the level of its first user.  Only a row whose given
-copies sit on different levels walks the copy chains: coarser chain
-copies are substituted and the lowest common level wins.  Rows whose
-vertices reach no common level, or coincide after that resolution, are
+vertex is made at the level of its first user.  When every given vertex
+the queue names sits on one level L, and L is 0 or every row names one,
+every row lands on L.  Otherwise the rows are resolved in turn, and only
+a row whose given copies sit on different levels walks the copy chains:
+coarser copies are substituted and the lowest common level wins.  Rows
+whose vertices reach no common level, or coincide after that, are
 skipped; the per-row outcome is in the growth report.  Each row draws
-the ids of the vertices it makes, then its element's.
+the ids of the vertices it makes, then its element's; lines enter per
+level in one batch, triangles row by row (``Grid._add_elements``).
 
 The grid's phase runs idle -> queued -> grown -> idle; the first
 accepted queue call moves it to queued, and ``grow`` may also start from
@@ -35,6 +38,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -115,35 +120,60 @@ def remove_element(grid, element):
     grid._phase = "queued"
 
 
+def _levels(grid, queue, rows):
+    """Each row's level (-1: none common) and its vertices' slots there, ``-1 - i`` if provisional."""
+    places, fresh = queue.places, rows >= len(queue.places)
+    given = np.fromiter(chain.from_iterable(map(places.__getitem__, rows[~fresh].tolist())), np.int64)
+    slots = -1 - rows
+    slots[~fresh] = given[1::2]
+    levels = np.unique(given[::2])
+    if len(levels) < 2 and (not levels.any() or (~fresh).any(axis=1).all()):
+        return np.full(len(rows), levels.max(initial=0)), slots
+    level, known = np.empty(len(rows), dtype=np.int64), dict(enumerate(places))
+    for q, row in enumerate(rows.tolist()):
+        given = [known.get(i) for i in row]  # a provisional vertex once its first user has a level
+        levels = {place[0] for place in given if place}
+        level[q] = max(levels, default=0)
+        if len(levels) > 1:
+            chains = [p and dict(grid._vertex_chain(*p) if p[1] >= 0 else [p]) for p in given]
+            common = set.intersection(*(set(c) for c in chains if c))
+            level[q] = min(common, default=-1)
+            slots[q] = [-1 - i if c is None else c.get(level[q], -1) for i, c in zip(row, chains)]
+        known.update({i: (int(level[q]), -1 - i) for i in row if level[q] >= 0 and i not in known})
+    return level, slots
+
+
 def _insert(grid, queue, report):
     """Commit the queued rows in queue order; see the module docstring."""
-    places, base = queue.places, len(queue.places)
-    coords = list(np.concatenate(queue._coords)) if queue._coords else []
-    corners = grid.dim + 1
-    made = {}  # provisional index -> (level, slot) of the vertex its first user made
-    for q, (row, parametrization, _) in enumerate(queue._elements):
-        given = [places[i] if i < base else made.get(i) for i in row]
-        levels = {place[0] for place in given if place is not None}
-        if len(levels) > 1:
-            chains = [None if place is None else dict(grid._vertex_chain(*place)) for place in given]
-            common = set.intersection(*(set(chain) for chain in chains if chain is not None))
-            if not common:
-                report.skipped.append((q, "vertices reach no common level"))
-                continue
-            level = min(common)
-            given = [None if chain is None else (level, chain[level]) for chain in chains]
-        else:
-            level = levels.pop() if levels else 0
-        vslots = []
-        for i, place in zip(row, given):
-            if place is None:
-                place = made[i] = (level, grid._add_vertex(level, coords[i - base].copy()))
-            vslots.append(place[1])
-        if len(set(vslots)) != corners:
-            report.skipped.append((q, "vertices coincide after level resolution"))
-            continue
-        slot = grid._add_element(level, tuple(vslots), parametrization=parametrization)
-        report.inserted.append((q, grid._id(0, level, slot)))
+    staged, base, lines = queue._elements, len(queue.places), grid.dim == 1
+    rows = np.fromiter(chain.from_iterable(map(itemgetter(0), staged)), np.int64)
+    rows = rows.reshape(-1, grid.dim + 1)
+    level, slots = _levels(grid, queue, rows)
+    ok, fresh, ordered = level >= 0, rows >= base, np.sort(slots, axis=1)
+    inserted = ok & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    users = np.flatnonzero(fresh & ok[:, None])  # its first user with a level makes a vertex
+    makes = np.zeros(rows.shape, dtype=bool)
+    makes.flat[users[np.unique(rows.flat[users], return_index=True)[1]]] = True
+    coords = np.concatenate(queue._coords or [np.empty((0, grid.world_dim))])
+    made, count = np.zeros(queue._n_vertices, dtype=np.int64), makes.sum(axis=1)  # made: index -> slot
+    ids = grid._next_id + np.cumsum(count + inserted) - 1  # a row's vertices' ids, then its line's
+    vertex_ids = (ids - inserted - count)[:, None] + np.cumsum(makes, axis=1)
+    grid._new_ids(int(count.sum() + inserted.sum()) if lines else 0)
+    # a triangle draws its new edges' ids between its vertices' and its own, so triangles go row by row
+    by_level = [np.flatnonzero(level == lev) for lev in np.unique(level[ok])]
+    for at in by_level if lines else np.flatnonzero(ok)[:, None]:
+        lev, new = level[at[0]], rows[at][makes[at]]
+        vids = vertex_ids[at][makes[at]].tolist() if lines else grid._new_ids(len(new))
+        made[new] = grid._add_vertices(lev, coords[new - base], vids)
+        at = at[inserted[at]]
+        corners = map(tuple, np.where(fresh[at], made[rows[at]], slots[at]).tolist())
+        grid._add_elements(lev, corners, [staged[q][1] for q in at.tolist()], repeat(None),
+                           ids[at].tolist() if lines else None)
+        if not lines:
+            ids[at] = grid._next_id - 1
+    report.inserted = list(zip(np.flatnonzero(inserted).tolist(), ids[inserted].tolist()))
+    reasons = ("vertices reach no common level", "vertices coincide after level resolution")
+    report.skipped = [(q, reasons[bool(ok[q])]) for q in np.flatnonzero(~inserted).tolist()]
 
 
 def grow(grid):
@@ -167,10 +197,7 @@ def grow(grid):
     changed = bool(report.inserted or report.removed)
     for qidx, reason in report.skipped:
         logger.info("growth: skipped queued element %d (%s)", qidx, reason)
-    grid._queue = None
-    grid._queued_removals = set()
-    grid._growth_report = report
-    grid._phase = "grown"
+    grid._queue, grid._queued_removals, grid._growth_report, grid._phase = None, set(), report, "grown"
     grid._revision += 1
     return changed
 

@@ -380,7 +380,7 @@ def grow_grid(grid, indicator, variables, step=0):
     ``variables`` maps names to per-leaf-element arrays (aligned with the
     current leaf index set).  The round's new vertices and segments go
     into the queue in one ``queue_vertices`` and one ``queue_elements``
-    call, ``grow`` commits them in one pass, and the variables cross the
+    call, ``grow`` commits them in array passes, and the variables cross the
     transaction as a :class:`flow.LeafData`, to which each inserted
     segment appends the row of the element whose indicator decision
     created it.  Returns a :class:`GrowthRound`, which unpacks as

@@ -22,12 +22,12 @@ an element up to its tree root (``_root``); and ``_marker``, that root's
 insertion marker (``Element.marker``).
 
 Records enter the arenas only through ``Grid._add_vertex``,
-``Grid._add_edge`` and ``Grid._add_element`` (refinement and growth) or
-the factory's level-0 batch appends, and leave only through
-``compaction.remove_elements``.  ``Grid._add_vertices`` appends the
-vertex records in one pass, ids in row order; ``Grid._add_elements``
-does the same for lines, while each triangle still goes through
+``Grid._add_edge`` and ``Grid._add_element`` (refinement) or the batch
+appends ``Grid._add_vertices`` and ``Grid._add_elements`` with the ids
+their caller drew: consecutive ones in the factory's level-0 build,
+interleaved per row in growth's line rows.  A triangle goes through
 ``_add_element``, so its new edges take their ids before it does.
+Records leave only through ``compaction.remove_elements``.
 ``Grid._get_or_make_edge`` adds an edge only when the level's lookup has
 none over its two vertices; refinement adds the halves of a split edge
 directly, since their midpoint is new, and hands each child its edges,
@@ -72,7 +72,7 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -349,28 +349,29 @@ class Grid:
         verts.append(VertexRec(coords, self._new_id() if vid is None else vid, father))
         return len(verts) - 1
 
-    def _add_vertices(self, level, coords):
-        """Append one vertex record per row of ``coords`` at ``level``, each
-        with a new id in row order; the records hold views of its rows."""
-        first = self._next_id
-        self._next_id += len(coords)
-        self._verts[level].extend(map(VertexRec, coords, range(first, self._next_id)))
+    def _new_ids(self, n):
+        """``n`` new ids, in order, as a range."""
+        self._next_id += n
+        return range(self._next_id - n, self._next_id)
 
-    def _add_elements(self, level, staged):
-        """Append one element per (vertex slots, parametrization, marker) of
-        ``staged`` at ``level``, with ids in order.  A triangle draws its new
-        edges' ids before its own, one ``_add_element`` each; lines have no
-        edge records, so they are appended in one pass."""
-        if self.config.dim == 2:
-            for v, parametrization, marker in staged:
-                self._add_element(level, v, parametrization=parametrization, marker=marker)
+    def _add_vertices(self, level, coords, ids):
+        """Append one vertex record per row of ``coords`` at ``level`` with the
+        drawn ``ids``, holding views of the rows; returns their slots, a range."""
+        verts = self._verts[level]
+        verts.extend(map(VertexRec, coords, ids))
+        return range(len(verts) - len(coords), len(verts))
+
+    def _add_elements(self, level, v, parametrizations, markers, ids):
+        """Append one element per vertex-slot tuple of ``v``, parametrization
+        and marker at ``level``: lines in one pass with the drawn ``ids``,
+        triangles (``ids=None``) one ``_add_element`` each."""
+        if ids is None:
+            for corners, parametrization, marker in zip(v, parametrizations, markers):
+                self._add_element(level, corners, parametrization=parametrization, marker=marker)
             return
-        first = self._next_id
-        self._next_id += len(staged)
-        self._elems[level].extend(
-            ElemRec(v, i, parametrization=parametrization, marker=marker)
-            for i, (v, parametrization, marker) in enumerate(staged, first)
-        )
+        none = repeat(None)  # fields in order: no edges, father or children, mark 0, corners in a father
+        self._elems[level].extend(map(ElemRec, v, ids, repeat(()), none, repeat(()), repeat(0),
+                                      parametrizations, none, markers))
 
     def _add_element(self, level, v, father=None, parametrization=None, corners_in_father=None,
                      marker=None, edges=None):
@@ -716,8 +717,10 @@ class GridFactory:
         if not self._elements:
             raise FactoryError("cannot create a grid without elements")
         grid = Grid(self.config)
-        grid._add_vertices(0, np.concatenate(self._coords))
-        grid._add_elements(0, self._elements)
+        coords = np.concatenate(self._coords)
+        grid._add_vertices(0, coords, grid._new_ids(len(coords)))
+        ids = grid._new_ids(len(self._elements)) if grid.dim == 1 else None
+        grid._add_elements(0, *zip(*self._elements), ids)
         for slot, (_, parametrization, _) in enumerate(self._elements):
             if parametrization is not None:
                 _check_parametrization_corners(grid, slot, parametrization)

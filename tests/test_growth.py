@@ -510,3 +510,107 @@ def test_rows_that_coincide_after_resolution_are_skipped_as_by_the_loop():
     assert report.skipped == grids[1].growth_report.skipped
     assert report.inserted == grids[1].growth_report.inserted
     assert [q for q, _ in report.inserted] == [1, 2]
+
+
+def _chain(refinements=0):
+    """chain4 (four unit segments along the x axis), refined everywhere ``refinements`` times."""
+    grid = make_grid(1, 3, [(float(i), 0.0, 0.0) for i in range(5)], [(i, i + 1) for i in range(4)])
+    return refine_all(grid, refinements)
+
+
+def _grow_both(make, rows, fresh=(), kind=LINE):
+    """``grow`` on one grid that ``make`` builds and the per-row loop of
+    ``tests/growth_rows.py`` on another, after queueing the coordinates
+    ``fresh`` and the ``rows``: both commit the same records and report.
+    Returns the ``grow`` grid and its report."""
+    grids = [make(), make()]
+    for grid in grids:
+        if len(fresh):
+            grid.queue_vertices(np.asarray(fresh, dtype=float))
+        grid.queue_elements(kind, np.asarray(rows, dtype=np.int64))
+    assert grids[0].grow() == grow_by_rows(grids[1])
+    assert records(grids[0]) == records(grids[1])
+    reports = [grid.growth_report for grid in grids]
+    assert (reports[0].inserted, reports[0].skipped, reports[0].removed) == \
+        (reports[1].inserted, reports[1].skipped, reports[1].removed)
+    for grid in grids:
+        grid.post_grow()
+    check_grid(grids[0])
+    return grids[0], reports[0]
+
+
+def _at(grid, x):
+    """Leaf-view index of the vertex at (x, 0, 0)."""
+    view = grid.leaf_view()
+    return next(i for i, v in enumerate(view.vertices()) if tuple(v.coords) == (x, 0.0, 0.0))
+
+
+def _levels_of(grid, report):
+    """Level of each inserted element, in queue order."""
+    levels = {el.id: el.level for el in grid.leaf_view().elements()}
+    return [levels[i] for _, i in report.inserted]
+
+
+def test_rows_of_provisional_vertices_around_their_users_on_level_0():
+    """Unrefined (L = 0): rows of provisional vertices only come before and
+    after the rows that use them; each row draws its made vertices' ids, then
+    its element's."""
+    fresh = [(5.0, 1.0, 0.0), (6.0, 1.0, 0.0), (7.0, 1.0, 0.0), (8.0, 1.0, 0.0), (9.0, 1.0, 0.0)]
+    rows = [[5, 6], [4, 5], [6, 7], [0, 8], [8, 9], [9, 7]]
+    grid, report = _grow_both(_chain, rows, fresh)
+    assert [i for _, i in report.inserted] == [11, 12, 14, 16, 18, 19]
+    assert report.skipped == [] and _levels_of(grid, report) == [0] * 6
+
+
+def test_rows_that_join_existing_leaf_vertices_only():
+    """No staged vertex: rows over leaf vertices on levels 0, 1 and 2 walk the
+    copy chains, land on coarser copies, or reach no common level."""
+    make = lambda: _mixed_level_grid("chain", [[True, True, False, False], [True, False]])  # noqa: E731
+    grid = make()
+    rows = [[_at(grid, 0.25), _at(grid, 0.5)], [_at(grid, 0.0), _at(grid, 4.0)],
+            [_at(grid, 0.25), _at(grid, 1.5)], [_at(grid, 3.0), _at(grid, 1.0)]]
+    grid, report = _grow_both(make, rows)
+    assert report.skipped == [(2, "vertices reach no common level")]
+    assert [q for q, _ in report.inserted] == [0, 1, 3] and _levels_of(grid, report) == [2, 0, 0]
+
+
+def test_every_row_names_a_vertex_of_the_one_refined_level():
+    """Refined everywhere once (L = 1) and every row names an existing vertex:
+    every row lands on level 1, and so do the vertices the rows make."""
+    grid = _chain(1)
+    fresh = [(5.0, 1.0, 0.0), (6.0, 1.0, 0.0), (7.0, 1.0, 0.0)]
+    rows = [[_at(grid, 4.0), 9], [_at(grid, 2.5), 10], [9, _at(grid, 0.0)], [_at(grid, 1.0), _at(grid, 3.0)],
+            [11, _at(grid, 0.5)]]
+    grid, report = _grow_both(lambda: _chain(1), rows, fresh)
+    assert report.skipped == [] and _levels_of(grid, report) == [1] * 5
+    assert {v.level for el in grid.leaf_view().elements() for v in el.vertices()} == {1}
+
+
+def test_a_fresh_only_first_row_on_the_refined_chain_resolves_row_by_row():
+    """The same grid with a first row of provisional vertices only: that row
+    lands on level 0, so its vertices are made there, the rows that use them
+    walk the copy chains, and one reaches no common level."""
+    grid = _chain(1)
+    fresh = [(5.0, 1.0, 0.0), (6.0, 1.0, 0.0), (7.0, 1.0, 0.0)]
+    rows = [[9, 10], [10, _at(grid, 1.0)], [11, _at(grid, 0.5)], [9, _at(grid, 1.5)], [_at(grid, 4.0), 11]]
+    grid, report = _grow_both(lambda: _chain(1), rows, fresh)
+    assert report.skipped == [(3, "vertices reach no common level")]
+    assert _levels_of(grid, report) == [0, 0, 1, 1]
+
+
+def test_a_surface_queue_makes_a_vertex_at_its_first_unskipped_user():
+    """Triangles commit row by row: a provisional vertex whose first user
+    reaches no common level is made by its next user, at that row's level."""
+    make = lambda: _mixed_level_grid("surface", [[True, True, False, False], [True] * 8])  # noqa: E731
+    grid = make()
+    places = grid.leaf_view().places(2)
+    chains = [{level for level, _ in grid._vertex_chain(*place)} for place in places]
+    n = len(places)
+    a, b = next((a, b) for a in range(n) for b in range(n) if not chains[a] & chains[b])
+    c, d = next((c, d) for c in range(n) for d in range(c + 1, n)
+                if {c, d}.isdisjoint({a, b}) and places[c][0] == places[d][0] > 0)
+    rows = [[n, a, b], [n, c, d], [n + 1, n, c], [n + 1, a, d]]
+    grid, report = _grow_both(make, rows, [(2.0, 0.0, 1.0), (2.0, 1.0, 1.0)], TRIANGLE)
+    assert report.skipped[0] == (0, "vertices reach no common level")
+    assert [q for q, _ in report.inserted][:2] == [1, 2]
+    assert _levels_of(grid, report)[:2] == [places[c][0]] * 2
