@@ -38,8 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
@@ -92,11 +91,12 @@ def queue_elements(grid, kind, vertex_indices, parametrization=None):
     positions as an int64 array.  ``parametrization`` is one value for every
     row or a list, tuple or array of one value per row."""
     def insert(queue):
+        first = len(queue._markers)
         positions = queue.insert_elements(kind, vertex_indices, parametrization)
         try:
-            _refuse_leaves(queue.leaves - _removed_leaves(grid) + len(queue._elements), "grow")
+            _refuse_leaves(queue.leaves - _removed_leaves(grid) + len(queue._markers), "grow")
         except ScenarioError:
-            del queue._elements[len(queue._elements) - len(positions):]
+            del queue._elements[-1], queue._parametrizations[first:], queue._markers[first:]
             raise
         return positions
     return _stage(grid, "queue_elements", insert)
@@ -145,9 +145,8 @@ def _levels(grid, queue, rows):
 
 def _insert(grid, queue, report):
     """Commit the queued rows in queue order; see the module docstring."""
-    staged, base, lines = queue._elements, len(queue.places), grid.dim == 1
-    rows = np.fromiter(chain.from_iterable(map(itemgetter(0), staged)), np.int64)
-    rows = rows.reshape(-1, grid.dim + 1)
+    base, lines = len(queue.places), grid.dim == 1
+    rows = np.concatenate(queue._elements or [np.empty((0, grid.dim + 1), dtype=np.int64)])
     level, slots = _levels(grid, queue, rows)
     ok, fresh, ordered = level >= 0, rows >= base, np.sort(slots, axis=1)
     inserted = ok & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
@@ -167,8 +166,8 @@ def _insert(grid, queue, report):
         made[new] = grid._add_vertices(lev, coords[new - base], vids)
         at = at[inserted[at]]
         corners = map(tuple, np.where(fresh[at], made[rows[at]], slots[at]).tolist())
-        grid._add_elements(lev, corners, [staged[q][1] for q in at.tolist()], repeat(None),
-                           ids[at].tolist() if lines else None)
+        grid._add_elements(lev, corners, ids[at].tolist() if lines else None,
+                           [queue._parametrizations[q] for q in at.tolist()])
         if not lines:
             ids[at] = grid._next_id - 1
     report.inserted = list(zip(np.flatnonzero(inserted).tolist(), ids[inserted].tolist()))

@@ -7,8 +7,8 @@ local coordinates in the root, obtained by composing the child-in-father
 embeddings along the tree.  Unparametrized trees fall back to the affine
 edge midpoint, so hanging vertices on curved trees need not coincide
 with the straight-edge midpoints of coarser neighbors.  That placement
-is ``adaptivity.refined_vertex_position``; this module holds only the
-charts and reads no grid.
+is ``adaptivity._midpoint_images``; this module holds only the charts
+and reads no grid.
 """
 
 from __future__ import annotations

@@ -21,18 +21,19 @@ at a codim, level and slot; ``_father_chain``, the one father walk, from
 an element up to its tree root (``_root``); and ``_marker``, that root's
 insertion marker (``Element.marker``).
 
-Records enter the arenas only through ``Grid._add_vertex``,
-``Grid._add_edge`` and ``Grid._add_element`` (refinement) or the batch
-appends ``Grid._add_vertices`` and ``Grid._add_elements`` with the ids
-their caller drew: consecutive ones in the factory's level-0 build,
-interleaved per row in growth's line rows.  A triangle goes through
-``_add_element``, so its new edges take their ids before it does.
-Records leave only through ``compaction.remove_elements``.
-``Grid._get_or_make_edge`` adds an edge only when the level's lookup has
-none over its two vertices; refinement adds the halves of a split edge
-directly, since their midpoint is new, and hands each child its edges,
-so only the edges between midpoints are looked up.  An edge added while
-the lookup is built enters it too.  The records are slotted dataclasses:
+Records enter the arenas through the batch appends ``Grid._add_vertices``,
+``Grid._add_edges`` and ``Grid._add_elements`` with the ids their caller
+drew: consecutive ones in the factory's level-0 build, interleaved per
+row in growth's line rows and per leaf in refinement's level passes
+(``adaptivity``).  A grown triangle goes through ``Grid._add_element``,
+and ``Grid._get_or_make_edge`` adds its edge over two vertices only when
+the level's lookup has none, so its new edges take their ids before it
+does.  Records leave only through ``compaction.remove_elements``.
+Refinement adds the halves of a split edge directly, since their
+midpoint is new, and hands each child its edges; it looks up only an
+edge between two midpoints that both predate its pass, in the built
+lookup or a scan of the level.  An edge added while the lookup is built
+enters it too.  The records are slotted dataclasses:
 each holds exactly its declared fields, without a per-record dict, so it
 is smaller and quicker to read, and it takes no other attribute.  The
 grow queue is a ``GridFactory`` too, so the level-0 build and runtime
@@ -335,43 +336,53 @@ class Grid:
 
     def _edge_index(self, level):
         """Lazy map unordered vertex-slot pair -> edge slot for one level."""
-        lookup = self._edge_lookup[level]
-        if lookup is None:
-            lookup = {}
-            for slot, rec in enumerate(self._edges[level]):
-                lookup[frozenset(rec.v)] = slot
-            self._edge_lookup[level] = lookup
-        return lookup
+        if self._edge_lookup[level] is None:
+            self._edge_lookup[level] = {frozenset(rec.v): s for s, rec in enumerate(self._edges[level])}
+        return self._edge_lookup[level]
 
     def _add_vertex(self, level, coords, vid=None, father=None):
         """Append a vertex record at ``level``; a new id unless ``vid`` is a chain's id."""
-        verts = self._verts[level]
-        verts.append(VertexRec(coords, self._new_id() if vid is None else vid, father))
-        return len(verts) - 1
+        return self._add_vertices(level, [coords], [self._new_id() if vid is None else vid], [father])[0]
 
     def _new_ids(self, n):
         """``n`` new ids, in order, as a range."""
         self._next_id += n
         return range(self._next_id - n, self._next_id)
 
-    def _add_vertices(self, level, coords, ids):
+    # The batch appends take one value per record of each field, an endless repeat by default.
+
+    def _add_vertices(self, level, coords, ids, fathers=repeat(None)):
         """Append one vertex record per row of ``coords`` at ``level`` with the
         drawn ``ids``, holding views of the rows; returns their slots, a range."""
         verts = self._verts[level]
-        verts.extend(map(VertexRec, coords, ids))
+        verts.extend(map(VertexRec, coords, ids, fathers))
         return range(len(verts) - len(coords), len(verts))
 
-    def _add_elements(self, level, v, parametrizations, markers, ids):
-        """Append one element per vertex-slot tuple of ``v``, parametrization
-        and marker at ``level``: lines in one pass with the drawn ``ids``,
-        triangles (``ids=None``) one ``_add_element`` each."""
+    def _add_edges(self, level, v, ids, fathers):
+        """Append one edge per vertex-slot pair of the list ``v`` at ``level``
+        with the drawn ``ids``; the caller knows no edge joins a pair yet, and
+        a built lookup learns them.  Returns their slots, a range."""
+        edges = self._edges[level]
+        edges.extend(map(EdgeRec, v, ids, fathers))
+        slots = range(len(edges) - len(v), len(edges))
+        if self._edge_lookup[level] is not None:
+            self._edge_lookup[level].update(zip(map(frozenset, v), slots))
+        return slots
+
+    def _add_elements(self, level, v, ids, parametrizations=repeat(None), markers=repeat(None),
+                      edges=repeat(()), fathers=repeat(None), corners_in_father=repeat(None)):
+        """Append one element per vertex-slot tuple of ``v`` at ``level`` in one pass with
+        the drawn ``ids``, or one ``_add_element`` each (``ids=None``: triangles without
+        ``edges``); returns their slots."""
+        elems = self._elems[level]
+        first = len(elems)
         if ids is None:
             for corners, parametrization, marker in zip(v, parametrizations, markers):
                 self._add_element(level, corners, parametrization=parametrization, marker=marker)
-            return
-        none = repeat(None)  # fields in order: no edges, father or children, mark 0, corners in a father
-        self._elems[level].extend(map(ElemRec, v, ids, repeat(()), none, repeat(()), repeat(0),
-                                      parametrizations, none, markers))
+        else:  # ElemRec's fields in order; no children yet, mark 0
+            elems.extend(map(ElemRec, v, ids, edges, fathers, repeat(()), repeat(0), parametrizations,
+                             corners_in_father, markers))
+        return range(first, len(elems))
 
     def _add_element(self, level, v, father=None, parametrization=None, corners_in_father=None,
                      marker=None, edges=None):
@@ -418,15 +429,12 @@ class Grid:
         return self._elems[level][slot].marker
 
     def _add_edge(self, level, va, vb, father=None):
-        """Append a new edge over vertex slots ``va``, ``vb``; returns its slot.
-        The caller knows no edge joins them yet; a built lookup learns it."""
-        edges = self._edges[level]
+        """Append a new edge over vertex slots ``va``, ``vb``; returns its slot (see ``_add_edges``)."""
+        edges, lookup = self._edges[level], self._edge_lookup[level]
         edges.append(EdgeRec((va, vb), self._new_id(), father))
-        slot = len(edges) - 1
-        lookup = self._edge_lookup[level]
         if lookup is not None:
-            lookup[frozenset((va, vb))] = slot
-        return slot
+            lookup[frozenset((va, vb))] = len(edges) - 1
+        return len(edges) - 1
 
     def _get_or_make_edge(self, level, va, vb):
         slot = self._edge_index(level).get(frozenset((va, vb)))
@@ -676,7 +684,8 @@ class GridFactory:
         self.config = config
         self._coords = []  # staged (n, world_dim) blocks
         self._n_vertices = 0
-        self._elements = []  # (vertex tuple, parametrization, marker)
+        self._elements = []  # staged (m, dim + 1) int64 row blocks
+        self._parametrizations, self._markers = [], []  # one per staged row
 
     def insert_vertices(self, coords):
         """Stage one vertex per row of an ``(n, world_dim)`` array; returns their insertion indices."""
@@ -704,9 +713,10 @@ class GridFactory:
         if not all(phi is None or callable(phi) for phi in parametrizations):
             raise FactoryError("parametrization must be callable")
         markers = _per_row(marker, len(rows), "marker")
-        first = len(self._elements)
-        self._elements.extend(zip(map(tuple, rows.tolist()), parametrizations, markers))
-        return np.arange(first, first + len(rows))
+        self._elements.append(rows)
+        self._parametrizations += parametrizations
+        self._markers += markers
+        return np.arange(len(self._markers) - len(rows), len(self._markers))
 
     def insert_element(self, kind, vertex_indices, parametrization=None, marker=None):
         """Stage an element over previously inserted vertices; returns its insertion index."""
@@ -714,14 +724,15 @@ class GridFactory:
 
     def create_grid(self):
         """Build the grid; the factory may be reused afterwards."""
-        if not self._elements:
+        if not self._markers:
             raise FactoryError("cannot create a grid without elements")
         grid = Grid(self.config)
         coords = np.concatenate(self._coords)
         grid._add_vertices(0, coords, grid._new_ids(len(coords)))
-        ids = grid._new_ids(len(self._elements)) if grid.dim == 1 else None
-        grid._add_elements(0, *zip(*self._elements), ids)
-        for slot, (_, parametrization, _) in enumerate(self._elements):
+        rows = np.concatenate(self._elements)
+        ids = grid._new_ids(len(rows)) if grid.dim == 1 else None
+        grid._add_elements(0, map(tuple, rows.tolist()), ids, self._parametrizations, self._markers)
+        for slot, parametrization in enumerate(self._parametrizations):
             if parametrization is not None:
                 _check_parametrization_corners(grid, slot, parametrization)
         return grid

@@ -24,7 +24,8 @@ def grow_by_rows(grid):
         leaves = grid._queue.places
         base = len(leaves)
         queued_vertices = list(np.concatenate(grid._queue._coords)) if grid._queue._coords else []
-        for idx, parametrization, _ in grid._queue._elements:
+        rows = np.concatenate(grid._queue._elements).tolist() if grid._queue._elements else []
+        for idx, parametrization in zip(rows, grid._queue._parametrizations):
             refs = tuple(("v",) + leaves[i] if i < base else ("q", i - base) for i in idx)
             queued_elements.append((refs, parametrization))
 

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmesh import LINE, TRIANGLE, FactoryError, ScenarioError, audit_grid, intersections, topology
+from netmesh import (
+    LINE, TRIANGLE, FactoryError, GridConfig, ScenarioError, adaptivity, audit_grid, cli, intersections, read_gmsh,
+    topology,
+)
 from netmesh.errors import DimensionMismatchError, LifecycleError, StaleEntityError
 from netmesh.geometry import REFERENCE_CORNERS
 from netmesh.adaptivity import local_in_root
 
+import refine_rows
 from conftest import make_grid, refine_all, same_bits, vertex_or_edge
 from gridcheck import check_grid
 from transactions import FAN_TRANSACTIONS, NETWORK_TRANSACTIONS, embedded_grid, play, rounds
@@ -559,3 +564,141 @@ def test_the_adapt_bound_admits_exactly_its_count(shape, names, data):
     grid.post_adapt()
     assert grid.leaf_view().size(0) == count
     check_grid(grid)
+
+
+# -- the array pass against the per-leaf loop ---------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _by_leaves(transaction, *args):
+    """``transaction(*args)`` with every adapt refining through the per-leaf loop."""
+    with mock.patch.object(adaptivity, "adapt", refine_rows.adapt_by_leaves):
+        return transaction(*args)
+
+
+def _same_refinement(make, *rounds):
+    """Two grids from ``make()``; each round (a function of the grid) runs on
+    both, through the array pass and through the per-leaf loop, and leaves
+    the same records.  Returns the grid of the array pass."""
+    grid, ref = make(), make()
+    for run in rounds:
+        run(grid)
+        _by_leaves(run, ref)
+        assert refine_rows.records(grid) == refine_rows.records(ref)
+        assert audit_grid(grid) == []
+    return grid
+
+
+def _refine(*flags, level=None):
+    """A round marking the leaves (of ``level``, or all) whose flag is set, then adapting."""
+    def run(grid):
+        leaves = [el for el in grid.leaf_view().elements() if level is None or el.level == level]
+        for el, flag in zip(leaves, flags or [1] * len(leaves)):
+            if flag:
+                grid.mark(1, el)
+        grid.pre_adapt()
+        grid.adapt()
+        grid.post_adapt()
+    return run
+
+
+@pytest.mark.parametrize("shape,names", [("fan", FAN_TRANSACTIONS), ("y", NETWORK_TRANSACTIONS)])
+@pytest.mark.parametrize("world_dim", [1, 2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_array_pass_equals_the_per_leaf_loop(shape, names, world_dim, data):
+    """After every transaction, the grid refined level by level in array passes
+    holds the records of the grid refined leaf by leaf: ids, slots, corners,
+    edges, fathers, children, finer copies, coordinate and embedding bits."""
+    transactions = data.draw(rounds(names, min_size=1, max_size=6))
+    dim = 2 if shape == "fan" else 1
+    _same_refinement(lambda: embedded_grid(shape, max(world_dim, dim)),
+                     *(lambda grid, t=t: play(grid, *t) for t in transactions))
+
+
+def test_an_edge_split_earlier_in_the_same_pass():
+    """The diagonal of the square is split by the first triangle; the second
+    takes its midpoint and halves, and makes no copy of the shared corners."""
+    grid = _same_refinement(lambda: make_grid(2, 3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+                                              [(0, 1, 2), (0, 2, 3)]), _refine())
+    assert grid.leaf_view().size(2) == 9
+
+
+def _refine_one_per_level(grid):
+    """Mark the first leaf of each level in the leaf view, then adapt."""
+    levels = set()
+    for el in grid.leaf_view().elements():
+        if el.level not in levels:
+            levels.add(el.level)
+            grid.mark(1, el)
+    grid.pre_adapt()
+    grid.adapt()
+    grid.post_adapt()
+
+
+@pytest.mark.parametrize("shape", ["chain", "fan"])
+def test_two_levels_refined_in_one_adapt(shape):
+    """Leaves of two levels, then of three, marked together refine in one
+    adapt, coarsest level first."""
+    grid = _same_refinement(lambda: _partly_refined(shape, []), *[_refine_one_per_level] * 3)
+    assert grid.max_level == 3
+
+
+def test_triangles_over_the_same_corners_in_one_pass_and_in_two():
+    """Refined together, the second triangle shares the edges between
+    midpoints that the first made in the same pass; refined one adapt after
+    the other, it finds them among the level's edges."""
+    def make():
+        return make_grid(2, 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2), (2, 0, 1)])
+
+    together = _same_refinement(make, _refine())
+    apart = _same_refinement(make, _refine(1, 0), _refine(1, level=0))
+    assert together.leaf_view().size(1) == apart.leaf_view().size(1) == 9
+
+
+def _midpoints_joined_by_a_grown_triangle(remove):
+    """A centre triangle whose three neighbours are refined, so its edge
+    midpoints exist on level 1; a triangle grown there joins two of them.
+    With ``remove``, the grow also removes a leaf, and its compaction drops
+    every level's edge lookup."""
+    def make():
+        corners = [(0, 0, 0), (2, 0, 0), (1, 2, 0), (1, -2, 0), (3, 2, 0), (-1, 2, 0)]
+        return make_grid(2, 3, corners, [(0, 1, 2), (0, 1, 3), (1, 2, 4), (2, 0, 5)])
+
+    def grow(grid):
+        view = grid.leaf_view()
+        index = {tuple(v.coords): i for i, v in enumerate(view.vertices())}
+        fresh = grid.queue_vertex(np.array([1.0, 0.5, 1.0]))
+        grid.queue_element(TRIANGLE, [index[1.0, 0.0, 0.0], index[1.5, 1.0, 0.0], fresh])
+        if remove:
+            grid.remove_element(next(el for el in view.elements() if el.level == 1))
+        grid.grow()
+        grid.post_grow()
+
+    return _same_refinement(make, _refine(0, 1, 1, 1), grow, _refine(1, level=0))
+
+
+@pytest.mark.parametrize("remove", [False, True], ids=["lookup-built", "lookup-dropped"])
+def test_an_edge_between_midpoints_that_a_grown_triangle_made(remove):
+    """Refining the centre reuses the grown triangle's edge between two of its
+    midpoints, found in the level's built lookup or by a scan of the level."""
+    grid = _midpoints_joined_by_a_grown_triangle(remove)
+    check_grid(grid)
+    centre = grid.level_view(0).elements()[0]
+    grown = next(el for el in grid.leaf_view().elements() if el.father() is None and el.level == 1)
+    shared = {e.id for kid in centre.children() for e in (kid.sub_entity(1, k) for k in range(3))}
+    assert len(shared & {grown.sub_entity(1, k).id for k in range(3)}) == 1
+
+
+@pytest.mark.parametrize("name,dim", [("quadratic_line.msh", 1), ("quadratic_surface.msh", 2)])
+def test_parametrized_meshes_refine_as_by_the_loop(name, dim):
+    """The images of curved trees: every round's midpoints carry the loop's bits."""
+    _same_refinement(lambda: read_gmsh(ROOT / "tests" / "data" / name, GridConfig(dim, 3)),
+                     _refine(), _refine(1, 0, 1), _refine())
+
+
+def test_the_wavelet_square_refines_as_by_the_loop():
+    """Every macro triangle of the square has a chart of its own on the wavelet surface."""
+    _same_refinement(lambda: cli._wavelet_grid(read_gmsh(ROOT / "meshes" / "square.msh", GridConfig(2, 3))),
+                     _refine(), _refine(1, 0, 0, 1, 1), _refine())
