@@ -46,8 +46,8 @@ import numpy as np
 from . import compaction
 from .errors import DimensionMismatchError, FactoryError
 from .topology import (
-    CHILD_CORNERS_IN_FATHER, CHILDREN, EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, TRIANGLE_EDGES, _refuse_leaves,
-    checked_coords,
+    CHILD_CORNERS_IN_FATHER, CHILDREN, EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, TRIANGLE_EDGES, _makers,
+    _refuse_leaves, checked_coords,
 )
 
 logger = logging.getLogger(__name__)
@@ -159,17 +159,6 @@ def post_adapt(grid):
 # -- refinement internals -------------------------------------------------
 
 
-def _makers(keys, missing):
-    """Of the flat ``keys`` whose record is ``missing``, the first position of
-    each key makes it: the mask of those positions, and for every position
-    the position that makes its record (itself where none is missing)."""
-    at = missing.nonzero()[0]
-    unique, first = np.unique(keys[at], return_index=True)
-    maker = np.arange(len(keys))
-    maker[at] = at[first][unique.searchsorted(keys[at])]
-    return missing & (maker == np.arange(len(keys))), maker
-
-
 def _midpoint_images(grid, level, slots):
     """For the leaves ``slots`` of ``level``: which local edges make their
     midpoint (every segment's; a triangle edge's first unsplit mention),
@@ -254,22 +243,15 @@ def _refine_level(grid, level, slots, makes, maker, points):
         fine_edges = grid._edges[fine]
         mids[before] = [fine_edges[h].v[1] for h in halves[before, 0].tolist()]
         pairs = mids.reshape(n, 3)[:, _PAIRS]
-        first, sharer = _makers((pairs.min(axis=2) * (len(grid._verts[fine]) + 6 * n)
-                                 + pairs.max(axis=2)).ravel(), np.ones(3 * n, dtype=bool))
-        # only an edge between two midpoints made before the pass can exist already
-        ask = first & before.reshape(n, 3)[:, _PAIRS].all(axis=2).ravel()
-        known = np.full(3 * n, -1)
-        if ask.any():  # the level's lookup when built, else a scan that builds none
-            lookup = grid._edge_lookup[fine] or {frozenset(rec.v): e for e, rec in enumerate(fine_edges)}
-            known[ask] = [lookup.get(frozenset(p), -1) for p in pairs.reshape(-1, 2)[ask].tolist()]
+        # the edges between midpoints, the pass's own midpoints keyed as made by it
+        new, sharer, held = grid._edge_batch(fine, np.where(before, mids, -1 - mids).reshape(n, 3))
         take[:, half] = makes.repeat(2, axis=1)
-        take[:, inner] = (first & (known < 0)).reshape(n, 3)
+        take[:, inner] = new
         new_e = take[:, half + inner]  # per leaf: halves, then edges between midpoints
         eslot = new_e.cumsum().reshape(n, -1) + (len(fine_edges) - 1)  # where new_e holds
         halves = np.where(before[:, None], halves, eslot[:, :6].reshape(-1, 2)[maker])
-        known = np.where(known < 0, eslot[:, 6:].ravel(), known)[sharer]
-    ids = take.cumsum().reshape(n, -1) + (grid._next_id - 1)
-    grid._new_ids(int(ids[-1, -1]) + 1 - grid._next_id)
+        known = np.where(held < 0, eslot[:, 6:], held).ravel()[sharer]
+    ids = grid._draw_ids(take)
     made = corners[copies].tolist()
     vtab = np.empty((n, c + len(mid), 2), dtype=np.int64)  # per leaf and point: id, father (-1: none)
     vtab[:, :c, 0][copies] = [verts[v].id for v in made]  # a copy keeps its vertex's id
@@ -293,7 +275,7 @@ def _refine_level(grid, level, slots, makes, maker, points):
         for e, pair in zip(split[makes.ravel()].tolist(), zip(*halves[makes.ravel()].T.tolist())):
             edges[e].children = pair
         at_corner = np.where(flip.reshape(-1, 1), halves[:, ::-1], halves).reshape(n, 6)
-        candidates = np.concatenate([at_corner, known.reshape(n, 3)], axis=1)
+        candidates = np.concatenate([at_corner, known], axis=1)
         child_edges = zip(*candidates[:, _CHILD_EDGES].reshape(-1, 3).T.tolist())
     points = np.concatenate([finer, mids.reshape(n, -1)], axis=1)[:, _CHILDREN[d]].reshape(-1, c)
     kids = grid._add_elements(fine, zip(*points.T.tolist()), ids[:, child].ravel().tolist(),

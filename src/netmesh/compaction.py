@@ -78,7 +78,6 @@ def remove_elements(grid, dead):
         edges.pop()
         verts.pop()
 
-    grid._edge_lookup = [None] * len(elems)
     grid._srev += 1
 
 

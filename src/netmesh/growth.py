@@ -25,8 +25,10 @@ a row whose given copies sit on different levels walks the copy chains:
 coarser copies are substituted and the lowest common level wins.  Rows
 whose vertices reach no common level, or coincide after that, are
 skipped; the per-row outcome is in the growth report.  Each row draws
-the ids of the vertices it makes, then its element's; lines enter per
-level in one batch, triangles row by row (``Grid._add_elements``).
+the ids of the vertices it makes, then of the edges its triangle makes,
+then its element's, in one cumulative sum; the rows of each level enter
+in one batch (``Grid._add_batch``), a provisional vertex keyed by its
+pseudo-slot until it is made.
 
 The grid's phase runs idle -> queued -> grown -> idle; the first
 accepted queue call moves it to queued, and ``grow`` may also start from
@@ -43,7 +45,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import FactoryError, ScenarioError
-from .topology import GridFactory, _refuse_leaves
+from .topology import _EDGE_CORNERS, GridFactory, _makers, _refuse_leaves
 
 logger = logging.getLogger(__name__)
 
@@ -145,32 +147,29 @@ def _levels(grid, queue, rows):
 
 def _insert(grid, queue, report):
     """Commit the queued rows in queue order; see the module docstring."""
-    base, lines = len(queue.places), grid.dim == 1
-    rows = np.concatenate(queue._elements or [np.empty((0, grid.dim + 1), dtype=np.int64)])
+    base, c = len(queue.places), grid.dim + 1
+    rows = np.concatenate(queue._elements or [np.empty((0, c), dtype=np.int64)])
     level, slots = _levels(grid, queue, rows)
     ok, fresh, ordered = level >= 0, rows >= base, np.sort(slots, axis=1)
     inserted = ok & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-    users = np.flatnonzero(fresh & ok[:, None])  # its first user with a level makes a vertex
-    makes = np.zeros(rows.shape, dtype=bool)
-    makes.flat[users[np.unique(rows.flat[users], return_index=True)[1]]] = True
+    # a provisional vertex is made by its first user with a level
+    makes = _makers(rows.ravel(), (fresh & ok[:, None]).ravel())[0].reshape(rows.shape)
+    by_level = [(lev, np.flatnonzero(level == lev)) for lev in np.unique(level[ok]).tolist()]
+    batches = [grid._edge_batch(lev, slots[at[inserted[at]]]) for lev, at in by_level]
+    new = np.zeros((len(rows), len(_EDGE_CORNERS[grid.dim])), dtype=bool)
+    for (_, at), batch in zip(by_level, batches):
+        new[at[inserted[at]]] = batch[0]
+    # per row: the ids of the vertices it makes, of its new edges, then its own
+    ids = grid._draw_ids(np.concatenate([makes, new, inserted[:, None]], axis=1))
     coords = np.concatenate(queue._coords or [np.empty((0, grid.world_dim))])
-    made, count = np.zeros(queue._n_vertices, dtype=np.int64), makes.sum(axis=1)  # made: index -> slot
-    ids = grid._next_id + np.cumsum(count + inserted) - 1  # a row's vertices' ids, then its line's
-    vertex_ids = (ids - inserted - count)[:, None] + np.cumsum(makes, axis=1)
-    grid._new_ids(int(count.sum() + inserted.sum()) if lines else 0)
-    # a triangle draws its new edges' ids between its vertices' and its own, so triangles go row by row
-    by_level = [np.flatnonzero(level == lev) for lev in np.unique(level[ok])]
-    for at in by_level if lines else np.flatnonzero(ok)[:, None]:
-        lev, new = level[at[0]], rows[at][makes[at]]
-        vids = vertex_ids[at][makes[at]].tolist() if lines else grid._new_ids(len(new))
-        made[new] = grid._add_vertices(lev, coords[new - base], vids)
+    made = np.zeros(queue._n_vertices, dtype=np.int64)  # provisional index -> slot
+    for (lev, at), batch in zip(by_level, batches):
+        new_v = rows[at][makes[at]]
+        made[new_v] = grid._add_vertices(lev, coords[new_v - base], ids[at, :c][makes[at]].tolist())
         at = at[inserted[at]]
-        corners = map(tuple, np.where(fresh[at], made[rows[at]], slots[at]).tolist())
-        grid._add_elements(lev, corners, ids[at].tolist() if lines else None,
-                           [queue._parametrizations[q] for q in at.tolist()])
-        if not lines:
-            ids[at] = grid._next_id - 1
-    report.inserted = list(zip(np.flatnonzero(inserted).tolist(), ids[inserted].tolist()))
+        corners = np.where(fresh[at], made[rows[at]], slots[at])
+        grid._add_batch(lev, corners, batch, ids[at, c:], [queue._parametrizations[q] for q in at.tolist()])
+    report.inserted = list(zip(np.flatnonzero(inserted).tolist(), ids[inserted, -1].tolist()))
     reasons = ("vertices reach no common level", "vertices coincide after level resolution")
     report.skipped = [(q, reasons[bool(ok[q])]) for q in np.flatnonzero(~inserted).tolist()]
 

@@ -23,17 +23,20 @@ insertion marker (``Element.marker``).
 
 Records enter the arenas through the batch appends ``Grid._add_vertices``,
 ``Grid._add_edges`` and ``Grid._add_elements`` with the ids their caller
-drew: consecutive ones in the factory's level-0 build, interleaved per
-row in growth's line rows and per leaf in refinement's level passes
-(``adaptivity``).  A grown triangle goes through ``Grid._add_element``,
-and ``Grid._get_or_make_edge`` adds its edge over two vertices only when
-the level's lookup has none, so its new edges take their ids before it
-does.  Records leave only through ``compaction.remove_elements``.
-Refinement adds the halves of a split edge directly, since their
-midpoint is new, and hands each child its edges; it looks up only an
-edge between two midpoints that both predate its pass, in the built
-lookup or a scan of the level.  An edge added while the lookup is built
-enters it too.  The records are slotted dataclasses:
+drew: consecutive ones for the factory's vertices, then one cumulative
+sum over per-row columns (``Grid._draw_ids``) in the factory's level-0
+build and in growth, and over per-leaf columns in refinement's level
+passes (``adaptivity``).  Lines and triangles enter alike:
+``Grid._edge_batch`` finds the edges of a batch of elements and
+``Grid._add_batch`` appends them, then the elements, so a row's new
+edges take their ids before it does.  The first user of a record in row
+order makes it (``_makers``): a new vertex in growth, an edge in a batch,
+a vertex copy or a split edge in refinement.  Only an edge between two
+vertices that predate the batch can exist already; a scan of the level
+finds it, and no lookup is kept between batches.  Records leave only
+through ``compaction.remove_elements``.  Refinement adds the halves of a
+split edge directly, since their midpoint is new, and hands each child
+its edges.  The records are slotted dataclasses:
 each holds exactly its declared fields, without a per-record dict, so it
 is smaller and quicker to read, and it takes no other attribute.  The
 grow queue is a ``GridFactory`` too, so the level-0 build and runtime
@@ -130,6 +133,9 @@ TRIANGLE_EDGES = ((0, 1), (0, 2), (1, 2))
 # Local edges of a simplex: a segment is its own edge.
 LOCAL_EDGES = {1: ((0, 1),), 2: TRIANGLE_EDGES}
 
+# The corner pairs an element's edge records join: none for a segment.
+_EDGE_CORNERS = {1: np.empty((0, 2), dtype=np.int64), 2: np.array(TRIANGLE_EDGES)}
+
 # Red refinement: the corners of each child, as indices into the father's
 # corners followed by the midpoints of its local edges.
 CHILDREN = {1: ((0, 2), (2, 1)), 2: ((0, 3, 4), (3, 1, 5), (4, 5, 2), (3, 5, 4))}
@@ -173,6 +179,17 @@ class ElemRec:
     marker: int | None = None   # insertion marker (e.g. gmsh physical tag)
 
 
+def _makers(keys, missing):
+    """Of the flat ``keys`` whose record is ``missing``, the first position of
+    each key makes it: the mask of those positions, and for every position
+    the position that makes its record (itself where none is missing)."""
+    at = missing.nonzero()[0]
+    unique, first = np.unique(keys[at], return_index=True)
+    maker = np.arange(len(keys))
+    maker[at] = at[first][unique.searchsorted(keys[at])]
+    return missing & (maker == np.arange(len(keys))), maker
+
+
 class Grid:
     """Hierarchical simplicial network grid.
 
@@ -195,7 +212,6 @@ class Grid:
         self._queue = None        # growth._Queue: the open grow transaction's insertions
         self._queued_removals = set()  # (level, slot) of the leaves the open grow removes
         self._growth_report = None
-        self._edge_lookup = [None]
         self._leaf_view = None    # weak reference: a strong one would tie grid and view in a cycle
 
     # -- basic properties -------------------------------------------------
@@ -212,17 +228,11 @@ class Grid:
     def max_level(self):
         return len(self._elems) - 1
 
-    def _new_id(self):
-        i = self._next_id
-        self._next_id += 1
-        return i
-
     def _ensure_level(self, level):
         while len(self._elems) <= level:
             self._elems.append([])
             self._verts.append([])
             self._edges.append([])
-            self._edge_lookup.append(None)
 
     # -- entity access ----------------------------------------------------
 
@@ -334,20 +344,18 @@ class Grid:
         if srev != self._srev:
             raise StaleEntityError("entity handle outlived a compacting grid transaction")
 
-    def _edge_index(self, level):
-        """Lazy map unordered vertex-slot pair -> edge slot for one level."""
-        if self._edge_lookup[level] is None:
-            self._edge_lookup[level] = {frozenset(rec.v): s for s, rec in enumerate(self._edges[level])}
-        return self._edge_lookup[level]
-
-    def _add_vertex(self, level, coords, vid=None, father=None):
-        """Append a vertex record at ``level``; a new id unless ``vid`` is a chain's id."""
-        return self._add_vertices(level, [coords], [self._new_id() if vid is None else vid], [father])[0]
-
     def _new_ids(self, n):
         """``n`` new ids, in order, as a range."""
         self._next_id += n
         return range(self._next_id - n, self._next_id)
+
+    def _draw_ids(self, take):
+        """Draw one new id per set entry of the boolean array ``take``, in
+        row-major order; returns an int array of its shape holding each set
+        entry's id."""
+        ids = take.cumsum().reshape(take.shape) + (self._next_id - 1)
+        self._new_ids(int(np.count_nonzero(take)))
+        return ids
 
     # The batch appends take one value per record of each field, an endless repeat by default.
 
@@ -358,53 +366,64 @@ class Grid:
         verts.extend(map(VertexRec, coords, ids, fathers))
         return range(len(verts) - len(coords), len(verts))
 
-    def _add_edges(self, level, v, ids, fathers):
+    def _add_edges(self, level, v, ids, fathers=repeat(None)):
         """Append one edge per vertex-slot pair of the list ``v`` at ``level``
-        with the drawn ``ids``; the caller knows no edge joins a pair yet, and
-        a built lookup learns them.  Returns their slots, a range."""
+        with the drawn ``ids``; the caller knows no edge joins a pair yet.
+        Returns their slots, a range."""
         edges = self._edges[level]
         edges.extend(map(EdgeRec, v, ids, fathers))
-        slots = range(len(edges) - len(v), len(edges))
-        if self._edge_lookup[level] is not None:
-            self._edge_lookup[level].update(zip(map(frozenset, v), slots))
-        return slots
+        return range(len(edges) - len(v), len(edges))
 
     def _add_elements(self, level, v, ids, parametrizations=repeat(None), markers=repeat(None),
                       edges=repeat(()), fathers=repeat(None), corners_in_father=repeat(None)):
-        """Append one element per vertex-slot tuple of ``v`` at ``level`` in one pass with
-        the drawn ``ids``, or one ``_add_element`` each (``ids=None``: triangles without
-        ``edges``); returns their slots."""
+        """Append one element per vertex-slot tuple of ``v`` at ``level`` in one
+        pass with the drawn ``ids``; a triangle takes its three edge slots in
+        ``TRIANGLE_EDGES`` order from ``edges``.  Returns their slots, a range."""
         elems = self._elems[level]
         first = len(elems)
-        if ids is None:
-            for corners, parametrization, marker in zip(v, parametrizations, markers):
-                self._add_element(level, corners, parametrization=parametrization, marker=marker)
-        else:  # ElemRec's fields in order; no children yet, mark 0
-            elems.extend(map(ElemRec, v, ids, edges, fathers, repeat(()), repeat(0), parametrizations,
-                             corners_in_father, markers))
+        # ElemRec's fields in order; no children yet, mark 0
+        elems.extend(map(ElemRec, v, ids, edges, fathers, repeat(()), repeat(0), parametrizations,
+                         corners_in_father, markers))
         return range(first, len(elems))
 
-    def _add_element(self, level, v, father=None, parametrization=None, corners_in_father=None,
-                     marker=None, edges=None):
-        """Append an element over vertex slots ``v`` at ``level``; returns its slot.
+    def _edge_batch(self, level, corners):
+        """The edges of elements entering ``level`` over the ``(m, dim + 1)``
+        vertex keys ``corners``: a key >= 0 is the slot of a vertex the level
+        holds, a negative one names a vertex the batch makes.  Per element and
+        corner pair in ``TRIANGLE_EDGES`` order (none for a segment), as
+        ``(m, 0 or 3)`` arrays: whether the pair makes a new edge, the flat
+        position of the pair's first user, and the edge the level holds over a
+        first user's pair (-1: none), which only two held vertices can have."""
+        sides = _EDGE_CORNERS[self.dim]
+        if not len(sides):  # segments: no pairs to key
+            none = np.zeros((len(corners), 0), dtype=bool)
+            return none, none, none
+        pairs = np.sort(corners[:, sides], axis=2)
+        low = pairs.min(initial=0)
+        keys = (pairs[..., 0] - low) * (pairs.max(initial=0) - low + 1) + pairs[..., 1] - low
+        first, sharer = _makers(keys.ravel(), np.ones(keys.size, dtype=bool))
+        first, held = first.reshape(keys.shape), np.full(keys.shape, -1)
+        ask = first & (pairs[..., 0] >= 0)
+        if ask.any() and self._edges[level]:  # a scan of the level
+            slot = {frozenset(rec.v): e for e, rec in enumerate(self._edges[level])}
+            held[ask] = [slot.get(frozenset(p), -1) for p in pairs[ask].tolist()]
+        return first & (held < 0), sharer.reshape(keys.shape), held
 
-        A triangle takes the edge slots ``edges`` when given (refinement
-        knows them), else finds or makes the edge of each corner pair; edge
-        ids are drawn before the element id.  An element without a father
-        roots its own refinement tree; ``_root`` finds a child's.
-        """
-        if edges is None:
-            edges = ()
-            if self.config.dim == 2:
-                edges = tuple(self._get_or_make_edge(level, v[a], v[b]) for a, b in TRIANGLE_EDGES)
-        elems = self._elems[level]
-        elems.append(ElemRec(
-            v, self._new_id(), edges, father,
-            parametrization=parametrization,
-            corners_in_father=corners_in_father,
-            marker=marker,
-        ))
-        return len(elems) - 1
+    def _add_batch(self, level, v, batch, ids, parametrizations, markers=repeat(None)):
+        """Append at ``level`` the elements over the ``(m, dim + 1)`` vertex-slot
+        array ``v`` with the edges that ``_edge_batch`` found for them,
+        ``batch``: first each new edge, over its first user's corner pair in
+        that user's order, then the elements.  ``ids`` holds per element the
+        ids drawn for its edge columns, then its own.  Returns their slots."""
+        new, sharer, held = batch
+        edges = repeat(())  # segments have no edge records
+        if sharer.size:
+            pairs = v[:, _EDGE_CORNERS[self.dim]][new]
+            slots = held.flatten()
+            slots[new.ravel()] = self._add_edges(level, list(map(tuple, pairs.tolist())), ids[:, :-1][new].tolist())
+            edges = map(tuple, slots[sharer].tolist())
+        return self._add_elements(level, map(tuple, v.tolist()), ids[:, -1].tolist(), parametrizations, markers,
+                                  edges=edges)
 
     def _id(self, codim, level, slot):
         """Persistent id of the record of one codim at (level, slot), read without a wrapper."""
@@ -428,18 +447,6 @@ class Grid:
         level, slot = self._root(level, slot)
         return self._elems[level][slot].marker
 
-    def _add_edge(self, level, va, vb, father=None):
-        """Append a new edge over vertex slots ``va``, ``vb``; returns its slot (see ``_add_edges``)."""
-        edges, lookup = self._edges[level], self._edge_lookup[level]
-        edges.append(EdgeRec((va, vb), self._new_id(), father))
-        if lookup is not None:
-            lookup[frozenset((va, vb))] = len(edges) - 1
-        return len(edges) - 1
-
-    def _get_or_make_edge(self, level, va, vb):
-        slot = self._edge_index(level).get(frozenset((va, vb)))
-        return self._add_edge(level, va, vb) if slot is None else slot
-
     def _vertex_chain(self, level, slot):
         """(level, slot) of every copy of one logical vertex, coarsest first."""
         verts = self._verts
@@ -453,14 +460,6 @@ class Grid:
             rec = verts[level][slot]
             chain.append((level, slot))
         return chain
-
-    def _vertex_copy(self, level, slot):
-        """Slot of the chain copy at ``level + 1``, creating it if absent."""
-        rec = self._verts[level][slot]
-        if rec.finer is None:
-            self._ensure_level(level + 1)
-            rec.finer = self._add_vertex(level + 1, rec.coords.copy(), rec.id, slot)
-        return rec.finer
 
 
 # -- entity wrappers ------------------------------------------------------
@@ -730,8 +729,9 @@ class GridFactory:
         coords = np.concatenate(self._coords)
         grid._add_vertices(0, coords, grid._new_ids(len(coords)))
         rows = np.concatenate(self._elements)
-        ids = grid._new_ids(len(rows)) if grid.dim == 1 else None
-        grid._add_elements(0, map(tuple, rows.tolist()), ids, self._parametrizations, self._markers)
+        batch = grid._edge_batch(0, rows)  # per row: its new edges' ids, then its own
+        ids = grid._draw_ids(np.concatenate([batch[0], np.ones((len(rows), 1), dtype=bool)], axis=1))
+        grid._add_batch(0, rows, batch, ids, self._parametrizations, self._markers)
         for slot, parametrization in enumerate(self._parametrizations):
             if parametrization is not None:
                 _check_parametrization_corners(grid, slot, parametrization)

@@ -6,12 +6,16 @@ leaf vertex (its place in the pre-grow leaf view) and ``("q", k)`` for
 the k-th provisional vertex, and ``grow`` walked the copy chain of every
 existing reference of every row.  ``grow_by_rows(grid)`` builds those
 references from what the queue staged and runs that loop unchanged, then
-closes the transaction as ``grow`` does.
+closes the transaction as ``grow`` does.  It appends one record at a
+time through ``tests/append_rows.py``, so a triangle finds or makes its
+edges before it draws its id.
 """
 
 import numpy as np
 
 from netmesh.growth import GrowthReport
+
+from append_rows import RowAppends
 
 
 def grow_by_rows(grid):
@@ -30,6 +34,7 @@ def grow_by_rows(grid):
             queued_elements.append((refs, parametrization))
 
     created = {}  # provisional queue slot -> (level, vertex slot)
+    appends = RowAppends(grid)
     for qidx, (refs, parametrization) in enumerate(queued_elements):
         chains = []  # per ref: level -> slot of its copies, None for a vertex not yet created
         given_levels = set()
@@ -57,14 +62,14 @@ def grow_by_rows(grid):
             if chain is not None:
                 vslots.append(chain[resolved])
             else:
-                s = grid._add_vertex(resolved, queued_vertices[ref[1]].copy())
+                s = appends.add_vertex(resolved, queued_vertices[ref[1]].copy())
                 created[ref[1]] = (resolved, s)
                 vslots.append(s)
         if len(set(vslots)) != grid.dim + 1:
             report.skipped.append((qidx, "vertices coincide after level resolution"))
             continue
 
-        slot = grid._add_element(resolved, tuple(vslots), parametrization=parametrization)
+        slot = appends.add_element(resolved, tuple(vslots), parametrization=parametrization)
         report.inserted.append((qidx, grid._elems[resolved][slot].id))
 
     if grid._queued_removals:

@@ -3,9 +3,10 @@
 ``adapt_by_leaves(grid)`` is ``adapt`` as it refined before the array
 pass: every midpoint image is placed first, one root walk per (leaf,
 local edge), then each marked leaf is refined in (level, slot) order
-through ``_refine_element``, one ``Grid`` append per record.  Its
-coarsening, marks and phase are ``adapt``'s.  ``records(grid)`` gives
-every field the two set, for comparison.
+through ``_refine_element``, one append of ``tests/append_rows.py`` per
+record, which looks up an edge between two midpoints in its own pair
+dict.  Its coarsening, marks and phase are ``adapt``'s.
+``records(grid)`` gives every field the two set, for comparison.
 """
 
 from netmesh import compaction
@@ -13,6 +14,8 @@ from netmesh.adaptivity import local_in_root
 from netmesh.topology import (
     CHILD_CORNERS_IN_FATHER, CHILDREN, EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, checked_coords,
 )
+
+from append_rows import RowAppends
 
 
 def adapt_by_leaves(grid):
@@ -32,9 +35,9 @@ def adapt_by_leaves(grid):
             if rec.mark == 1 and not rec.children:
                 leaves.append((lev, slot))
             rec.mark = 0
-    images = _midpoint_images(grid, leaves)
+    images, appends = _midpoint_images(grid, leaves), RowAppends(grid)
     for lev, slot in leaves:
-        _refine_element(grid, lev, slot, images)
+        _refine_element(appends, lev, slot, images)
     return bool(leaves)
 
 
@@ -83,49 +86,50 @@ _CHILD_EDGES = {1: (None,) * len(CHILDREN[1]),
                          for child in CHILDREN[2])}
 
 
-def _midpoint(grid, level, slot, k, images):
+def _midpoint(appends, level, slot, k, images):
     """Slot at ``level + 1`` of the midpoint of local edge ``k``: a segment's
     new vertex, or a triangle edge's, which splits the edge into two halves
     the first time and is the halves' shared corner after.  The halves are
     new edges, since their shared corner is."""
+    grid = appends.grid
     rec = grid._elems[level][slot]
     fine = level + 1
     if not rec.edges:
-        return grid._add_vertex(fine, images[level, slot, k])
+        return appends.add_vertex(fine, images[level, slot, k])
     eslot = rec.edges[k]
     erec = grid._edges[level][eslot]
     if erec.children:
         return grid._edges[fine][erec.children[0]].v[1]
-    c0, c1 = (grid._vertex_copy(level, v) for v in erec.v)
-    mid = grid._add_vertex(fine, images[level, slot, k])
-    erec.children = (grid._add_edge(fine, c0, mid, eslot), grid._add_edge(fine, mid, c1, eslot))
+    c0, c1 = (appends.vertex_copy(level, v) for v in erec.v)
+    mid = appends.add_vertex(fine, images[level, slot, k])
+    erec.children = (appends.add_edge(fine, c0, mid, eslot), appends.add_edge(fine, mid, c1, eslot))
     return mid
 
 
-def _child_edges(grid, level, rec, points, sources):
+def _child_edges(appends, level, rec, points, sources):
     """Edge slots at ``level + 1`` of one triangle child: the father edge's
     half at the child's father corner, or the edge between two midpoints,
     which a triangle over the same corners may have made already."""
-    edges, made = grid._edges[level], []
+    edges, made = appends.grid._edges[level], []
     for p, q, k in sources:
         if k is None:
-            made.append(grid._get_or_make_edge(level + 1, points[p], points[q]))
+            made.append(appends.get_or_make_edge(level + 1, points[p], points[q]))
         else:
             erec = edges[rec.edges[k]]
             made.append(erec.children[erec.v[0] != rec.v[min(p, q)]])
     return tuple(made)
 
 
-def _refine_element(grid, level, slot, images):
+def _refine_element(appends, level, slot, images):
     """Red refinement: copies of the corners, then the midpoint of each
     local edge, then the children ``CHILDREN`` lists over those points."""
-    rec, d = grid._elems[level][slot], grid.dim
-    points = [grid._vertex_copy(level, v) for v in rec.v]
-    points += [_midpoint(grid, level, slot, k, images) for k in range(len(LOCAL_EDGES[d]))]
+    rec, d = appends.grid._elems[level][slot], appends.grid.dim
+    points = [appends.vertex_copy(level, v) for v in rec.v]
+    points += [_midpoint(appends, level, slot, k, images) for k in range(len(LOCAL_EDGES[d]))]
     rec.children = tuple(
-        grid._add_element(
+        appends.add_element(
             level + 1, tuple(points[i] for i in child), father=slot, corners_in_father=corners,
-            edges=None if sources is None else _child_edges(grid, level, rec, points, sources),
+            edges=None if sources is None else _child_edges(appends, level, rec, points, sources),
         )
         for child, corners, sources in zip(CHILDREN[d], CHILD_CORNERS_IN_FATHER[d], _CHILD_EDGES[d])
     )
@@ -133,9 +137,8 @@ def _refine_element(grid, level, slot, images):
 
 def records(grid):
     """Every record of every arena as comparable tuples, coordinates and
-    ``corners_in_father`` as bits, a parametrization by its type (two grids
-    read from one file hold equal charts, not the same ones), and whether each
-    built edge lookup names exactly its level's edges."""
+    ``corners_in_father`` as bits, and a parametrization by its type (two
+    grids read from one file hold equal charts, not the same ones)."""
     verts = [[(rec.coords.tobytes(), rec.id, rec.father, rec.finer) for rec in level] for level in grid._verts]
     edges = [[(rec.v, rec.id, rec.father, rec.children) for rec in level] for level in grid._edges]
     elems = [
@@ -146,6 +149,4 @@ def records(grid):
         ]
         for level in grid._elems
     ]
-    lookups = [lookup is None or lookup == {frozenset(rec.v): s for s, rec in enumerate(level)}
-               for lookup, level in zip(grid._edge_lookup, grid._edges)]
-    return verts, edges, elems, lookups, grid._next_id
+    return verts, edges, elems, grid._next_id

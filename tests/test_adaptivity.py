@@ -334,9 +334,9 @@ def test_triangles_over_the_same_corners_share_their_interior_edges():
 
 
 def test_a_grown_triangle_shares_a_half_edge_with_a_child(two_triangles):
-    """The second triangle's unshared edges split after the first triangle's
-    children made the level-1 edge lookup; a triangle grown over one of those
-    halves finds it there."""
+    """The second triangle's unshared edges split in the pass that made the
+    first triangle's children; a triangle grown over one of those halves
+    finds it among the level's edges."""
     grid = refine_all(two_triangles)
     view = grid.leaf_view()
     ix = {tuple(v.coords): ix for ix, v in enumerate(view.vertices())}
@@ -660,8 +660,8 @@ def test_triangles_over_the_same_corners_in_one_pass_and_in_two():
 def _midpoints_joined_by_a_grown_triangle(remove):
     """A centre triangle whose three neighbours are refined, so its edge
     midpoints exist on level 1; a triangle grown there joins two of them.
-    With ``remove``, the grow also removes a leaf, and its compaction drops
-    every level's edge lookup."""
+    With ``remove``, the grow also removes a leaf, and its compaction remaps
+    the slots of every level that loses one."""
     def make():
         corners = [(0, 0, 0), (2, 0, 0), (1, 2, 0), (1, -2, 0), (3, 2, 0), (-1, 2, 0)]
         return make_grid(2, 3, corners, [(0, 1, 2), (0, 1, 3), (1, 2, 4), (2, 0, 5)])
@@ -679,10 +679,10 @@ def _midpoints_joined_by_a_grown_triangle(remove):
     return _same_refinement(make, _refine(0, 1, 1, 1), grow, _refine(1, level=0))
 
 
-@pytest.mark.parametrize("remove", [False, True], ids=["lookup-built", "lookup-dropped"])
+@pytest.mark.parametrize("remove", [False, True], ids=["slots-kept", "slots-compacted"])
 def test_an_edge_between_midpoints_that_a_grown_triangle_made(remove):
     """Refining the centre reuses the grown triangle's edge between two of its
-    midpoints, found in the level's built lookup or by a scan of the level."""
+    midpoints, which a scan of the level finds."""
     grid = _midpoints_joined_by_a_grown_triangle(remove)
     check_grid(grid)
     centre = grid.level_view(0).elements()[0]

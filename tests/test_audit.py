@@ -16,6 +16,7 @@ import pytest
 from netmesh import LINE, audit_grid
 from netmesh.topology import EdgeRec
 
+from append_rows import RowAppends
 from conftest import make_grid, refine_all
 from gridcheck import check_grid
 
@@ -54,7 +55,7 @@ def child_with_wrong_father(grid):
 
 def unreferenced_vertex_copy(grid):
     top = grid.max_level
-    copy = grid._vertex_copy(top, 0)  # a finer copy no element or edge uses
+    copy = RowAppends(grid).vertex_copy(top, 0)  # a finer copy no element or edge uses
     return f"vertex ({top + 1},{copy}): unreferenced"
 
 
@@ -70,9 +71,9 @@ def duplicate_edge(grid):
     edges = grid._edges[1]
     pair = grid._elems[1][0].v[:2]
     if not edges:
-        edges.append(EdgeRec(pair, grid._new_id()))
+        edges.append(EdgeRec(pair, RowAppends(grid).new_id()))
     first = next(s for s, rec in enumerate(edges) if set(rec.v) == set(pair))
-    edges.append(EdgeRec(pair[::-1], grid._new_id()))
+    edges.append(EdgeRec(pair[::-1], RowAppends(grid).new_id()))
     return f"edge (1,{len(edges) - 1}): same vertex pair as edge (1,{first})"
 
 
@@ -149,7 +150,7 @@ def father_copy_without_link(grid):
 
 def chain_id_differs(grid):
     s = _copy_with_father(grid)
-    grid._verts[1][s].id = grid._new_id()
+    grid._verts[1][s].id = RowAppends(grid).new_id()
     return f"vertex (1,{s}): chain id differs from father"
 
 

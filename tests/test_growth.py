@@ -599,8 +599,8 @@ def test_a_fresh_only_first_row_on_the_refined_chain_resolves_row_by_row():
 
 
 def test_a_surface_queue_makes_a_vertex_at_its_first_unskipped_user():
-    """Triangles commit row by row: a provisional vertex whose first user
-    reaches no common level is made by its next user, at that row's level."""
+    """A provisional vertex whose first user reaches no common level is made
+    by its next user, at that row's level."""
     make = lambda: _mixed_level_grid("surface", [[True, True, False, False], [True] * 8])  # noqa: E731
     grid = make()
     places = grid.leaf_view().places(2)
@@ -614,3 +614,89 @@ def test_a_surface_queue_makes_a_vertex_at_its_first_unskipped_user():
     assert report.skipped[0] == (0, "vertices reach no common level")
     assert [q for q, _ in report.inserted][:2] == [1, 2]
     assert _levels_of(grid, report)[:2] == [places[c][0]] * 2
+
+
+# -- grown triangles find their edges in one batch ----------------------------
+
+
+def _square(refinements=0):
+    """The unit square split along its diagonal, refined everywhere ``refinements`` times."""
+    grid = make_grid(2, 3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 3)])
+    return refine_all(grid, refinements)
+
+
+def _leaf_index(grid, *points):
+    """Leaf-view index of the vertex at each of ``points`` in the plane z = 0."""
+    index = {tuple(v.coords): i for i, v in enumerate(grid.leaf_view().vertices())}
+    return [index[x, y, 0.0] for x, y in points]
+
+
+def _edge_ids(grid, report):
+    """Ids of each inserted triangle's edges, in queue order."""
+    elements = {el.id: el for el in grid.leaf_view().elements()}
+    return [[elements[i].sub_entity(1, k).id for k in range(3)] for _, i in report.inserted]
+
+
+def test_grown_triangles_share_new_edges_and_take_the_held_ones():
+    """Row 0 makes the edge between the two new vertices, which row 1 takes
+    in the other order; row 2 takes an edge of each earlier row and the
+    square's edge (0, 1), which the level holds."""
+    square = _square()
+    a, b = _leaf_index(square, (0, 0), (1, 0))
+    view = square.leaf_view()
+    ends = {view.vertices()[a].id, view.vertices()[b].id}
+    held = next(e.id for e in view.entities(1) if {v.id for v in e.vertices()} == ends)
+    rows = [[a, 4, 5], [b, 5, 4], [a, b, 4]]
+    grid, report = _grow_both(_square, rows, [(0.5, 0.5, 1.0), (0.5, 0.5, 2.0)], TRIANGLE)
+    first, second, third = _edge_ids(grid, report)
+    assert second[2] == first[2] and third[1] == first[0] and third[2] == second[1]
+    assert third[0] == held
+    assert grid.leaf_view().size(1) == 5 + 5
+
+
+@pytest.mark.parametrize("second", [[0, 1, 2], [2, 1, 0]])
+def test_two_grown_rows_over_the_same_three_vertices(second):
+    """In either orientation, the second row makes no edge of its own."""
+    corners = _leaf_index(_square(), (0, 0), (1, 0)) + [4]
+    rows = [corners, [corners[k] for k in second]]
+    grid, report = _grow_both(_square, rows, [(0.5, 0.5, 1.0)], TRIANGLE)
+    first, again = _edge_ids(grid, report)
+    assert sorted(first) == sorted(again)
+
+
+def test_a_grown_triangle_over_two_midpoints():
+    """On the refined square, the edge between two midpoints of one father is
+    the level's; two midpoints of different fathers get a new one."""
+    grid = _square(1)
+    m01, m02, m03 = _leaf_index(grid, (0.5, 0), (0.5, 0.5), (0, 0.5))
+    fresh = grid.leaf_view().size(2)
+    rows = [[m01, m02, fresh], [m01, m03, fresh]]
+    grid, report = _grow_both(lambda: _square(1), rows, [(0.5, 0.25, 1.0)], TRIANGLE)
+    assert _levels_of(grid, report) == [1, 1]
+    first, second = _edge_ids(grid, report)
+    drawn = report.inserted[0][1] - 3  # row 0's first id: its vertex, two new edges, then itself
+    assert first[0] < drawn < first[1]
+    assert second[0] > report.inserted[0][1] and second[1] == first[1]
+
+
+def test_a_skipped_row_still_makes_its_vertices():
+    """A row that coincides after resolution makes its provisional vertex,
+    which the next row then uses; no public queue reaches this skip (see
+    ``test_rows_that_coincide_after_resolution_are_skipped_as_by_the_loop``)."""
+    grids = [_square(), _square()]
+    for grid in grids:
+        fresh = int(grid.queue_vertices(np.array([[0.5, 0.5, 1.0]]))[0])
+        grid.queue_elements(TRIANGLE, [[0, 1, fresh], [fresh, 2, 3]])
+        places = list(grid._queue.places)
+        places[1] = places[0]
+        grid._queue.places = tuple(places)
+    grids[0].grow()
+    grow_by_rows(grids[1])
+    assert records(grids[0]) == records(grids[1])
+    report = grids[0].growth_report
+    assert report.skipped == [(0, "vertices coincide after level resolution")]
+    assert report.skipped == grids[1].growth_report.skipped
+    # ids 0-10 are the square's; the made vertex draws 11, row 1's two new edges 12 and 13
+    assert report.inserted == grids[1].growth_report.inserted == [(1, 14)]
+    grids[0].post_grow()
+    check_grid(grids[0])
