@@ -39,15 +39,15 @@ from __future__ import annotations
 
 import logging
 import math
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
 from . import compaction
 from .errors import DimensionMismatchError, FactoryError
 from .topology import (
-    CHILD_CORNERS_IN_FATHER, CHILDREN, EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, TRIANGLE_EDGES, _makers,
-    _refuse_leaves, checked_coords,
+    CHILD_CORNERS_IN_FATHER, CHILDREN, EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, TRIANGLE_EDGES, _ints,
+    _makers, _refuse_leaves, checked_coords,
 )
 
 logger = logging.getLogger(__name__)
@@ -170,10 +170,10 @@ def _midpoint_images(grid, level, slots):
     if d == 1:
         makes, maker = np.ones((n, 1), dtype=bool), np.arange(n)
     else:
-        keys, edges = _ints([rec.edges for rec in recs], 3).ravel(), grid._edges[level]
-        makes, maker = _makers(keys, np.array([not edges[e].children for e in keys.tolist()]))
+        keys = _ints([rec.edges for rec in recs], 3).ravel()
+        makes, maker = _makers(keys, grid._edges[level].children[keys, 0] < 0)
         makes = makes.reshape(n, 3)
-    corners = np.array([verts[v].coords for rec in recs for v in rec.v]).reshape(n, d + 1, -1)
+    corners = verts.coords[_ints([rec.v for rec in recs], d + 1)]
     a, b = _ENDS[d]
     points = np.concatenate([corners, 0.5 * (corners[:, a] + corners[:, b])], axis=1)
     for i, slot in enumerate(slots):
@@ -213,11 +213,6 @@ _PAIRS, _CHILDREN = np.array(TRIANGLE_EDGES), {d: np.array(children) for d, chil
 _ENDS = {d: tuple(np.array(edges).T) for d, edges in LOCAL_EDGES.items()}  # local edges' two corners
 
 
-def _ints(rows, width):
-    """Equal-length rows of ints, as an ``(n, width)`` int array."""
-    return np.fromiter(chain.from_iterable(rows), np.int64).reshape(-1, width)
-
-
 def _refine_level(grid, level, slots, makes, maker, points):
     """Red refinement of the leaves ``slots`` of ``level`` in one pass; see
     the module docstring for the order of slots and ids."""
@@ -226,7 +221,7 @@ def _refine_level(grid, level, slots, makes, maker, points):
     grid._ensure_level(fine)
     recs, verts, edges = [grid._elems[level][s] for s in slots], grid._verts[level], grid._edges[level]
     corners = _ints([rec.v for rec in recs], c)
-    finer = np.array([-1 if (f := verts[v].finer) is None else f for v in corners.ravel().tolist()])
+    finer = verts.finer[corners.ravel()]
     copies, copier = _makers(corners.ravel(), finer < 0)
     copies = copies.reshape(n, c)  # the corners whose copy the leaf makes
     new_v = np.concatenate([copies, makes], axis=1)  # per leaf: corner copies, then midpoints
@@ -237,11 +232,10 @@ def _refine_level(grid, level, slots, makes, maker, points):
     take[:, mid] = makes
     if d == 2:
         split = _ints([rec.edges for rec in recs], 3).ravel()
-        erecs = [edges[e] for e in split.tolist()]
-        halves = _ints([rec.children or (-1, -1) for rec in erecs], 2)  # (v[0]-side, v[1]-side)
+        halves = edges.children[split]  # (v[0]-side, v[1]-side)
         before = halves[:, 0] >= 0  # split before the pass: its midpoint exists
         fine_edges = grid._edges[fine]
-        mids[before] = [fine_edges[h].v[1] for h in halves[before, 0].tolist()]
+        mids[before] = fine_edges.v[halves[before, 0], 1]
         pairs = mids.reshape(n, 3)[:, _PAIRS]
         # the edges between midpoints, the pass's own midpoints keyed as made by it
         new, sharer, held = grid._edge_batch(fine, np.where(before, mids, -1 - mids).reshape(n, 3))
@@ -252,28 +246,23 @@ def _refine_level(grid, level, slots, makes, maker, points):
         halves = np.where(before[:, None], halves, eslot[:, :6].reshape(-1, 2)[maker])
         known = np.where(held < 0, eslot[:, 6:], held).ravel()[sharer]
     ids = grid._draw_ids(take)
-    made = corners[copies].tolist()
-    vtab = np.empty((n, c + len(mid), 2), dtype=np.int64)  # per leaf and point: id, father (-1: none)
-    vtab[:, :c, 0][copies] = [verts[v].id for v in made]  # a copy keeps its vertex's id
-    vtab[:, :c, 1], vtab[:, c:, 0], vtab[:, c:, 1] = corners, ids[:, mid], -1
-    vid, vfather = vtab[new_v].T.tolist()
-    grid._add_vertices(fine, points[new_v], vid, [None if f < 0 else f for f in vfather])
-    for v, s in zip(made, vslot[:, :c][copies].tolist()):
-        verts[v].finer = s
+    vid = np.concatenate([verts.id[corners], ids[:, mid]], axis=1)  # a copy keeps its vertex's id
+    vfather = np.concatenate([corners, np.full((n, len(mid)), -1)], axis=1)
+    grid._add_vertices(fine, points[new_v], vid[new_v], vfather[new_v])
+    verts.finer[corners[copies]] = vslot[:, :c][copies]
     child_edges = repeat(())
     if d == 2:
         a, b = _ENDS[2]
-        flip = (np.array([rec.v[0] for rec in erecs]) != corners[:, a].ravel()).reshape(n, 3)
+        flip = (edges.v[split, 0] != corners[:, a].ravel()).reshape(n, 3)
         ca, cb, m = finer[:, a], finer[:, b], mids.reshape(n, 3)
         etab = np.empty((n, 9, 4), dtype=np.int64)  # per leaf and edge: corners, id, father (-1: none)
         etab[:, 0:6:2, 0], etab[:, 0:6:2, 1] = np.where(flip, cb, ca), m  # the v[0]-side half
         etab[:, 1:6:2, 0], etab[:, 1:6:2, 1] = m, np.where(flip, ca, cb)
         etab[:, 6:, :2], etab[:, :, 2] = pairs, ids[:, half + inner]
         etab[:, :6, 3], etab[:, 6:, 3] = split.reshape(n, 3).repeat(2, axis=1), -1
-        v0, v1, eid, efather = etab[new_e].T.tolist()
-        grid._add_edges(fine, list(zip(v0, v1)), eid, [None if f < 0 else f for f in efather])
-        for e, pair in zip(split[makes.ravel()].tolist(), zip(*halves[makes.ravel()].T.tolist())):
-            edges[e].children = pair
+        made = etab[new_e]
+        grid._edges[fine].append(v=made[:, :2], id=made[:, 2], father=made[:, 3])
+        edges.children[split[makes.ravel()]] = halves[makes.ravel()]
         at_corner = np.where(flip.reshape(-1, 1), halves[:, ::-1], halves).reshape(n, 6)
         candidates = np.concatenate([at_corner, known], axis=1)
         child_edges = zip(*candidates[:, _CHILD_EDGES].reshape(-1, 3).T.tolist())

@@ -4,8 +4,10 @@ Removing leaf elements can orphan edges, vertex copies and whole
 refinement-tree branches.  This module computes the surviving entity
 sets, gives the survivors of each level new contiguous slots in their old
 order, rewrites every slot reference into a level that lost a slot and
-trims empty trailing levels; a level that loses nothing keeps its list.
-The grid stores no incidence lists, so there is none to rebuild.  Slot
+trims empty trailing levels; a level that loses nothing keeps its slots.
+Survival and the remap of the vertex and edge columns are masks and
+gathers; element records are remapped one by one.  The grid stores no
+incidence lists, so there is none to rebuild.  Slot
 handles are invalidated (the grid's structural revision is bumped);
 persistent ids are untouched.
 
@@ -21,10 +23,12 @@ Survival rules:
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import chain, compress
 
-# per arena: each slot reference its records hold, as (attribute, arena
-# the slots index, level of that arena relative to the record's level)
+import numpy as np
+
+# per arena: each slot reference its entities hold, as (field, arena the
+# slots index, level of that arena relative to the entity's level)
 _LINKS = {
     "_verts": (("father", "_verts", -1), ("finer", "_verts", 1)),
     "_edges": (("v", "_verts", 0), ("father", "_edges", -1), ("children", "_edges", 1)),
@@ -38,76 +42,64 @@ def remove_elements(grid, dead):
     elems, edges, verts = grid._elems, grid._edges, grid._verts
     n_levels = len(elems)
 
-    elem_alive = [[True] * len(recs) for recs in elems]
+    elem_alive = [np.ones(len(recs), dtype=bool) for recs in elems]
     for lev, s in dead:
         elem_alive[lev][s] = False
-    edge_alive = _used(edges, (elems, elem_alive, "edges"))
+    live = [list(compress(recs, alive.tolist())) for recs, alive in zip(elems, elem_alive)]
+    edge_alive = [_used(len(level), [rec.edges for rec in recs]) for level, recs in zip(edges, live)]
     _keep_fathers(edges, edge_alive)
-    # keep half pairs together
-    for lev, recs in enumerate(edges):
-        for s, rec in enumerate(recs):
-            if edge_alive[lev][s] and rec.children:
-                finer = edge_alive[lev + 1]
-                c0, c1 = rec.children
-                if finer[c0] or finer[c1]:
-                    finer[c0] = finer[c1] = True
-    vert_alive = _used(verts, (elems, elem_alive, "v"), (edges, edge_alive, "v"))
+    for lev, level in enumerate(edges[:-1]):  # keep half pairs together
+        kids = level.children[edge_alive[lev] & (level.children[:, 0] >= 0)]
+        finer = edge_alive[lev + 1]
+        finer[kids[finer[kids].any(axis=1)]] = True
+    vert_alive = [_used(len(level), [rec.v for rec in recs], user.v[alive])
+                  for level, recs, user, alive in zip(verts, live, edges, edge_alive)]
     _keep_fathers(verts, vert_alive)
 
     alive = {"_elems": elem_alive, "_edges": edge_alive, "_verts": vert_alive}
-    maps = {name: [_slot_map(a) for a in levels] for name, levels in alive.items()}
+    maps = {name: [None if a.all() else np.where(a, a.cumsum() - 1, -1) for a in levels]
+            for name, levels in alive.items()}  # new slot per old slot, -1 for one that goes
     for name, links in _LINKS.items():
         arena = getattr(grid, name)
-        for lev, recs in enumerate(arena):
-            if maps[name][lev] is not None:
-                arena[lev] = recs = [rec for rec, new in zip(recs, maps[name][lev]) if new is not None]
+        for lev in range(n_levels):
+            if maps[name][lev] is not None:  # a level that loses nothing keeps its slots
+                arena[lev] = live[lev] if name == "_elems" else arena[lev].keep(alive[name][lev])
             for attr, target, step in links:
                 m = maps[target][lev + step] if 0 <= lev + step < n_levels else None
                 if m is None:  # the linked level keeps its slots
                     continue
-                for rec in recs:
+                if name != "_elems":  # a column: a link to a slot that goes reads -1
+                    old = getattr(arena[lev], attr)
+                    old[...] = np.where(old >= 0, m[old], -1)
+                    continue
+                m = m.tolist()
+                for rec in arena[lev]:
                     old = getattr(rec, attr)
                     if type(old) is tuple:  # dropped children vanish from the tuple
-                        setattr(rec, attr, tuple([m[x] for x in old if m[x] is not None]))
+                        setattr(rec, attr, tuple([m[x] for x in old if m[x] >= 0]))
                     elif old is not None:
                         setattr(rec, attr, m[old])
 
     # trim empty trailing levels
     while len(elems) > 1 and not elems[-1] and not edges[-1] and not verts[-1]:
-        elems.pop()
-        edges.pop()
-        verts.pop()
+        for arena in (elems, edges, verts):
+            arena.pop()
 
     grid._srev += 1
 
 
-def _used(arena, *users):
-    """Per level, whether a surviving user references a slot of ``arena``;
-    a user is (its arena, its survival flags, the attribute with the slots)."""
-    alive = [[False] * len(recs) for recs in arena]
-    for user_arena, user_alive, attr in users:
-        for lev, recs in enumerate(user_arena):
-            flags, keep = alive[lev], user_alive[lev]
-            for s, rec in enumerate(recs):
-                if keep[s]:
-                    for x in getattr(rec, attr):
-                        flags[x] = True
-    return alive
+def _used(n, rows, *columns):
+    """Flags over ``n`` slots: set where one of the ``rows`` of slots or one
+    of the slot arrays ``columns`` of the surviving users lists the slot."""
+    flags = np.zeros(n, dtype=bool)
+    flags[np.fromiter(chain.from_iterable(rows), np.int64)] = True
+    for slots in columns:
+        flags[slots.ravel()] = True
+    return flags
 
 
 def _keep_fathers(arena, alive):
     """Child-to-father survival, finest level first."""
     for lev in range(len(arena) - 1, 0, -1):
-        coarser, flags = alive[lev - 1], alive[lev]
-        for s, rec in enumerate(arena[lev]):
-            if flags[s] and rec.father is not None:
-                coarser[rec.father] = True
-
-
-def _slot_map(alive):
-    """New slot of each old slot of one level, None for a slot that goes;
-    None for a level that loses nothing, whose slots stay."""
-    if all(alive):
-        return None
-    new = count()
-    return [next(new) if keep else None for keep in alive]
+        father = arena[lev].father[alive[lev]]
+        alive[lev - 1][father[father >= 0]] = True

@@ -45,7 +45,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import FactoryError, ScenarioError
-from .topology import _EDGE_CORNERS, GridFactory, _makers, _refuse_leaves
+from .topology import GridFactory, _makers, _refuse_leaves
 
 logger = logging.getLogger(__name__)
 
@@ -155,17 +155,18 @@ def _insert(grid, queue, report):
     # a provisional vertex is made by its first user with a level
     makes = _makers(rows.ravel(), (fresh & ok[:, None]).ravel())[0].reshape(rows.shape)
     by_level = [(lev, np.flatnonzero(level == lev)) for lev in np.unique(level[ok]).tolist()]
-    batches = [grid._edge_batch(lev, slots[at[inserted[at]]]) for lev, at in by_level]
-    new = np.zeros((len(rows), len(_EDGE_CORNERS[grid.dim])), dtype=bool)
-    for (_, at), batch in zip(by_level, batches):
-        new[at[inserted[at]]] = batch[0]
+    batches, new = [None] * len(by_level), np.zeros((len(rows), 3 if grid.dim == 2 else 0), dtype=bool)
+    for i, (lev, at) in enumerate(by_level if grid.dim == 2 else ()):  # segments make no edges
+        at = at[inserted[at]]
+        batches[i] = grid._edge_batch(lev, slots[at])
+        new[at] = batches[i][0]
     # per row: the ids of the vertices it makes, of its new edges, then its own
     ids = grid._draw_ids(np.concatenate([makes, new, inserted[:, None]], axis=1))
     coords = np.concatenate(queue._coords or [np.empty((0, grid.world_dim))])
     made = np.zeros(queue._n_vertices, dtype=np.int64)  # provisional index -> slot
     for (lev, at), batch in zip(by_level, batches):
         new_v = rows[at][makes[at]]
-        made[new_v] = grid._add_vertices(lev, coords[new_v - base], ids[at, :c][makes[at]].tolist())
+        made[new_v] = grid._add_vertices(lev, coords[new_v - base], ids[at, :c][makes[at]])
         at = at[inserted[at]]
         corners = np.where(fresh[at], made[rows[at]], slots[at])
         grid._add_batch(lev, corners, batch, ids[at, c:], [queue._parametrizations[q] for q in at.tolist()])

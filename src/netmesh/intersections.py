@@ -55,13 +55,11 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import chain
-
 import numpy as np
 
 from .errors import NeighborIndexError, StaleEntityError
 from .geometry import REFERENCE_CORNERS, AffineGeometry, AffineStack
-from .topology import TRIANGLE_EDGES
+from .topology import TRIANGLE_EDGES, _ints
 
 # per facet of the reference triangle: (start, end) reference coordinate
 # pairs, one pair per axis, as Python floats
@@ -355,11 +353,8 @@ def _holdings_2d(view):
     lo = int(level.min())
     first, father, children, start = _edge_columns(grid._edges[lo:int(level.max()) + 1])
     # holding h = 3 i + facet: view element i holds edge held[h] as that facet
-    size = 3 * len(records)
-    held = np.fromiter(chain.from_iterable(rec.edges for rec in records), np.int64, size)
-    held += np.repeat(first[level - lo], 3)
-    corners = np.fromiter(chain.from_iterable(rec.v for rec in records), np.int64, size)
-    flips = start[held] != corners.reshape(-1, 3)[:, [0, 0, 1]].ravel()
+    held = _ints((rec.edges for rec in records), 3).ravel() + np.repeat(first[level - lo], 3)
+    flips = start[held] != _ints((rec.v for rec in records), 3)[:, [0, 0, 1]].ravel()
     count = np.bincount(held, minlength=len(start) + 1)  # index -1 is no edge, held by none
     below, split = count > 0, np.zeros(len(count), dtype=bool)
     for lev in reversed(range(len(first) - 2)):
@@ -404,16 +399,12 @@ def _edge_columns(levels):
     sizes = [len(edges) for edges in levels]
     first = np.r_[0, np.cumsum(sizes)]
     at = np.repeat(np.arange(len(sizes)), sizes)
-    edges = [e for es in levels for e in es]
-    father = np.fromiter((-1 if e.father is None else e.father for e in edges),
-                         np.int64, len(edges))
+    father, children, start = (np.concatenate([getattr(edges, name) for edges in levels])
+                               for name in ("father", "children", "v"))
     father = np.where((father >= 0) & (at > 0), father + first[at - 1], -1)
-    children = np.fromiter(chain.from_iterable(e.children or (-1, -1) for e in edges),
-                           np.int64, 2 * len(edges)).reshape(-1, 2)
     inside = (children >= 0) & (at < len(sizes) - 1)[:, None]
     children = np.where(inside, children + first[at + 1][:, None], -1)
-    start = np.fromiter((e.v[0] for e in edges), np.int64, len(edges))
-    return first, father, children, start
+    return first, father, children, start[:, 0]
 
 
 @lru_cache(maxsize=1024)

@@ -14,41 +14,37 @@ logical vertex by that id; ``Grid._vertex_chain`` is the one walk over
 its copies, for growth and for ``roots.leaf_degree``, which counts the
 leaf elements incident to each copy.
 
-Only the storage core reads record fields: this module, ``views``,
-``adaptivity``, ``compaction`` and ``intersections``.  Other modules use
-views, handles and three ``Grid`` reads that build no wrapper: ``_id``
-at a codim, level and slot; ``_father_chain``, the one father walk, from
-an element up to its tree root (``_root``); and ``_marker``, that root's
-insertion marker (``Element.marker``).
+Vertices and edges live in one column store per level (``_Columns``),
+-1 for "none": vertex ``coords (n, w)``, ``id``, ``father``, ``finer``;
+edge ``v (n, 2)``, ``id``, ``father``, ``children (n, 2)``, the
+``v[0]``-side half first.  Elements are slotted records (``ElemRec``).
+Only the storage core reads stores and records: this module, ``views``,
+``adaptivity``, ``compaction`` and ``intersections``, by gathers,
+scatters and masks of the columns.  Other modules use views, handles and
+three ``Grid`` reads that build no wrapper: ``_id`` at a codim, level
+and slot; ``_father_chain``, the one father walk, from an element up to
+its tree root (``_root``); and ``_marker``, that root's insertion marker.
 
-Records enter the arenas through the batch appends ``Grid._add_vertices``,
-``Grid._add_edges`` and ``Grid._add_elements`` with the ids their caller
-drew: consecutive ones for the factory's vertices, then one cumulative
-sum over per-row columns (``Grid._draw_ids``) in the factory's level-0
-build and in growth, and over per-leaf columns in refinement's level
-passes (``adaptivity``).  Lines and triangles enter alike:
-``Grid._edge_batch`` finds the edges of a batch of elements and
-``Grid._add_batch`` appends them, then the elements, so a row's new
-edges take their ids before it does.  The first user of a record in row
-order makes it (``_makers``): a new vertex in growth, an edge in a batch,
-a vertex copy or a split edge in refinement.  Only an edge between two
-vertices that predate the batch can exist already; a scan of the level
-finds it, and no lookup is kept between batches.  Records leave only
-through ``compaction.remove_elements``.  Refinement adds the halves of a
-split edge directly, since their midpoint is new, and hands each child
-its edges.  The records are slotted dataclasses:
-each holds exactly its declared fields, without a per-record dict, so it
-is smaller and quicker to read, and it takes no other attribute.  The
-grow queue is a ``GridFactory`` too, so the level-0 build and runtime
-growth stage one way: ``insert_vertices`` and ``insert_elements`` check
-a whole array in one pass and take a parametrization and a marker per
-row, and the one-vertex and one-element calls are one-row calls of them.
-Records link down (corners, edges) and across levels (father, children,
-finer) but store no incidence, which ``incident_elements`` finds by
-scanning the level, and no tree root, where ``Grid._father_chain`` ends.
-Red refinement is one table: ``CHILDREN`` lists each child's corners
-over the father's corners and local-edge midpoints, and the reference
-coordinates of both are derived from it.
+Entities enter through the batch appends ``Grid._add_vertices``,
+``_add_elements`` and, for edges, ``_Columns.append``, with the ids
+their caller drew: a range for the factory's vertices and segments,
+else one cumulative sum over per-row columns (``Grid._draw_ids``) in the
+factory and growth and over per-leaf columns in refinement
+(``adaptivity``).  A store append doubles a full column, so it costs
+amortized O(rows).  Triangles enter
+in batches: ``Grid._edge_batch`` finds their edges and ``_add_batch``
+appends them, then the elements, so a row's new edges take their ids
+before it does.  The first user of an entity in row order makes it
+(``_makers``).  Only an edge between two vertices that predate the batch
+can exist already; a search of the level's sorted pair keys finds it.
+Entities leave only through ``compaction.remove_elements``.  The grow
+queue is a ``GridFactory`` too, so the level-0 build and growth stage
+one way, a whole array per call with a parametrization and a marker per
+row.  Entities link down (corners, edges) and across levels (father,
+children, finer) but store no incidence, which ``incident_elements``
+finds by scanning the level, and no tree root.  Red refinement is one
+table: ``CHILDREN`` lists each child's corners over the father's corners
+and local-edge midpoints; the reference coordinates derive from it.
 
 The open adapt or grow transaction is grid state, not record state.
 ``Grid._require`` checks one phase (idle, queued, preadapted, adapted,
@@ -61,12 +57,11 @@ is not an element handle.
 
 An entity handle is a (level, slot) address checked against the grid's
 slot revision ``_srev`` on every read.  Slots and ids change together,
-only in a compaction, so a handle keeps its id once read: a view hands
-its wrappers the ids it holds, any other handle reads its record once.
-Element wrappers made by a view also read their corners from the view's
-shared array instead of the vertex records.  ``Vertex.coords`` is
-read-only, so no reader can move a record's coordinates; the VTK writer
-relies on that when it reuses a vertex's ``POINTS`` line by its id.
+only in a compaction, so a handle keeps its id once read; a view hands
+its wrappers the ids and the element corners it holds.  ``Vertex.coords``
+is a read-only view of its row; a column that grows or is compacted is a
+new array, so an older row view keeps its values.  The VTK writer relies
+on that when it reuses a vertex's ``POINTS`` line by its id.
 """
 
 from __future__ import annotations
@@ -76,7 +71,7 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
@@ -132,9 +127,7 @@ TRIANGLE_EDGES = ((0, 1), (0, 2), (1, 2))
 
 # Local edges of a simplex: a segment is its own edge.
 LOCAL_EDGES = {1: ((0, 1),), 2: TRIANGLE_EDGES}
-
-# The corner pairs an element's edge records join: none for a segment.
-_EDGE_CORNERS = {1: np.empty((0, 2), dtype=np.int64), 2: np.array(TRIANGLE_EDGES)}
+_EDGE_CORNERS = np.array(TRIANGLE_EDGES)  # as an index array
 
 # Red refinement: the corners of each child, as indices into the father's
 # corners followed by the midpoints of its local edges.
@@ -150,20 +143,43 @@ CHILD_CORNERS_IN_FATHER = {d: tuple(p[list(child)] for child in CHILDREN[d])
                            for d, p in _REFINEMENT_POINTS.items()}
 
 
-@dataclass(slots=True)
-class VertexRec:
-    coords: np.ndarray
-    id: int
-    father: int | None = None   # slot one level down, same chain
-    finer: int | None = None    # slot one level up, same chain
+class _Columns:
+    """One level of the vertex or edge arena: a numpy column per field and
+    a row per slot, -1 for "none".  ``len`` is the level's count, and a
+    column reads as a view of its first ``len`` rows."""
 
+    __slots__ = ("_n", "_data")
 
-@dataclass(slots=True)
-class EdgeRec:
-    v: tuple  # two vertex slots at the same level, insertion order
-    id: int
-    father: int | None = None
-    children: tuple = ()        # () or 2 slots: (v[0]-side half, v[1]-side half)
+    def __init__(self, **shapes):  # name -> shape of one row
+        self._n, self._data = 0, {name: np.empty((0, *shape), float if name == "coords" else np.int64)
+                                  for name, shape in shapes.items()}
+
+    def __len__(self):
+        return self._n
+
+    def __getattr__(self, name):
+        if name[0] == "_" or name not in self._data:
+            raise AttributeError(name)
+        return self._data[name][:self._n]
+
+    def append(self, **rows):
+        """Append a row per entry of each column given (one value serves all rows),
+        -1 in the others, doubling a full buffer into a new one; returns the slots, a range."""
+        n, m = self._n, len(rows["id"])
+        for name, buf in self._data.items():
+            if n + m > len(buf):
+                grown = np.empty((max(2 * len(buf), n + m), *buf.shape[1:]), buf.dtype)
+                grown[:n] = buf[:n]
+                self._data[name] = buf = grown
+            buf[n:n + m] = rows.get(name, -1)
+        self._n = n + m
+        return range(n, n + m)
+
+    def keep(self, alive):
+        """Keep the rows the boolean array ``alive`` sets, in order, in new buffers; returns the store."""
+        self._data = {name: buf[:self._n][alive] for name, buf in self._data.items()}
+        self._n = int(np.count_nonzero(alive))
+        return self
 
 
 @dataclass(slots=True)
@@ -177,6 +193,11 @@ class ElemRec:
     parametrization: object = None  # callable local -> R^w, tree roots only
     corners_in_father: np.ndarray | None = None
     marker: int | None = None   # insertion marker (e.g. gmsh physical tag)
+
+
+def _ints(rows, width):
+    """Equal-length rows of ints, as an ``(n, width)`` int array."""
+    return np.fromiter(chain.from_iterable(rows), np.int64).reshape(-1, width)
 
 
 def _makers(keys, missing):
@@ -199,9 +220,8 @@ class Grid:
 
     def __init__(self, config):
         self.config = config
-        self._verts = [[]]
-        self._edges = [[]]
-        self._elems = [[]]
+        self._verts, self._edges, self._elems = [], [], []
+        self._ensure_level(0)
         self._next_id = 0
         self._revision = 0        # bumped by every adapt/grow commit
         self._srev = 0            # bumped only when slots are remapped
@@ -231,8 +251,8 @@ class Grid:
     def _ensure_level(self, level):
         while len(self._elems) <= level:
             self._elems.append([])
-            self._verts.append([])
-            self._edges.append([])
+            self._verts.append(_Columns(coords=(self.world_dim,), id=(), father=(), finer=()))
+            self._edges.append(_Columns(v=(2,), id=(), father=(), children=(2,)))
 
     # -- entity access ----------------------------------------------------
 
@@ -357,22 +377,9 @@ class Grid:
         self._new_ids(int(np.count_nonzero(take)))
         return ids
 
-    # The batch appends take one value per record of each field, an endless repeat by default.
-
-    def _add_vertices(self, level, coords, ids, fathers=repeat(None)):
-        """Append one vertex record per row of ``coords`` at ``level`` with the
-        drawn ``ids``, holding views of the rows; returns their slots, a range."""
-        verts = self._verts[level]
-        verts.extend(map(VertexRec, coords, ids, fathers))
-        return range(len(verts) - len(coords), len(verts))
-
-    def _add_edges(self, level, v, ids, fathers=repeat(None)):
-        """Append one edge per vertex-slot pair of the list ``v`` at ``level``
-        with the drawn ``ids``; the caller knows no edge joins a pair yet.
-        Returns their slots, a range."""
-        edges = self._edges[level]
-        edges.extend(map(EdgeRec, v, ids, fathers))
-        return range(len(edges) - len(v), len(edges))
+    def _add_vertices(self, level, coords, ids, fathers=-1):
+        """Append a vertex per row of ``coords`` at ``level``, bit for bit; returns the slots, a range."""
+        return self._verts[level].append(coords=coords, id=ids, father=fathers)
 
     def _add_elements(self, level, v, ids, parametrizations=repeat(None), markers=repeat(None),
                       edges=repeat(()), fathers=repeat(None), corners_in_father=repeat(None)):
@@ -387,48 +394,48 @@ class Grid:
         return range(first, len(elems))
 
     def _edge_batch(self, level, corners):
-        """The edges of elements entering ``level`` over the ``(m, dim + 1)``
-        vertex keys ``corners``: a key >= 0 is the slot of a vertex the level
-        holds, a negative one names a vertex the batch makes.  Per element and
-        corner pair in ``TRIANGLE_EDGES`` order (none for a segment), as
-        ``(m, 0 or 3)`` arrays: whether the pair makes a new edge, the flat
-        position of the pair's first user, and the edge the level holds over a
-        first user's pair (-1: none), which only two held vertices can have."""
-        sides = _EDGE_CORNERS[self.dim]
-        if not len(sides):  # segments: no pairs to key
-            none = np.zeros((len(corners), 0), dtype=bool)
-            return none, none, none
-        pairs = np.sort(corners[:, sides], axis=2)
+        """The edges of triangles entering ``level`` over the ``(m, 3)`` vertex
+        keys ``corners``: a key >= 0 is the slot of a vertex the level holds,
+        a negative one names a vertex the batch makes.  Per triangle and corner
+        pair in ``TRIANGLE_EDGES`` order, as ``(m, 3)`` arrays: whether the
+        pair makes a new edge, the flat position of the pair's first user,
+        and the edge the level holds over a first user's pair (-1: none),
+        which only two held vertices can have."""
+        pairs = np.sort(corners[:, _EDGE_CORNERS], axis=2)
         low = pairs.min(initial=0)
         keys = (pairs[..., 0] - low) * (pairs.max(initial=0) - low + 1) + pairs[..., 1] - low
         first, sharer = _makers(keys.ravel(), np.ones(keys.size, dtype=bool))
         first, held = first.reshape(keys.shape), np.full(keys.shape, -1)
         ask = first & (pairs[..., 0] >= 0)
-        if ask.any() and self._edges[level]:  # a scan of the level
-            slot = {frozenset(rec.v): e for e, rec in enumerate(self._edges[level])}
-            held[ask] = [slot.get(frozenset(p), -1) for p in pairs[ask].tolist()]
+        if ask.any() and len(self._edges[level]):  # a search of the level's sorted pair keys
+            key = np.array([len(self._verts[level]), 1])
+            have, want = np.sort(self._edges[level].v, axis=1) @ key, pairs[ask] @ key
+            order = have.argsort()
+            at = order[have[order].searchsorted(want).clip(max=len(have) - 1)]
+            held[ask] = np.where(have[at] == want, at, -1)
         return first & (held < 0), sharer.reshape(keys.shape), held
 
     def _add_batch(self, level, v, batch, ids, parametrizations, markers=repeat(None)):
         """Append at ``level`` the elements over the ``(m, dim + 1)`` vertex-slot
         array ``v`` with the edges that ``_edge_batch`` found for them,
-        ``batch``: first each new edge, over its first user's corner pair in
-        that user's order, then the elements.  ``ids`` holds per element the
-        ids drawn for its edge columns, then its own.  Returns their slots."""
-        new, sharer, held = batch
-        edges = repeat(())  # segments have no edge records
-        if sharer.size:
-            pairs = v[:, _EDGE_CORNERS[self.dim]][new]
+        ``batch`` (None for segments): first each new edge, over its first
+        user's corner pair in that user's order, then the elements.  ``ids``
+        holds per element the ids drawn for its edge columns, then its own.
+        Returns their slots."""
+        edges = repeat(())  # segments have no edges and no batch
+        if batch is not None:
+            new, sharer, held = batch
             slots = held.flatten()
-            slots[new.ravel()] = self._add_edges(level, list(map(tuple, pairs.tolist())), ids[:, :-1][new].tolist())
+            slots[new.ravel()] = self._edges[level].append(v=v[:, _EDGE_CORNERS][new], id=ids[:, :-1][new])
             edges = map(tuple, slots[sharer].tolist())
         return self._add_elements(level, map(tuple, v.tolist()), ids[:, -1].tolist(), parametrizations, markers,
                                   edges=edges)
 
     def _id(self, codim, level, slot):
         """Persistent id of the record of one codim at (level, slot), read without a wrapper."""
-        arena = self._elems if codim == 0 else self._verts if codim == self.dim else self._edges
-        return arena[level][slot].id
+        if codim == 0:
+            return self._elems[level][slot].id
+        return int((self._verts if codim == self.dim else self._edges)[level].id[slot])
 
     def _father_chain(self, level, slot):
         """(level, slot) of an element and of each of its fathers, up to its tree root."""
@@ -450,14 +457,11 @@ class Grid:
     def _vertex_chain(self, level, slot):
         """(level, slot) of every copy of one logical vertex, coarsest first."""
         verts = self._verts
-        rec = verts[level][slot]
-        while rec.father is not None:
-            level, slot = level - 1, rec.father
-            rec = verts[level][slot]
+        while (father := int(verts[level].father[slot])) >= 0:
+            level, slot = level - 1, father
         chain = [(level, slot)]
-        while rec.finer is not None:
-            level, slot = level + 1, rec.finer
-            rec = verts[level][slot]
+        while (finer := int(verts[level].finer[slot])) >= 0:
+            level, slot = level + 1, finer
             chain.append((level, slot))
         return chain
 
@@ -466,18 +470,18 @@ class Grid:
 
 
 class _Entity:
-    """Handle of one record, addressed by (level, slot).
+    """Handle of one entity, addressed by (level, slot).
 
     A handle outlives no compacting transaction: every read checks the
     grid's slot revision ``_srev``.  Within one slot revision a slot keeps
-    its record, so the handle keeps the record's persistent id once read;
+    its entity, so the handle keeps the entity's persistent id once read;
     a view passes the ids it already holds when it makes its wrappers.
     """
 
     __slots__ = ("grid", "level", "slot", "_srev", "_id")
 
     codim = None
-    _arena = None  # name of the grid arena the records of this kind live in
+    _arena = None  # name of the grid arena the entities of this kind live in
 
     def __init__(self, grid, level, slot, id=None):
         self.grid = grid
@@ -500,28 +504,32 @@ class _Entity:
     def __repr__(self):
         return f"{type(self).__name__}(level={self.level}, slot={self.slot})"
 
-    def _rec(self):
+    def _level(self):
+        """The handle's level of its arena, once the handle is checked."""
         self.grid._check_alive(self._srev)
-        if self.level >= 0 and self.slot >= 0:  # a negative index would read from the end
-            try:
-                return getattr(self.grid, self._arena)[self.level][self.slot]
-            except IndexError:
-                pass
+        arena = getattr(self.grid, self._arena)
+        if 0 <= self.level < len(arena) and 0 <= self.slot < len(arena[self.level]):
+            return arena[self.level]
         kind = type(self).__name__.lower()
         raise StaleEntityError(f"no {kind} at level {self.level} slot {self.slot}")
+
+    def _field(self, name):
+        """One field of a vertex or an edge: an int, None for -1, or a tuple of slots."""
+        value = getattr(self._level(), name)[self.slot].tolist()
+        if isinstance(value, list):
+            return tuple(x for x in value if x >= 0)
+        return None if value < 0 else value
 
     @property
     def id(self):
         i = self._id
         if i is None or self._srev != self.grid._srev:
-            i = self._id = self._rec().id  # a stale handle raises here
+            i = self._id = self._field("id")  # a stale handle raises here
         return i
 
     def father(self):
-        rec = self._rec()
-        if rec.father is None:
-            return None
-        return type(self)(self.grid, self.level - 1, rec.father)
+        father = self._field("father")
+        return None if father is None else type(self)(self.grid, self.level - 1, father)
 
 
 class _Simplex(_Entity):
@@ -530,25 +538,22 @@ class _Simplex(_Entity):
     __slots__ = ()
 
     def children(self):
-        rec = self._rec()
-        return [type(self)(self.grid, self.level + 1, s) for s in rec.children]
+        return [type(self)(self.grid, self.level + 1, s) for s in self._field("children")]
 
     def vertices(self):
-        rec = self._rec()
-        return [Vertex(self.grid, self.level, s) for s in rec.v]
+        return [Vertex(self.grid, self.level, s) for s in self._field("v")]
 
     @property
     def geometry(self):
-        rec = self._rec()
-        verts = self.grid._verts[self.level]
-        return AffineGeometry(np.array([verts[s].coords for s in rec.v]))
+        corners = list(self._field("v"))  # a stale handle raises here
+        return AffineGeometry(self.grid._verts[self.level].coords[corners])
 
 
 def _incident_elements(self):
     """Elements of the entity's level that list it among their corners or
     edges (the record attribute named ``_in_element``), in slot order; the
     grid stores no incidence, so this scans the level."""
-    self._rec()
+    self._level()
     attr, slot = self._in_element, self.slot
     return [
         Element(self.grid, self.level, t)
@@ -575,6 +580,12 @@ class Element(_Simplex):
         _Entity.__init__(self, grid, level, slot, id)
         self._corners = corners
         self._row = row
+
+    def _rec(self):
+        return self._level()[self.slot]
+
+    def _field(self, name):
+        return getattr(self._rec(), name)
 
     @property
     def geometry(self):
@@ -642,13 +653,13 @@ class Edge(_Simplex):
             raise DimensionMismatchError("edge subentities: only codim 2 (vertices)")
         if not 0 <= i < 2:
             raise IndexError(f"subentity index {i} out of range")
-        return Vertex(self.grid, self.level, self._rec().v[i])
+        return Vertex(self.grid, self.level, self._field("v")[i])
 
     incident_elements = _incident_elements
 
 
 class Vertex(_Entity):
-    """Codim-d entity; one record per level the logical vertex lives on."""
+    """Codim-d entity; one copy per level the logical vertex lives on."""
 
     __slots__ = ()
 
@@ -661,8 +672,8 @@ class Vertex(_Entity):
 
     @property
     def coords(self):
-        """The record's coordinates, as a read-only array."""
-        coords = self._rec().coords.view()
+        """The copy's coordinates, as a read-only view of its row."""
+        coords = self._level().coords[self.slot]
         coords.flags.writeable = False
         return coords
 
@@ -728,9 +739,13 @@ class GridFactory:
         grid = Grid(self.config)
         coords = np.concatenate(self._coords)
         grid._add_vertices(0, coords, grid._new_ids(len(coords)))
-        rows = np.concatenate(self._elements)
-        batch = grid._edge_batch(0, rows)  # per row: its new edges' ids, then its own
-        ids = grid._draw_ids(np.concatenate([batch[0], np.ones((len(rows), 1), dtype=bool)], axis=1))
+        rows, batch = np.concatenate(self._elements), None
+        if grid.dim == 1:  # segments make no edges: their ids are one range
+            new = grid._new_ids(len(rows))
+            ids = np.arange(new.start, new.stop)[:, None]
+        else:  # per row: its new edges' ids, then its own
+            batch = grid._edge_batch(0, rows)
+            ids = grid._draw_ids(np.concatenate([batch[0], np.ones((len(rows), 1), dtype=bool)], axis=1))
         grid._add_batch(0, rows, batch, ids, self._parametrizations, self._markers)
         for slot, parametrization in enumerate(self._parametrizations):
             if parametrization is not None:
@@ -799,7 +814,7 @@ def _check_parametrization_corners(grid, slot, phi):
     """Warn when phi at the reference corners disagrees with stored coordinates."""
     rec = grid._elems[0][slot]
     for local, vslot in zip(REFERENCE_CORNERS[grid.dim], rec.v):
-        stored = grid._verts[0][vslot].coords
+        stored = grid._verts[0].coords[vslot]
         image = np.asarray(phi(np.asarray(local, dtype=float)), dtype=float)
         if image.shape != stored.shape or np.max(np.abs(image - stored)) > 1e-9:
             warnings.warn(
@@ -843,7 +858,7 @@ def audit_grid(grid):
                     problems.append(f"{tag}: bad edge slots")
                 else:
                     for k, (a, b) in enumerate(TRIANGLE_EDGES):
-                        if frozenset(edges[rec.edges[k]].v) != frozenset((rec.v[a], rec.v[b])):
+                        if set(edges.v[rec.edges[k]].tolist()) != {rec.v[a], rec.v[b]}:
                             problems.append(f"{tag}: edge {k} does not match its corner pair")
             if rec.father is not None:
                 if level == 0 or not 0 <= rec.father < len(grid._elems[level - 1]):
@@ -864,55 +879,61 @@ def audit_grid(grid):
                 problems.append(f"{tag}: invalid mark {rec.mark}")
 
         first_over = {}  # vertex pair -> the first edge slot over it
-        for slot, rec in enumerate(edges):
+        finer_level = level + 1 < n_levels  # level - 1 wraps round at level 0, where no father is read
+        coarse_edges, fine_edges = grid._edges[level - 1], grid._edges[level + 1] if finer_level else ()
+        columns = zip(edges.v.tolist(), edges.father.tolist(), edges.children.tolist())
+        for slot, (pair, father, kids) in enumerate(columns):
             tag = f"edge ({level},{slot})"
-            if any(not 0 <= s < len(verts) for s in rec.v):
+            if any(not 0 <= s < len(verts) for s in pair):
                 problems.append(f"{tag}: dangling vertex slot")
-            first = first_over.setdefault(frozenset(rec.v), slot)
+            first = first_over.setdefault(frozenset(pair), slot)
             if first != slot:
                 problems.append(f"{tag}: same vertex pair as edge ({level},{first})")
-            if len(rec.children) not in (0, 2):
+            kids = [c for c in kids if c >= 0]
+            if len(kids) == 1:
                 problems.append(f"{tag}: children not absent-or-pair")
-            for c in rec.children:
-                if level + 1 >= n_levels or not 0 <= c < len(grid._edges[level + 1]):
+            for c in kids:
+                if not c < len(fine_edges):
                     problems.append(f"{tag}: dangling child")
-                elif grid._edges[level + 1][c].father != slot:
+                elif fine_edges.father[c] != slot:
                     problems.append(f"{tag}: child {c} has wrong father")
-            if rec.father is not None:
-                if level == 0 or not 0 <= rec.father < len(grid._edges[level - 1]):
+            if father >= 0:
+                if level == 0 or not father < len(coarse_edges):
                     problems.append(f"{tag}: dangling father")
-                elif slot not in grid._edges[level - 1][rec.father].children:
+                elif slot not in coarse_edges.children[father]:
                     problems.append(f"{tag}: father does not list it")
 
         referenced = {s for rec in elems for s in rec.v}
-        referenced.update(s for rec in edges for s in rec.v)
-        for slot, rec in enumerate(verts):
+        referenced.update(edges.v.ravel().tolist())
+        if verts.coords.shape[1:] != (grid.world_dim,):
+            problems.append(f"vertices of level {level}: wrong coordinate length")
+        coarse, fine = grid._verts[level - 1], len(grid._verts[level + 1]) if finer_level else 0
+        for slot, (father, finer) in enumerate(zip(verts.father.tolist(), verts.finer.tolist())):
             tag = f"vertex ({level},{slot})"
-            if rec.coords.shape != (grid.world_dim,):
-                problems.append(f"{tag}: wrong coordinate length")
-            if rec.father is not None:
-                if level == 0 or not 0 <= rec.father < len(grid._verts[level - 1]):
+            if father >= 0:
+                if level == 0 or not father < len(coarse):
                     problems.append(f"{tag}: dangling father")
                 else:
-                    frec = grid._verts[level - 1][rec.father]
-                    if frec.finer != slot:
+                    if coarse.finer[father] != slot:
                         problems.append(f"{tag}: father does not link back")
-                    if frec.id != rec.id:
+                    if coarse.id[father] != verts.id[slot]:
                         problems.append(f"{tag}: chain id differs from father")
-            if rec.finer is not None:
-                if level + 1 >= n_levels or not 0 <= rec.finer < len(grid._verts[level + 1]):
-                    problems.append(f"{tag}: dangling finer copy")
-            elif slot not in referenced:
+                    if coarse.coords[father].tobytes() != verts.coords[slot].tobytes():
+                        problems.append(f"{tag}: coordinates differ from father")
+            if finer >= fine:
+                problems.append(f"{tag}: dangling finer copy")
+            elif finer < 0 and slot not in referenced:
                 problems.append(f"{tag}: unreferenced")
 
     # persistent ids must be unique across logical entities alive now
     seen = set()
     for level in range(n_levels):
-        chains = [rec for rec in grid._verts[level] if rec.father is None]  # copies share ids
-        for rec in grid._elems[level] + grid._edges[level] + chains:
-            if rec.id in seen:
-                problems.append(f"duplicate id {rec.id}")
-            seen.add(rec.id)
+        verts = grid._verts[level]  # copies share ids
+        for i in [rec.id for rec in grid._elems[level]] + grid._edges[level].id.tolist() + \
+                verts.id[verts.father < 0].tolist():
+            if i in seen:
+                problems.append(f"duplicate id {i}")
+            seen.add(i)
     return problems
 
 

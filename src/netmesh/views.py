@@ -9,34 +9,36 @@ every transaction for entities that survive.
 
 A view keys each codimension by persistent id, the same rule the facet
 table and growth use: the copies of a vertex on different levels share
-one id and are one logical vertex.  A level view keeps every record of
+one id and are one logical vertex.  A level view keeps every entity of
 its level.  The leaf view keeps the leaf elements and the edges and
 vertices that touch a leaf element; of a vertex it keeps the finest copy
 that touches a leaf, so any copy asks for the same index.
 
-A view walks the records once, when it is made, and keeps what that walk
-found as arrays in index order: per codim the persistent ``ids`` and the
-``(level, slot)`` ``places`` of the records, per element the vertex
-indices of its corners (``corner_indices``) and per vertex its
-``coordinates``.  The facet table, the intersection table, the VTK
-writer, growth and the leaf-data transfer read these; entity wrappers
-are made only on the first ``entities`` call of a codim.  Each wrapper
-carries its persistent id, so ``entity.id`` reads no record, and each
-element wrapper the view's read-only ``coordinates()[corner_indices()]``
-array and its row in it, which its ``geometry`` reads.  The intersection
-table maps its fragments from the same array.  The facet and
-intersection tables are built on first use and kept on the view; the
-grid drops those of its stale leaf view when it builds the next one.
+A view is built when it is made, by one pass over each level's element
+records and gathers from the vertex and edge columns, and keeps arrays
+in index order: per codim the persistent ``ids`` and the ``(level,
+slot)`` ``places``, per element the vertex indices of its corners
+(``corner_indices``) and per vertex its ``coordinates``.  The facet
+table, the intersection table, the VTK writer, growth and the leaf-data
+transfer read these; entity wrappers are made only on the first
+``entities`` call of a codim.  Each wrapper carries its persistent id,
+so ``entity.id`` reads no record, and each element wrapper the view's
+read-only ``coordinates()[corner_indices()]`` array and its row in it,
+which its ``geometry`` reads.  The intersection table maps its fragments
+from the same array.  The facet and intersection tables are built on
+first use and kept on the view; the grid drops those of its stale leaf
+view when it builds the next one.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import DimensionMismatchError, StaleEntityError
-from .topology import Edge, Element, Vertex
+from .topology import Edge, Element, Vertex, _ints
 
 
 def _codim(entity):
@@ -54,14 +56,14 @@ class GridView:
         self.level = level  # None selects the leaf view
         self._revision = grid._revision
         self._places = {}  # codim -> ((level, slot), ...) in index order
+        self._ids = {}  # codim -> persistent ids in index order
         self._index = {}  # codim -> {persistent id: index}, in index order
         self._arrays = {}  # 0 -> corner indices per element, dim -> coordinates per vertex
         self._entities = {}  # codim -> wrappers, made on the first entities() call
         self._corners = None  # (n, dim + 1, world_dim) element corners, made with the wrappers
         self._facet_table = None  # built by flow.facet_table on first use
         self._intersection_table = None  # built by the first intersections() call
-        for codim in range(grid.dim, -1, -1):  # vertices first: element corners index them
-            self._build(codim)
+        self._build()
 
     def _release(self):
         """Drop what was built on first use: a stale view can read none of it."""
@@ -72,42 +74,44 @@ class GridView:
         if self._revision != self.grid._revision:
             raise StaleEntityError("view created before the last grid modification")
 
-    def _build(self, codim):
-        """One pass over the records in (level, slot) order, keyed by id.
-
-        The leaf view keeps, per level, the edges and vertices that the
-        leaf elements of that level list as their own, flagged in one pass
-        over those elements.  A vertex copy that is kept replaces the
-        coarser copies kept before it, at its own place, so the finest
-        copy touching a leaf stays.
-        """
-        grid = self.grid
-        arena = grid._elems if codim == 0 else grid._verts if codim == grid.dim else grid._edges
-        leaf = self.level is None
-        kept = {}
-        for level in range(len(arena)) if leaf else (self.level,):
-            records = arena[level]
-            keep = repeat(True)
-            if leaf and codim == 0:
-                keep = [not rec.children for rec in records]
-            elif leaf:
-                keep = bytearray(len(records))
-                for erec in grid._elems[level]:
-                    if not erec.children:
-                        for s in erec.v if codim == grid.dim else erec.edges:
-                            keep[s] = 1
-            for slot, rec in compress(enumerate(records), keep):
-                kept.pop(rec.id, None)
-                kept[rec.id] = (level, slot, rec)
-        self._places[codim] = tuple((level, slot) for level, slot, _ in kept.values())
-        self._index[codim] = {rid: i for i, rid in enumerate(kept)}
-        if codim == grid.dim:
-            coords = np.array([rec.coords for _, _, rec in kept.values()], dtype=float)
-            self._arrays[codim] = coords.reshape(-1, grid.world_dim)
-        elif codim == 0:
-            index, verts = self._index[grid.dim], grid._verts
-            corners = [index[verts[level][s].id] for level, _, rec in kept.values() for s in rec.v]
-            self._arrays[codim] = np.array(corners, dtype=np.int64).reshape(-1, grid.dim + 1)
+    def _build(self):
+        """Every codim in (level, slot) order, keyed by id.  The leaf view keeps,
+        per level, the edges and vertices that the leaf elements of that level
+        list; of the copies of a vertex it keeps the last, at its own place,
+        so the finest copy touching a leaf stays."""
+        grid, d, leaf = self.grid, self.grid.dim, self.level is None
+        found = {codim: [] for codim in range(d + 1)}  # per codim and level: level, slots, ids
+        corners, coords = [], []  # per level: kept elements' corner ids, kept vertices' coordinates
+        for level in range(len(grid._elems)) if leaf else (self.level,):
+            recs, verts, edges = grid._elems[level], grid._verts[level], grid._edges[level]
+            flags = [not rec.children for rec in recs] if leaf else [True] * len(recs)
+            recs = list(compress(recs, flags))
+            v = _ints(map(attrgetter("v"), recs), d + 1)
+            found[0].append((level, np.flatnonzero(flags), np.fromiter(map(attrgetter("id"), recs), np.int64)))
+            corners.append(verts.id[v])
+            used = {d: (verts, v)}
+            if d == 2:
+                used[1] = (edges, _ints(map(attrgetter("edges"), recs), 3) if leaf else None)
+            for codim, (arena, held) in used.items():
+                slots = np.unique(held.ravel()) if leaf else np.arange(len(arena))
+                found[codim].append((level, slots, arena.id[slots]))
+            coords.append(verts.coords[found[d][-1][1]])
+        for codim, parts in found.items():
+            levels = np.concatenate([np.full(len(slots), level) for level, slots, _ in parts])
+            slots, ids = (np.concatenate(column).ravel() for column in list(zip(*parts))[1:])
+            keep = slice(None)
+            if leaf and codim == d:  # the last copy of each vertex
+                _, last = np.unique(ids[::-1], return_index=True)
+                keep = np.sort(len(ids) - 1 - last)
+            self._places[codim] = tuple(zip(levels[keep].tolist(), slots[keep].tolist()))
+            self._ids[codim] = ids = ids[keep]
+            self._index[codim] = dict(zip(ids.tolist(), range(len(ids))))
+            if codim == d:
+                self._arrays[d] = np.concatenate(coords)[keep].reshape(-1, grid.world_dim)
+        vids = self._ids[d]
+        order = vids.argsort()
+        corners = np.concatenate(corners).reshape(-1, d + 1)
+        self._arrays[0] = order[vids[order].searchsorted(corners)]
 
     def _of(self, table, codim):
         self._check_fresh()
@@ -119,7 +123,7 @@ class GridView:
         """The view's own list of entity wrappers of one codim, made on first use."""
         places = self._of(self._places, codim)
         if codim not in self._entities:
-            grid, ids = self.grid, self._index[codim]
+            grid, ids = self.grid, self._ids[codim].tolist()
             if codim == 0:
                 corners = self._element_corners()
                 made = [
@@ -157,7 +161,7 @@ class GridView:
 
     def ids(self, codim):
         """Persistent ids of one codim in index order, a new int64 array."""
-        return np.fromiter(self._of(self._index, codim), np.int64)
+        return self._of(self._ids, codim).copy()
 
     def places(self, codim):
         """``(level, slot)`` of one codim's records in index order, a tuple."""

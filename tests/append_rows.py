@@ -13,7 +13,9 @@ as one ``add_element`` per row builds it; ``tests/refine_rows.py`` and
 
 import numpy as np
 
-from netmesh.topology import TRIANGLE_EDGES, EdgeRec, ElemRec, Grid
+from netmesh.topology import TRIANGLE_EDGES, ElemRec, Grid
+
+from rows import Row, rows
 
 
 class RowAppends:
@@ -30,7 +32,8 @@ class RowAppends:
 
     def add_vertex(self, level, coords, vid=None, father=None):
         """Append a vertex record at ``level``; a new id unless ``vid`` is a chain's id."""
-        return self.grid._add_vertices(level, [coords], [self.new_id() if vid is None else vid], [father])[0]
+        vid = self.new_id() if vid is None else vid
+        return self.grid._add_vertices(level, [coords], [vid], -1 if father is None else father)[0]
 
     def add_element(self, level, v, father=None, parametrization=None, corners_in_father=None,
                     marker=None, edges=None):
@@ -57,16 +60,16 @@ class RowAppends:
     def edge_index(self, level):
         """Lazy map unordered vertex-slot pair -> edge slot for one level."""
         if level not in self.lookups:
-            self.lookups[level] = {frozenset(rec.v): s for s, rec in enumerate(self.grid._edges[level])}
+            self.lookups[level] = {frozenset(rec.v): s for s, rec in enumerate(rows(self.grid._edges[level]))}
         return self.lookups[level]
 
     def add_edge(self, level, va, vb, father=None):
         """Append a new edge over vertex slots ``va``, ``vb``; returns its slot."""
-        edges = self.grid._edges[level]
-        edges.append(EdgeRec((va, vb), self.new_id(), father))
+        father = -1 if father is None else father
+        slot = self.grid._edges[level].append(v=[(va, vb)], id=[self.new_id()], father=father)[0]
         if level in self.lookups:
-            self.lookups[level][frozenset((va, vb))] = len(edges) - 1
-        return len(edges) - 1
+            self.lookups[level][frozenset((va, vb))] = slot
+        return slot
 
     def get_or_make_edge(self, level, va, vb):
         slot = self.edge_index(level).get(frozenset((va, vb)))
@@ -74,7 +77,7 @@ class RowAppends:
 
     def vertex_copy(self, level, slot):
         """Slot of the chain copy at ``level + 1``, creating it if absent."""
-        rec = self.grid._verts[level][slot]
+        rec = Row(self.grid._verts[level], slot)
         if rec.finer is None:
             self.grid._ensure_level(level + 1)
             rec.finer = self.add_vertex(level + 1, rec.coords.copy(), rec.id, slot)

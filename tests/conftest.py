@@ -1,9 +1,17 @@
 """Shared grid builders for the test suite; ``gridcheck.check_grid`` checks what they build."""
 
+import sys
+import types
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from netmesh import LINE, TRIANGLE, GridConfig, GridFactory
+from netmesh import LINE, TRIANGLE, GridConfig, GridFactory, read_gmsh
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_grid(dim, world_dim, vertices, elements, parametrizations=None, markers=None):
@@ -75,3 +83,36 @@ def refine_all(grid, rounds=1):
         grid.adapt()
         grid.post_adapt()
     return grid
+
+
+def cubic_lattice(shape):
+    """Every unit square face of a block of ``shape`` unit cubes, cut into two
+    triangles.  An edge inside the block lies on four squares."""
+    corners = list(np.ndindex(*(n + 1 for n in shape)))
+    index = {p: i for i, p in enumerate(corners)}
+    steps = np.eye(3, dtype=int)
+    triangles = []
+    for normal in range(3):
+        a, b = (axis for axis in range(3) if axis != normal)
+        for p in map(np.array, corners):
+            if p[a] < shape[a] and p[b] < shape[b]:
+                square = [p, p + steps[a], p + steps[a] + steps[b], p + steps[b]]
+                v = [index[tuple(q.tolist())] for q in square]
+                triangles += [(v[0], v[1], v[2]), (v[0], v[2], v[3])]
+    return make_grid(2, 3, [tuple(map(float, p)) for p in corners], triangles)
+
+
+
+def foam_lattice(directory):
+    """The foam-adapt benchmark's seed-1 lattice surface, written by ``bench/generate.py``,
+    which is read and executed, so nothing is written under ``bench/``."""
+    path = ROOT / "bench" / "generate.py"
+    generate = types.ModuleType("bench_generate")
+    with mock.patch.dict(sys.modules, {generate.__name__: generate}):  # its dataclasses look it up
+        exec(compile(path.read_text(), str(path), "exec"), generate.__dict__)
+    generate.lattice_surface(1, directory)
+    return read_gmsh(directory / "lattice.msh", GridConfig(2, 3))
+
+# ``python tests/mutants.py`` runs its tests under this profile: the same
+# examples on every run, and none saved for a later run to replay
+settings.register_profile("mutants", derandomize=True, database=None)

@@ -184,7 +184,7 @@ def brute_force_leaf_view(grid):
         elements += [(level, t) for t in leaves]
         edges += [(level, s) for s in sorted({s for t in leaves for s in elem_recs[t].edges})]
         for s in sorted({s for t in leaves for s in elem_recs[t].v}):
-            finest[vert_recs[s].id] = (level, s)  # a finer copy overwrites a coarser one
+            finest[int(vert_recs.id[s])] = (level, s)  # a finer copy overwrites a coarser one
     expected = {0: elements, grid.dim: sorted(finest.values())}
     if grid.dim == 2:
         expected[1] = edges

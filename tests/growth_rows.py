@@ -16,6 +16,7 @@ import numpy as np
 from netmesh.growth import GrowthReport
 
 from append_rows import RowAppends
+from rows import rows
 
 
 def grow_by_rows(grid):
@@ -90,10 +91,10 @@ def grow_by_rows(grid):
 def records(grid):
     """Every record of every arena as comparable tuples, coordinates as bits."""
     verts = [
-        [(rec.coords.tobytes(), rec.id, rec.father, rec.finer) for rec in level]
+        [(rec.coords.tobytes(), rec.id, rec.father, rec.finer) for rec in rows(level)]
         for level in grid._verts
     ]
-    edges = [[(rec.v, rec.id, rec.father, rec.children) for rec in level] for level in grid._edges]
+    edges = [[(rec.v, rec.id, rec.father, rec.children) for rec in rows(level)] for level in grid._edges]
     elems = [
         [
             (rec.v, rec.id, rec.edges, rec.father, rec.children, rec.mark,

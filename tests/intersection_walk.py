@@ -18,6 +18,8 @@ from operator import itemgetter
 from netmesh import intersections
 from netmesh.topology import TRIANGLE_EDGES
 
+from rows import Row
+
 
 def walk(view, element):
     """(facet, fragment, outsides) of each group the walk finds for ``element``."""
@@ -86,13 +88,13 @@ def _groups_1d(grid, element, rec, in_view):
     groups = []
     for facet in (0, 1):
         neighbors = []
-        chain_id = grid._verts[element.level][rec.v[facet]].id
+        chain_id = Row(grid._verts[element.level], rec.v[facet]).id
         for clev, cslot in grid._vertex_chain(element.level, rec.v[facet]):
             for t in _holders(grid, clev, "v", cslot):
                 nrec = grid._elems[clev][t]
                 if (clev, t) == (element.level, element.slot) or not in_view(clev, nrec):
                     continue
-                nfacet = 0 if grid._verts[clev][nrec.v[0]].id == chain_id else 1
+                nfacet = 0 if Row(grid._verts[clev], nrec.v[0]).id == chain_id else 1
                 neighbors.append((nrec.id, nfacet, (nfacet,)))
         neighbors.sort(key=itemgetter(0))
         groups.append((facet, (facet,), neighbors))
@@ -112,7 +114,7 @@ def _groups_2d(grid, element, rec, in_view):
         full = []  # (neighbour record, its level and slot, via edge, facet in neighbour)
         lev, es = root
         while es is not None:
-            erec = grid._edges[lev][es]
+            erec = Row(grid._edges[lev], es)
             for t in _holders(grid, lev, "edges", es):
                 nrec = elems[lev][t]
                 if (t != slot or lev != level) and in_view(lev, nrec):
@@ -139,7 +141,7 @@ def _fragments(grid, in_view, edge, above):
     """
     lev, es = edge
     split = []
-    for c in grid._edges[lev][es].children:
+    for c in Row(grid._edges[lev], es).children:
         child = (lev + 1, c)
         here = list(above)
         for t in _holders(grid, lev + 1, "edges", c):
@@ -157,8 +159,8 @@ def _interval_within(grid, ancestor, frag):
     a, b = 0.0, 1.0
     lev, slot = frag
     while (lev, slot) != ancestor:
-        father = grid._edges[lev][slot].father
-        frec = grid._edges[lev - 1][father]
+        father = Row(grid._edges[lev], slot).father
+        frec = Row(grid._edges[lev - 1], father)
         side = 0 if frec.children[0] == slot else 1
         a, b = (a + side) / 2.0, (b + side) / 2.0
         lev, slot = lev - 1, father
@@ -171,7 +173,7 @@ def _edge_fragment(grid, level, rec, facet, via, frag):
     ``frag`` on ``via`` and whether the stored orientation of ``via`` runs
     against the element's local corner order."""
     a, b = _interval_within(grid, via, frag)
-    verts = grid._verts[level]
-    start = grid._edges[level][via[1]].v[0]
-    flip = verts[start].id != verts[rec.v[TRIANGLE_EDGES[facet][0]]].id
+    ids = grid._verts[level].id
+    start = Row(grid._edges[level], via[1]).v[0]
+    flip = ids[start] != ids[rec.v[TRIANGLE_EDGES[facet][0]]]
     return facet, a, b, flip

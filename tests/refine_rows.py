@@ -16,6 +16,7 @@ from netmesh.topology import (
 )
 
 from append_rows import RowAppends
+from rows import Row, rows
 
 
 def adapt_by_leaves(grid):
@@ -49,7 +50,7 @@ def _midpoint_images(grid, leaves):
         edges = grid._elems[lev][slot].edges
         for k in range(len(LOCAL_EDGES[grid.dim])):
             if edges:  # a triangle edge takes its image from the first leaf that splits it
-                if (lev, edges[k]) in split or grid._edges[lev][edges[k]].children:
+                if (lev, edges[k]) in split or Row(grid._edges[lev], edges[k]).children:
                     continue
                 split.add((lev, edges[k]))
             images[lev, slot, k] = refined_vertex_position(grid, lev, slot, k)
@@ -65,7 +66,7 @@ def refined_vertex_position(grid, level, slot, edge_index):
         return checked_coords([phi(root_local)], grid.world_dim)[0]
     v, verts = grid._elems[level][slot].v, grid._verts[level]
     a, b = LOCAL_EDGES[grid.dim][edge_index]
-    return 0.5 * (verts[v[a]].coords + verts[v[b]].coords)
+    return 0.5 * (verts.coords[v[a]] + verts.coords[v[b]])
 
 
 def _edge_source(p, q):
@@ -97,9 +98,9 @@ def _midpoint(appends, level, slot, k, images):
     if not rec.edges:
         return appends.add_vertex(fine, images[level, slot, k])
     eslot = rec.edges[k]
-    erec = grid._edges[level][eslot]
+    erec = Row(grid._edges[level], eslot)
     if erec.children:
-        return grid._edges[fine][erec.children[0]].v[1]
+        return Row(grid._edges[fine], erec.children[0]).v[1]
     c0, c1 = (appends.vertex_copy(level, v) for v in erec.v)
     mid = appends.add_vertex(fine, images[level, slot, k])
     erec.children = (appends.add_edge(fine, c0, mid, eslot), appends.add_edge(fine, mid, c1, eslot))
@@ -110,7 +111,7 @@ def _child_edges(appends, level, rec, points, sources):
     """Edge slots at ``level + 1`` of one triangle child: the father edge's
     half at the child's father corner, or the edge between two midpoints,
     which a triangle over the same corners may have made already."""
-    edges, made = appends.grid._edges[level], []
+    edges, made = rows(appends.grid._edges[level]), []
     for p, q, k in sources:
         if k is None:
             made.append(appends.get_or_make_edge(level + 1, points[p], points[q]))
@@ -139,8 +140,8 @@ def records(grid):
     """Every record of every arena as comparable tuples, coordinates and
     ``corners_in_father`` as bits, and a parametrization by its type (two
     grids read from one file hold equal charts, not the same ones)."""
-    verts = [[(rec.coords.tobytes(), rec.id, rec.father, rec.finer) for rec in level] for level in grid._verts]
-    edges = [[(rec.v, rec.id, rec.father, rec.children) for rec in level] for level in grid._edges]
+    verts = [[(rec.coords.tobytes(), rec.id, rec.father, rec.finer) for rec in rows(level)] for level in grid._verts]
+    edges = [[(rec.v, rec.id, rec.father, rec.children) for rec in rows(level)] for level in grid._edges]
     elems = [
         [
             (rec.v, rec.id, rec.edges, rec.father, rec.children, rec.mark, type(rec.parametrization).__name__,

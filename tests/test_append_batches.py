@@ -9,8 +9,6 @@ refined either way, a grid holds the same records: ids, each edge's
 corners in its first user's order, each triangle's edge slots, markers.
 """
 
-import sys
-import types
 from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
@@ -22,7 +20,7 @@ from netmesh import GridConfig, GridFactory, adaptivity, audit_grid, cli, growth
 from netmesh.topology import Grid
 
 from append_rows import create_grid_by_rows
-from conftest import make_grid
+from conftest import foam_lattice, make_grid
 from growth_rows import grow_by_rows
 from refine_rows import adapt_by_leaves, records
 from transactions import FAN_TRANSACTIONS, embedded_grid, play, rounds
@@ -55,22 +53,11 @@ def test_the_grid_has_one_append_path_per_arena(two_triangles):
     assert [name for name in names if hasattr(Grid, name) or hasattr(two_triangles, name)] == []
 
 
-def _lattice(directory):
-    """The foam-adapt benchmark's seed-1 lattice surface, written by ``bench/generate.py``,
-    which is read and executed, so nothing is written under ``bench/``."""
-    path = ROOT / "bench" / "generate.py"
-    generate = types.ModuleType("bench_generate")
-    with mock.patch.dict(sys.modules, {generate.__name__: generate}):  # its dataclasses look it up
-        exec(compile(path.read_text(), str(path), "exec"), generate.__dict__)
-    generate.lattice_surface(1, directory)
-    return read_gmsh(directory / "lattice.msh", GridConfig(2, 3))
-
-
 SURFACES = {
     "square": lambda tmp: read_gmsh(ROOT / "meshes" / "square.msh", GridConfig(2, 3)),
     "quadratic_surface": lambda tmp: read_gmsh(ROOT / "tests" / "data" / "quadratic_surface.msh", GridConfig(2, 3)),
     "wavelet": lambda tmp: cli._wavelet_grid(read_gmsh(ROOT / "meshes" / "square.msh", GridConfig(2, 3))),
-    "foam_lattice": _lattice,
+    "foam_lattice": foam_lattice,
 }
 
 
@@ -85,7 +72,7 @@ SQUARE = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
 def test_two_triangles_of_one_batch_share_a_new_edge():
     """The first triangle makes the diagonal, in its corner order; the second takes it."""
     grid = both_ways(make_grid, 2, 3, SQUARE, [(0, 1, 2), (3, 2, 0)])
-    assert [rec.v for rec in grid._edges[0]] == [(0, 1), (0, 2), (1, 2), (3, 2), (3, 0)]
+    assert grid._edges[0].v.tolist() == [[0, 1], [0, 2], [1, 2], [3, 2], [3, 0]]
     assert [rec.edges for rec in grid._elems[0]] == [(0, 1, 2), (3, 4, 1)]
     assert [rec.id for rec in grid._elems[0]] == [7, 10]
 

@@ -48,7 +48,7 @@ def random_network(kind, rng):
             previous = len(verts) - 1
         tips.append(previous)
     grid = make_grid(1, 3, verts, elements)
-    tip_ids = [grid._verts[0][slot].id for slot in tips]
+    tip_ids = grid._verts[0].id[tips].tolist()
     for _ in range(int(rng.integers(0, 3))):
         for el in grid.leaf_view().elements():
             if rng.uniform() < 0.5:

@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from netmesh import LINE, audit_grid
-from netmesh.topology import EdgeRec
-
 from append_rows import RowAppends
 from conftest import make_grid, refine_all
 from gridcheck import check_grid
+from rows import Row, rows
 
 
 def two_triangles(rounds=1):
@@ -71,9 +70,9 @@ def duplicate_edge(grid):
     edges = grid._edges[1]
     pair = grid._elems[1][0].v[:2]
     if not edges:
-        edges.append(EdgeRec(pair, RowAppends(grid).new_id()))
-    first = next(s for s, rec in enumerate(edges) if set(rec.v) == set(pair))
-    edges.append(EdgeRec(pair[::-1], RowAppends(grid).new_id()))
+        edges.append(v=[pair], id=[RowAppends(grid).new_id()])
+    first = next(s for s, rec in enumerate(rows(edges)) if set(rec.v) == set(pair))
+    edges.append(v=[pair[::-1]], id=[RowAppends(grid).new_id()])
     return f"edge (1,{len(edges) - 1}): same vertex pair as edge (1,{first})"
 
 
@@ -128,34 +127,44 @@ def invalid_mark(grid):
 
 
 def wrong_coordinate_length(grid):
-    grid._verts[0][0].coords = grid._verts[0][0].coords[:-1]
-    return "vertex (0,0): wrong coordinate length"
+    """A level's coordinate column one short of the world dimension."""
+    grid._verts[0]._data["coords"] = grid._verts[0]._data["coords"][:, :-1]
+    return "vertices of level 0: wrong coordinate length"
 
 
 def _copy_with_father(grid):
-    return next(s for s, rec in enumerate(grid._verts[1]) if rec.father is not None)
+    return next(s for s, rec in enumerate(rows(grid._verts[1])) if rec.father is not None)
 
 
 def dangling_vertex_father(grid):
     s = _copy_with_father(grid)
-    grid._verts[1][s].father = len(grid._verts[0]) + 5
+    Row(grid._verts[1], s).father = len(grid._verts[0]) + 5
     return f"vertex (1,{s}): dangling father"
 
 
 def father_copy_without_link(grid):
     s = _copy_with_father(grid)
-    grid._verts[0][grid._verts[1][s].father].finer = None
+    Row(grid._verts[0], Row(grid._verts[1], s).father).finer = None
     return f"vertex (1,{s}): father does not link back"
 
 
 def chain_id_differs(grid):
     s = _copy_with_father(grid)
-    grid._verts[1][s].id = RowAppends(grid).new_id()
+    Row(grid._verts[1], s).id = RowAppends(grid).new_id()
     return f"vertex (1,{s}): chain id differs from father"
 
 
+def perturbed_copy(grid):
+    """A vertex copy one bit off its father copy: the VTK ``POINTS`` memo and
+    the views' element corners take one copy's coordinates for all."""
+    s = _copy_with_father(grid)
+    coords = grid._verts[1].coords
+    coords[s, 0] = np.nextafter(coords[s, 0], np.inf)
+    return f"vertex (1,{s}): coordinates differ from father"
+
+
 def dangling_finer_copy(grid):
-    grid._verts[0][0].finer = len(grid._verts[1]) + 5
+    Row(grid._verts[0], 0).finer = len(grid._verts[1]) + 5
     return "vertex (0,0): dangling finer copy"
 
 
@@ -173,37 +182,37 @@ def edges_out_of_order(grid):
 
 
 def dangling_edge_vertex(grid):
-    rec = grid._edges[1][0]
+    rec = Row(grid._edges[1], 0)
     rec.v = (rec.v[0], len(grid._verts[1]) + 5)
     return "edge (1,0): dangling vertex slot"
 
 
 def lone_edge_child(grid):
-    rec = grid._edges[0][0]
+    rec = Row(grid._edges[0], 0)
     rec.children = rec.children[:1]
     return "edge (0,0): children not absent-or-pair"
 
 
 def dangling_edge_child(grid):
-    rec = grid._edges[0][0]
+    rec = Row(grid._edges[0], 0)
     rec.children = (rec.children[0], len(grid._edges[1]) + 5)
     return "edge (0,0): dangling child"
 
 
 def edge_child_with_wrong_father(grid):
-    child = grid._edges[0][0].children[0]
-    grid._edges[1][child].father = 1
+    child = Row(grid._edges[0], 0).children[0]
+    Row(grid._edges[1], child).father = 1
     return f"edge (0,0): child {child} has wrong father"
 
 
 def dangling_edge_father(grid):
-    child = grid._edges[0][0].children[0]
-    grid._edges[1][child].father = len(grid._edges[0]) + 5
+    child = Row(grid._edges[0], 0).children[0]
+    Row(grid._edges[1], child).father = len(grid._edges[0]) + 5
     return f"edge (1,{child}): dangling father"
 
 
 def edge_father_without_the_child(grid):
-    first, second = grid._edges[0][:2]
+    first, second = rows(grid._edges[0])[:2]
     child = first.children[0]
     first.children = second.children
     return f"edge (1,{child}): father does not list it"
@@ -213,7 +222,8 @@ ON_BOTH = [dangling_vertex_slot, child_with_wrong_father, unreferenced_vertex_co
            duplicate_edge, extra_edge_level, wrong_vertex_count, repeated_vertex,
            dangling_element_father, father_without_the_child, child_without_embedding,
            too_many_children, dangling_child_slot, invalid_mark, wrong_coordinate_length,
-           dangling_vertex_father, father_copy_without_link, chain_id_differs, dangling_finer_copy]
+           dangling_vertex_father, father_copy_without_link, chain_id_differs, perturbed_copy,
+           dangling_finer_copy]
 ON_SURFACE = [bad_edge_slots, edges_out_of_order, dangling_edge_vertex, lone_edge_child,
               dangling_edge_child, edge_child_with_wrong_father, dangling_edge_father,
               edge_father_without_the_child]

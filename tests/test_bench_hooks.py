@@ -1,4 +1,4 @@
-"""The benchmark's tracer can wrap every netmesh name it patches.
+"""The benchmark's tracer can wrap every netmesh name it patches and read what it counts.
 
 ``bench/tracing.py`` replaces layer functions wherever a module holds
 them by name, including names a module imports only for that purpose
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import netmesh
 from netmesh import roots
 
 TRACING = Path(__file__).parent.parent / "bench" / "tracing.py"
@@ -42,3 +43,27 @@ def test_a_missing_hook_fails_to_enter(monkeypatch):
     with pytest.raises(KeyError):
         tracer.__enter__()
     tracer.__exit__(None, None, None)  # undo the patches applied before the failure
+
+
+def test_the_tracer_counts_what_it_reads_of_the_grid():
+    """The tracer reads two things of the grid that no public call gives:
+    ``len(grid._verts[0])`` after each MSH read, and the marks and children
+    of the element records before each adapt.  Over one read of
+    ``meshes/tjunction.msh`` and one adapt it must count the file's nodes
+    and the leaves marked 1."""
+    mesh = Path(__file__).parent.parent / "meshes" / "tjunction.msh"
+    lines = mesh.read_text().splitlines()
+    nodes = int(lines[lines.index("$Nodes") + 1])
+    tracer = load_tracing().Tracer()
+    with tracer:
+        grid = netmesh.read_gmsh(mesh, netmesh.GridConfig(2, 3))
+        leaves = grid.leaf_view().elements()
+        for el in leaves[::2]:
+            grid.mark(1, el)
+        grid.mark(-1, leaves[1])
+        grid.pre_adapt()
+        grid.adapt()
+        grid.post_adapt()
+    counts = tracer.layer_counts()
+    assert counts["gmsh_io.nodes"] == nodes == 5
+    assert counts["adaptivity.refined"] == len(leaves[::2]) > 0

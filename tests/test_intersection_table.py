@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import make_grid, refine_all
+from conftest import cubic_lattice, make_grid, refine_all
 from gridcheck import check_grid
 from netmesh import GridConfig, intersections, pairwise_intersections, read_gmsh
 from netmesh.errors import StaleEntityError
@@ -79,27 +79,10 @@ def test_table_matches_walk_on_fixture_meshes(name):
         check_grid(grid, contract="quadratic" not in name)
 
 
-def cubic_lattice(shape):
-    """Every unit square face of a block of ``shape`` unit cubes, cut into two
-    triangles.  An edge inside the block lies on four squares."""
-    corners = list(np.ndindex(*(n + 1 for n in shape)))
-    index = {p: i for i, p in enumerate(corners)}
-    steps = np.eye(3, dtype=int)
-    triangles = []
-    for normal in range(3):
-        a, b = (axis for axis in range(3) if axis != normal)
-        for p in map(np.array, corners):
-            if p[a] < shape[a] and p[b] < shape[b]:
-                square = [p, p + steps[a], p + steps[a] + steps[b], p + steps[b]]
-                v = [index[tuple(q.tolist())] for q in square]
-                triangles += [(v[0], v[1], v[2]), (v[0], v[2], v[3])]
-    return make_grid(2, 3, [tuple(map(float, p)) for p in corners], triangles)
-
-
 def chain_length(grid, level, slot):
     """Edges from an edge up through its fathers, itself included."""
     length = 1
-    while (slot := grid._edges[level][slot].father) is not None:
+    while (slot := grid._edges[level].father[slot]) >= 0:
         level, length = level - 1, length + 1
     return length
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import msh_line_reader
 from netmesh import GridConfig, gmsh_io
 from netmesh.errors import MshParseError
+from rows import rows
 
 NODE_IDS = st.integers(-3, 15) | st.sampled_from([2**63 - 1, 10**20])
 COORDS = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-300, 0.1])
@@ -73,8 +74,8 @@ def msh_texts(draw):
 
 def level0_records(grid):
     """Every field of every level-0 record, coordinates by their bits."""
-    verts = [(r.coords.tobytes(), r.coords.shape, r.id, r.father, r.finer) for r in grid._verts[0]]
-    edges = [(r.v, r.id) for r in grid._edges[0]]
+    verts = [(r.coords.tobytes(), r.coords.shape, r.id, r.father, r.finer) for r in rows(grid._verts[0])]
+    edges = [(r.v, r.id) for r in rows(grid._edges[0])]
     elems = [
         (r.v, r.id, r.edges, r.marker, type(r.marker), type(r.parametrization),
          None if r.parametrization is None else r.parametrization.nodes.tobytes())

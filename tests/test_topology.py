@@ -14,6 +14,7 @@ from netmesh.parametrization import QuadraticLine, QuadraticTriangle
 
 from conftest import make_grid, refine_all
 from gridcheck import check_grid
+from rows import rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -75,7 +76,7 @@ def staged_records(grid):
     """(coordinate bits, id) of each vertex record and (corners, id, edges,
     parametrization, marker) of each element record at level 0."""
     return (
-        [(r.coords.tobytes(), r.id) for r in grid._verts[0]],
+        [(r.coords.tobytes(), r.id) for r in rows(grid._verts[0])],
         [(r.v, r.id, r.edges, r.parametrization, r.marker) for r in grid._elems[0]],
     )
 
