@@ -22,10 +22,11 @@ cumulative sum draws the ids in the loop's order (``_IDS``); a copy keeps
 its vertex's id.  The first leaf in (leaf, corner) or (leaf, local edge)
 order makes a missing copy or splits an unsplit edge.  An edge between
 two midpoints is shared with a leaf earlier in the pass or, when both
-midpoints predate the pass, with an edge the level holds.  A new
-midpoint sits on the tree root's parametrization (the charts of
-``parametrization``) at the midpoint composed into the root by
-``local_in_root``, or at the affine midpoint when the root has none.
+midpoints predate the pass, with an edge the level holds.  A child
+takes its father's chart and marker, so a leaf holds its tree root's.  A
+new midpoint sits on the leaf's chart (see ``parametrization``) at the
+midpoint composed into the root by ``local_to_root``, or at the affine
+midpoint when the leaf has none, which walks no father.
 
 The grid's phase runs idle -> preadapted -> adapted -> idle.
 ``pre_adapt`` collects the places of vanishing sibling groups in
@@ -163,8 +164,8 @@ def _midpoint_images(grid, level, slots):
     """For the leaves ``slots`` of ``level``: which local edges make their
     midpoint (every segment's; a triangle edge's first unsplit mention),
     the position making each, and the refinement points' coordinates,
-    ``(n, corners + midpoints, w)``, one father walk per leaf.  A chart's
-    image is checked as a queued vertex (``checked_coords``)."""
+    ``(n, corners + midpoints, w)``, one father walk per charted leaf.  A
+    chart's image is checked as a queued vertex (``checked_coords``)."""
     d, n, elems, verts = grid.dim, len(slots), grid._elems[level], grid._verts[level]
     recs = [elems[s] for s in slots]
     if d == 1:
@@ -176,27 +177,20 @@ def _midpoint_images(grid, level, slots):
     corners = verts.coords[_ints([rec.v for rec in recs], d + 1)]
     a, b = _ENDS[d]
     points = np.concatenate([corners, 0.5 * (corners[:, a] + corners[:, b])], axis=1)
-    for i, slot in enumerate(slots):
-        walk = grid._father_chain(level, slot)
-        root_level, root_slot = walk[-1]
-        phi = grid._elems[root_level][root_slot].parametrization
-        for k in np.flatnonzero(makes[i]).tolist() if phi is not None else ():
-            local = _in_root(grid, walk, EDGE_MIDPOINT_LOCAL[d][k])
-            points[i, d + 1 + k] = checked_coords([phi(local)], grid.world_dim)[0]
+    for i, (slot, rec) in enumerate(zip(slots, recs)):
+        for k in np.flatnonzero(makes[i]).tolist() if rec.parametrization is not None else ():
+            local = local_to_root(grid, level, slot, EDGE_MIDPOINT_LOCAL[d][k])
+            points[i, d + 1 + k] = checked_coords([rec.parametrization(local)], grid.world_dim)[0]
     return makes, maker, points
 
 
-def local_in_root(grid, level, slot, local):
-    """Map element-local reference coordinates to the tree root's reference."""
-    return _in_root(grid, grid._father_chain(level, slot), local)
-
-
-def _in_root(grid, walk, local):
-    """``local_in_root`` along an element's father chain ``walk``."""
+def local_to_root(grid, level, slot, local):
+    """Map element-local reference coordinates to the tree root's reference, one father at a time."""
     local = np.asarray(local, dtype=float)
-    for level, slot in walk[:-1]:
+    while (father := grid._father(level, slot)) is not None:
         corners = grid._elems[level][slot].corners_in_father
         local = corners[0] + (corners[1:] - corners[0]).T @ local
+        level, slot = father
     return local
 
 
@@ -268,6 +262,8 @@ def _refine_level(grid, level, slots, makes, maker, points):
         child_edges = zip(*candidates[:, _CHILD_EDGES].reshape(-1, 3).T.tolist())
     points = np.concatenate([finer, mids.reshape(n, -1)], axis=1)[:, _CHILDREN[d]].reshape(-1, c)
     kids = grid._add_elements(fine, zip(*points.T.tolist()), ids[:, child].ravel().tolist(),
+                              [rec.parametrization for rec in recs for _ in range(2**d)],
+                              [rec.marker for rec in recs for _ in range(2**d)],
                               edges=child_edges, fathers=np.array(slots).repeat(2**d).tolist(),
                               corners_in_father=CHILD_CORNERS_IN_FATHER[d] * n)
     for rec, kid in zip(recs, kids[::2**d]):

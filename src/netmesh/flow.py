@@ -463,7 +463,7 @@ def store_leaf_data(grid, view, arrays):
     families = {}  # father id -> the view rows of its children, all vanishing together
     for row, place in enumerate(view.places(0)):
         if place in vanishing:
-            families.setdefault(grid._id(0, *grid._father_chain(*place)[1]), []).append(row)
+            families.setdefault(grid._id(0, *grid._father(*place)), []).append(row)
     averaged = {}  # father id -> {name: volume-weighted average of its children}
     for father, rows in families.items():
         weights = np.array([AffineGeometry(c).volume() for c in view._element_corners()[rows]])
@@ -479,16 +479,17 @@ def store_leaf_data(grid, view, arrays):
 def restore_leaf_data(view, store, names):
     """Rebuild arrays on the new leaf view; children inherit stored ancestors.
 
-    Each element's row is gathered by its id; only an element whose id is
-    not stored walks up its fathers to the nearest stored one.
+    Each element's row is gathered by its id, else from its father, else
+    (two adapts since the store) from its nearest stored ancestor.
     """
     grid, places = view.grid, view.places(0)
     ids = view.ids(0).tolist()
     rows = np.fromiter(map(store.get, ids, repeat(-1)), np.int64, len(ids))
     for i in np.flatnonzero(rows < 0).tolist():
-        fathers = (grid._id(0, *place) for place in grid._father_chain(*places[i])[1:])
-        key = next((key for key in fathers if key in store), None)  # the nearest stored ancestor
-        if key is None:
+        place = grid._father(*places[i])
+        while place is not None and (key := grid._id(0, *place)) not in store:
+            place = grid._father(*place)
+        if place is None:
             raise LifecycleError(
                 f"no stored data for element id {ids[i]} or its ancestors "
                 "(was store_leaf_data called after pre_adapt?)"

@@ -219,9 +219,7 @@ def intersections(view, element):
     or any element once the grid has changed since the view was made,
     raises StaleEntityError.
     """
-    eid = view.grid._own_id(element)
-    view._check_fresh()
-    i = view._index[0].get(eid)
+    i = view._find(0, view.grid._own_id(element))
     if i is None or view._places[0][i] != (element.level, element.slot):
         raise StaleEntityError(f"{element!r} is not part of this view")
     table = view._intersection_table

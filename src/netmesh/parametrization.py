@@ -1,14 +1,14 @@
 """Element parametrizations: the charts that curve refined vertices.
 
 A parametrization is any callable ``phi(local) -> R^w`` attached to a
-refinement-tree root element.  When a descendant element is refined, the
-new edge-midpoint vertex is placed at ``phi`` evaluated at the midpoint's
-local coordinates in the root, obtained by composing the child-in-father
-embeddings along the tree.  Unparametrized trees fall back to the affine
-edge midpoint, so hanging vertices on curved trees need not coincide
-with the straight-edge midpoints of coarser neighbors.  That placement
-is ``adaptivity._midpoint_images``; this module holds only the charts
-and reads no grid.
+refinement-tree root element; each child takes its father's.  When an
+element is refined, the new edge-midpoint vertex is placed at ``phi``
+evaluated at the midpoint's local coordinates in the root, composed from
+the child-in-father embeddings one father at a time.  Unparametrized
+trees fall back to the affine edge midpoint, so hanging vertices on
+curved trees need not coincide with the straight-edge midpoints of
+coarser neighbors.  That placement is ``adaptivity._midpoint_images``;
+this module holds only the charts and reads no grid.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ Only the storage core reads stores and records: this module, ``views``,
 ``adaptivity``, ``compaction`` and ``intersections``, by gathers,
 scatters and masks of the columns.  Other modules use views, handles and
 three ``Grid`` reads that build no wrapper: ``_id`` at a codim, level
-and slot; ``_father_chain``, the one father walk, from an element up to
-its tree root (``_root``); and ``_marker``, that root's insertion marker.
+and slot; ``_father``, one step up the hierarchy (None at a tree root),
+which ``_root`` repeats; and ``_marker``.  A child takes its father's
+parametrization and marker, so a record holds its tree root's.
 
 Entities enter through the batch appends ``Grid._add_vertices``,
 ``_add_elements`` and, for edges, ``_Columns.append``, with the ids
@@ -190,9 +191,9 @@ class ElemRec:
     father: int | None = None
     children: tuple = ()
     mark: int = 0
-    parametrization: object = None  # callable local -> R^w, tree roots only
+    parametrization: object = None  # callable local -> R^w of the tree root, children share it
     corners_in_father: np.ndarray | None = None
-    marker: int | None = None   # insertion marker (e.g. gmsh physical tag)
+    marker: int | None = None   # the tree root's insertion marker (e.g. gmsh physical tag)
 
 
 def _ints(rows, width):
@@ -437,21 +438,18 @@ class Grid:
             return self._elems[level][slot].id
         return int((self._verts if codim == self.dim else self._edges)[level].id[slot])
 
-    def _father_chain(self, level, slot):
-        """(level, slot) of an element and of each of its fathers, up to its tree root."""
-        chain = [(level, slot)]
-        while (father := self._elems[level][slot].father) is not None:
-            level, slot = level - 1, father
-            chain.append((level, slot))
-        return chain
+    def _father(self, level, slot):
+        """(level, slot) of an element's father, None at a tree root."""
+        return None if (father := self._elems[level][slot].father) is None else (level - 1, father)
 
     def _root(self, level, slot):
         """(level, slot) of the refinement-tree root of an element."""
-        return self._father_chain(level, slot)[-1]
+        while (father := self._father(level, slot)) is not None:
+            level, slot = father
+        return level, slot
 
     def _marker(self, level, slot):
-        """Insertion marker of an element's tree root, read without a wrapper."""
-        level, slot = self._root(level, slot)
+        """Insertion marker of an element's tree root, which its record holds, read without a wrapper."""
         return self._elems[level][slot].marker
 
     def _vertex_chain(self, level, slot):
@@ -613,8 +611,7 @@ class Element(_Simplex):
     @property
     def marker(self):
         """Insertion marker of the refinement-tree root (None if untagged)."""
-        self._rec()
-        return self.grid._marker(self.level, self.slot)
+        return self._rec().marker
 
     def sub_entity(self, codim, i):
         """Subentity ``i`` of the given codimension (0 returns the element)."""
@@ -863,8 +860,10 @@ def audit_grid(grid):
             if rec.father is not None:
                 if level == 0 or not 0 <= rec.father < len(grid._elems[level - 1]):
                     problems.append(f"{tag}: dangling father")
-                elif slot not in grid._elems[level - 1][rec.father].children:
+                elif slot not in (father := grid._elems[level - 1][rec.father]).children:
                     problems.append(f"{tag}: father does not list it as child")
+                elif rec.marker != father.marker or rec.parametrization is not father.parametrization:
+                    problems.append(f"{tag}: marker or chart differs from its father's")
                 if rec.corners_in_father is None:
                     problems.append(f"{tag}: has father but no embedding in it")
             if rec.children:

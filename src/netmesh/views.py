@@ -57,7 +57,7 @@ class GridView:
         self._revision = grid._revision
         self._places = {}  # codim -> ((level, slot), ...) in index order
         self._ids = {}  # codim -> persistent ids in index order
-        self._index = {}  # codim -> {persistent id: index}, in index order
+        self._index = {}  # codim -> {persistent id: index}, made on first use
         self._arrays = {}  # 0 -> corner indices per element, dim -> coordinates per vertex
         self._entities = {}  # codim -> wrappers, made on the first entities() call
         self._corners = None  # (n, dim + 1, world_dim) element corners, made with the wrappers
@@ -68,7 +68,7 @@ class GridView:
     def _release(self):
         """Drop what was built on first use: a stale view can read none of it."""
         self._facet_table = self._intersection_table = self._corners = None
-        self._entities = {}
+        self._entities, self._index = {}, {}
 
     def _check_fresh(self):
         if self._revision != self.grid._revision:
@@ -104,8 +104,7 @@ class GridView:
                 _, last = np.unique(ids[::-1], return_index=True)
                 keep = np.sort(len(ids) - 1 - last)
             self._places[codim] = tuple(zip(levels[keep].tolist(), slots[keep].tolist()))
-            self._ids[codim] = ids = ids[keep]
-            self._index[codim] = dict(zip(ids.tolist(), range(len(ids))))
+            self._ids[codim] = ids[keep]
             if codim == d:
                 self._arrays[d] = np.concatenate(coords)[keep].reshape(-1, grid.world_dim)
         vids = self._ids[d]
@@ -118,6 +117,13 @@ class GridView:
         if codim not in table:
             raise StaleEntityError(f"view has no codim {codim} entities")
         return table[codim]
+
+    def _find(self, codim, eid):
+        """Index of the persistent id ``eid`` in one codim (None: not kept), by a dict made on first use."""
+        ids = self._of(self._ids, codim)
+        if codim not in self._index:
+            self._index[codim] = dict(zip(ids.tolist(), range(len(ids))))
+        return self._index[codim].get(eid)
 
     def _wrappers(self, codim):
         """The view's own list of entity wrappers of one codim, made on first use."""
@@ -178,9 +184,9 @@ class GridView:
     def contains(self, entity):
         """Whether ``entity`` itself, not merely a copy of it, is in this view."""
         self._check_fresh()
-        i = self._index.get(_codim(entity), {}).get(entity.id)
-        place = (entity.level, entity.slot)
-        return i is not None and entity.grid is self.grid and self._places[entity.codim][i] == place
+        codim = _codim(entity)
+        i = self._find(codim, entity.id) if codim in self._ids else None
+        return i is not None and entity.grid is self.grid and self._places[codim][i] == (entity.level, entity.slot)
 
     @property
     def index_set(self):
@@ -208,7 +214,7 @@ class IndexSet:
         codim = _codim(entity)
         if entity.grid is not view.grid:
             raise StaleEntityError("entity belongs to a different grid")
-        i = view._of(view._index, codim).get(entity.id)
+        i = view._find(codim, entity.id)
         # vertex copies share their id, so a level view also matches the level
         if i is None or (view.level is not None and entity.level != view.level):
             raise StaleEntityError(f"{entity!r} is not part of this view")

@@ -75,6 +75,28 @@ MUTANTS = [
         "corners = np.nextafter(verts.coords[_ints([rec.v for rec in recs], d + 1)], -np.inf)",
         ["tests/test_topology.py::test_audit_passes_after_refinement"],
     ),
+    (
+        "children-inherit-no-marker",  # a child keeps no marker of its father's
+        "netmesh/adaptivity.py",
+        "[rec.marker for rec in recs for _ in range(2**d)],",
+        "repeat(None),",
+        ["tests/test_topology.py::test_markers_travel_with_elements"],
+    ),
+    (
+        "restore-stops-at-the-father",  # the transfer looks no further up than the father
+        "netmesh/flow.py",
+        "            place = grid._father(*place)\n",
+        "            place = None\n",
+        ["tests/test_flow.py::TestArrayTransfer::test_adapt_round_with_coarsening"],
+    ),
+    (
+        "local-to-root-one-level",  # a midpoint's chart coordinates compose only the leaf's own embedding
+        "netmesh/adaptivity.py",
+        "    while (father := grid._father(level, slot)) is not None:",
+        "    if (father := grid._father(level, slot)) is not None:",
+        ["tests/test_adaptivity.py::test_the_wavelet_square_refines_as_by_the_loop",
+         "tests/test_adaptivity.py::test_parametrized_meshes_refine_as_by_the_loop"],
+    ),
 ]
 
 

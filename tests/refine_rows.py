@@ -5,12 +5,16 @@ pass: every midpoint image is placed first, one root walk per (leaf,
 local edge), then each marked leaf is refined in (level, slot) order
 through ``_refine_element``, one append of ``tests/append_rows.py`` per
 record, which looks up an edge between two midpoints in its own pair
-dict.  Its coarsening, marks and phase are ``adapt``'s.
+dict.  Its coarsening, marks and phase are ``adapt``'s.  A midpoint is
+placed through its tree root's chart, which the whole father chain finds
+(``_father_chain``) and composes into (``_in_root``), not through the
+chart a child inherits; each child takes its father's chart and marker.
 ``records(grid)`` gives every field the two set, for comparison.
 """
 
+import numpy as np
+
 from netmesh import compaction
-from netmesh.adaptivity import local_in_root
 from netmesh.topology import (
     CHILD_CORNERS_IN_FATHER, CHILDREN, EDGE_MIDPOINT_LOCAL, LOCAL_EDGES, checked_coords,
 )
@@ -57,12 +61,32 @@ def _midpoint_images(grid, leaves):
     return images
 
 
+def _father_chain(grid, level, slot):
+    """(level, slot) of an element and of each of its fathers, up to its tree root."""
+    chain = [(level, slot)]
+    while (father := grid._elems[level][slot].father) is not None:
+        level, slot = level - 1, father
+        chain.append((level, slot))
+    return chain
+
+
+def _in_root(grid, walk, local):
+    """Element-local reference coordinates in the tree root's reference, along an
+    element's father chain ``walk``."""
+    local = np.asarray(local, dtype=float)
+    for level, slot in walk[:-1]:
+        corners = grid._elems[level][slot].corners_in_father
+        local = corners[0] + (corners[1:] - corners[0]).T @ local
+    return local
+
+
 def refined_vertex_position(grid, level, slot, edge_index):
     """Position for the midpoint vertex created when splitting a local edge."""
-    rl, rs = grid._root(level, slot)
-    phi = grid._elems[rl][rs].parametrization
+    walk = _father_chain(grid, level, slot)
+    root_level, root_slot = walk[-1]
+    phi = grid._elems[root_level][root_slot].parametrization
     if phi is not None:
-        root_local = local_in_root(grid, level, slot, EDGE_MIDPOINT_LOCAL[grid.dim][edge_index])
+        root_local = _in_root(grid, walk, EDGE_MIDPOINT_LOCAL[grid.dim][edge_index])
         return checked_coords([phi(root_local)], grid.world_dim)[0]
     v, verts = grid._elems[level][slot].v, grid._verts[level]
     a, b = LOCAL_EDGES[grid.dim][edge_index]
@@ -130,6 +154,7 @@ def _refine_element(appends, level, slot, images):
     rec.children = tuple(
         appends.add_element(
             level + 1, tuple(points[i] for i in child), father=slot, corners_in_father=corners,
+            parametrization=rec.parametrization, marker=rec.marker,
             edges=None if sources is None else _child_edges(appends, level, rec, points, sources),
         )
         for child, corners, sources in zip(CHILDREN[d], CHILD_CORNERS_IN_FATHER[d], _CHILD_EDGES[d])

@@ -13,7 +13,7 @@ from netmesh import (
 )
 from netmesh.errors import DimensionMismatchError, LifecycleError, StaleEntityError
 from netmesh.geometry import REFERENCE_CORNERS
-from netmesh.adaptivity import local_in_root
+from netmesh.adaptivity import local_to_root
 
 import refine_rows
 from conftest import make_grid, refine_all, same_bits, vertex_or_edge
@@ -288,7 +288,7 @@ def test_children_sit_where_their_embeddings_say(dim, corners):
     for el in grid.leaf_view().elements():
         root = el.root_element().geometry
         for v, ref in zip(el.vertices(), REFERENCE_CORNERS[dim]):
-            assert same_bits(v.coords, root.to_global(local_in_root(grid, el.level, el.slot, ref)))
+            assert same_bits(v.coords, root.to_global(local_to_root(grid, el.level, el.slot, ref)))
     for level in range(grid.max_level):
         for father in grid.level_view(level).elements():
             kids = father.children()

@@ -52,6 +52,12 @@ def child_with_wrong_father(grid):
     return f"element (0,0): child {child} has wrong father"
 
 
+def child_with_another_marker(grid):
+    child = grid._elems[0][0].children[0]
+    grid._elems[1][child].marker = 7
+    return f"element (1,{child}): marker or chart differs from its father's"
+
+
 def unreferenced_vertex_copy(grid):
     top = grid.max_level
     copy = RowAppends(grid).vertex_copy(top, 0)  # a finer copy no element or edge uses
@@ -218,8 +224,8 @@ def edge_father_without_the_child(grid):
     return f"edge (1,{child}): father does not list it"
 
 
-ON_BOTH = [dangling_vertex_slot, child_with_wrong_father, unreferenced_vertex_copy, duplicate_id,
-           duplicate_edge, extra_edge_level, wrong_vertex_count, repeated_vertex,
+ON_BOTH = [dangling_vertex_slot, child_with_wrong_father, child_with_another_marker, unreferenced_vertex_copy,
+           duplicate_id, duplicate_edge, extra_edge_level, wrong_vertex_count, repeated_vertex,
            dangling_element_father, father_without_the_child, child_without_embedding,
            too_many_children, dangling_child_slot, invalid_mark, wrong_coordinate_length,
            dangling_vertex_father, father_copy_without_link, chain_id_differs, perturbed_copy,

@@ -598,9 +598,14 @@ class TestArrayTransfer:
         verts = [(0, 0, 0), (1, 0, 0), (0.5, 1, 0), (0.5, -1, 0)]
         return make_grid(2, 3, verts, [(0, 1, 2), (0, 1, 3)], [bump, None])
 
+    @pytest.mark.parametrize("adapts", [1, 2])
     @pytest.mark.parametrize("shape", ["chain", "surface"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_adapt_round_with_coarsening(self, shape, seed):
+    def test_adapt_round_with_coarsening(self, shape, seed, adapts):
+        """One adapt, or two between the store and the restore: the first
+        refines the last leaf and the second every leaf, so a child of an
+        element the first made walks past its father, which is not stored,
+        to a stored ancestor."""
         from leaf_data_dicts import restore_by_dicts, store_by_dicts
 
         rng = np.random.default_rng(seed)
@@ -614,11 +619,20 @@ class TestArrayTransfer:
             mark = -1 if el.id in siblings else int(rng.choice([-1, -1, 0, 1]))
             if mark:
                 grid.mark(mark, el)
+        if adapts == 2:  # the first adapt refines at least the last leaf
+            grid.mark(1, view.elements()[-1])
         grid.pre_adapt()
         store = store_leaf_data(grid, view, arrays)
         expected = store_by_dicts(grid, view, arrays)
         assert first.id in store and len(store) == len(expected) > n
         grid.adapt()
+        if adapts == 2:  # every leaf refined once more
+            grid.post_adapt()
+            grid.mark_leaves(np.ones(grid.leaf_view().size(0), dtype=np.int64))
+            grid.pre_adapt()
+            grid.adapt()
+            unstored = [el for el in grid.leaf_view().elements() if el.father().id not in store]
+            assert unstored and all(el.father().father().id in store for el in unstored)
         new_view = grid.leaf_view()
         got = restore_leaf_data(new_view, store, ("p", "k"))
         want = restore_by_dicts(new_view, expected, ("p", "k"))

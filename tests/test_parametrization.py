@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from netmesh import LINE, TRIANGLE, FactoryError, GridConfig, GridFactory
+from netmesh import LINE, TRIANGLE, FactoryError, GridConfig, GridFactory, read_gmsh
 from netmesh.parametrization import (
     QuadraticLine,
     QuadraticTriangle,
@@ -13,6 +15,8 @@ from netmesh.parametrization import (
 )
 
 from conftest import refine_all
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_radial_wavelet_at_origin():
@@ -177,3 +181,19 @@ def test_non_finite_parametrization_image_is_refused(bad):
     g.pre_adapt()
     with pytest.raises(FactoryError, match=r"finite, got \[0.5, (nan|inf), 0.0\]"):
         g.adapt()
+
+
+def test_refined_quadratic_line_length_converges_at_second_order():
+    """Each refined vertex of ``quadratic_line.msh`` sits on its chart, so the
+    leaves are chords of the curve: their summed length tends to the curve's
+    arc length (the integral of |P'(t)|) at second order in the leaf length."""
+    grid = read_gmsh(DATA / "quadratic_line.msh", GridConfig(1, 3))
+    nodes = grid._elems[0][0].parametrization.nodes
+    arc = quad(lambda t: np.linalg.norm(np.array([4 * t - 3, 4 * t - 1, 4 - 8 * t]) @ nodes), 0.0, 1.0,
+               epsabs=1e-13, epsrel=1e-13)[0]
+    errors = []
+    for _ in range(10):  # 2, 4, ..., 1024 leaves
+        refine_all(grid)
+        errors.append(abs(sum(el.geometry.volume() for el in grid.leaf_view().elements()) - arc))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert errors[-1] < 1e-7 and orders.min() >= 1.9, (errors, orders)
