@@ -97,6 +97,90 @@ MUTANTS = [
         ["tests/test_adaptivity.py::test_the_wavelet_square_refines_as_by_the_loop",
          "tests/test_adaptivity.py::test_parametrized_meshes_refine_as_by_the_loop"],
     ),
+    (
+        "negative-tag-count",  # a tag count of -1 makes the count token a node id
+        "netmesh/gmsh_io.py",
+        "if n_tags < 0:",
+        "if n_tags < -1:",
+        ["tests/test_io.py::TestMshErrorMessages::test_ends_the_cli_as_parse_error[negative_tag_count]",
+         "tests/test_io.py::TestMshErrorMessages::test_message_and_line_number[negative_tag_count]"],
+    ),
+    (
+        "second-section-taken",  # a second $Elements section replaces the first
+        "netmesh/gmsh_io.py",
+        "current in _SINGLE_SECTIONS and current in sections:",
+        "current in _SINGLE_SECTIONS and current in ():",
+        ["tests/test_io.py::TestMshErrorMessages::test_ends_the_cli_as_parse_error[second_elements_section]"],
+    ),
+    (
+        "lines-split-at-form-feed",  # the reader ends a line at a form feed, so later lines count one more
+        "netmesh/gmsh_io.py",
+        'text.removesuffix("\\n").split("\\n")',
+        'text.removesuffix("\\n").splitlines()',
+        ["tests/test_io.py::TestMshErrorMessages::test_ends_the_cli_as_parse_error[form_feed_before_short_node_line]",
+         "tests/test_io.py::TestMshErrorMessages::test_lines_are_numbered_by_newline_alone"],
+    ),
+    (
+        "lone-cr-ends-no-line",  # an undecodable byte after lone \r line ends is put on line 1
+        "netmesh/errors.py",
+        'return before.count(b"\\n") + before.count(b"\\r") - before.count(b"\\r\\n") + 1',
+        'return before.count(b"\\n") + 1',
+        ["tests/test_io.py::TestMshErrorMessages::test_an_undecodable_byte_names_its_line[CR]"],
+    ),
+    (
+        "surface-warnings-replayed",  # the failed surface read of a network mesh logs its warnings too
+        "netmesh/cli.py",
+        "        held.clear()\n",
+        "",
+        ["tests/test_cli.py::TestInfo::test_network_mesh_logs_each_warning_once"],
+    ),
+    (
+        "refine-bound-excludes-its-count",  # refine refuses the step count that reaches the bound exactly
+        "netmesh/cli.py",
+        "<= topology.MAX_ELEMENTS:",
+        "< topology.MAX_ELEMENTS:",
+        ["tests/test_cli.py::TestRefine::test_the_leaf_bound_admits_exactly_its_count"],
+    ),
+    (
+        "nul-in-a-file-name",  # an output_prefix with a NUL byte passes as a file name
+        "netmesh/scenario.py",
+        'lambda p: "\\0" not in p and Path(p).name == p',
+        "lambda p: Path(p).name == p",
+        ["tests/test_cli.py::TestErrorCategories::test_bad_flow_scenario_is_3"
+         "[output_prefix-a\\x00b-output_prefix must be a file name]",
+         "tests/test_cli.py::TestErrorCategories::test_bad_roots_scenario_is_3"
+         "[output_prefix-a\\x00b-output_prefix must be a file name]"],
+    ),
+    (
+        "first-problem-only",  # a scenario names only its first bad key
+        "netmesh/scenario.py",
+        '"; ".join(errors)',
+        "errors[0]",
+        ["tests/test_cli.py::TestErrorCategories::test_every_bad_key_in_one_line"],
+    ),
+    (
+        "adapt-bound-without-fathers",  # the adapt count leaves out the father each vanishing group leaves
+        "netmesh/adaptivity.py",
+        '- len(vanishing) + groups, "adapt")',
+        '- len(vanishing), "adapt")',
+        ["tests/test_cli.py::TestErrorCategories::test_adapt_past_the_bound_is_3",
+         "tests/test_adaptivity.py::test_the_adapt_bound_admits_exactly_its_count"],
+    ),
+    (
+        "grow-bound-without-removals",  # the grow count leaves in the leaves its removals take away
+        "netmesh/growth.py",
+        "queue.leaves - _removed_leaves(grid) + ",
+        "queue.leaves + ",
+        ["tests/test_growth.py::test_the_grow_bound_admits_exactly_its_count",
+         "tests/test_growth.py::test_a_father_whose_children_are_all_removed_counts_as_a_leaf"],
+    ),
+    (
+        "census-counts-pairs",  # info counts a facet of two elements as a junction
+        "netmesh/cli.py",
+        "if m >= 3}",
+        "if m >= 2}",
+        ["tests/test_cli.py::TestInfo::test_facets_of_two_elements_are_no_junctions"],
+    ),
 ]
 
 

@@ -67,6 +67,17 @@ class TestInfo:
         assert "junction facets (3 or more incident elements): 1" in out
         assert "multiplicity 3: 1" in out
 
+    @pytest.mark.parametrize("mesh,census", [
+        ("square", ["boundary facets: 4", "junction facets (3 or more incident elements): 0"]),
+        ("vessels", ["boundary facets: 3", "junction facets (3 or more incident elements): 1",
+                     "  multiplicity 3: 1"]),
+    ])
+    def test_facets_of_two_elements_are_no_junctions(self, capsys, mesh, census):
+        """Both meshes have inner facets shared by exactly two elements; the census counts none."""
+        code, out, err = run(capsys, "info", ROOT / "meshes" / f"{mesh}.msh")
+        assert code == 0
+        assert out[out.index("boundary facets"):].splitlines() == census
+
     @pytest.mark.parametrize("command", ["info", "refine"])
     def test_network_mesh_logs_each_warning_once(self, tmp_path, command):
         # the surface read finds no triangles; only the network read that follows logs
@@ -99,12 +110,13 @@ class TestRefine:
         assert out_path.exists()
 
     def test_network_refinement_quadruples_cells(self, capsys, tmp_path):
-        out_path = tmp_path / "net.vtk"
-        code, out, err = run(
-            capsys, "refine", DATA / "network.msh", "--steps", 2, "--out", out_path
-        )
-        assert code == 0
-        assert "12 cells" in out
+        # the segments of a line network and the triangles of the T-junction surface
+        for mesh, cells in [(DATA / "network.msh", "12 cells"),
+                            (ROOT / "meshes" / "tjunction.msh", "48 cells, 35 points")]:
+            out_path = tmp_path / "net.vtk"
+            code, out, err = run(capsys, "refine", mesh, "--steps", 2, "--out", out_path)
+            assert code == 0
+            assert cells in out
 
     def test_wavelet_refinement_on_surface(self, capsys, tmp_path):
         out_path = tmp_path / "wavelet.vtk"
@@ -257,6 +269,7 @@ class TestErrorCategories:
             ("radius", "1e-300", "out of floating-point range"),
             ("dt", "1e-320", "out of floating-point range"),
             ("dt", "1e308", "dt * steps must be finite"),
+            ("viscosity", "-1", "viscosity must be positive"),
             ("adapt_every", "-1", "adapt_every must be nonnegative"),
             ("max_refinement_level", "-1", "max_refinement_level must be nonnegative"),
             ("output_prefix", "../escaped", "output_prefix must be a file name"),
@@ -280,6 +293,7 @@ class TestErrorCategories:
             ("gravity_bias", "nan", "gravity_bias must be finite"),
             ("collar_pressure", "nan", "collar_pressure must be finite"),
             ("k_x", "nan", "k_x must be finite"),
+            ("k_x", "-1", "k_x must be positive"),
             ("k_r", "nan", "k_r must be finite"),
             ("radius", "nan", "radius must be finite"),
             ("segment_length", "nan", "segment_length must be finite"),

@@ -196,6 +196,9 @@ BROKEN_MSH = {
     "second_nodes_section": (HEADER + NODES + "$Nodes\n2\n1 0 0 0\n2 0 1 0\n$EndNodes\n" + ELEMENTS,
                              9, "duplicate $Nodes section"),
     "second_elements_section": (HEADER + NODES + ELEMENTS + ELEMENTS, 13, "duplicate $Elements section"),
+    # a form feed ends no line, so the short node line after it is line 7, as grep -n numbers it
+    "form_feed_before_short_node_line": (HEADER + "$Nodes\n2\n1 0 0 0\f\n2 1 0\n$EndNodes\n" + ELEMENTS,
+                                         7, "node line needs 'id x y z'"),
 }
 
 
@@ -233,7 +236,7 @@ class TestMshErrorMessages:
         assert (str(err.value), err.value.line) == ("line 7: node line needs 'id x y z'", 7)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
-    def test_an_undecodable_byte_names_its_line(self, tmp_path, end):
+    def test_an_undecodable_byte_names_its_line(self, tmp_path, end, capsys):
         """A lone \\r ends a line in the count as it does in ``read_text``."""
         head = end.join(["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", ""]).encode()
         path = tmp_path / "bad.msh"
@@ -242,6 +245,8 @@ class TestMshErrorMessages:
             read_gmsh(path, GridConfig(1, 3))
         message = f"line 5: not UTF-8 text (invalid start byte at byte {len(head)})"
         assert (str(err.value), err.value.line) == (message, 5)
+        assert main(["info", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"parse-error: {message}\n")
 
     def test_other_sections_may_repeat(self, tmp_path):
         path = tmp_path / "data.msh"
